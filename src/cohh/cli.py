@@ -40,6 +40,8 @@ from .spectral import (CollapseNotEstablished, DegreeEven, NotPrime,
 
 FORMATS = ("text", "json", "csv")
 DEFAULTS = {"field": 2, "s_max": 6, "t_max": 40, "format": "text"}
+AUDIT_TABLES = ("indecomposables", "expected_indecomposables",
+                "primitives", "expected_primitives")
 
 
 class ParseError(ValueError):
@@ -119,13 +121,33 @@ def build_coalgebra(spec: dict, field: FieldSpec,
             if key not in spec:
                 raise ParseError(f"table coalgebra needs {key!r}")
         basis = [(str(n), int(d)) for n, d in spec["basis"]]
+        known = {n for n, _ in basis}
         comult = {a: {tuple(k.split("|")): field.coerce(c)
                       for k, c in row.items()}
                   for a, row in spec["comult"].items()}
         counit = {a: field.coerce(c) for a, c in spec["counit"].items()}
-        return GradedCoalgebra(field, basis, comult, counit,
-                               coaug=spec.get("coaug", "1"),
-                               truncation=spec.get("trunc"))
+        for a, row in comult.items():
+            for pair in row:
+                if len(pair) != 2:
+                    raise ParseError(f"comult key {'|'.join(pair)!r} of "
+                                     f"{a!r} is not of the form 'a|b'")
+            unknown = sorted(({a} | {x for pair in row for x in pair})
+                             - known)
+            if unknown:
+                raise ParseError(f"comult of {a!r} names labels not in "
+                                 f"basis: {unknown}")
+        unknown = sorted(set(counit) - known)
+        if unknown:
+            raise ParseError(f"counit names labels not in basis: {unknown}")
+        c = GradedCoalgebra(field, basis, comult, counit,
+                            coaug=spec.get("coaug", "1"),
+                            truncation=spec.get("trunc"))
+        failed = validate_coalgebra(c).failures()
+        if failed:
+            ch = failed[0]
+            raise ParseError(f"table coalgebra fails {ch.name!r}"
+                             + (f": {ch.witness}" if ch.witness else ""))
+        return c
     raise ParseError(f"unknown coalgebra kind {kind!r}")
 
 
@@ -211,6 +233,15 @@ def _render(payload: dict, job: JobSpec, grid_dims=None) -> str:
         if "verdict" in payload:
             lines.append("verdict")
             lines.append(payload["verdict"])
+        if "checks" in payload:
+            lines.append("name,passed")
+            lines += [f"{c['name']},{str(c['passed']).lower()}"
+                      for c in payload["checks"]]
+        audit = [k for k in AUDIT_TABLES if k in payload]
+        if audit:
+            lines.append("kind,s,t,dim")
+            lines += [f"{k},{r['s']},{r['t']},{r['dim']}"
+                      for k in audit for r in payload[k]]
         return "\n".join(lines) + "\n"
     # text
     lines = [f"{job.command} over {payload['meta']['field']}, bounds "
@@ -296,12 +327,8 @@ def run(job: JobSpec):
         report = e2_structure_audit(page, max_degree=job.max_degree,
                                     strict=False)
         payload["ok"] = report.ok
-        payload["indecomposables"] = _table_rows(report.indecomposables)
-        payload["expected_indecomposables"] = _table_rows(
-            report.expected_indecomposables)
-        payload["primitives"] = _table_rows(report.primitives)
-        payload["expected_primitives"] = _table_rows(
-            report.expected_primitives)
+        for kind in AUDIT_TABLES:
+            payload[kind] = _table_rows(getattr(report, kind))
         status = 0 if report.ok else 2
     elif job.command == "cotor":
         c = build_coalgebra(job.coalgebra, job.field, job.t_max)

@@ -119,13 +119,17 @@ class CosimplicialModule:
                 _words(self.D, len(self.levels[n]), self.t_max))
         return self._spaces[n]
 
+    def _coface(self, n: int, i: int, source: GradedSpace,
+                target: GradedSpace) -> GradedMap:
+        return induced_operator(
+            self.D, self.levels[n + 1], self.levels[n],
+            lambda s: self.face_fn(n + 1, i, s), source, target)
+
     def coface(self, n: int, i: int) -> GradedMap:
         key = ("d", n, i)
         if key not in self._ops:
-            self._ops[key] = induced_operator(
-                self.D, self.levels[n + 1], self.levels[n],
-                lambda s: self.face_fn(n + 1, i, s),
-                self.space(n), self.space(n + 1))
+            self._ops[key] = self._coface(
+                n, i, self.space(n), self.space(n + 1))
         return self._ops[key]
 
     def codegeneracy(self, n: int, i: int) -> GradedMap:
@@ -138,48 +142,45 @@ class CosimplicialModule:
                 self.space(n + 1), self.space(n))
         return self._ops[key]
 
+    def coface_sum(self, n: int, source: GradedSpace,
+                   target: GradedSpace) -> GradedMap:
+        """sum_i (-1)^i delta_i from words of level n to words of level
+        n + 1; image words outside target are dropped."""
+        f = self.field
+        d = GradedMap.zero(source, target)
+        for i in range(n + 2):
+            term = self._coface(n, i, source, target)
+            d = d.add(term.scale(f.coerce((-1) ** i), f), f)
+        return d
+
     def differential(self, n: int) -> GradedMap:
         key = ("diff", n)
         if key not in self._ops:
-            f = self.field
-            d = GradedMap.zero(self.space(n), self.space(n + 1))
-            for i in range(n + 2):
-                term = self.coface(n, i).scale(f.coerce((-1) ** i), f)
-                d = d.add(term, f)
-            self._ops[key] = d
+            self._ops[key] = self.coface_sum(
+                n, self.space(n), self.space(n + 1))
         return self._ops[key]
 
-
-def cochain_map_from_simplicial(D: GradedCoalgebra, f: SimplicialMap,
-                                cm_source_shape: CosimplicialModule,
-                                cm_target_shape: CosimplicialModule,
-                                n_max: int):
-    """Contravariant levelwise maps D^{(x) Y_n} -> D^{(x) X_n} induced by
-    a simplicial map f: X -> Y.
-
-    cm_target_shape is the cosimplicial module over Y (the source of the
-    returned maps); cm_source_shape the one over X.
-    """
-    maps = []
-    for n in range(n_max + 1):
-        maps.append(induced_operator(
-            D, f.source.level(n), f.target.level(n),
-            lambda s, n=n: f.apply(n, s),
-            cm_target_shape.space(n), cm_source_shape.space(n)))
-    return maps
+    def missing_slots(self, n: int):
+        """For each codegeneracy sigma_i: level n+1 -> level n, the slots
+        of level n+1 outside the image of s_i.  sigma_i applies the
+        counit there and deletes them."""
+        nxt = self.levels[n + 1]
+        out = []
+        for i in range(n + 1):
+            image = {self.degeneracy_fn(n, i, x) for x in self.levels[n]}
+            out.append([k for k, y in enumerate(nxt) if y not in image])
+        return out
 
 
 @dataclass
 class CochainComplex:
-    """Terms with abstract labels, embeddings into a cosimplicial module's
-    levels, and the restricted differential."""
+    """Terms spanned by words of a cosimplicial module's levels (each
+    label is the word itself), and the differential between them."""
 
     field: FieldSpec
     terms: list          # GradedSpace per s
-    embed: list          # GradedMap terms[s] -> ambient level space
     diff: list           # GradedMap terms[s] -> terms[s+1]
-    ambient: CosimplicialModule = None
-    normalized: bool = True
+    ambient: CosimplicialModule
 
     @property
     def s_max(self) -> int:
@@ -191,71 +192,36 @@ class CochainComplex:
 
 
 def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
-    """The subcomplex of intersected codegeneracy kernels, with the
-    differential rewritten in its basis."""
-    f = cm.field
-    terms = []
-    embeds = []
-    for s in range(s_max + 2):
-        amb = cm.space(s)
-        term = GradedSpace()
-        embed = GradedMap(term, amb)
-        if s == 0:
-            for lbl, t in amb.degree_of.items():
-                nl = ("n", 0, t, amb.index(lbl))
-                term.add(nl, t)
-                embed.source = term
-                embed.set_column(nl, {lbl: f.one})
-        else:
-            sigmas = [cm.codegeneracy(s - 1, i) for i in range(s)]
-            for t in amb.degrees():
-                labels = amb.labels(t)
-                stacked = Matrix(0, len(labels))
-                row_off = 0
-                for sg in sigmas:
-                    m = sg.matrix(t)
-                    for (i, j), v in m.entries.items():
-                        stacked.entries[(row_off + i, j)] = v
-                    row_off += m.nrows
-                stacked.nrows = row_off
-                kernel = linalg.kernel_basis(stacked, f)
-                for k, vec in enumerate(kernel):
-                    nl = ("n", s, t, k)
-                    term.add(nl, t)
-                    embed.set_column(
-                        nl, {labels[j]: v for j, v in vec.items()})
-        terms.append(term)
-        embeds.append(embed)
+    """The intersection of the codegeneracy kernels, built directly.
 
-    diffs = []
-    for s in range(s_max + 1):
-        d_amb = cm.differential(s)
-        diff = GradedMap(terms[s], terms[s + 1])
-        for t in terms[s].degrees():
-            src_labels = terms[s].labels(t)
-            if not src_labels:
-                continue
-            e_next = embeds[s + 1].matrix(t)
-            targets = []
-            for nl in src_labels:
-                img = d_amb.apply(embeds[s].column(nl), f)
-                targets.append(cm.space(s + 1).vector_of_sum(img, t))
-            sols = linalg.solve(e_next, targets, f)
-            nxt = terms[s + 1].labels(t)
-            for nl, sol in zip(src_labels, sols):
-                diff.set_column(nl, {nxt[j]: v for j, v in sol.items()})
-        diffs.append(diff)
-    return CochainComplex(f, terms, embeds, diffs, ambient=cm,
-                          normalized=True)
+    When the counit is supported on the coaugmentation label alone, each
+    sigma_i sends a word either to 0 (some slot it deletes holds another
+    label) or to a nonzero multiple of a distinct word, so the kernels
+    are spanned by the words with a non-coaugmentation label in some
+    deleted slot of every sigma_i.  The differential preserves that
+    span, so restricting its targets to it drops only zeros.
+    """
+    D = cm.D
+    if set(D.counit) != {D.coaug}:
+        raise ValueError(
+            f"normalized complex needs the counit supported on the "
+            f"coaugmentation {D.coaug!r} alone, got {sorted(D.counit)}")
+    terms = []
+    for s in range(s_max + 2):
+        missing = cm.missing_slots(s - 1) if s else []
+        terms.append(GradedSpace(
+            (word, t) for word, t in cm.space(s).degree_of.items()
+            if all(any(word[k] != D.coaug for k in slots)
+                   for slots in missing)))
+    diffs = [cm.coface_sum(s, terms[s], terms[s + 1])
+             for s in range(s_max + 1)]
+    return CochainComplex(cm.field, terms, diffs, cm)
 
 
 def unnormalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
-    f = cm.field
     terms = [cm.space(s) for s in range(s_max + 2)]
-    embeds = [GradedMap.identity(sp, f) for sp in terms]
     diffs = [cm.differential(s) for s in range(s_max + 1)]
-    return CochainComplex(f, terms, embeds, diffs, ambient=cm,
-                          normalized=False)
+    return CochainComplex(cm.field, terms, diffs, cm)
 
 
 @dataclass
@@ -327,34 +293,30 @@ class HomologyTable:
         return {st: bd.dim for st, bd in sorted(self.data.items()) if bd.dim}
 
     def rep(self, label) -> dict:
-        """Representative cocycle, as a formal sum on term labels."""
+        """Representative cocycle, as a formal sum on level words."""
         _, s, t, k = label
         bd = self.data[(s, t)]
         labels = self.complex.terms[s].labels(t)
         return {labels[j]: v for j, v in bd.rep_vectors[k].items()}
 
-    def rep_ambient(self, label) -> dict:
-        _, s, t, k = label
-        return self.complex.embed[s].apply(self.rep(label), self.field)
-
     def class_coords(self, s: int, t: int, vec: dict) -> dict:
-        """Project a formal sum on terms[s] labels onto homology classes."""
+        """Project a formal sum on the words of terms[s] in degree t onto
+        homology classes.  Raises linalg.NoSolution if vec has a nonzero
+        coefficient on any other word."""
         bd = self.data.get((s, t))
         if bd is None or not vec:
             return {}
         term = self.complex.terms[s]
-        target = term.vector_of_sum(vec, t)
+        target = {}
+        for word, c in vec.items():
+            if not c:
+                continue
+            if term.degree_of.get(word) != t:
+                raise linalg.NoSolution(
+                    f"{word!r} is not a word of term {s} in degree {t}")
+            target[term.index(word)] = c
         (sol,) = linalg.solve(bd.decomposition, [target], self.field)
         return {("h", s, t, k): v for k, v in sol.items() if k < bd.dim and v}
-
-    def ambient_class_coords(self, s: int, t: int, vec: dict) -> dict:
-        """Same, but vec is a formal sum on ambient level labels (must lie
-        in the normalized subspace)."""
-        amb = self.complex.ambient.space(s)
-        e = self.complex.embed[s].matrix(t)
-        (sol,) = linalg.solve(e, [amb.vector_of_sum(vec, t)], self.field)
-        labels = self.complex.terms[s].labels(t)
-        return self.class_coords(s, t, {labels[j]: v for j, v in sol.items()})
 
 
 def cohh(D: GradedCoalgebra, s_max: int, t_max: int,
@@ -375,13 +337,18 @@ def induced_homology_map(D: GradedCoalgebra, f: SimplicialMap,
     fld = D.field
     HY, HX = H_target_shape, H_source_shape
     s_max = min(HY.s_max, HX.s_max)
-    maps = cochain_map_from_simplicial(
-        D, f, HX.complex.ambient, HY.complex.ambient, s_max)
+    # Source: the normalized words over Y; target: every word over X, so
+    # that class_coords refuses an image outside the normalized words.
+    maps = [induced_operator(
+        D, f.source.level(s), f.target.level(s),
+        lambda x, s=s: f.apply(s, x),
+        HY.complex.terms[s], HX.complex.ambient.space(s))
+        for s in range(s_max + 1)]
     out = GradedMap(HY.classes, HX.classes)
     for label in HY.classes.degree_of:
         _, s, t, _ = label
-        img = maps[s].apply(HY.rep_ambient(label), fld)
-        out.set_column(label, HX.ambient_class_coords(s, t, img))
+        img = maps[s].apply(HY.rep(label), fld)
+        out.set_column(label, HX.class_coords(s, t, img))
     return out
 
 

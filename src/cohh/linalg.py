@@ -9,7 +9,8 @@ Three elimination paths share the RREF contract:
   * dense numpy int64 for F_p (numba-jitted kernel, see _kernels),
   * dense Fraction rows for Q,
   * a sparse dict-of-rows elimination over either field, used above a
-    size threshold where dense fill-in would dominate.
+    size threshold where dense fill-in would dominate, and for primes
+    too large for the int64 kernel.
 """
 
 from fractions import Fraction
@@ -21,6 +22,8 @@ from .fields import FieldSpec
 
 # Above this many dense cells, switch to the sparse elimination path.
 DENSE_CELL_LIMIT = 4_000_000
+# The int64 kernel needs products of two reduced entries to fit: p < 2**31.
+DENSE_PRIME_LIMIT = 2 ** 31
 
 
 class Matrix:
@@ -175,7 +178,8 @@ def rref(m: Matrix, field: FieldSpec):
     """Reduced row echelon form: returns (rows as sparse dicts, pivot cols)."""
     rows = _rows_of(m)
     cells = m.nrows * m.ncols
-    if cells > DENSE_CELL_LIMIT:
+    if (cells > DENSE_CELL_LIMIT
+            or field.characteristic >= DENSE_PRIME_LIMIT):
         return _rref_sparse(rows, m.ncols, field)
     if field.is_prime_field:
         return _rref_modp_dense(rows, m.ncols, field.characteristic)

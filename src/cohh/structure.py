@@ -44,6 +44,12 @@ def word_degree(D: GradedCoalgebra, word) -> int:
     return sum(D.degree(x) for x in word)
 
 
+def word_level(word) -> int:
+    """Cosimplicial level of a circle cochain word (level s has s + 1
+    slots)."""
+    return len(word) - 1
+
+
 def cochain_left_coaction(D: GradedCoalgebra, word):
     """word -> sum of (d, word'), applying Delta in slot 0."""
     out = {}
@@ -65,59 +71,29 @@ def cochain_right_coaction(D: GradedCoalgebra, word):
 
 
 # ---------------------------------------------------------------------------
-# homology projector extended to ambient level words
+# homology projector on level words
 
 
 class AmbientProjector:
-    """Linear retraction (ambient level words) -> homology classes.
+    """Linear retraction (level words) -> homology classes.
 
-    On the normalized subspace it is the chain projection onto chosen
-    representatives; elsewhere it is an arbitrary linear extension,
-    which is harmless because callers only evaluate it on slices of
-    vectors lying in (normalized) (x) (normalized).
+    Words outside the normalized term are dropped; on the normalized
+    subspace this is the chain projection onto chosen representatives.
+    Callers only evaluate it on slices of vectors lying in
+    (normalized) (x) (normalized), where the dropped part is zero.
     """
 
     def __init__(self, H: HomologyTable):
         self.H = H
-        self._cache: dict = {}
 
     def project(self, s: int, t: int, vec: dict) -> dict:
-        """vec: formal sum on ambient labels of level s, degree t."""
+        """vec: formal sum on words of level s, degree t."""
         H = self.H
-        if not vec or (s, t) not in H.data:
+        if (s, t) not in H.data:
             return {}
-        f = H.field
-        amb = H.complex.ambient.space(s)
-        key = (s, t)
-        if key not in self._cache:
-            e = H.complex.embed[s].matrix(t)
-            cols = [e.column(j) for j in range(e.ncols)]
-            ech_rows: list = []
-            ech_piv: list = []
-            for c in cols:
-                red = linalg.reduce_mod_span(c, ech_rows, ech_piv, f)
-                piv = min(red)
-                inv = f.inv(red[piv])
-                ech_rows.append({j: f.mul(inv, v) for j, v in red.items()})
-                ech_piv.append(piv)
-            extra = []
-            for j in range(amb.dim(t)):
-                red = linalg.reduce_mod_span({j: f.one}, ech_rows, ech_piv, f)
-                if red:
-                    piv = min(red)
-                    inv = f.inv(red[piv])
-                    ech_rows.append({jj: f.mul(inv, v)
-                                     for jj, v in red.items()})
-                    ech_piv.append(piv)
-                    extra.append({j: f.one})
-            full = Matrix.from_columns(cols + extra, amb.dim(t))
-            self._cache[key] = (full, e.ncols)
-        full, ncols = self._cache[key]
-        target = amb.vector_of_sum(vec, t)
-        (sol,) = linalg.solve(full, [target], self.H.field)
-        labels = H.complex.terms[s].labels(t)
-        nsum = {labels[j]: v for j, v in sol.items() if j < ncols}
-        return H.class_coords(s, t, nsum)
+        term = H.complex.terms[s]
+        return H.class_coords(s, t, {w: c for w, c in vec.items()
+                                     if w in term})
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +292,7 @@ class CircleStructure:
         class labels."""
         _, s, t, _ = label
         f = self.field
-        z = self.H.rep_ambient(label)
+        z = self.H.rep(label)
         tz = self._levelwise(s).apply(z, f)
         out: dict = {}
         for p in range(s + 1):
@@ -406,16 +382,6 @@ class CotensorComplex:
         self.dims: dict = {}
         D = cs.D
 
-        def coact_embedded(side, s, nl):
-            emb = cc.embed[s].column(nl)
-            out: dict = {}
-            for word, c in emb.items():
-                table = (cochain_right_coaction if side == "r"
-                         else cochain_left_coaction)(D, word)
-                for key, v in table.items():
-                    add_term(out, key, f.mul(c, v), f)
-            return out
-
         s_max, t_max = H.s_max, H.t_max
         for n in range(s_max + 2):
             for t in range(t_max + 1):
@@ -435,16 +401,12 @@ class CotensorComplex:
                 cols = []
                 for (la, lb) in pairs:
                     col: dict = {}
-                    eb = cc.embed[lb[1]].column(lb)
-                    ea = cc.embed[la[1]].column(la)
-                    for (wa2, d), vv in coact_embedded("r", la[1], la).items():
-                        for wb, cb in eb.items():
-                            k = idx.setdefault((wa2, d, wb), len(idx))
-                            col[k] = f.add(col.get(k, f.zero), f.mul(vv, cb))
-                    for (d, wb2), vv in coact_embedded("l", lb[1], lb).items():
-                        for wa, ca in ea.items():
-                            k = idx.setdefault((wa, d, wb2), len(idx))
-                            col[k] = f.sub(col.get(k, f.zero), f.mul(vv, ca))
+                    for (wa2, d), vv in cochain_right_coaction(D, la).items():
+                        k = idx.setdefault((wa2, d, lb), len(idx))
+                        col[k] = f.add(col.get(k, f.zero), vv)
+                    for (d, wb2), vv in cochain_left_coaction(D, lb).items():
+                        k = idx.setdefault((la, d, wb2), len(idx))
+                        col[k] = f.sub(col.get(k, f.zero), vv)
                     cols.append({k: v for k, v in col.items() if v})
                 kernel = linalg.kernel_basis(
                     Matrix.from_columns(cols, len(idx)), f)
@@ -501,11 +463,11 @@ class CotensorComplex:
             img: dict = {}
             for pj, c in k.items():
                 la, lb = pairs[pj]
-                u = la[1]
+                u = word_level(la)
                 for la2, v in cc.diff[u].column(la).items():
                     add_term(img, (la2, lb), f.mul(c, v), f)
                 sgn = f.coerce((-1) ** u)
-                for lb2, v in cc.diff[lb[1]].column(lb).items():
+                for lb2, v in cc.diff[word_level(lb)].column(lb).items():
                     add_term(img, (la, lb2), f.mul(f.mul(c, sgn), v), f)
             tvec = {}
             for p, v in img.items():
@@ -526,16 +488,19 @@ class CotensorComplex:
         """Class of a cotensor cycle in (pairs of homology classes)."""
         f = self.f
         H = self.cs.H
+        D = self.cs.D
         vec = self._pair_vec(n, t, kvec)
         out: dict = {}
         groups: dict = {}
         for (la, lb), c in vec.items():
-            groups.setdefault((la[1], la[2], lb), {})[la] = c
+            key = (word_level(la), word_degree(D, la), lb)
+            groups.setdefault(key, {})[la] = c
         for (u, ta, lb), avec in groups.items():
             ca = H.class_coords(u, ta, avec)
             if not ca:
                 continue
-            cb = H.class_coords(lb[1], lb[2], {lb: f.one})
+            cb = H.class_coords(word_level(lb), word_degree(D, lb),
+                                {lb: f.one})
             for hA, va in ca.items():
                 for hB, vb in cb.items():
                     add_term(out, (hA, hB), f.mul(va, vb), f)
@@ -586,7 +551,8 @@ def homology_multiplication(cs: CircleStructure):
             for pr, v in kc.items():
                 col[pair_idx.setdefault(pr, len(pair_idx))] = v
             cols.append(col)
-            mu_classes.append(_mu_of_cycle(cs, ct, n, t, kvec))
+            mu_classes.append(cs.product_on_cotensor(
+                ct._pair_vec(n, t, kvec), check=False))
         kmat = Matrix.from_columns(cols, len(pair_idx))
         targets = []
         for vec in vecs:
@@ -650,26 +616,6 @@ def homology_multiplication(cs: CircleStructure):
     return mult, carrier, kuenneth_ok
 
 
-def _mu_of_cycle(cs: CircleStructure, ct: CotensorComplex, n, t, kvec) -> dict:
-    """Apply the concatenation-with-counit product to a cotensor cycle
-    and project to homology."""
-    f = cs.field
-    cc = cs.H.complex
-    D = cs.D
-    vec = ct._pair_vec(n, t, kvec)
-    total: dict = {}
-    for (la, lb), c in vec.items():
-        ea = cc.embed[la[1]].column(la)
-        eb = cc.embed[lb[1]].column(lb)
-        for wa, va in ea.items():
-            for wb, vb in eb.items():
-                e = D.counit_of(wb[0])
-                if e:
-                    add_term(total, wa + wb[1:],
-                             f.mul(f.mul(c, e), f.mul(va, vb)), f)
-    return cs.proj.project(n, t, total)
-
-
 # ---------------------------------------------------------------------------
 # carrier comodule and the full box structure
 
@@ -684,7 +630,7 @@ def cohh_carrier_comodule(cs: CircleStructure) -> Comodule:
     right = {}
     for lbl in H.classes.degree_of:
         _, s, t, _ = lbl
-        z = H.rep_ambient(lbl)
+        z = H.rep(lbl)
         lcol: dict = {}
         rcol: dict = {}
         lgroups: dict = {}
@@ -727,7 +673,7 @@ def cohh_box_structure(D: GradedCoalgebra, s_max: int, t_max: int,
         _, s, t, _ = lbl
         col: dict = {}
         if s == 0:
-            for word, c in H.rep_ambient(lbl).items():
+            for word, c in H.rep(lbl).items():
                 add_term(col, word[0], c, f)
         counit.set_column(lbl, col)
 

@@ -265,15 +265,11 @@ def test_criterion_9_oracle_equivalence():
         for p in range(n + 1):
             q = n - p
             comp = st.sh_map(mx, p, q).compose(st.aw_map(mx, p, q), field)
-            for la in cc.terms[p].degree_of:
-                for lb in cc.terms[q].degree_of:
-                    if la[2] + lb[2] > 9:
+            for la, ta in cc.terms[p].degree_of.items():
+                for lb, tb in cc.terms[q].degree_of.items():
+                    if ta + tb > 9:
                         continue
-                    emb = {}
-                    for wa, va in cc.embed[p].column(la).items():
-                        for wb, vb in cc.embed[q].column(lb).items():
-                            add_term(emb, wa + wb,
-                                     field.mul(va, vb), field)
+                    emb = {la + lb: field.one}
                     img = comp.apply(emb, field)
                     for k, v in emb.items():
                         add_term(img, k, field.neg(v), field)

@@ -136,6 +136,66 @@ def test_csv_format(capsys):
     assert "2,6,1" in lines
 
 
+def test_csv_bodies_for_validate_and_audit(capsys):
+    status, out, _ = run_cli(
+        ["validate", "--kind", "exterior", "--degrees", "3",
+         "--format", "csv"], capsys)
+    assert status == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "name,passed"
+    assert "coassociativity,true" in lines
+    assert len(lines) == 6
+    status, out, _ = run_cli(
+        ["audit", "--kind", "exterior", "--degrees", "3", "--field", "3",
+         "--max-s", "3", "--max-t", "9", "--format", "csv"], capsys)
+    assert status == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "kind,s,t,dim"
+    assert "primitives,3,9,1" in lines
+    assert "expected_primitives,3,9,1" in lines
+    assert "indecomposables,1,3,1" in lines
+    assert "expected_indecomposables,1,6,1" in lines
+
+
+EXTERIOR_TABLE = {"kind": "table", "basis": [["1", 0], ["x", 3]],
+                  "comult": {"1": {"1|1": 1}, "x": {"1|x": 1, "x|1": 1}},
+                  "counit": {"1": 1}}
+
+
+@pytest.mark.parametrize("spec", [
+    # a comult row naming a label outside the basis
+    dict(EXTERIOR_TABLE,
+         comult={"1": {"1|1": 1}, "x": {"1|x": 1, "x|y": 1}}),
+    # k x k (x) Lambda(x_3): two degree-0 grouplikes with counit 1
+    {"kind": "tensor", "factors": [
+        {"kind": "table", "basis": [["1", 0], ["e", 0]],
+         "comult": {"1": {"1|1": 1}, "e": {"e|e": 1}},
+         "counit": {"1": 1, "e": 1}},
+        {"kind": "exterior", "degrees": [3]}]},
+])
+def test_bad_table_specs_are_input_errors(spec, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(spec))
+    status, out, err = run_cli(
+        ["cohh", "--spec", str(path), "--max-s", "2", "--max-t", "6"],
+        capsys)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_good_table_spec_runs(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(EXTERIOR_TABLE))
+    status, out, _ = run_cli(
+        ["cohh", "--spec", str(path), "--max-s", "2", "--max-t", "6",
+         "--format", "csv"], capsys)
+    assert status == 0
+    assert out.splitlines()[1:] == ["0,0,1", "0,3,1", "1,3,1", "1,6,1",
+                                    "2,6,1"]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     status, out, _ = run_cli(

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from cohh import linalg
 from cohh.coalgebra import (
     exterior_coalgebra,
     polynomial_coalgebra,
+    table_coalgebra,
+    tensor_coalgebra,
     trivial_coalgebra,
 )
 from cohh.complexes import (
@@ -17,7 +20,14 @@ from cohh.complexes import (
 )
 from cohh.fields import GF, QQ
 from cohh.graded import GradedMap, add_term
-from cohh.simplicial import circle, collapse_subdivided, point
+from cohh.linalg import Matrix
+from cohh.simplicial import (
+    circle,
+    collapse_subdivided,
+    double_edge_circle,
+    point,
+    subdivided_circle,
+)
 
 
 def explicit_coface(D, n, i, source, target):
@@ -103,6 +113,73 @@ def test_normalized_terms_for_one_exterior_generator():
         assert dims == want, s
         assert not cc.diff[s].columns or all(
             not col for col in cc.diff[s].columns.values())
+
+
+COALGEBRAS = {
+    "Lambda(3,5)": lambda f: exterior_coalgebra([3, 5], f),
+    "k[w2]": lambda f: polynomial_coalgebra([2], f, truncation=8),
+    "Lambda(3)(x)k[w4]": lambda f: tensor_coalgebra(
+        exterior_coalgebra([3], f), polynomial_coalgebra([4], f, truncation=8)),
+}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+@pytest.mark.parametrize("coalgebra", sorted(COALGEBRAS))
+@pytest.mark.parametrize("shape", [circle, subdivided_circle,
+                                   double_edge_circle])
+def test_normalized_words_are_the_codegeneracy_kernels(shape, coalgebra,
+                                                       field):
+    D = COALGEBRAS[coalgebra](field)
+    s_max, t_max = 2, 8
+    cm = CosimplicialModule.from_shape(D, shape(), s_max, t_max)
+    cc = normalized_complex(cm, s_max)
+    for s in range(1, s_max + 2):
+        sigmas = [cm.codegeneracy(s - 1, i) for i in range(s)]
+        for t in cm.space(s).degrees():
+            # the stacked-kernel construction the direct one replaces
+            stacked = Matrix(0, cm.space(s).dim(t))
+            for sg in sigmas:
+                m = sg.matrix(t)
+                for (i, j), v in m.entries.items():
+                    stacked.entries[(stacked.nrows + i, j)] = v
+                stacked.nrows += m.nrows
+            kernel = linalg.kernel_basis(stacked, field)
+            assert cc.terms[s].dim(t) == len(kernel), (s, t)
+        for word in cc.terms[s].degree_of:
+            assert not any(sg.column(word) for sg in sigmas), word
+    for s in range(s_max + 1):
+        for word in cc.terms[s].degree_of:
+            image = cm.differential(s).column(word)
+            assert set(image) <= set(cc.terms[s + 1].degree_of), word
+
+
+def test_normalized_complex_needs_counit_on_the_coaugmentation_only():
+    f = GF(2)
+    D = table_coalgebra(
+        f, [("1", 0), ("e", 0)],
+        {"1": {("1", "1"): 1}, "e": {("e", "e"): 1}}, {"1": 1, "e": 1})
+    cm = CosimplicialModule.from_shape(D, circle(), 1, 0)
+    with pytest.raises(ValueError, match="counit"):
+        normalized_complex(cm, 1)
+
+
+def convolve(a, b, s_max, t_max):
+    out = {}
+    for (s1, t1), d1 in a.items():
+        for (s2, t2), d2 in b.items():
+            if s1 + s2 <= s_max and t1 + t2 <= t_max:
+                key = (s1 + s2, t1 + t2)
+                out[key] = out.get(key, 0) + d1 * d2
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_cohh_of_mixed_tensor_is_the_kuenneth_convolution(field):
+    A = exterior_coalgebra([3], field)
+    B = polynomial_coalgebra([4], field, truncation=16)
+    got = cohh(tensor_coalgebra(A, B), 4, 16).dims()
+    want = convolve(cohh(A, 4, 16).dims(), cohh(B, 4, 16).dims(), 4, 16)
+    assert got == want
 
 
 def test_cohh_of_trivial_coalgebra():

@@ -180,6 +180,21 @@ def test_sparse_path_matches_dense(monkeypatch):
         assert dense == sparse
 
 
+def test_large_prime_takes_the_exact_sparse_path():
+    # p**2 > 2**63 would overflow the int64 dense kernel.
+    p = 4294967311
+    f = GF(p)
+    rng = np.random.default_rng(1)
+    a = [[int(x) for x in row] for row in rng.integers(0, p, size=(6, 5))]
+    b = [[int(x) for x in row] for row in rng.integers(0, p, size=(5, 6))]
+    prod = [[sum(a[i][k] * b[k][j] for k in range(5)) % p for j in range(6)]
+            for i in range(6)]
+    m = mat(prod, f)
+    rows, pivots = linalg._rref_sparse(linalg._rows_of(m), m.ncols, f)
+    assert len(rows) == 5
+    assert linalg.rref(m, f) == (rows, pivots)
+
+
 def test_numba_and_numpy_kernels_agree():
     rng = np.random.default_rng(0)
     for p in (2, 3, 7):

@@ -19,15 +19,6 @@ from cohh.graded import GradedMap, add_term
 from cohh.simplicial import circle
 
 
-def embedded_pair(cc, field, la, lb):
-    """N-basis pair embedded as a formal sum of concatenated words."""
-    out = {}
-    for wa, va in cc.embed[la[1]].column(la).items():
-        for wb, vb in cc.embed[lb[1]].column(lb).items():
-            add_term(out, wa + wb, field.mul(va, vb), field)
-    return out
-
-
 @pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_sh_after_aw_is_identity_on_normalized(field):
     D = exterior_coalgebra([3], field)
@@ -39,11 +30,11 @@ def test_sh_after_aw_is_identity_on_normalized(field):
         for p in range(n + 1):
             q = n - p
             comp = st.sh_map(mx, p, q).compose(st.aw_map(mx, p, q), f)
-            for la in cc.terms[p].degree_of:
-                for lb in cc.terms[q].degree_of:
-                    if la[2] + lb[2] > 9:
+            for la, ta in cc.terms[p].degree_of.items():
+                for lb, tb in cc.terms[q].degree_of.items():
+                    if ta + tb > 9:
                         continue
-                    emb = embedded_pair(cc, f, la, lb)
+                    emb = {la + lb: f.one}
                     img = comp.apply(emb, f)
                     for k, v in emb.items():
                         add_term(img, k, f.neg(v), f)
@@ -60,11 +51,11 @@ def test_sh_after_aw_cross_components_vanish_on_normalized():
     for (p, q), (p2, q2) in [((1, 1), (2, 0)), ((1, 1), (0, 2)),
                              ((2, 0), (1, 1)), ((0, 2), (2, 0))]:
         comp = st.sh_map(mx, p2, q2).compose(st.aw_map(mx, p, q), f)
-        for la in cc.terms[p].degree_of:
-            for lb in cc.terms[q].degree_of:
-                if la[2] + lb[2] > 9:
+        for la, ta in cc.terms[p].degree_of.items():
+            for lb, tb in cc.terms[q].degree_of.items():
+                if ta + tb > 9:
                     continue
-                emb = embedded_pair(cc, f, la, lb)
+                emb = {la + lb: f.one}
                 assert not comp.apply(emb, f)
 
 
@@ -178,8 +169,8 @@ def test_product_on_cotensor_matches_the_assembled_multiplication():
     D = exterior_coalgebra([3], GF(2))
     cs = st.CircleStructure(D, 3, 12)
     H = cs.H
-    z1 = H.rep_ambient(("h", 1, 3, 0))
-    z2 = H.rep_ambient(("h", 2, 6, 0))
+    z1 = H.rep(("h", 1, 3, 0))
+    z2 = H.rep(("h", 2, 6, 0))
     terms = {}
     for wa, va in z1.items():
         for wb, vb in z2.items():
