@@ -1,21 +1,14 @@
-"""Dense mod-p row reduction kernels.
+"""Dense mod-p row reduction in numpy.
 
-Two interchangeable implementations of the same routine: a numba
-@njit-compiled kernel and a pure-numpy fallback.  Selection happens once
-at import time from the COHH_BACKEND environment variable ("numba",
-default, or "numpy").  Setting COHH_NO_NUMBA=1 also forces the fallback.
-
-Entries are int64 in [0, p); p is a prime small enough that products of
-two reduced entries fit in int64 (p < 2**31), which covers every prime
-field this package targets.
+Its one caller is linalg._rref_modp_dense, an oracle for the tests.
+Entries are int64 in [0, p); products of two reduced entries must fit
+in int64, so p < 2**31.
 """
-
-import os
 
 import numpy as np
 
 
-def _rref_mod_p_numpy(a: np.ndarray, p: int) -> int:
+def rref_mod_p(a: np.ndarray, p: int) -> int:
     """In-place reduced row echelon form of a over F_p; returns the rank.
 
     After the call the first `rank` rows are the RREF rows and the pivot
@@ -43,65 +36,5 @@ def _rref_mod_p_numpy(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rref_mod_p_python(a: np.ndarray, p: int) -> int:
-    # Same elimination, scalar loops; the numba jit compiles this body.
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(cols):
-                tmp = a[r, j]
-                a[r, j] = a[piv, j]
-                a[piv, j] = tmp
-        # Fermat inverse: p is prime and a[r, c] is nonzero mod p.
-        inv = 1
-        e = p - 2
-        b = a[r, c] % p
-        while e > 0:
-            if e & 1:
-                inv = (inv * b) % p
-            b = (b * b) % p
-            e >>= 1
-        for j in range(cols):
-            a[r, j] = (a[r, j] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(cols):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        r += 1
-    return r
-
-
-def _want_numba() -> bool:
-    if os.environ.get("COHH_NO_NUMBA", "").strip() in {"1", "true", "yes"}:
-        return False
-    return os.environ.get("COHH_BACKEND", "numba").strip().lower() != "numpy"
-
-
-BACKEND = "numpy"
-rref_mod_p = _rref_mod_p_numpy
-
-if _want_numba():
-    try:
-        from numba import njit
-
-        rref_mod_p = njit("int64(int64[:, ::1], int64)", cache=True)(
-            _rref_mod_p_python
-        )
-        BACKEND = "numba"
-    except ImportError:
-        pass
-
-
 def backend_name() -> str:
-    return BACKEND
+    return "numpy"

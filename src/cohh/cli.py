@@ -22,7 +22,6 @@ not a refusal; a missing one is).
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -95,6 +94,9 @@ def parse_degrees(value):
 def build_coalgebra(spec: dict, field: FieldSpec,
                     t_max: int) -> GradedCoalgebra:
     kind = spec.get("kind", "exterior")
+    trunc = spec.get("trunc")
+    if trunc is not None and not isinstance(trunc, int):
+        raise ParseError(f"trunc must be an int, got {trunc!r}")
     if kind == "exterior":
         degrees = parse_degrees(spec.get("degrees"))
         if not degrees:
@@ -105,11 +107,14 @@ def build_coalgebra(spec: dict, field: FieldSpec,
         degrees = parse_degrees(spec.get("degrees"))
         if not degrees:
             raise ParseError("polynomial coalgebra needs degrees")
-        trunc = spec.get("trunc", t_max)
-        return polynomial_coalgebra(degrees, field, truncation=trunc)
+        return polynomial_coalgebra(
+            degrees, field, truncation=t_max if trunc is None else trunc)
     if kind == "tensor":
         factors = spec.get("factors")
-        if not factors or len(factors) < 2:
+        if not isinstance(factors, list) or not all(
+                isinstance(x, dict) for x in factors):
+            raise ParseError("tensor factors must be a list of objects")
+        if len(factors) < 2:
             raise ParseError("tensor coalgebra needs >= 2 factors")
         built = [build_coalgebra(f, field, t_max) for f in factors]
         out = built[0]
@@ -120,7 +125,16 @@ def build_coalgebra(spec: dict, field: FieldSpec,
         for key in ("basis", "comult", "counit"):
             if key not in spec:
                 raise ParseError(f"table coalgebra needs {key!r}")
-        basis = [(str(n), int(d)) for n, d in spec["basis"]]
+        if not isinstance(spec["basis"], list) or not all(
+                isinstance(b, list) and len(b) == 2 and isinstance(b[1], int)
+                for b in spec["basis"]):
+            raise ParseError("basis must be a list of [label, degree] pairs")
+        if not isinstance(spec["comult"], dict) or not all(
+                isinstance(row, dict) for row in spec["comult"].values()):
+            raise ParseError("comult must be an object of objects")
+        if not isinstance(spec["counit"], dict):
+            raise ParseError("counit must be an object")
+        basis = [(str(n), d) for n, d in spec["basis"]]
         known = {n for n, _ in basis}
         comult = {a: {tuple(k.split("|")): field.coerce(c)
                       for k, c in row.items()}
@@ -141,7 +155,7 @@ def build_coalgebra(spec: dict, field: FieldSpec,
             raise ParseError(f"counit names labels not in basis: {unknown}")
         c = GradedCoalgebra(field, basis, comult, counit,
                             coaug=spec.get("coaug", "1"),
-                            truncation=spec.get("trunc"))
+                            truncation=trunc)
         failed = validate_coalgebra(c).failures()
         if failed:
             ch = failed[0]
@@ -379,10 +393,6 @@ def _job_from_args(args) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("COHH_THREADS")
-    if threads:
-        os.environ.setdefault("NUMBA_NUM_THREADS", threads)
-
     parser = argparse.ArgumentParser(
         prog="cohh",
         description="coHochschild homology of finite-type graded "

@@ -256,8 +256,7 @@ class HomologyTable:
                 n = term.dim(t)
                 d_out = cc.diff[s].matrix(t)
                 d_in = (cc.diff[s - 1].matrix(t) if s >= 1 else Matrix(n, 0))
-                dim, reps = linalg.homology_reps(d_out, d_in, f)
-                bnd_rows, _ = linalg.rref(d_in.transpose(), f)
+                dim, reps, bnd_rows = linalg.homology_reps(d_out, d_in, f)
                 cols = list(reps) + [dict(r) for r in bnd_rows]
                 # complete to a basis of the whole term degreewise
                 ech_rows: list = []

@@ -67,7 +67,7 @@ class FieldSpec:
         p = self.characteristic
         if p:
             return pow(a, -1, p)
-        return 1 / a
+        return Fraction(1) / a
 
     def is_zero(self, a) -> bool:
         return a == 0

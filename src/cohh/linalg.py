@@ -5,12 +5,14 @@ Vectors are sparse dicts {index: scalar}; matrices are sparse dicts
 reduced row echelon form, which is unique, so kernel bases, solved
 coordinates and homology representatives are deterministic.
 
-Three elimination paths share the RREF contract:
-  * dense numpy int64 for F_p (numba-jitted kernel, see _kernels),
-  * dense Fraction rows for Q,
-  * a sparse dict-of-rows elimination over either field, used above a
-    size threshold where dense fill-in would dominate, and for primes
-    too large for the int64 kernel.
+One elimination routine, _rref_sparse, serves every field and size.  It
+keeps the reduced rows in a dict keyed by pivot column, reduces each
+incoming row only against the pivots its leading entries hit, and
+back-substitutes once at the end; rank stops before the
+back-substitution.  The differentials this package reduces are about 1%
+dense, which is why there is no dense path.  The dense routines
+_rref_fraction_dense and _rref_modp_dense are kept only as oracles for
+the tests.
 """
 
 from fractions import Fraction
@@ -19,11 +21,6 @@ import numpy as np
 
 from . import _kernels
 from .fields import FieldSpec
-
-# Above this many dense cells, switch to the sparse elimination path.
-DENSE_CELL_LIMIT = 4_000_000
-# The int64 kernel needs products of two reduced entries to fit: p < 2**31.
-DENSE_PRIME_LIMIT = 2 ** 31
 
 
 class Matrix:
@@ -95,40 +92,61 @@ def _rows_of(m: Matrix):
     return rows
 
 
-def _rref_sparse(rows, ncols, field: FieldSpec):
+def _sub_multiple(row: dict, c, other: dict, p: int):
+    """row -= c * other in place, mod p when p is nonzero."""
+    for j, v in other.items():
+        w = row.get(j, 0) - c * v
+        if p:
+            w %= p
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
+def _echelon(rows, field: FieldSpec) -> dict:
+    """Forward elimination: {pivot column: row}, each row 1 at its pivot,
+    which is its least column.
+
+    An incoming row is reduced only by the pivot rows its leading entry
+    hits.  When it is shorter than the pivot row it hits, it takes that
+    pivot and the old pivot row is reduced in its place (Markowitz-style),
+    to limit fill-in; the final RREF is canonical regardless.
+    """
+    p = field.characteristic
+    pivots: dict = {}
+    for r in rows:
+        row = {j: v for j, v in r.items() if v}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None or len(row) < len(prow):
+                inv = field.inv(row[c])
+                pivots[c] = {j: field.mul(inv, v) for j, v in row.items()}
+                if prow is None:
+                    break
+                row = prow
+            else:
+                _sub_multiple(row, row[c], prow, p)
+    return pivots
+
+
+def _rref_sparse(rows, field: FieldSpec):
     """Sparse RREF over any FieldSpec; rows is a list of dict rows.
 
-    Returns (rref_rows, pivot_cols).  Pivot choice within a column takes
-    the sparsest candidate row (Markowitz-style) to limit fill-in; the
-    final RREF is canonical regardless.
+    Returns (rref_rows, pivot_cols), pivots increasing.  Forward
+    elimination, then one back-substitution from the last pivot up.
     """
-    work = [dict(r) for r in rows if r]
-    done: list = []
-    pivots: list = []
-    for c in range(ncols):
-        cand = [r for r in work if r.get(c)]
-        if not cand:
-            continue
-        row = min(cand, key=len)
-        work.remove(row)
-        inv = field.inv(row[c])
-        row = {j: field.mul(inv, v) for j, v in row.items()}
-        for tgt in (work, done):
-            for k, other in enumerate(tgt):
-                f = other.get(c)
-                if f:
-                    new = dict(other)
-                    for j, v in row.items():
-                        w = field.sub(new.get(j, field.zero), field.mul(f, v))
-                        if w:
-                            new[j] = w
-                        else:
-                            new.pop(j, None)
-                    tgt[k] = new
-        work = [r for r in work if r]
-        done.append(row)
-        pivots.append(c)
-    return done, pivots
+    p = field.characteristic
+    pivots = _echelon(rows, field)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        row = pivots[c]
+        # pivot rows right of c are already reduced, so eliminating one
+        # hit adds no entry in another pivot column
+        for j in [j for j in row if j != c and j in pivots]:
+            _sub_multiple(row, row[j], pivots[j], p)
+    return [pivots[c] for c in cols], cols
 
 
 def _rref_fraction_dense(rows, ncols):
@@ -176,18 +194,12 @@ def _rref_modp_dense(rows, ncols, p):
 
 def rref(m: Matrix, field: FieldSpec):
     """Reduced row echelon form: returns (rows as sparse dicts, pivot cols)."""
-    rows = _rows_of(m)
-    cells = m.nrows * m.ncols
-    if (cells > DENSE_CELL_LIMIT
-            or field.characteristic >= DENSE_PRIME_LIMIT):
-        return _rref_sparse(rows, m.ncols, field)
-    if field.is_prime_field:
-        return _rref_modp_dense(rows, m.ncols, field.characteristic)
-    return _rref_fraction_dense(rows, m.ncols)
+    return _rref_sparse(_rows_of(m), field)
 
 
 def rank(m: Matrix, field: FieldSpec) -> int:
-    return len(rref(m, field)[0])
+    """Rank by forward elimination alone."""
+    return len(_echelon(_rows_of(m), field))
 
 
 def kernel_basis(m: Matrix, field: FieldSpec):
@@ -224,22 +236,22 @@ def solve(m: Matrix, targets, field: FieldSpec):
 
     Returns a list of coordinate dicts (on column indices of m).  Raises
     NoSolution if any target is outside the column space.  Solutions use
-    free variables = 0, so they are deterministic.
+    free variables = 0, so they are deterministic.  [m | b_1 ... b_k] is
+    row-reduced once; the first target outside the column space of m is
+    the first one whose column takes a pivot.
     """
     targets = list(targets)
-    sols = []
-    for k, b in enumerate(targets):
-        aug = m.hstack(Matrix.from_columns([b], m.nrows))
-        rows, pivots = rref(aug, field)
-        col = m.ncols
-        x: dict = {}
-        for row, pc in zip(rows, pivots):
-            if pc == col:
-                raise NoSolution(f"target {k} not in column space")
-            v = row.get(col)
-            if v:
-                x[pc] = v
-        sols.append(x)
+    if not targets:
+        return []
+    aug = m.hstack(Matrix.from_columns(targets, m.nrows))
+    rows, pivots = rref(aug, field)
+    sols = [dict() for _ in targets]
+    for row, pc in zip(rows, pivots):
+        if pc >= m.ncols:
+            raise NoSolution(f"target {pc - m.ncols} not in column space")
+        for j, v in row.items():
+            if j >= m.ncols:
+                sols[j - m.ncols][pc] = v
     return sols
 
 
@@ -269,13 +281,32 @@ def reduce_mod_span(vec: dict, echelon_rows, pivots, field: FieldSpec) -> dict:
     return out
 
 
+def check_composite_zero(d_out: Matrix, d_in: Matrix, field: FieldSpec):
+    """Raise AssertionError unless d_out @ d_in = 0, column by column.
+
+    Not a ValueError: a complex whose square is nonzero is a fault in
+    the program, not bad input.
+    """
+    p = field.characteristic
+    out_cols = d_out.columns()
+    for j, col in enumerate(d_in.columns()):
+        acc: dict = {}
+        for i, v in col.items():
+            _sub_multiple(acc, -v, out_cols[i], p)
+        if acc:
+            raise AssertionError(
+                f"d_out @ d_in is nonzero on column {j} of d_in")
+
+
 def homology_reps(d_out: Matrix, d_in: Matrix, field: FieldSpec):
     """Homology at the middle term of d_in: C' -> C, d_out: C -> C''.
 
-    Requires d_out @ d_in = 0.  Returns (dim, representatives), where the
-    representatives are cycle vectors spanning ker(d_out)/im(d_in),
-    echelonized for determinism.
+    Checks d_out @ d_in = 0.  Returns (dim, representatives, boundary
+    rows): the representatives are cycle vectors spanning
+    ker(d_out)/im(d_in), echelonized for determinism, and the boundary
+    rows are the RREF rows of d_in^T, a basis of im(d_in).
     """
+    check_composite_zero(d_out, d_in, field)
     cycles = kernel_basis(d_out, field)
     img_rows, img_pivots = rref(d_in.transpose(), field)
     reduced = []
@@ -283,5 +314,5 @@ def homology_reps(d_out: Matrix, d_in: Matrix, field: FieldSpec):
         r = reduce_mod_span(z, img_rows, img_pivots, field)
         if r:
             reduced.append(r)
-    reps, _ = _rref_sparse(reduced, d_out.ncols, field)
-    return len(reps), reps
+    reps, _ = _rref_sparse(reduced, field)
+    return len(reps), reps, img_rows

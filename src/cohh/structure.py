@@ -424,7 +424,7 @@ class CotensorComplex:
                 d_in = (self._diff_matrix(n - 1, t)
                         if (n - 1, t) in self.basis else
                         Matrix(len(cur[1]), 0))
-                dim, reps = linalg.homology_reps(d_out, d_in, f)
+                dim, reps, _ = linalg.homology_reps(d_out, d_in, f)
                 if dim:
                     self.reps[(n, t)] = reps
                     self.dims[(n, t)] = dim

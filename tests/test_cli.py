@@ -172,6 +172,17 @@ EXTERIOR_TABLE = {"kind": "table", "basis": [["1", 0], ["x", 3]],
          "comult": {"1": {"1|1": 1}, "e": {"e|e": 1}},
          "counit": {"1": 1, "e": 1}},
         {"kind": "exterior", "degrees": [3]}]},
+    # fields of the wrong JSON type
+    dict(EXTERIOR_TABLE, comult=[]),
+    dict(EXTERIOR_TABLE, comult={"1": {"1|1": 1}, "x": ["1|x", "x|1"]}),
+    dict(EXTERIOR_TABLE, counit=[1]),
+    dict(EXTERIOR_TABLE, basis={"1": 0, "x": 3}),
+    dict(EXTERIOR_TABLE, basis=[["1", 0], ["x", "3"]]),
+    dict(EXTERIOR_TABLE, basis=[["1", 0], "x"]),
+    dict(EXTERIOR_TABLE, trunc="x"),
+    {"kind": "polynomial", "degrees": [2], "trunc": "x"},
+    {"kind": "tensor", "factors": {"kind": "exterior"}},
+    {"kind": "tensor", "factors": [{"kind": "exterior", "degrees": [3]}, 5]},
 ])
 def test_bad_table_specs_are_input_errors(spec, tmp_path, capsys):
     path = tmp_path / "job.json"

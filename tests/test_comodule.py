@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cohh import linalg
+from cohh import comodule, linalg
 from cohh.coalgebra import (
     exterior_coalgebra,
     polynomial_coalgebra,
@@ -58,9 +58,9 @@ def brute_cotensor_dim(M, N, degree):
         return 0
     if f.is_prime_field:
         a = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
-        from cohh._kernels import _rref_mod_p_numpy
+        from cohh._kernels import rref_mod_p
 
-        r = _rref_mod_p_numpy(a % f.characteristic, f.characteristic)
+        r = rref_mod_p(a % f.characteristic, f.characteristic)
     else:
         m = linalg.Matrix(len(triples), len(pairs))
         for i, row in enumerate(rows):
@@ -191,6 +191,26 @@ def test_cotor_exterior_one_generator():
     assert table.dims == {(0, 0): 1, (1, 3): 1, (2, 6): 1, (3, 9): 1, (4, 12): 1}
 
 
+def test_cotor_refuses_a_cobar_differential_whose_square_is_nonzero(
+        monkeypatch):
+    # d^2(x3 | x5x7) != 0, so doubling that one entry of d^1(x3x5x7)
+    # makes d^2 d^1 nonzero on x3x5x7.
+    D = exterior_coalgebra([3, 5, 7], QQ)
+    k = trivial_comodule(D)
+    word, entry = ("1", "x3x5x7", "1"), ("1", "x3", "x5x7", "1")
+
+    def perturbed(M, N, s, source, target):
+        d = cobar_differential(M, N, s, source, target)
+        if s == 1:
+            d.columns[word][entry] *= 2
+        return d
+
+    assert cobar_cotor(k, k, 2, 15).dim(2, 10) == 2  # w3 w7, w5^2
+    monkeypatch.setattr(comodule, "cobar_differential", perturbed)
+    with pytest.raises(AssertionError, match="nonzero"):
+        cobar_cotor(k, k, 2, 15)
+
+
 def brute_cobar_dims(D, s_max, t_max, p):
     """Independent cobar construction over F_p with dense numpy arrays."""
     pos = [(l, d) for l, d in D.space.degree_of.items() if d > 0]
@@ -222,7 +242,7 @@ def brute_cobar_dims(D, s_max, t_max, p):
                                             + (-1) ** (i + 1) * int(v)) % p
         return a
 
-    from cohh._kernels import _rref_mod_p_numpy
+    from cohh._kernels import rref_mod_p
 
     dims = {}
     for s in range(s_max + 1):
@@ -234,7 +254,7 @@ def brute_cobar_dims(D, s_max, t_max, p):
             # restrict matrices to the internal degree t blocks
             a_out = dmat(s)
             cols_out = a_out[:, idx]
-            r_ker = len(idx) - _rref_mod_p_numpy(
+            r_ker = len(idx) - rref_mod_p(
                 np.ascontiguousarray(cols_out.T.copy()), p)
             if s == 0:
                 r_im = 0
@@ -244,7 +264,7 @@ def brute_cobar_dims(D, s_max, t_max, p):
                 a_in = dmat(s - 1)[:, pidx] if pidx else np.zeros((len(src), 0), dtype=np.int64)
                 rows = [i for i, w in enumerate(src) if wdeg(w) == t]
                 a_in = a_in[rows, :] if pidx else a_in
-                r_im = _rref_mod_p_numpy(
+                r_im = rref_mod_p(
                     np.ascontiguousarray(a_in.T.copy()), p) if pidx else 0
             if r_ker - r_im:
                 dims[(s, t)] = r_ker - r_im

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohh import _kernels, linalg
+from cohh import linalg
 from cohh.fields import GF, QQ, FieldSpec
 from cohh.linalg import Matrix, NoSolution
 
@@ -151,33 +151,98 @@ def test_solve_raises_outside_column_space():
         linalg.solve(m, [{1: Fraction(1)}], f)
 
 
+def test_solve_many_targets_at_once():
+    # column space of m is {x : x2 = x0 + x1}
+    f = GF(7)
+    m = mat([[1, 0], [0, 1], [1, 1]], f)
+    inside = [{0: 1, 2: 1}, {0: 2, 1: 3, 2: 5}, {}]
+    sols = linalg.solve(m, inside, f)
+    assert sols == [linalg.solve(m, [b], f)[0] for b in inside]
+    assert sols == [{0: 1}, {0: 2, 1: 3}, {}]
+    with pytest.raises(NoSolution, match="target 1 "):
+        linalg.solve(m, [inside[0], {2: 1}, inside[1]], f)
+
+
 def test_homology_of_small_complex():
     # 0 -> k^2 --d_in--> k^3 --d_out--> k, d_out d_in = 0.
     f = QQ
     d_in = mat([[1, 0], [0, 1], [1, 1]], f)
     d_out = mat([[1, 1, -1]], f)
-    dim, reps = linalg.homology_reps(d_out, d_in, f)
+    dim, reps, boundaries = linalg.homology_reps(d_out, d_in, f)
     assert dim == 0
     assert reps == []
+    assert boundaries == linalg.rref(d_in.transpose(), f)[0]
 
 
 def test_homology_with_zero_differentials():
     f = GF(2)
     d_in = Matrix(3, 0)
     d_out = Matrix(0, 3)
-    dim, reps = linalg.homology_reps(d_out, d_in, f)
+    dim, reps, boundaries = linalg.homology_reps(d_out, d_in, f)
     assert dim == 3
+    assert boundaries == []
 
 
-def test_sparse_path_matches_dense(monkeypatch):
-    rows = [[1, 2, 0, 3], [0, 1, 1, 0], [1, 3, 1, 3], [2, 0, 1, 1]]
-    for f in (QQ, GF(5)):
-        m = mat(rows, f)
-        dense = linalg.rref(m, f)
-        monkeypatch.setattr(linalg, "DENSE_CELL_LIMIT", 0)
-        sparse = linalg.rref(m, f)
-        monkeypatch.undo()
-        assert dense == sparse
+def test_homology_refuses_a_nonzero_square():
+    f = QQ
+    d_in = mat([[1, 0], [0, 1], [1, 1]], f)
+    d_out = mat([[1, 1, -2]], f)
+    with pytest.raises(AssertionError, match="nonzero"):
+        linalg.homology_reps(d_out, d_in, f)
+
+
+def random_sparse(rnd, nrows, ncols, density, f):
+    """A random matrix over f with about density * nrows * ncols entries."""
+    entries = {}
+    for i in range(nrows):
+        for j in range(ncols):
+            if rnd.random() < density:
+                v = f.coerce(rnd.choice([-3, -2, -1, 1, 2, 3, 5]))
+                if v:
+                    entries[(i, j)] = v
+    return Matrix(nrows, ncols, entries)
+
+
+def low_rank_sparse(rnd, nrows, ncols, density, f):
+    """A product of two random sparse matrices through a narrow middle,
+    so rows collide on pivots and the rank drops."""
+    k = rnd.randint(1, 4)
+    a = random_sparse(rnd, nrows, k, 0.6, f)
+    b = random_sparse(rnd, k, ncols, density, f)
+    return Matrix.from_columns([a.apply(col, f) for col in b.columns()],
+                               nrows)
+
+
+sparse_matrices = st.tuples(
+    st.randoms(use_true_random=False), st.integers(0, 12), st.integers(0, 12),
+    st.sampled_from([0.1, 0.2, 0.3, 0.4]), st.booleans())
+
+
+def draw_matrix(params, f):
+    rnd, nrows, ncols, density, low_rank = params
+    build = low_rank_sparse if low_rank else random_sparse
+    return build(rnd, nrows, ncols, density, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(char=st.sampled_from([0, 2, 3, 7]), params=sparse_matrices)
+def test_rref_matches_the_dense_oracles(char, params):
+    f = FieldSpec(char)
+    m = draw_matrix(params, f)
+    rows = linalg._rows_of(m)
+    if char:
+        want = linalg._rref_modp_dense(rows, m.ncols, char)
+    else:
+        want = linalg._rref_fraction_dense(rows, m.ncols)
+    assert linalg.rref(m, f) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(char=st.sampled_from([0, 2, 3, 4294967311]), params=sparse_matrices)
+def test_rank_is_the_length_of_the_rref(char, params):
+    f = FieldSpec(char)
+    m = draw_matrix(params, f)
+    assert linalg.rank(m, f) == len(linalg.rref(m, f)[0])
 
 
 def test_large_prime_takes_the_exact_sparse_path():
@@ -190,17 +255,7 @@ def test_large_prime_takes_the_exact_sparse_path():
     prod = [[sum(a[i][k] * b[k][j] for k in range(5)) % p for j in range(6)]
             for i in range(6)]
     m = mat(prod, f)
-    rows, pivots = linalg._rref_sparse(linalg._rows_of(m), m.ncols, f)
-    assert len(rows) == 5
-    assert linalg.rref(m, f) == (rows, pivots)
-
-
-def test_numba_and_numpy_kernels_agree():
-    rng = np.random.default_rng(0)
-    for p in (2, 3, 7):
-        a = rng.integers(0, p, size=(8, 10)).astype(np.int64)
-        b = np.ascontiguousarray(a.copy())
-        r1 = _kernels._rref_mod_p_numpy(a, p)
-        r2 = _kernels._rref_mod_p_python(b, p)
-        assert r1 == r2
-        assert np.array_equal(a, b)
+    rows, pivots = linalg.rref(m, f)
+    assert len(rows) == linalg.rank(m, f) == 5
+    for row, pc in zip(rows, pivots):
+        assert min(row) == pc and row[pc] == 1
