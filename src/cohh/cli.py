@@ -76,6 +76,11 @@ def parse_field(value) -> FieldSpec:
         raise NotPrime(str(exc)) from exc
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is a subclass of int, but true/false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_degrees(value):
     if value is None:
         return None
@@ -86,7 +91,7 @@ def parse_degrees(value):
         except ValueError:
             raise ParseError(f"bad degree list {value!r}")
     if not isinstance(value, list) or not all(
-            isinstance(d, int) for d in value):
+            _is_int(d) for d in value):
         raise ParseError(f"degrees must be a list of ints, got {value!r}")
     return sorted(value)
 
@@ -95,7 +100,7 @@ def build_coalgebra(spec: dict, field: FieldSpec,
                     t_max: int) -> GradedCoalgebra:
     kind = spec.get("kind", "exterior")
     trunc = spec.get("trunc")
-    if trunc is not None and not isinstance(trunc, int):
+    if trunc is not None and not _is_int(trunc):
         raise ParseError(f"trunc must be an int, got {trunc!r}")
     if kind == "exterior":
         degrees = parse_degrees(spec.get("degrees"))
@@ -126,7 +131,7 @@ def build_coalgebra(spec: dict, field: FieldSpec,
             if key not in spec:
                 raise ParseError(f"table coalgebra needs {key!r}")
         if not isinstance(spec["basis"], list) or not all(
-                isinstance(b, list) and len(b) == 2 and isinstance(b[1], int)
+                isinstance(b, list) and len(b) == 2 and _is_int(b[1])
                 for b in spec["basis"]):
             raise ParseError("basis must be a list of [label, degree] pairs")
         if not isinstance(spec["comult"], dict) or not all(

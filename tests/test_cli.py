@@ -180,6 +180,8 @@ EXTERIOR_TABLE = {"kind": "table", "basis": [["1", 0], ["x", 3]],
     dict(EXTERIOR_TABLE, basis=[["1", 0], ["x", "3"]]),
     dict(EXTERIOR_TABLE, basis=[["1", 0], "x"]),
     dict(EXTERIOR_TABLE, trunc="x"),
+    dict(EXTERIOR_TABLE, trunc=True),
+    dict(EXTERIOR_TABLE, basis=[["1", 0], ["x", True]]),
     {"kind": "polynomial", "degrees": [2], "trunc": "x"},
     {"kind": "tensor", "factors": {"kind": "exterior"}},
     {"kind": "tensor", "factors": [{"kind": "exterior", "degrees": [3]}, 5]},
