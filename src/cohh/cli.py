@@ -139,8 +139,17 @@ def build_coalgebra(spec: dict, field: FieldSpec,
             raise ParseError("comult must be an object of objects")
         if not isinstance(spec["counit"], dict):
             raise ParseError("counit must be an object")
+        coeffs = [c for row in spec["comult"].values()
+                  for c in row.values()] + list(spec["counit"].values())
+        bad = [c for c in coeffs if not _is_int(c)]
+        if bad:
+            raise ParseError(f"table coefficients must be ints, got "
+                             f"{bad[0]!r}")
         basis = [(str(n), d) for n, d in spec["basis"]]
         known = {n for n, _ in basis}
+        coaug = spec.get("coaug", "1")
+        if not isinstance(coaug, str) or coaug not in known:
+            raise ParseError(f"coaug must be a basis label, got {coaug!r}")
         comult = {a: {tuple(k.split("|")): field.coerce(c)
                       for k, c in row.items()}
                   for a, row in spec["comult"].items()}
@@ -159,7 +168,7 @@ def build_coalgebra(spec: dict, field: FieldSpec,
         if unknown:
             raise ParseError(f"counit names labels not in basis: {unknown}")
         c = GradedCoalgebra(field, basis, comult, counit,
-                            coaug=spec.get("coaug", "1"),
+                            coaug=coaug,
                             truncation=trunc)
         failed = validate_coalgebra(c).failures()
         if failed:

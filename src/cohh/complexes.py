@@ -6,7 +6,9 @@ ordered sets induces D^{(x) B} -> D^{(x) A} by applying the |fiber|-fold
 comultiplication to each tensor factor (counit for empty fibers) and
 then permuting the output into A-order with Koszul signs.  Cofaces,
 codegeneracies, and the maps induced by simplicial maps are all
-instances.
+instances.  _word_image computes the image of one word;
+induced_operator collects those images as matrix columns and
+induced_apply applies them to one vector.
 
 Homology tables keep, per bidegree, a full decomposition of the term
 into chosen representatives, boundaries, and a complement; the induced
@@ -24,43 +26,68 @@ from .linalg import Matrix
 from .simplicial import GraphSimplicialSet, SimplicialMap, circle
 
 
-def induced_operator(D: GradedCoalgebra, a_list, b_list, fmap,
-                     source: GradedSpace, target: GradedSpace) -> GradedMap:
-    """The map D^{(x) b_list} -> D^{(x) a_list} induced by f: A -> B.
+def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None):
+    """The per-word image of the map D^{(x) b_list} -> D^{(x) a_list}
+    induced by f: A -> B, as a function word -> formal sum of words.
 
-    fmap maps each element of a_list to an element of b_list.  Source
-    labels are tuples of D basis ids aligned with b_list, target labels
-    aligned with a_list.
+    The fibers of f, and so the permutation into A-order and the pairs
+    of factors it swaps, are computed once, here.  When keep is given,
+    image words not in it are dropped.
     """
     f = D.field
     b_index = {b: k for k, b in enumerate(b_list)}
     fibers = [[] for _ in b_list]
     for ai, a in enumerate(a_list):
         fibers[b_index[fmap(a)]].append(ai)
+    sizes = [len(fiber) for fiber in fibers]
+    # factors come out fiber by fiber; order[u] is the A-slot of factor u
+    order = [ai for fiber in fibers for ai in fiber]
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    swaps = [(u, v) for u in range(len(order))
+             for v in range(u + 1, len(order)) if order[u] > order[v]]
+
+    def image(word) -> dict:
+        out: dict = {}
+        partial = [((), f.one)]
+        for x, k in zip(word, sizes):
+            exp = D.iterated_comult(x, k)
+            partial = [(seq + tup, f.mul(c, v))
+                       for seq, c in partial for tup, v in exp.items()]
+        for seq, c in partial:
+            sign = sum(D.degree(seq[u]) * D.degree(seq[v]) for u, v in swaps)
+            out_word = tuple(seq[i] for i in perm)
+            if keep is None or out_word in keep:
+                add_term(out, out_word, f.mul(c, f.coerce((-1) ** sign)), f)
+        return out
+    return image
+
+
+def induced_operator(D: GradedCoalgebra, a_list, b_list, fmap,
+                     source: GradedSpace, target: GradedSpace) -> GradedMap:
+    """The map D^{(x) b_list} -> D^{(x) a_list} induced by f: A -> B,
+    one column per word of source; image words outside target are
+    dropped.
+
+    fmap maps each element of a_list to an element of b_list.  Source
+    labels are tuples of D basis ids aligned with b_list, target labels
+    aligned with a_list.
+    """
+    image = _word_image(D, a_list, b_list, fmap, target.degree_of)
     out = GradedMap(source, target)
     for word in source.degree_of:
-        col: dict = {}
-        partial = [((), f.one)]
-        for k in range(len(b_list)):
-            exp = D.iterated_comult(word[k], len(fibers[k]))
-            new = []
-            for seq, c in partial:
-                for tup, v in exp.items():
-                    new.append((seq + tuple(zip(fibers[k], tup)),
-                                f.mul(c, v)))
-            partial = new
-        for seq, c in partial:
-            degs = [D.degree(lbl) for _, lbl in seq]
-            sign = 0
-            for u in range(len(seq)):
-                for v in range(u + 1, len(seq)):
-                    if seq[u][0] > seq[v][0]:
-                        sign += degs[u] * degs[v]
-            out_word = tuple(lbl for _, lbl in sorted(seq))
-            if out_word in target.degree_of:
-                add_term(col, out_word,
-                         f.mul(c, f.coerce((-1) ** sign)), f)
-        out.set_column(word, col)
+        out.set_column(word, image(word))
+    return out
+
+
+def induced_apply(D: GradedCoalgebra, a_list, b_list, fmap, vec: dict) -> dict:
+    """The map induced_operator builds, applied to one formal sum of
+    words (aligned with b_list) without building its matrix."""
+    f = D.field
+    image = _word_image(D, a_list, b_list, fmap)
+    out: dict = {}
+    for word, c in vec.items():
+        for w, v in image(word).items():
+            add_term(out, w, f.mul(c, v), f)
     return out
 
 
@@ -257,28 +284,9 @@ class HomologyTable:
                 d_out = cc.diff[s].matrix(t)
                 d_in = (cc.diff[s - 1].matrix(t) if s >= 1 else Matrix(n, 0))
                 dim, reps, bnd_rows = linalg.homology_reps(d_out, d_in, f)
-                cols = list(reps) + [dict(r) for r in bnd_rows]
                 # complete to a basis of the whole term degreewise
-                ech_rows: list = []
-                ech_piv: list = []
-                for vec in cols:
-                    red = linalg.reduce_mod_span(vec, ech_rows, ech_piv, f)
-                    piv = min(red)
-                    inv = f.inv(red[piv])
-                    ech_rows.append({j: f.mul(inv, v) for j, v in red.items()})
-                    ech_piv.append(piv)
-                extra = []
-                for j in range(n):
-                    red = linalg.reduce_mod_span({j: f.one}, ech_rows,
-                                                 ech_piv, f)
-                    if red:
-                        piv = min(red)
-                        inv = f.inv(red[piv])
-                        ech_rows.append(
-                            {jj: f.mul(inv, v) for jj, v in red.items()})
-                        ech_piv.append(piv)
-                        extra.append({j: f.one})
-                decomp = Matrix.from_columns(cols + extra, n)
+                decomp = Matrix.from_columns(
+                    linalg.complete_basis(reps + bnd_rows, n, f), n)
                 self.data[(s, t)] = Bidegree(dim, reps, decomp, len(bnd_rows))
                 for k in range(dim):
                     self.classes.add(("h", s, t, k), t)

@@ -16,6 +16,7 @@ _rref_fraction_dense and _rref_modp_dense are kept only as oracles for
 the tests.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -218,15 +219,6 @@ def kernel_basis(m: Matrix, field: FieldSpec):
     return basis
 
 
-def row_space_basis(m: Matrix, field: FieldSpec):
-    return rref(m, field)[0]
-
-
-def column_space_basis(m: Matrix, field: FieldSpec):
-    """Canonical basis of the column space, as RREF rows of the transpose."""
-    return rref(m.transpose(), field)[0]
-
-
 class NoSolution(Exception):
     pass
 
@@ -255,17 +247,6 @@ def solve(m: Matrix, targets, field: FieldSpec):
     return sols
 
 
-def _vec_sub(a: dict, b: dict, field: FieldSpec) -> dict:
-    out = dict(a)
-    for i, v in b.items():
-        w = field.sub(out.get(i, field.zero), v)
-        if w:
-            out[i] = w
-        else:
-            out.pop(i, None)
-    return out
-
-
 def reduce_mod_span(vec: dict, echelon_rows, pivots, field: FieldSpec) -> dict:
     """Reduce vec modulo the span of echelon_rows (RREF rows with pivots)."""
     p = field.characteristic
@@ -274,6 +255,28 @@ def reduce_mod_span(vec: dict, echelon_rows, pivots, field: FieldSpec) -> dict:
         c = out.get(pc)
         if c:
             _sub_multiple(out, c, row, p)
+    return out
+
+
+def complete_basis(vecs: list, n: int, field: FieldSpec) -> list:
+    """vecs, which must be linearly independent, followed by the unit
+    vectors {j: 1}, j < n, that are not in the span of the vectors
+    before them: a basis of the n-dimensional space."""
+    rows: list = []
+    pivots: list = []
+    out: list = []
+    units = ({j: field.one} for j in range(n))
+    for k, vec in enumerate(itertools.chain(vecs, units)):
+        red = reduce_mod_span(vec, rows, pivots, field)
+        if red:
+            pc = min(red)
+            inv = field.inv(red[pc])
+            rows.append({j: field.mul(inv, v) for j, v in red.items()})
+            pivots.append(pc)
+            out.append(vec)
+        elif k < len(vecs):
+            raise AssertionError(f"vector {k} is in the span of the ones "
+                                 f"before it")
     return out
 
 

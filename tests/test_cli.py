@@ -184,6 +184,15 @@ EXTERIOR_TABLE = {"kind": "table", "basis": [["1", 0], ["x", 3]],
     dict(EXTERIOR_TABLE, basis=[["1", 0], ["x", True]]),
     {"kind": "polynomial", "degrees": [2], "trunc": "x"},
     {"kind": "tensor", "factors": {"kind": "exterior"}},
+    # coefficients that are not JSON ints, and a bad coaugmentation
+    dict(EXTERIOR_TABLE, comult={"1": {"1|1": 1}, "x": {"1|x": [], "x|1": 1}}),
+    dict(EXTERIOR_TABLE, field=3,
+         comult={"1": {"1|1": 1}, "x": {"1|x": 1, "x|1": 0.5}}),
+    dict(EXTERIOR_TABLE, comult={"1": {"1|1": 1.0}, "x": {"1|x": 1, "x|1": 1}}),
+    dict(EXTERIOR_TABLE, counit={"1": "1"}),
+    dict(EXTERIOR_TABLE, counit={"1": True}),
+    dict(EXTERIOR_TABLE, coaug=["1"]),
+    dict(EXTERIOR_TABLE, coaug="y"),
     {"kind": "tensor", "factors": [{"kind": "exterior", "degrees": [3]}, 5]},
 ])
 def test_bad_table_specs_are_input_errors(spec, tmp_path, capsys):

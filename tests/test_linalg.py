@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohh import linalg
 from cohh.fields import GF, QQ, FieldSpec
+from cohh.graded import sub_sums
 from cohh.linalg import Matrix, NoSolution
 
 
@@ -141,7 +142,7 @@ def test_solve_recovers_member_of_column_space(char, nrows, ncols, data):
     m = mat(rows, f)
     b = m.apply(x, f)
     (sol,) = linalg.solve(m, [b], f)
-    assert linalg._vec_sub(m.apply(sol, f), b, f) == {}
+    assert sub_sums(m.apply(sol, f), b, f) == {}
 
 
 def test_solve_raises_outside_column_space():
@@ -259,3 +260,11 @@ def test_large_prime_takes_the_exact_sparse_path():
     assert len(rows) == linalg.rank(m, f) == 5
     for row, pc in zip(rows, pivots):
         assert min(row) == pc and row[pc] == 1
+
+
+def test_complete_basis_appends_the_missing_unit_vectors():
+    f = GF(3)
+    assert linalg.complete_basis([{0: 1, 1: 1}], 3, f) == [
+        {0: 1, 1: 1}, {0: 1}, {2: 1}]
+    with pytest.raises(AssertionError):
+        linalg.complete_basis([{0: 1}, {0: 2}], 2, f)

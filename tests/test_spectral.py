@@ -147,6 +147,11 @@ def test_structure_audit_finds_the_cube_primitive_mod_3():
     assert rep.primitives.get((3, 9)) == 1
 
 
+def test_structure_audit_of_two_generators_mod_2():
+    page = sp.build_e2(exterior_coalgebra([3, 5], GF(2)), 3, 16)
+    assert sp.e2_structure_audit(page).ok
+
+
 def test_structure_audit_rejects_non_exterior_pages():
     page = sp.build_e2(polynomial_coalgebra([2], GF(3), truncation=8),
                        2, 8)
