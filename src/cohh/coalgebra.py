@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
-from .graded import GradedMap, GradedSpace, add_term, sub_sums, tensor_space
+from .graded import GradedSpace, add_term, sub_sums
 
 
 class GradedCoalgebra:
@@ -53,14 +53,6 @@ class GradedCoalgebra:
 
     def counit_of(self, label):
         return self.counit.get(label, self.field.zero)
-
-    def comult_map(self, max_degree=None) -> GradedMap:
-        tgt = tensor_space(self.space, self.space, max_degree)
-        out = GradedMap(self.space, tgt)
-        for label in self.space.degree_of:
-            col = {p: c for p, c in self.comult_of(label).items() if p in tgt}
-            out.set_column(label, col)
-        return out
 
     def iterated_comult(self, label, k: int) -> dict:
         """Delta^(k): formal sum over k-tuples of basis ids.

@@ -22,7 +22,7 @@ from .coalgebra import (
     ValidationReport,
 )
 from .fields import FieldSpec
-from .graded import GradedMap, GradedSpace, add_term, scale_sum, sub_sums
+from .graded import GradedMap, GradedSpace, add_term, sub_sums
 from .linalg import Matrix
 
 
@@ -207,29 +207,6 @@ class CotensorSpace:
 
     def dims(self) -> dict:
         return {d: len(b) for d, b in sorted(self.basis.items()) if b}
-
-    def coords(self, vec: dict, degree: int):
-        """Coordinates of a pair-label formal sum in the cotensor basis.
-
-        Raises linalg.NoSolution if the vector is not equalized."""
-        f = self.left.field
-        index: dict = {}
-        cols = []
-        for b in self.basis.get(degree, []):
-            col = {}
-            for pair, v in b.items():
-                col[index.setdefault(pair, len(index))] = v
-            cols.append(col)
-        tgt = {}
-        for pair, v in vec.items():
-            if pair not in index:
-                if v:
-                    raise linalg.NoSolution(f"pair {pair} outside cotensor span")
-                continue
-            tgt[index[pair]] = v
-        m = Matrix.from_columns(cols, len(index))
-        (sol,) = linalg.solve(m, [tgt], f)
-        return sol
 
 
 def cotensor(M: Comodule, N: Comodule, max_degree=None) -> CotensorSpace:

@@ -10,18 +10,23 @@ instances.  _word_image computes the image of one word;
 induced_operator collects those images as matrix columns and
 induced_apply applies them to one vector.
 
-Homology tables keep, per bidegree, a full decomposition of the term
-into chosen representatives, boundaries, and a complement; the induced
-projection onto representatives is a chain map to the homology with zero
-differential, so pushing any cocycle through it yields its class.
+Homology tables keep, per bidegree, the class representatives and the
+RREF of the boundaries, both of which come out of one elimination.  The
+representatives are RREF rows already reduced modulo the boundaries, so
+their pivots avoid the boundary pivots: reducing a vector modulo the
+boundary rows and reading its entry at the pivot of each representative
+gives its class coordinates, with no solve.  That map is linear, kills
+every boundary and fixes every representative, so it is a chain
+retraction onto the homology with zero differential; two such
+retractions differ by h o d, so they agree on every cocycle.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import linalg
 from .coalgebra import GradedCoalgebra
 from .fields import FieldSpec
-from .graded import GradedMap, GradedSpace, add_term, sub_sums
+from .graded import GradedMap, GradedSpace, add_term
 from .linalg import Matrix
 from .simplicial import GraphSimplicialSet, SimplicialMap, circle
 
@@ -146,17 +151,13 @@ class CosimplicialModule:
                 _words(self.D, len(self.levels[n]), self.t_max))
         return self._spaces[n]
 
-    def _coface(self, n: int, i: int, source: GradedSpace,
-                target: GradedSpace) -> GradedMap:
-        return induced_operator(
-            self.D, self.levels[n + 1], self.levels[n],
-            lambda s: self.face_fn(n + 1, i, s), source, target)
-
     def coface(self, n: int, i: int) -> GradedMap:
         key = ("d", n, i)
         if key not in self._ops:
-            self._ops[key] = self._coface(
-                n, i, self.space(n), self.space(n + 1))
+            self._ops[key] = induced_operator(
+                self.D, self.levels[n + 1], self.levels[n],
+                lambda s: self.face_fn(n + 1, i, s),
+                self.space(n), self.space(n + 1))
         return self._ops[key]
 
     def codegeneracy(self, n: int, i: int) -> GradedMap:
@@ -174,10 +175,17 @@ class CosimplicialModule:
         """sum_i (-1)^i delta_i from words of level n to words of level
         n + 1; image words outside target are dropped."""
         f = self.field
-        d = GradedMap.zero(source, target)
-        for i in range(n + 2):
-            term = self._coface(n, i, source, target)
-            d = d.add(term.scale(f.coerce((-1) ** i), f), f)
+        images = [(f.coerce((-1) ** i), _word_image(
+            self.D, self.levels[n + 1], self.levels[n],
+            lambda s, i=i: self.face_fn(n + 1, i, s), target.degree_of))
+            for i in range(n + 2)]
+        d = GradedMap(source, target)
+        for word in source.degree_of:
+            col: dict = {}
+            for sign, image in images:
+                for w, v in image(word).items():
+                    add_term(col, w, f.mul(sign, v), f)
+            d.set_column(word, col)
         return d
 
     def differential(self, n: int) -> GradedMap:
@@ -254,9 +262,12 @@ def unnormalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
 @dataclass
 class Bidegree:
     dim: int
-    rep_vectors: list          # sparse index vectors in term coordinates
-    decomposition: Matrix      # columns [reps | boundaries | complement]
-    n_boundaries: int
+    # RREF rows (sparse index vectors in term coordinates) spanning
+    # ker d_out / im d_in, reduced modulo the boundaries: rep k has its
+    # pivot min(rep) outside the boundary pivots
+    rep_vectors: list
+    # (RREF rows of im d_in, their pivot columns)
+    boundary: tuple
 
 
 class HomologyTable:
@@ -284,10 +295,8 @@ class HomologyTable:
                 d_out = cc.diff[s].matrix(t)
                 d_in = (cc.diff[s - 1].matrix(t) if s >= 1 else Matrix(n, 0))
                 dim, reps, bnd_rows = linalg.homology_reps(d_out, d_in, f)
-                # complete to a basis of the whole term degreewise
-                decomp = Matrix.from_columns(
-                    linalg.complete_basis(reps + bnd_rows, n, f), n)
-                self.data[(s, t)] = Bidegree(dim, reps, decomp, len(bnd_rows))
+                self.data[(s, t)] = Bidegree(
+                    dim, reps, (bnd_rows, [min(row) for row in bnd_rows]))
                 for k in range(dim):
                     self.classes.add(("h", s, t, k), t)
                     self.class_filtration[("h", s, t, k)] = s
@@ -308,8 +317,10 @@ class HomologyTable:
 
     def class_coords(self, s: int, t: int, vec: dict) -> dict:
         """Project a formal sum on the words of terms[s] in degree t onto
-        homology classes.  Raises linalg.NoSolution if vec has a nonzero
-        coefficient on any other word."""
+        homology classes: reduce it modulo the boundary rows and read the
+        coefficient of each class at its representative's pivot.  On a
+        cocycle this is its class.  Raises linalg.NoSolution if vec has a
+        nonzero coefficient on any other word."""
         bd = self.data.get((s, t))
         if bd is None or not vec:
             return {}
@@ -322,8 +333,13 @@ class HomologyTable:
                 raise linalg.NoSolution(
                     f"{word!r} is not a word of term {s} in degree {t}")
             target[term.index(word)] = c
-        (sol,) = linalg.solve(bd.decomposition, [target], self.field)
-        return {("h", s, t, k): v for k, v in sol.items() if k < bd.dim and v}
+        red = linalg.reduce_mod_span(target, *bd.boundary, self.field)
+        out = {}
+        for k, rep in enumerate(bd.rep_vectors):
+            v = red.get(min(rep))
+            if v:
+                out[("h", s, t, k)] = v
+        return out
 
 
 def cohh(D: GradedCoalgebra, s_max: int, t_max: int,

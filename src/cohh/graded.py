@@ -22,12 +22,6 @@ def add_term(sum_: dict, key, coeff, field: FieldSpec):
         sum_.pop(key, None)
 
 
-def scale_sum(sum_: dict, coeff, field: FieldSpec) -> dict:
-    if not coeff:
-        return {}
-    return {k: field.mul(coeff, v) for k, v in sum_.items()}
-
-
 def sub_sums(a: dict, b: dict, field: FieldSpec) -> dict:
     out = dict(a)
     for k, v in b.items():
@@ -59,10 +53,6 @@ class GradedSpace:
     def labels(self, degree: int):
         return self.by_degree.get(degree, [])
 
-    def all_labels(self):
-        for d in self.degrees():
-            yield from self.by_degree[d]
-
     def dim(self, degree: int) -> int:
         return len(self.by_degree.get(degree, []))
 
@@ -74,19 +64,6 @@ class GradedSpace:
 
     def __contains__(self, label):
         return label in self.degree_of
-
-    def vector_of_sum(self, sum_: dict, degree: int) -> dict:
-        """Formal sum (homogeneous of this degree) -> coordinate vector."""
-        vec = {}
-        for label, c in sum_.items():
-            if self.degree_of[label] != degree:
-                raise ValueError(f"label {label!r} not of degree {degree}")
-            vec[self._index[label]] = c
-        return vec
-
-    def sum_of_vector(self, vec: dict, degree: int) -> dict:
-        labels = self.by_degree.get(degree, [])
-        return {labels[i]: c for i, c in vec.items() if c}
 
 
 def tensor_space(a: GradedSpace, b: GradedSpace, max_degree=None) -> GradedSpace:
@@ -149,30 +126,6 @@ class GradedMap:
                 return False
         return True
 
-    def first_discrepancy(self, other: "GradedMap", field: FieldSpec):
-        for label in sorted(
-            set(self.columns) | set(other.columns), key=repr
-        ):
-            diff = sub_sums(self.column(label), other.column(label), field)
-            if diff:
-                return label, diff
-        return None
-
-    def add(self, other: "GradedMap", field: FieldSpec) -> "GradedMap":
-        out = GradedMap(self.source, self.target)
-        for label in set(self.columns) | set(other.columns):
-            col = dict(self.column(label))
-            for k, v in other.column(label).items():
-                add_term(col, k, v, field)
-            out.set_column(label, col)
-        return out
-
-    def scale(self, c, field: FieldSpec) -> "GradedMap":
-        out = GradedMap(self.source, self.target)
-        for label, col in self.columns.items():
-            out.set_column(label, scale_sum(col, c, field))
-        return out
-
     @classmethod
     def identity(cls, space: GradedSpace, field: FieldSpec) -> "GradedMap":
         out = cls(space, space)
@@ -183,38 +136,3 @@ class GradedMap:
     @classmethod
     def zero(cls, source: GradedSpace, target: GradedSpace) -> "GradedMap":
         return cls(source, target)
-
-
-def tensor_map(f: GradedMap, g: GradedMap, source: GradedSpace,
-               target: GradedSpace, field: FieldSpec) -> GradedMap:
-    """f (x) g on a tensor space with pair labels.
-
-    Both maps preserve internal degree, so no Koszul signs arise from
-    moving g past elements; signs enter only through explicit twists.
-    """
-    out = GradedMap(source, target)
-    for (la, lb) in source.degree_of:
-        col: dict = {}
-        for ta, va in f.column(la).items():
-            for tb, vb in g.column(lb).items():
-                if (ta, tb) in target:
-                    add_term(col, (ta, tb), field.mul(va, vb), field)
-        out.set_column((la, lb), col)
-    return out
-
-
-def twist_on(source: GradedSpace, target: GradedSpace, field: FieldSpec,
-             degree_a, degree_b, extra_sign=None) -> GradedMap:
-    """Koszul twist (la, lb) -> (lb, la) with sign (-1)^{|la||lb|}.
-
-    degree_a/degree_b give the internal degree of a factor label;
-    extra_sign(la, lb), if supplied, multiplies in an additional +/-1
-    (used for bigraded pages where the homological degree also counts).
-    """
-    out = GradedMap(source, target)
-    for (la, lb) in source.degree_of:
-        s = (-1) ** (degree_a(la) * degree_b(lb))
-        if extra_sign is not None:
-            s *= extra_sign(la, lb)
-        out.set_column((la, lb), {(lb, la): field.coerce(s)})
-    return out

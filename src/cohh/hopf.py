@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .coalgebra import AxiomCheck
 from .comodule import BoxStructure
-from .graded import add_term, scale_sum, sub_sums
+from .graded import add_term, sub_sums
 from .linalg import Matrix
 
 

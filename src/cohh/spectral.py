@@ -12,7 +12,6 @@ existence question into the arithmetic solved here.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 

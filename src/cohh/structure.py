@@ -135,22 +135,10 @@ def delta_A(mx: MixedBicosimplicial, p, q, i, vec) -> dict:
                     lambda s: mx.A.face_fn(p + 1, i, s), vec)
 
 
-def sigma_A(mx: MixedBicosimplicial, p, q, i, vec) -> dict:
-    """sigma_i on the A part: (p+1, q) -> (p, q)."""
-    return _on_part(mx, "L", mx.level(p, q), mx.level(p + 1, q),
-                    lambda s: mx.A.degeneracy_fn(p, i, s), vec)
-
-
 def delta_B(mx: MixedBicosimplicial, p, q, i, vec) -> dict:
     """delta_i on the B part: (p, q) -> (p, q+1)."""
     return _on_part(mx, "R", mx.level(p, q + 1), mx.level(p, q),
                     lambda s: mx.B.face_fn(q + 1, i, s), vec)
-
-
-def sigma_B(mx: MixedBicosimplicial, p, q, i, vec) -> dict:
-    """sigma_i on the B part: (p, q+1) -> (p, q)."""
-    return _on_part(mx, "R", mx.level(p, q), mx.level(p, q + 1),
-                    lambda s: mx.B.degeneracy_fn(q, i, s), vec)
 
 
 def aw_map(mx: MixedBicosimplicial, p: int, q: int, vec: dict) -> dict:
@@ -168,19 +156,34 @@ def shuffle_sign(mu) -> int:
     return sum(m - i for i, m in enumerate(mu))
 
 
+def _degeneracy_chain(degeneracy_fn, low: int, idxs):
+    """The composite s_{idxs[-1]} ... s_{idxs[0]}: level low -> level
+    low + len(idxs), as a function on simplices."""
+    def fmap(x):
+        for k, i in enumerate(idxs):
+            x = degeneracy_fn(low + k, i, x)
+        return x
+    return fmap
+
+
 def sh_map(mx: MixedBicosimplicial, p: int, q: int, vec: dict) -> dict:
     """Dual shuffle component (A (x) B)^{p+q} -> A^p (x) B^q on a formal
-    sum: over the (p, q)-shuffles, signed composites of codegeneracies."""
+    sum: over the (p, q)-shuffles (mu, nu), the signed map induced by
+    s_nu on the A part and s_mu on the B part, one induced map per
+    shuffle.  Degeneracies are injective, so the composite of single
+    codegeneracies applies the counit to each slot it deletes and
+    permutes the rest: it is the map induced by the composite."""
     f = mx.D.field
     n = p + q
     total: dict = {}
     for mu in itertools.combinations(range(n), p):
         nu = tuple(sorted(set(range(n)) - set(mu)))
-        cur = vec
-        for k, idx in enumerate(reversed(mu)):
-            cur = sigma_B(mx, n, n - 1 - k, idx, cur)
-        for k, idx in enumerate(reversed(nu)):
-            cur = sigma_A(mx, n - 1 - k, q, idx, cur)
+        s_nu = _degeneracy_chain(mx.A.degeneracy_fn, p, nu)
+        s_mu = _degeneracy_chain(mx.B.degeneracy_fn, q, mu)
+        cur = induced_apply(
+            mx.D, mx.level(p, q), mx.level(n, n),
+            lambda s: ("L", s_nu(s[1])) if s[0] == "L" else ("R", s_mu(s[1])),
+            vec)
         sign = f.coerce((-1) ** shuffle_sign(mu))
         for word, v in cur.items():
             add_term(total, word, f.mul(sign, v), f)
@@ -377,15 +380,11 @@ class CotensorComplex:
             return Matrix(0, len(kern))
         npairs, nkern = nxt
         npair_idx = {p: i for i, p in enumerate(npairs)}
-        nk_cols = []
-        for k in nkern:
-            col: dict = {}
-            for pj, v in k.items():
-                col[pj] = v
-            nk_cols.append(col)
-        nmat = Matrix.from_columns(nk_cols, len(npairs))
-        targets = []
-        for k in kern:
+        # kernel_basis vector i is 1 at its free column max(k), where no
+        # other vector has an entry: coordinates are read off there
+        free = {max(k): i for i, k in enumerate(nkern)}
+        m = Matrix(len(nkern), len(kern))
+        for j, k in enumerate(kern):
             img: dict = {}
             for pj, c in k.items():
                 la, lb = pairs[pj]
@@ -402,12 +401,15 @@ class CotensorComplex:
                         raise AssertionError("differential left pair range")
                     continue
                 tvec[npair_idx[p]] = v
-            targets.append(tvec)
-        sols = linalg.solve(nmat, targets, f)
-        m = Matrix(len(nkern), len(kern))
-        for j, sol in enumerate(sols):
-            for i, v in sol.items():
-                m.entries[(i, j)] = v
+            rebuilt: dict = {}
+            for pj, c in tvec.items():
+                i = free.get(pj)
+                if i is not None:
+                    m.entries[(i, j)] = c
+                    for pk, v in nkern[i].items():
+                        add_term(rebuilt, pk, f.mul(c, v), f)
+            if rebuilt != tvec:
+                raise AssertionError("differential left the cotensor")
         return m
 
     def kuenneth_class(self, n, t, kvec) -> dict:

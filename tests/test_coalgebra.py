@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohh.coalgebra import (
-    CoalgebraMap,
     counit_map,
     exterior_coalgebra,
     is_cocommutative,

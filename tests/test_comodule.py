@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from cohh.comodule import (
     coflatness_report,
     comodule_from_map,
     cotensor,
-    equalizer_matrix,
     polynomial_multiplication,
     regular_comodule,
     tensor_box_structure,
@@ -126,17 +124,6 @@ def test_cotensor_matches_brute_force_second_path():
     ct = cotensor(R, R)
     for t in range(9):
         assert ct.dim(t) == brute_cotensor_dim(R, R, t), t
-
-
-def test_cotensor_coords_roundtrip_and_rejects_outside():
-    D = exterior_coalgebra([3], QQ)
-    R = regular_comodule(D)
-    ct = cotensor(R, R)
-    vec = ct.basis[3][0]
-    coords = ct.coords(vec, 3)
-    assert coords == {0: Fraction(1)}
-    with pytest.raises(linalg.NoSolution):
-        ct.coords({("x3", "1"): Fraction(1), ("1", "x3"): Fraction(2)}, 3)
 
 
 def test_cobar_differential_squares_to_zero():

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from cohh.complexes import (
     cohh,
     compare_by_induced_map,
     normalized_complex,
-    unnormalized_complex,
 )
 from cohh.fields import GF, QQ
 from cohh.graded import GradedMap, add_term
@@ -255,6 +253,38 @@ def test_class_coords_roundtrip():
         _, s, t, k = label
         coords = H.class_coords(s, t, H.rep(label))
         assert coords == {label: 1}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+def test_class_coords_reads_classes_modulo_boundaries(field):
+    # z = sum_k c_k rep_k + d(x) must project to {k: c_k}: the pivot
+    # read-off must kill every boundary and fix every representative
+    H = cohh(exterior_coalgebra([3, 5], field), 3, 12)
+    cc = H.complex
+    coeffs = itertools.cycle([1, 0, 2, -1, 1, 1, -2, 0, 3])
+    seen = 0
+    for (s, t), bd in sorted(H.data.items()):
+        below = cc.terms[s - 1].labels(t) if s else []
+        for label in below:
+            assert H.class_coords(s, t, cc.diff[s - 1].column(label)) == {}
+        for _ in range(4):
+            c = [field.coerce(next(coeffs)) for _ in range(bd.dim)]
+            x = {label: field.coerce(next(coeffs)) for label in below}
+            z = cc.diff[s - 1].apply(x, field) if s else {}
+            for k, ck in enumerate(c):
+                for word, v in H.rep(("h", s, t, k)).items():
+                    add_term(z, word, field.mul(ck, v), field)
+            want = {("h", s, t, k): ck for k, ck in enumerate(c) if ck}
+            assert H.class_coords(s, t, z) == want, (s, t)
+            seen += bool(want and x)
+    assert seen > 10
+
+
+def test_class_coords_refuses_a_word_outside_the_term():
+    H = cohh(exterior_coalgebra([3], GF(2)), 2, 9)
+    with pytest.raises(linalg.NoSolution):
+        # (x3, 1) is not a normalized word: sigma_0 sends it to (x3,)
+        H.class_coords(1, 3, {("x3", "1"): 1})
 
 
 def test_collapse_induces_iso_small():

@@ -13,7 +13,12 @@ import pytest
 
 from cohh import structure as st
 from cohh.coalgebra import exterior_coalgebra
-from cohh.complexes import CosimplicialModule, _words, normalized_complex
+from cohh.complexes import (
+    CosimplicialModule,
+    _words,
+    induced_apply,
+    normalized_complex,
+)
 from cohh.fields import GF, QQ
 from cohh.graded import GradedMap, add_term, sub_sums
 from cohh.simplicial import circle
@@ -67,6 +72,52 @@ def test_sh_after_aw_cross_components_vanish_on_normalized():
                     continue
                 e = {la + lb: f.one}
                 assert not st.sh_map(mx, p2, q2, st.aw_map(mx, p, q, e))
+
+
+def sh_by_single_codegeneracies(mx, p, q, vec):
+    """The dual shuffle map as the signed composites of single
+    codegeneracies, one induced map per sigma_i on one part."""
+    f = mx.D.field
+    n = p + q
+    total = {}
+    for mu in itertools.combinations(range(n), p):
+        nu = tuple(sorted(set(range(n)) - set(mu)))
+        cur = vec
+        for k, i in enumerate(reversed(mu)):
+            b = n - 1 - k     # sigma_i on the B part: (n, b + 1) -> (n, b)
+            cur = induced_apply(
+                mx.D, mx.level(n, b), mx.level(n, b + 1),
+                lambda s, b=b, i=i: (s if s[0] == "L" else
+                                     ("R", mx.B.degeneracy_fn(b, i, s[1]))),
+                cur)
+        for k, i in enumerate(reversed(nu)):
+            a = n - 1 - k     # sigma_i on the A part: (a + 1, q) -> (a, q)
+            cur = induced_apply(
+                mx.D, mx.level(a, q), mx.level(a + 1, q),
+                lambda s, a=a, i=i: (s if s[0] == "R" else
+                                     ("L", mx.A.degeneracy_fn(a, i, s[1]))),
+                cur)
+        sign = f.coerce((-1) ** st.shuffle_sign(mu))
+        for w, v in cur.items():
+            add_term(total, w, f.mul(sign, v), f)
+    return total
+
+
+def test_sh_map_matches_single_codegeneracy_composites():
+    D = exterior_coalgebra([3, 5], GF(3))
+    cm = CosimplicialModule.from_shape(D, circle(), 2, 10)
+    mx = st.MixedBicosimplicial(cm, cm)
+    f = D.field
+    nonzero = 0
+    for n in range(3):
+        for word in mixed_words(mx, n, n, 10):
+            e = {word: f.one}
+            for p in range(n + 1):
+                got = st.sh_map(mx, p, n - p, e)
+                assert got == sh_by_single_codegeneracies(mx, p, n - p, e), \
+                    (n, p, word)
+                nonzero += bool(got)
+    assert nonzero > 100
 
 
 def test_levelwise_comult_commutes_with_diagonal_cofaces():
