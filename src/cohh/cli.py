@@ -132,8 +132,9 @@ def build_coalgebra(spec: dict, field: FieldSpec,
                 raise ParseError(f"table coalgebra needs {key!r}")
         if not isinstance(spec["basis"], list) or not all(
                 isinstance(b, list) and len(b) == 2 and _is_int(b[1])
-                for b in spec["basis"]):
-            raise ParseError("basis must be a list of [label, degree] pairs")
+                and b[1] >= 0 for b in spec["basis"]):
+            raise ParseError("basis must be a list of [label, degree] "
+                             "pairs with degree >= 0")
         if not isinstance(spec["comult"], dict) or not all(
                 isinstance(row, dict) for row in spec["comult"].values()):
             raise ParseError("comult must be an object of objects")

@@ -278,28 +278,41 @@ def cobar_level_space(M: Comodule, N: Comodule, s: int, t_max: int):
 def cobar_differential(M: Comodule, N: Comodule, s: int,
                        source: GradedSpace, target: GradedSpace) -> GradedMap:
     """d: M (x) Dbar^s (x) N -> M (x) Dbar^(s+1) (x) N, alternating sum of
-    the reduced coaction/comultiplication insertions."""
+    the reduced coaction/comultiplication insertions.
+
+    Each reduced (co)action is computed once per label, here; slots whose
+    reduced comultiplication is empty (primitives) contribute nothing.
+    """
     f = M.field
     D = M.base
+    right = {m: _reduced_right(M, m) for m in M.space.degree_of}
+    left = {n: _reduced_left(N, n) for n in N.space.degree_of}
+    comult = {a: _reduced_comult(D, a) for a in D.space.degree_of}
+    mid_signs = [f.coerce((-1) ** (i + 1)) for i in range(s)]
+    last_sign = f.coerce((-1) ** (s + 1))
+    words = target.degree_of
     out = GradedMap(source, target)
     for label in source.degree_of:
         m, mids, n = label[0], label[1:-1], label[-1]
         col: dict = {}
-        for (mm, d), v in _reduced_right(M, m).items():
+        for (mm, d), v in right[m].items():
             key = (mm, d) + mids + (n,)
-            if key in target:
+            if key in words:
                 add_term(col, key, v, f)
         for i, a in enumerate(mids):
-            sgn = f.coerce((-1) ** (i + 1))
-            for (a1, a2), v in _reduced_comult(D, a).items():
-                key = (m,) + mids[:i] + (a1, a2) + mids[i + 1:] + (n,)
-                if key in target:
+            split = comult[a]
+            if not split:
+                continue
+            head, tail = label[:i + 1], label[i + 2:]
+            sgn = mid_signs[i]
+            for pair, v in split.items():
+                key = head + pair + tail
+                if key in words:
                     add_term(col, key, f.mul(sgn, v), f)
-        sgn = f.coerce((-1) ** (s + 1))
-        for (d, nn), v in _reduced_left(N, n).items():
+        for (d, nn), v in left[n].items():
             key = (m,) + mids + (d, nn)
-            if key in target:
-                add_term(col, key, f.mul(sgn, v), f)
+            if key in words:
+                add_term(col, key, f.mul(last_sign, v), f)
         out.set_column(label, col)
     return out
 

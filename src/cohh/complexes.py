@@ -58,6 +58,8 @@ def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None):
             exp = D.iterated_comult(x, k)
             partial = [(seq + tup, f.mul(c, v))
                        for seq, c in partial for tup, v in exp.items()]
+            if not partial:
+                return out
         for seq, c in partial:
             sign = sum(D.degree(seq[u]) * D.degree(seq[v]) for u, v in swaps)
             out_word = tuple(seq[i] for i in perm)

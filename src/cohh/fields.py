@@ -1,7 +1,11 @@
 """Ground fields for exact computation: Q and prime fields F_p.
 
-Scalars over F_p are plain ints in [0, p).  Scalars over Q are
-fractions.Fraction (ints are accepted and coerced on the way in).
+Scalars over F_p are plain ints in [0, p).  A scalar over Q is a plain
+int while it is integral and a fractions.Fraction only when it is not,
+so integer matrices with unit pivots never leave int arithmetic; a
+Fraction appears only when a non-unit pivot divides.  Mixed int and
+Fraction arithmetic is exact, and int == Fraction compares and hashes
+by value, so the two forms are interchangeable.
 """
 
 from dataclasses import dataclass
@@ -24,6 +28,8 @@ class FieldSpec:
     """A ground field: characteristic 0 means Q, a prime p means F_p."""
 
     characteristic: int = 0
+    one = 1
+    zero = 0
 
     def __post_init__(self):
         p = self.characteristic
@@ -35,17 +41,22 @@ class FieldSpec:
         return self.characteristic != 0
 
     def coerce(self, x):
-        """Bring an int or Fraction into canonical scalar form."""
+        """Bring an int or Fraction into canonical scalar form.
+
+        Anything else (float, str, Decimal, bool, ...) raises TypeError
+        rather than being rounded or truncated.
+        """
         p = self.characteristic
+        if type(x) is int:
+            return x % p if p else x
+        if type(x) is not Fraction:
+            raise TypeError(f"a scalar over {self} must be an int or a "
+                            f"Fraction, not {type(x).__name__}")
         if p:
-            if isinstance(x, Fraction):
-                if x.denominator % p == 0:
-                    raise ZeroDivisionError(f"denominator divisible by {p}")
-                return (x.numerator * pow(x.denominator, -1, p)) % p
-            return int(x) % p
-        if isinstance(x, Fraction):
-            return x
-        return Fraction(x)
+            if x.denominator % p == 0:
+                raise ZeroDivisionError(f"denominator divisible by {p}")
+            return (x.numerator * pow(x.denominator, -1, p)) % p
+        return x.numerator if x.denominator == 1 else x
 
     def add(self, a, b):
         p = self.characteristic
@@ -67,18 +78,12 @@ class FieldSpec:
         p = self.characteristic
         if p:
             return pow(a, -1, p)
-        return Fraction(1) / a
+        if a == 1 or a == -1:
+            return a
+        return self.coerce(1 / Fraction(a))
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    @property
-    def one(self):
-        return 1 if self.characteristic else Fraction(1)
-
-    @property
-    def zero(self):
-        return 0 if self.characteristic else Fraction(0)
 
     def __str__(self):
         p = self.characteristic

@@ -125,6 +125,10 @@ def _echelon(rows, field: FieldSpec) -> dict:
             if prow is None or len(row) < len(prow):
                 inv = field.inv(row[c])
                 pivots[c] = {j: field.mul(inv, v) for j, v in row.items()}
+                if pivots[c][c] != 1:
+                    # reducing by this row would never clear column c
+                    raise AssertionError(
+                        f"{field}.inv({row[c]!r}) is not an inverse")
                 if prow is None:
                     break
                 row = prow
@@ -207,16 +211,14 @@ def kernel_basis(m: Matrix, field: FieldSpec):
     """Canonical basis of ker(m) (vectors on column indices), from RREF."""
     rows, pivots = rref(m, field)
     pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = {f: field.one}
-        for row, pc in zip(rows, pivots):
-            v = row.get(f)
-            if v:
-                vec[pc] = field.neg(v)
-        basis.append(vec)
-    return basis
+    vecs = {j: {j: field.one} for j in range(m.ncols) if j not in pivot_set}
+    # one pass over the rows: a non-pivot entry (f, v) of the row with
+    # pivot pc puts -v at pc in free column f's vector
+    for row, pc in zip(rows, pivots):
+        for f, v in row.items():
+            if f != pc:
+                vecs[f][pc] = field.neg(v)
+    return list(vecs.values())
 
 
 class NoSolution(Exception):

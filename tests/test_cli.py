@@ -1,6 +1,7 @@
 """Tests for the command line front end: parsing and defaults, exit
 codes, output formats, and byte-level determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -182,6 +183,9 @@ EXTERIOR_TABLE = {"kind": "table", "basis": [["1", 0], ["x", 3]],
     dict(EXTERIOR_TABLE, trunc="x"),
     dict(EXTERIOR_TABLE, trunc=True),
     dict(EXTERIOR_TABLE, basis=[["1", 0], ["x", True]]),
+    # a negative degree: Koszul signs (-1)**(|a||b|) are only ints for
+    # nonnegative degrees
+    dict(EXTERIOR_TABLE, basis=[["1", 0], ["x", -3]]),
     {"kind": "polynomial", "degrees": [2], "trunc": "x"},
     {"kind": "tensor", "factors": {"kind": "exterior"}},
     # coefficients that are not JSON ints, and a bad coaugmentation
@@ -256,3 +260,18 @@ def test_cotor_command(capsys):
     payload = json.loads(out)
     dims = {(r["s"], r["t"]): r["dim"] for r in payload["table"]}
     assert dims == {(0, 0): 1, (1, 3): 1, (2, 6): 1, (3, 9): 1}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("cotor --degrees 3,5,7 --field 0 --max-s 3 --max-t 18",
+     "a74c9570eaa1a87691328aa86041fe787f0ecd396adef63ab521cec0a5a892e2"),
+    ("cohh --degrees 3,5 --field 0 --max-s 3 --max-t 16",
+     "cfeb999c28845ef2e01d35dc584334eb397cfc66ec939d68b77965639df97ecc"),
+    ("audit --degrees 3 --field 0 --max-s 3 --max-t 12",
+     "6a032c4c6af7ddc4ce9ceb8a81086874b9d504412ffa94e32ca1f2195fcc7cdf"),
+], ids=["cotor", "cohh", "audit"])
+def test_rational_json_output_is_pinned(argv, digest, capsys):
+    # int scalars over Q must render exactly as the Fraction ones did
+    status, out, _ = run_cli(argv.split() + ["--format", "json"], capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

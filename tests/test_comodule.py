@@ -151,6 +151,22 @@ def test_cobar_d_squared_zero_polynomial_q():
             d[s + 1].zero(spaces[s], spaces[s + 2]), QQ)
 
 
+def test_rational_cobar_differentials_have_int_entries():
+    # integral scalars over Q stay ints: a Fraction here would put the
+    # whole elimination back on Fraction arithmetic
+    D = exterior_coalgebra([3, 5, 7], QQ)
+    k = trivial_comodule(D)
+    spaces = [GradedSpace(cobar_level_space(k, k, s, 15)) for s in range(4)]
+    seen = 0
+    for s in range(3):
+        d = cobar_differential(k, k, s, spaces[s], spaces[s + 1])
+        for t in range(16):
+            for v in d.matrix(t).entries.values():
+                assert type(v) is int, (s, t, v)
+                seen += 1
+    assert seen
+
+
 def test_cotor_s0_equals_cotensor():
     D = exterior_coalgebra([3, 5], GF(5))
     M = regular_comodule(D)

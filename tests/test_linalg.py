@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,23 @@ def test_fieldspec_coerce_fraction_mod_p():
     assert f.coerce(-1) == 6
     with pytest.raises(ZeroDivisionError):
         f.coerce(Fraction(1, 7))
+
+
+def test_rational_scalars_stay_int_while_integral():
+    assert type(QQ.coerce(Fraction(4, 2))) is int
+    assert type(QQ.coerce(3)) is int
+    assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ.one) is int and type(QQ.zero) is int
+    assert QQ.inv(-1) == -1 and QQ.inv(1) == 1
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(Fraction(1, 3))) is int
+
+
+@pytest.mark.parametrize("f", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("bad", [0.5, 2.0, "1", Decimal("1"), True, None])
+def test_coerce_rejects_non_exact_scalars(f, bad):
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        f.coerce(bad)
 
 
 def test_rank_examples_over_q():
@@ -262,9 +280,49 @@ def test_large_prime_takes_the_exact_sparse_path():
         assert min(row) == pc and row[pc] == 1
 
 
+def test_elimination_refuses_a_wrong_inverse():
+    # without the check, a pivot row that is not 1 at its pivot never
+    # clears that column and the forward elimination loops forever
+    class WrongInverse(FieldSpec):
+        def inv(self, a):
+            return a
+
+    with pytest.raises(AssertionError, match="not an inverse"):
+        linalg.rref(mat([[2, 1], [4, 3]], QQ), WrongInverse(0))
+
+
 def test_complete_basis_appends_the_missing_unit_vectors():
     f = GF(3)
     assert linalg.complete_basis([{0: 1, 1: 1}], 3, f) == [
         {0: 1, 1: 1}, {0: 1}, {2: 1}]
     with pytest.raises(AssertionError):
         linalg.complete_basis([{0: 1}, {0: 2}], 2, f)
+
+
+def kernel_basis_per_free_column(m, field):
+    """kernel_basis as it was first written: each free column looked up
+    in every RREF row."""
+    rows, pivots = linalg.rref(m, field)
+    free = [j for j in range(m.ncols) if j not in set(pivots)]
+    basis = []
+    for f in free:
+        vec = {f: field.one}
+        for row, pc in zip(rows, pivots):
+            v = row.get(f)
+            if v:
+                vec[pc] = field.neg(v)
+        basis.append(vec)
+    return basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(char=st.sampled_from([0, 2, 3]), params=sparse_matrices)
+def test_kernel_basis_matches_the_per_free_column_loop(char, params):
+    f = FieldSpec(char)
+    m = draw_matrix(params, f)
+    got = linalg.kernel_basis(m, f)
+    want = kernel_basis_per_free_column(m, f)
+    assert got == want
+    assert [list(v) for v in got] == [list(v) for v in want]
+    for vec in got:
+        assert not m.apply(vec, f)
