@@ -251,27 +251,33 @@ def _reduced_comult(D: GradedCoalgebra, d):
 
 
 def cobar_level_space(M: Comodule, N: Comodule, s: int, t_max: int):
-    """Basis labels of M (x) Dbar^s (x) N up to internal degree t_max."""
+    """Basis labels of M (x) Dbar^s (x) N up to internal degree t_max.
+
+    The middle words are enumerated once, in lexicographic order of
+    their labels' positions in D.  Every Dbar degree is positive, so the
+    words within the budget a label of M leaves are a subsequence of
+    them in the same order.
+    """
     D = M.base
     dbar = [(lbl, dg) for lbl, dg in D.space.degree_of.items() if dg > 0]
+    m_labels = [(m, dm) for m, dm in M.space.degree_of.items()
+                if dm <= t_max]
+    budget = t_max - min((dm for _, dm in m_labels), default=t_max)
+    lowest = min((dg for _, dg in dbar), default=0)
+    mids = [((), 0)]
+    for k in range(s, 0, -1):
+        # a prefix stays only if k - 1 more labels can still follow it
+        room = budget - (k - 1) * lowest
+        mids = [(word + (lbl,), deg + dg) for word, deg in mids
+                for lbl, dg in dbar if deg + dg <= room]
     labels = []
-
-    def combos(budget, k):
-        if k == 0:
-            yield (), 0
-            return
-        for lbl, dg in dbar:
-            if dg <= budget:
-                for rest, rdg in combos(budget - dg, k - 1):
-                    yield (lbl,) + rest, dg + rdg
-
-    for m, dm in M.space.degree_of.items():
-        if dm > t_max:
-            continue
-        for mids, mid in combos(t_max - dm, s):
+    for m, dm in m_labels:
+        for mid_word, mid in mids:
+            if dm + mid > t_max:
+                continue
             for n, dn in N.space.degree_of.items():
                 if dm + mid + dn <= t_max:
-                    labels.append(((m,) + mids + (n,), dm + mid + dn))
+                    labels.append(((m,) + mid_word + (n,), dm + mid + dn))
     return labels
 
 

@@ -10,8 +10,17 @@ instances.  _word_image computes the image of one word;
 induced_operator collects those images as matrix columns and
 induced_apply applies them to one vector.
 
-Homology tables keep, per bidegree, the class representatives and the
-RREF of the boundaries, both of which come out of one elimination.  The
+The normalized complex is C (x) Cbar^(x)s on the circle, and in general
+the span of the words with a non-coaugmentation label in some slot that
+each codegeneracy deletes.  Its terms are generated as such, never
+filtered out of the ambient levels, and its differential reaches a slot
+that one codegeneracy deletes alone only through the reduced
+comultiplication.
+
+Homology tables read dims off ranks.  A bidegree's class representatives
+and the RREF of its boundaries are built on demand, the first time a
+representative or class coordinates are asked for, from the RREF of
+d_out kept from the rank and one elimination of d_in.  The
 representatives are RREF rows already reduced modulo the boundaries, so
 their pivots avoid the boundary pivots: reducing a vector modulo the
 boundary rows and reading its entry at the pivot of each representative
@@ -31,13 +40,18 @@ from .linalg import Matrix
 from .simplicial import GraphSimplicialSet, SimplicialMap, circle
 
 
-def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None):
+def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None,
+                nonunit=()):
     """The per-word image of the map D^{(x) b_list} -> D^{(x) a_list}
     induced by f: A -> B, as a function word -> formal sum of words.
 
     The fibers of f, and so the permutation into A-order and the pairs
     of factors it swaps, are computed once, here.  When keep is given,
-    image words not in it are dropped.
+    image words not in it are dropped.  The A-slots in nonunit (indices
+    into a_list) take no coaugmentation factor: a partial product is
+    dropped as soon as one of them would, which on a fiber of size 1 or
+    2 is the reduced comultiplication.  Every image word dropped that
+    way must be outside keep, so the result is unchanged.
     """
     f = D.field
     b_index = {b: k for k, b in enumerate(b_list)}
@@ -50,21 +64,31 @@ def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None):
     perm = sorted(range(len(order)), key=order.__getitem__)
     swaps = [(u, v) for u in range(len(order))
              for v in range(u + 1, len(order)) if order[u] > order[v]]
+    # a fiber holding nonunit slots expands each label once, here, with
+    # the terms that put the coaugmentation in one of those slots left out
+    reduced = []
+    for fiber in fibers:
+        held = [o for o, ai in enumerate(fiber) if ai in nonunit]
+        reduced.append({x: [(tup, v) for tup, v in
+                            D.iterated_comult(x, len(fiber)).items()
+                            if all(tup[o] != D.coaug for o in held)]
+                        for x in D.space.degree_of} if held else None)
 
     def image(word) -> dict:
         out: dict = {}
         partial = [((), f.one)]
-        for x, k in zip(word, sizes):
-            exp = D.iterated_comult(x, k)
+        for x, k, red in zip(word, sizes, reduced):
+            exp = D.iterated_comult(x, k).items() if red is None else red[x]
             partial = [(seq + tup, f.mul(c, v))
-                       for seq, c in partial for tup, v in exp.items()]
+                       for seq, c in partial for tup, v in exp]
             if not partial:
                 return out
         for seq, c in partial:
-            sign = sum(D.degree(seq[u]) * D.degree(seq[v]) for u, v in swaps)
             out_word = tuple(seq[i] for i in perm)
-            if keep is None or out_word in keep:
-                add_term(out, out_word, f.mul(c, f.coerce((-1) ** sign)), f)
+            if keep is not None and out_word not in keep:
+                continue
+            sign = sum(D.degree(seq[u]) * D.degree(seq[v]) for u, v in swaps)
+            add_term(out, out_word, f.neg(c) if sign & 1 else c, f)
         return out
     return image
 
@@ -98,18 +122,39 @@ def induced_apply(D: GradedCoalgebra, a_list, b_list, fmap, vec: dict) -> dict:
     return out
 
 
-def _words(D: GradedCoalgebra, slots: int, t_max: int):
-    """All (word, degree) over the D basis with total degree <= t_max."""
+def _words(D: GradedCoalgebra, slots: int, t_max: int, missing=()):
+    """All (word, degree) over the D basis with total degree <= t_max
+    and, for each list of slots in missing, a non-coaugmentation label in
+    at least one of them.
+
+    The words come depth first, labels in (degree, label) order.  A
+    prefix is dropped at the last slot of a list in missing once every
+    slot of that list holds the coaugmentation, so the order is that of
+    the unrestricted walk with the other words left out; an empty list
+    leaves no word at all.
+    """
+    if not all(missing):
+        return []
     by_deg = sorted((d, lbl) for lbl, d in D.space.degree_of.items())
+    coaug = D.coaug
+    # closing[k]: the other slots of each list whose last slot is k
+    closing = [[] for _ in range(slots)]
+    for group in missing:
+        last = max(group)
+        closing[last].append([j for j in group if j != last])
     out = []
 
     def rec(prefix, deg, k):
         if k == slots:
             out.append((tuple(prefix), deg))
             return
+        reduced = any(all(prefix[j] == coaug for j in rest)
+                      for rest in closing[k])
         for d, lbl in by_deg:
             if deg + d > t_max:
                 break
+            if reduced and lbl == coaug:
+                continue
             prefix.append(lbl)
             rec(prefix, deg + d, k + 1)
             prefix.pop()
@@ -172,21 +217,24 @@ class CosimplicialModule:
                 self.space(n + 1), self.space(n))
         return self._ops[key]
 
-    def coface_sum(self, n: int, source: GradedSpace,
-                   target: GradedSpace) -> GradedMap:
+    def coface_sum(self, n: int, source: GradedSpace, target: GradedSpace,
+                   nonunit=()) -> GradedMap:
         """sum_i (-1)^i delta_i from words of level n to words of level
-        n + 1; image words outside target are dropped."""
+        n + 1; image words outside target are dropped.  Every target word
+        must hold a non-coaugmentation label in the slots nonunit, so
+        images are cut off as soon as one of those slots would not."""
         f = self.field
-        images = [(f.coerce((-1) ** i), _word_image(
+        images = [(i & 1, _word_image(
             self.D, self.levels[n + 1], self.levels[n],
-            lambda s, i=i: self.face_fn(n + 1, i, s), target.degree_of))
+            lambda s, i=i: self.face_fn(n + 1, i, s), target.degree_of,
+            nonunit))
             for i in range(n + 2)]
         d = GradedMap(source, target)
         for word in source.degree_of:
             col: dict = {}
-            for sign, image in images:
+            for odd, image in images:
                 for w, v in image(word).items():
-                    add_term(col, w, f.mul(sign, v), f)
+                    add_term(col, w, f.neg(v) if odd else v, f)
             d.set_column(word, col)
         return d
 
@@ -235,22 +283,23 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
     sigma_i sends a word either to 0 (some slot it deletes holds another
     label) or to a nonzero multiple of a distinct word, so the kernels
     are spanned by the words with a non-coaugmentation label in some
-    deleted slot of every sigma_i.  The differential preserves that
-    span, so restricting its targets to it drops only zeros.
+    deleted slot of every sigma_i; those words are generated, never the
+    others.  The differential preserves that span, so restricting its
+    targets to it drops only zeros, and a slot that some sigma_i deletes
+    alone (every slot but the first, on the circle) is reached only
+    through the reduced comultiplication.
     """
     D = cm.D
     if set(D.counit) != {D.coaug}:
         raise ValueError(
             f"normalized complex needs the counit supported on the "
             f"coaugmentation {D.coaug!r} alone, got {sorted(D.counit)}")
-    terms = []
-    for s in range(s_max + 2):
-        missing = cm.missing_slots(s - 1) if s else []
-        terms.append(GradedSpace(
-            (word, t) for word, t in cm.space(s).degree_of.items()
-            if all(any(word[k] != D.coaug for k in slots)
-                   for slots in missing)))
-    diffs = [cm.coface_sum(s, terms[s], terms[s + 1])
+    missing = [cm.missing_slots(s - 1) if s else []
+               for s in range(s_max + 2)]
+    terms = [GradedSpace(_words(D, len(cm.levels[s]), cm.t_max, missing[s]))
+             for s in range(s_max + 2)]
+    diffs = [cm.coface_sum(s, terms[s], terms[s + 1],
+                           {g[0] for g in missing[s + 1] if len(g) == 1})
              for s in range(s_max + 1)]
     return CochainComplex(cm.field, terms, diffs, cm)
 
@@ -264,12 +313,15 @@ def unnormalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
 @dataclass
 class Bidegree:
     dim: int
+    # rref(d_out): its rows and pivots, kept until the representatives
+    # are built from them
+    out_echelon: tuple = None
     # RREF rows (sparse index vectors in term coordinates) spanning
     # ker d_out / im d_in, reduced modulo the boundaries: rep k has its
-    # pivot min(rep) outside the boundary pivots
-    rep_vectors: list
+    # pivot min(rep) outside the boundary pivots; None until built
+    rep_vectors: list = None
     # (RREF rows of im d_in, their pivot columns)
-    boundary: tuple
+    boundary: tuple = None
 
 
 class HomologyTable:
@@ -277,6 +329,10 @@ class HomologyTable:
 
     Classes are labelled ("h", s, t, k).  class_coords projects a
     cocycle (a formal sum on terms[s] labels) to its homology class.
+
+    dim = n - rank d_out - rank d_in, one rref(d_out) per block, reused
+    at s + 1, after checking d_out d_in = 0; representatives are built
+    on first use (see the module docstring).
     """
 
     def __init__(self, cc: CochainComplex, s_max: int, t_max: int):
@@ -288,20 +344,46 @@ class HomologyTable:
         self.classes = GradedSpace()
         self.class_filtration: dict = {}
         f = cc.field
+        prev: dict = {}  # t -> (d_in, its rank)
         for s in range(s_max + 1):
             term = cc.terms[s]
+            cur = {}
             for t in term.degrees():
                 if t > t_max:
                     continue
                 n = term.dim(t)
                 d_out = cc.diff[s].matrix(t)
-                d_in = (cc.diff[s - 1].matrix(t) if s >= 1 else Matrix(n, 0))
-                dim, reps, bnd_rows = linalg.homology_reps(d_out, d_in, f)
-                self.data[(s, t)] = Bidegree(
-                    dim, reps, (bnd_rows, [min(row) for row in bnd_rows]))
+                echelon = linalg.rref(d_out, f)
+                rank_out = len(echelon[0])
+                d_in, rank_in = prev.get(t, (Matrix(n, 0), 0))
+                linalg.check_composite_zero(d_out, d_in, f)
+                cur[t] = (d_out, rank_out)
+                dim = n - rank_out - rank_in
+                self.data[(s, t)] = Bidegree(dim, echelon)
                 for k in range(dim):
                     self.classes.add(("h", s, t, k), t)
                     self.class_filtration[("h", s, t, k)] = s
+            prev = cur
+
+    def _built(self, s: int, t: int) -> Bidegree:
+        """The bidegree (s, t), its representatives and boundary rows
+        built on first use."""
+        bd = self.data[(s, t)]
+        if bd.rep_vectors is None:
+            cc, f = self.complex, self.field
+            n = cc.terms[s].dim(t)
+            d_in = cc.diff[s - 1].matrix(t) if s else Matrix(n, 0)
+            cycles = linalg.kernel_of_echelon(*bd.out_echelon, n, f)
+            dim, reps, bnd_rows = linalg.classes_mod_boundaries(
+                cycles, d_in, f)
+            if dim != bd.dim:
+                raise AssertionError(
+                    f"bidegree ({s}, {t}): {dim} representatives for "
+                    f"dimension {bd.dim}")
+            bd.rep_vectors = reps
+            bd.boundary = (bnd_rows, [min(row) for row in bnd_rows])
+            bd.out_echelon = None
+        return bd
 
     def dim(self, s: int, t: int) -> int:
         bd = self.data.get((s, t))
@@ -313,7 +395,7 @@ class HomologyTable:
     def rep(self, label) -> dict:
         """Representative cocycle, as a formal sum on level words."""
         _, s, t, k = label
-        bd = self.data[(s, t)]
+        bd = self._built(s, t)
         labels = self.complex.terms[s].labels(t)
         return {labels[j]: v for j, v in bd.rep_vectors[k].items()}
 
@@ -323,8 +405,7 @@ class HomologyTable:
         coefficient of each class at its representative's pivot.  On a
         cocycle this is its class.  Raises linalg.NoSolution if vec has a
         nonzero coefficient on any other word."""
-        bd = self.data.get((s, t))
-        if bd is None or not vec:
+        if (s, t) not in self.data or not vec:
             return {}
         term = self.complex.terms[s]
         target = {}
@@ -335,6 +416,9 @@ class HomologyTable:
                 raise linalg.NoSolution(
                     f"{word!r} is not a word of term {s} in degree {t}")
             target[term.index(word)] = c
+        if not self.data[(s, t)].dim:
+            return {}
+        bd = self._built(s, t)
         red = linalg.reduce_mod_span(target, *bd.boundary, self.field)
         out = {}
         for k, rep in enumerate(bd.rep_vectors):
@@ -359,20 +443,14 @@ def induced_homology_map(D: GradedCoalgebra, f: SimplicialMap,
                          H_source_shape: HomologyTable) -> GradedMap:
     """Map on homology induced by a simplicial map f: X -> Y,
     contravariantly from the table over Y to the table over X."""
-    fld = D.field
     HY, HX = H_target_shape, H_source_shape
-    s_max = min(HY.s_max, HX.s_max)
-    # Source: the normalized words over Y; target: every word over X, so
-    # that class_coords refuses an image outside the normalized words.
-    maps = [induced_operator(
-        D, f.source.level(s), f.target.level(s),
-        lambda x, s=s: f.apply(s, x),
-        HY.complex.terms[s], HX.complex.ambient.space(s))
-        for s in range(s_max + 1)]
+    # the image of a rep is taken over every word over X, so that
+    # class_coords refuses an image outside the normalized words
     out = GradedMap(HY.classes, HX.classes)
     for label in HY.classes.degree_of:
         _, s, t, _ = label
-        img = maps[s].apply(HY.rep(label), fld)
+        img = induced_apply(D, f.source.level(s), f.target.level(s),
+                            lambda x, s=s: f.apply(s, x), HY.rep(label))
         out.set_column(label, HX.class_coords(s, t, img))
     return out
 

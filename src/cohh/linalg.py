@@ -209,9 +209,13 @@ def rank(m: Matrix, field: FieldSpec) -> int:
 
 def kernel_basis(m: Matrix, field: FieldSpec):
     """Canonical basis of ker(m) (vectors on column indices), from RREF."""
-    rows, pivots = rref(m, field)
+    return kernel_of_echelon(*rref(m, field), m.ncols, field)
+
+
+def kernel_of_echelon(rows, pivots, ncols: int, field: FieldSpec):
+    """kernel_basis of an ncols-column matrix whose RREF is (rows, pivots)."""
     pivot_set = set(pivots)
-    vecs = {j: {j: field.one} for j in range(m.ncols) if j not in pivot_set}
+    vecs = {j: {j: field.one} for j in range(ncols) if j not in pivot_set}
     # one pass over the rows: a non-pivot entry (f, v) of the row with
     # pivot pc puts -v at pc in free column f's vector
     for row, pc in zip(rows, pivots):
@@ -303,12 +307,18 @@ def homology_reps(d_out: Matrix, d_in: Matrix, field: FieldSpec):
     """Homology at the middle term of d_in: C' -> C, d_out: C -> C''.
 
     Checks d_out @ d_in = 0.  Returns (dim, representatives, boundary
-    rows): the representatives are cycle vectors spanning
-    ker(d_out)/im(d_in), echelonized for determinism, and the boundary
-    rows are the RREF rows of d_in^T, a basis of im(d_in).
+    rows) as classes_mod_boundaries does, for the cycles ker(d_out).
     """
     check_composite_zero(d_out, d_in, field)
-    cycles = kernel_basis(d_out, field)
+    return classes_mod_boundaries(kernel_basis(d_out, field), d_in, field)
+
+
+def classes_mod_boundaries(cycles, d_in: Matrix, field: FieldSpec):
+    """(dim, representatives, boundary rows) of span(cycles) / im(d_in),
+    for cycles containing im(d_in): the representatives are cycle
+    vectors echelonized for determinism, and the boundary rows are the
+    RREF rows of d_in^T, a basis of im(d_in).
+    """
     img_rows, img_pivots = rref(d_in.transpose(), field)
     reduced = []
     for z in cycles:

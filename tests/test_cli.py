@@ -275,3 +275,19 @@ def test_rational_json_output_is_pinned(argv, digest, capsys):
     status, out, _ = run_cli(argv.split() + ["--format", "json"], capsys)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("cohh --degrees 3,5 --field 2 --max-s 4 --max-t 24",
+     "bc0a622d76ba502fa439bca7dd33f4451289a903f312074f6fe291610982fd79"),
+    ("cohh --kind polynomial --degrees 2 --field 3 --max-s 4 --max-t 16",
+     "ec54dd08176a04318fe68e528928b27e120f3cb0a63cb22e6e961a68893a836e"),
+    ("audit --degrees 3 --field 2 --max-s 5 --max-t 18",
+     "290e4d9c150182b06afbf918e5ae71796310399c223fb7cc840447e9cb582a37"),
+], ids=["cohh-exterior", "cohh-polynomial", "audit"])
+def test_modular_json_output_is_pinned(argv, digest, capsys):
+    # generated terms, cut-off cofaces and rank dims must print exactly
+    # what the filtered terms and per-block representatives printed
+    status, out, _ = run_cli(argv.split() + ["--format", "json"], capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -126,6 +126,24 @@ def test_cotensor_matches_brute_force_second_path():
         assert ct.dim(t) == brute_cotensor_dim(R, R, t), t
 
 
+@pytest.mark.parametrize("s", range(5))
+def test_cobar_level_space_is_the_lexicographic_walk(s):
+    # labels of M in order, then the middle words in lexicographic order
+    # of the Dbar positions, then the labels of N, within t_max
+    D = exterior_coalgebra([3, 5], GF(3))
+    M, N, t_max = regular_comodule(D), regular_comodule(D), 19
+    dbar = [(lbl, d) for lbl, d in D.space.degree_of.items() if d > 0]
+    want = []
+    for m, dm in M.space.degree_of.items():
+        for combo in itertools.product(dbar, repeat=s):
+            mid = sum(d for _, d in combo)
+            for n, dn in N.space.degree_of.items():
+                if dm + mid + dn <= t_max:
+                    want.append(((m,) + tuple(l for l, _ in combo) + (n,),
+                                 dm + mid + dn))
+    assert cobar_level_space(M, N, s, t_max) == want
+
+
 def test_cobar_differential_squares_to_zero():
     D = exterior_coalgebra([3, 5], GF(2))
     M = regular_comodule(D)

@@ -12,6 +12,7 @@ from cohh.coalgebra import (
 )
 from cohh.complexes import (
     CosimplicialModule,
+    HomologyTable,
     cohh,
     compare_by_induced_map,
     normalized_complex,
@@ -25,6 +26,7 @@ from cohh.simplicial import (
     double_edge_circle,
     point,
     subdivided_circle,
+    wedge_of_circles,
 )
 
 
@@ -149,6 +151,36 @@ def test_normalized_words_are_the_codegeneracy_kernels(shape, coalgebra,
         for word in cc.terms[s].degree_of:
             image = cm.differential(s).column(word)
             assert set(image) <= set(cc.terms[s + 1].degree_of), word
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+@pytest.mark.parametrize("coalgebra", sorted(COALGEBRAS))
+@pytest.mark.parametrize("shape", [circle, subdivided_circle,
+                                   double_edge_circle, wedge_of_circles,
+                                   point])
+def test_generated_terms_and_cut_off_cofaces_match_the_ambient_ones(
+        shape, coalgebra, field):
+    # the terms are the ambient words filtered by the codegeneracy
+    # kernels, in the same order, and each differential column is the
+    # ambient one restricted to them
+    D = COALGEBRAS[coalgebra](field)
+    s_max, t_max = 2, 8
+    cm = CosimplicialModule.from_shape(D, shape(), s_max, t_max)
+    cc = normalized_complex(cm, s_max)
+    for s in range(s_max + 2):
+        missing = cm.missing_slots(s - 1) if s else []
+        want = [(word, t) for word, t in cm.space(s).degree_of.items()
+                if all(any(word[k] != D.coaug for k in slots)
+                       for slots in missing)]
+        assert list(cc.terms[s].degree_of.items()) == want, s
+        for t in cm.space(s).degrees():
+            assert cc.terms[s].labels(t) == [w for w, d in want if d == t]
+    for s in range(s_max + 1):
+        ambient = cm.differential(s)
+        for word in cc.terms[s].degree_of:
+            want = {w: v for w, v in ambient.column(word).items()
+                    if w in cc.terms[s + 1]}
+            assert cc.diff[s].column(word) == want, (s, word)
 
 
 def test_normalized_complex_needs_counit_on_the_coaugmentation_only():
@@ -278,6 +310,46 @@ def test_class_coords_reads_classes_modulo_boundaries(field):
             assert H.class_coords(s, t, z) == want, (s, t)
             seen += bool(want and x)
     assert seen > 10
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+@pytest.mark.parametrize("coalgebra", ["Lambda(3,5)", "Lambda(3)(x)k[w4]"])
+def test_rank_dims_and_lazy_reps_match_homology_reps(coalgebra, field):
+    H = cohh(COALGEBRAS[coalgebra](field), 3, 14)
+    cc = H.complex
+    assert all(bd.rep_vectors is None for bd in H.data.values())
+    eager = {}
+    for (s, t), bd in sorted(H.data.items()):
+        n = cc.terms[s].dim(t)
+        d_in = cc.diff[s - 1].matrix(t) if s else Matrix(n, 0)
+        dim, reps, bnd = linalg.homology_reps(cc.diff[s].matrix(t), d_in,
+                                              field)
+        assert bd.dim == dim, (s, t)
+        labels = cc.terms[s].labels(t)
+        eager[(s, t)] = ([{labels[j]: v for j, v in r.items()} for r in reps],
+                         bnd)
+    assert any(bd.dim for bd in H.data.values())
+    # class_coords first on every block, then rep: both build lazily
+    for (s, t), (reps, bnd) in eager.items():
+        for k, z in enumerate(reps):
+            assert H.class_coords(s, t, z) == {("h", s, t, k): 1}
+        assert [H.rep(("h", s, t, k)) for k in range(len(reps))] == reps
+        if reps:
+            assert H.data[(s, t)].boundary[0] == bnd
+
+
+def test_homology_table_checks_every_block_without_building_reps():
+    # doubling one entry (x, y) of d^1 whose target y has d^2(y) != 0
+    # makes d^2 d^1 nonzero on x
+    D = exterior_coalgebra([3, 5], QQ)
+    cc = normalized_complex(CosimplicialModule.from_shape(D, circle(), 3, 12),
+                            3)
+    HomologyTable(cc, 3, 12)
+    word, entry = next((x, y) for x, col in cc.diff[1].columns.items()
+                       for y in col if cc.diff[2].column(y))
+    cc.diff[1].columns[word][entry] *= 2
+    with pytest.raises(AssertionError, match="nonzero"):
+        HomologyTable(cc, 3, 12)
 
 
 def test_class_coords_refuses_a_word_outside_the_term():
