@@ -62,16 +62,20 @@ class JobSpec:
 
 
 def parse_field(value) -> FieldSpec:
-    if isinstance(value, str) and value.strip().upper() in ("Q", "0"):
-        return QQ
-    try:
-        p = int(value)
-    except (TypeError, ValueError):
+    """A JSON int, or a string as the --field flag passes it."""
+    if isinstance(value, str):
+        if value.strip().upper() == "Q":
+            return QQ
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if not _is_int(value):
         raise ParseError(f"field must be 0/Q or a prime, got {value!r}")
-    if p == 0:
+    if value == 0:
         return QQ
     try:
-        return GF(p)
+        return GF(value)
     except ValueError as exc:
         raise NotPrime(str(exc)) from exc
 
@@ -79,6 +83,16 @@ def parse_field(value) -> FieldSpec:
 def _is_int(x) -> bool:
     """A JSON integer: bool is a subclass of int, but true/false are not."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_int(raw: dict, key: str, default=None):
+    """raw[key], which must be a JSON int; default when absent or null."""
+    value = raw.get(key)
+    if value is None:
+        return default
+    if not _is_int(value):
+        raise ParseError(f"{key} must be an int, got {value!r}")
+    return value
 
 
 def parse_degrees(value):
@@ -196,19 +210,21 @@ def parse_spec(text: str) -> JobSpec:
     fmt = raw.get("format", DEFAULTS["format"])
     if fmt not in FORMATS:
         raise ParseError(f"format must be one of {FORMATS}, got {fmt!r}")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ParseError(f"output must be a file name, got {output!r}")
     job = JobSpec(
         command=command,
         field=parse_field(raw.get("field", DEFAULTS["field"])),
-        s_max=int(raw.get("s_max", DEFAULTS["s_max"])),
-        t_max=int(raw.get("t_max", DEFAULTS["t_max"])),
-        max_degree=(None if raw.get("max_degree") is None
-                    else int(raw["max_degree"])),
-        prime=(None if raw.get("prime") is None else int(raw["prime"])),
+        s_max=_json_int(raw, "s_max", DEFAULTS["s_max"]),
+        t_max=_json_int(raw, "t_max", DEFAULTS["t_max"]),
+        max_degree=_json_int(raw, "max_degree"),
+        prime=_json_int(raw, "prime"),
         degrees=parse_degrees(raw.get("degrees")),
         format=fmt,
-        output=raw.get("output"),
+        output=output,
     )
-    if job.s_max < 0 or job.t_max < 0:
+    if min(job.s_max, job.t_max, job.max_degree or 0) < 0:
         raise ParseError("bounds must be nonnegative")
     coalg_keys = ("kind", "degrees", "trunc", "factors", "basis",
                   "comult", "counit", "coaug")
@@ -440,8 +456,12 @@ def main(argv=None) -> int:
         return 2
 
     if job.output:
-        with open(job.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(job.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {job.output}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return status

@@ -476,26 +476,12 @@ def primitives_of_coalgebra(c: GradedCoalgebra, max_degree: int):
     """
     from . import linalg
 
-    f = c.field
     g = c.coaug
     out = {}
     for d in range(1, max_degree + 1):
         labels = c.space.labels(d)
-        if not labels:
-            continue
-        pair_index: dict = {}
-        rows_cols = []
-        for j, label in enumerate(labels):
-            col: dict = {}
-            for (a, b), v in c.comult_of(label).items():
-                if a == g or b == g:
-                    continue
-                idx = pair_index.setdefault((a, b), len(pair_index))
-                col[idx] = v
-            rows_cols.append(col)
-        m = linalg.Matrix.from_columns(rows_cols, len(pair_index))
-        kernel = linalg.kernel_basis(m, f)
-        out[d] = [
-            {labels[j]: v for j, v in vec.items()} for vec in kernel
-        ]
+        if labels:
+            out[d] = linalg.kernel_of(
+                {label: {pr: v for pr, v in c.comult_of(label).items()
+                         if g not in pr} for label in labels}, c.field)
     return out

@@ -23,7 +23,6 @@ from .coalgebra import (
 )
 from .fields import FieldSpec
 from .graded import GradedMap, GradedSpace, add_term, sub_sums
-from .linalg import Matrix
 
 
 class Comodule:
@@ -169,28 +168,25 @@ def trivial_comodule(D: GradedCoalgebra) -> Comodule:
                     truncation=None, name="k")
 
 
-def equalizer_matrix(M: Comodule, N: Comodule, degree: int):
-    """Pairs basis of (M (x) N)_degree and the matrix of
-    rho_r (x) id - id (x) rho_l into M (x) D (x) N."""
-    f = M.field
-    pairs = []
-    for m, dm in M.space.degree_of.items():
-        for n, dn in N.space.degree_of.items():
-            if dm + dn == degree:
-                pairs.append((m, n))
-    pairs.sort(key=repr)
-    triple_index: dict = {}
-    cols = []
-    for (m, n) in pairs:
-        col: dict = {}
-        for (mm, d), v in M.right_of(m).items():
-            idx = triple_index.setdefault((mm, d, n), len(triple_index))
-            col[idx] = f.add(col.get(idx, f.zero), v)
-        for (d, nn), v in N.left_of(n).items():
-            idx = triple_index.setdefault((m, d, nn), len(triple_index))
-            col[idx] = f.sub(col.get(idx, f.zero), v)
-        cols.append({k: v for k, v in col.items() if v})
-    return pairs, Matrix.from_columns(cols, len(triple_index))
+def pair_defect(terms: dict, right_of, left_of, field: FieldSpec) -> dict:
+    """rho_r (x) id - id (x) rho_l on a formal sum {(m, n): c} of pairs,
+    as a formal sum on triples (m', d, n').  right_of(m) is the right
+    coaction {(m', d): v} and left_of(n) the left one {(d, n'): v}."""
+    out: dict = {}
+    for (m, n), c in terms.items():
+        for (mm, d), v in right_of(m).items():
+            add_term(out, (mm, d, n), field.mul(c, v), field)
+        for (d, nn), v in left_of(n).items():
+            add_term(out, (m, d, nn), field.mul(field.neg(c), v), field)
+    return out
+
+
+def degree_pairs(M: GradedSpace, N: GradedSpace, degree: int) -> list:
+    """The pairs (m, n) of basis labels of total degree degree, in repr
+    order."""
+    return sorted(((m, n) for m, dm in M.degree_of.items()
+                   for n, dn in N.degree_of.items() if dm + dn == degree),
+                  key=repr)
 
 
 @dataclass
@@ -219,13 +215,11 @@ def cotensor(M: Comodule, N: Comodule, max_degree=None) -> CotensorSpace:
     bound = int(bound)
     out = CotensorSpace(M, N, bound)
     for t in range(0, bound + 1):
-        pairs, m = equalizer_matrix(M, N, t)
-        if not pairs:
-            continue
-        kernel = linalg.kernel_basis(m, f)
-        out.basis[t] = [
-            {pairs[j]: v for j, v in vec.items()} for vec in kernel
-        ]
+        pairs = degree_pairs(M.space, N.space, t)
+        if pairs:
+            out.basis[t] = linalg.kernel_of(
+                {p: pair_defect({p: f.one}, M.right_of, N.left_of, f)
+                 for p in pairs}, f)
     return out
 
 
@@ -517,25 +511,21 @@ def box_primitives(box: BoxStructure, max_degree: int) -> dict:
         ie = _counit_kernel(box, t)
         if not ie:
             continue
-        # columns: (q (x) q) Delta on each IE basis vector
-        pair_index: dict = {}
-        cols = []
-        for vec in ie:
-            col: dict = {}
+        # (q (x) q) Delta on each IE basis vector
+        images = {}
+        for j, vec in enumerate(ie):
+            img: dict = {}
             for lbl, c in vec.items():
                 for (a, b), v in box.comult.column(lbl).items():
                     qa = _q_reduce(a, unit_image_at(E.degree_of[a]), box, f)
                     qb = _q_reduce(b, unit_image_at(E.degree_of[b]), box, f)
                     for la, va in qa.items():
                         for lb, vb in qb.items():
-                            idx = pair_index.setdefault((la, lb), len(pair_index))
-                            col[idx] = f.add(col.get(idx, f.zero),
-                                             f.mul(c, f.mul(v, f.mul(va, vb))))
-            cols.append({k: v for k, v in col.items() if v})
-        m = Matrix.from_columns(cols, len(pair_index))
-        kernel = linalg.kernel_basis(m, f)
+                            add_term(img, (la, lb),
+                                     f.mul(c, f.mul(v, f.mul(va, vb))), f)
+            images[j] = img
         prims = []
-        for k in kernel:
+        for k in linalg.kernel_of(images, f):
             vec: dict = {}
             for j, c in k.items():
                 for lbl, v in ie[j].items():
@@ -547,18 +537,9 @@ def box_primitives(box: BoxStructure, max_degree: int) -> dict:
 
 
 def _counit_kernel(box: BoxStructure, t: int):
-    f = box.field
-    E = box.carrier.space
-    labels = E.labels(t)
-    cols = []
-    for lbl in labels:
-        col = {}
-        for d_lbl, v in box.counit.column(lbl).items():
-            col[box.base.space.index(d_lbl)] = v
-        cols.append(col)
-    m = Matrix.from_columns(cols, box.base.space.dim(t))
-    kernel = linalg.kernel_basis(m, f)
-    return [{labels[j]: v for j, v in k.items()} for k in kernel]
+    return linalg.kernel_of({lbl: box.counit.column(lbl)
+                             for lbl in box.carrier.space.labels(t)},
+                            box.field)
 
 
 def _unit_image_rows(box: BoxStructure, t: int):
@@ -598,34 +579,20 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
         ie = _counit_kernel(box, t)
         if not ie:
             continue
-        # (IE (x) IE) cap (E box E): stack the equalizer with both counits
-        pairs, eq = equalizer_matrix(box.carrier, box.carrier, t)
-        extra = []
-        for (a, b) in pairs:
-            row_a = {}
-            row_b = {}
-            for d, v in box.counit.column(a).items():
-                row_a[("l", d, b)] = v
-            for d, v in box.counit.column(b).items():
-                row_b[("r", a, d)] = v
-            extra.append((row_a, row_b))
-        key_index: dict = {}
-        cols = []
-        for j, (a, b) in enumerate(pairs):
-            col = dict(eq.column(j))
-            off = eq.nrows
-            for key, v in extra[j][0].items():
-                idx = key_index.setdefault(key, len(key_index))
-                col[off + idx] = v
-            for key, v in extra[j][1].items():
-                idx = key_index.setdefault(key, len(key_index))
-                col[off + idx] = v
-            cols.append(col)
-        m = Matrix.from_columns(cols, eq.nrows + len(key_index))
-        kernel = linalg.kernel_basis(m, f)
+        # (IE (x) IE) cap (E box E): the equalizer and both counits,
+        # each on its own tagged keys
+        images = {}
+        for (a, b) in degree_pairs(E, E, t):
+            img = {("eq",) + k: v for k, v in pair_defect(
+                {(a, b): f.one}, box.carrier.right_of, box.carrier.left_of,
+                f).items()}
+            img.update({("l", d, b): v
+                        for d, v in box.counit.column(a).items()})
+            img.update({("r", a, d): v
+                        for d, v in box.counit.column(b).items()})
+            images[(a, b)] = img
         image_rows = []
-        for k in kernel:
-            pair_sum = {pairs[j]: v for j, v in k.items()}
+        for pair_sum in linalg.kernel_of(images, f):
             img = box.mult.apply(pair_sum, f)
             if img:
                 image_rows.append({E.index(l): v for l, v in img.items()})

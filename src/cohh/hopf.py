@@ -12,9 +12,8 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .coalgebra import AxiomCheck
-from .comodule import BoxStructure
+from .comodule import BoxStructure, degree_pairs, pair_defect
 from .graded import add_term, sub_sums
-from .linalg import Matrix
 
 
 @dataclass
@@ -62,45 +61,27 @@ def _labels_within(box: BoxStructure, bound):
 
 def _pair_defect(box: BoxStructure, terms: dict) -> dict:
     """rho_r (x) id - id (x) rho_l on a formal sum of carrier pairs."""
-    f = box.field
     E = box.carrier
-    out: dict = {}
-    for (a, b), c in terms.items():
-        for (a2, d), v in E.right_of(a).items():
-            add_term(out, (a2, d, b), f.mul(c, v), f)
-        for (d, b2), v in E.left_of(b).items():
-            add_term(out, (a, d, b2), f.mul(f.neg(c), v), f)
-    return out
+    return pair_defect(terms, E.right_of, E.left_of, box.field)
 
 
 def _pair_cotensor_basis(box: BoxStructure, degree: int, s_max=None,
                          s_of=_default_s_of):
     """Basis of (E box E) in one internal degree, optionally restricted
     to total filtration <= s_max (where the multiplication is known)."""
-    f = box.field
-    E = box.carrier
-    pairs = []
-    for a, da in E.space.degree_of.items():
-        for b, db in E.space.degree_of.items():
-            if da + db != degree:
-                continue
-            if s_max is not None and s_of(a) + s_of(b) > s_max:
-                continue
-            pairs.append((a, b))
-    pairs.sort(key=repr)
-    idx: dict = {}
-    cols = []
-    for p in pairs:
-        defect = _pair_defect(box, {p: f.one})
-        cols.append({idx.setdefault(k, len(idx)): v
-                     for k, v in defect.items()})
-    kernel = linalg.kernel_basis(Matrix.from_columns(cols, len(idx)), f)
-    return [{pairs[j]: v for j, v in vec.items()} for vec in kernel]
+    one = box.field.one
+    pairs = [(a, b) for a, b in degree_pairs(box.carrier.space,
+                                             box.carrier.space, degree)
+             if s_max is None or s_of(a) + s_of(b) <= s_max]
+    return linalg.kernel_of({p: _pair_defect(box, {p: one}) for p in pairs},
+                            box.field)
 
 
 def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None,
                            s_of=_default_s_of):
-    f = box.field
+    """Basis of E box E box E in one internal degree: the kernel of the
+    pair defects of the first two and of the last two factors."""
+    one = box.field.one
     E = box.carrier
     triples = []
     for a, da in E.space.degree_of.items():
@@ -114,22 +95,14 @@ def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None,
                     continue
                 triples.append((a, b, c))
     triples.sort(key=repr)
-    idx: dict = {}
-    cols = []
+    images = {}
     for (a, b, c) in triples:
-        defect: dict = {}
-        for (a2, d), v in E.right_of(a).items():
-            add_term(defect, ("m", a2, d, b, c), v, f)
-        for (d, b2), v in E.left_of(b).items():
-            add_term(defect, ("m", a, d, b2, c), f.neg(v), f)
-        for (b2, d), v in E.right_of(b).items():
-            add_term(defect, ("r", a, b2, d, c), v, f)
-        for (d, c2), v in E.left_of(c).items():
-            add_term(defect, ("r", a, b, d, c2), f.neg(v), f)
-        cols.append({idx.setdefault(k, len(idx)): v
-                     for k, v in defect.items()})
-    kernel = linalg.kernel_basis(Matrix.from_columns(cols, len(idx)), f)
-    return [{triples[j]: v for j, v in vec.items()} for vec in kernel]
+        img = {("m",) + k + (c,): v
+               for k, v in _pair_defect(box, {(a, b): one}).items()}
+        img.update({("r", a) + k: v
+                    for k, v in _pair_defect(box, {(b, c): one}).items()})
+        images[(a, b, c)] = img
+    return linalg.kernel_of(images, box.field)
 
 
 def _apply_mult(box: BoxStructure, terms: dict) -> dict:
@@ -278,25 +251,20 @@ def _apply_counit(box: BoxStructure, terms: dict) -> dict:
 
 def _diagonal_coords(D, vec: dict, degree: int) -> dict:
     """Express an element of D box D (inside D (x) D) as Delta of an
-    element of D.  Raises linalg.NoSolution if it is not diagonal."""
+    element x of D.  The counit is supported on the coaugmentation g, so
+    by the counit law (d', g) occurs in Delta(d) with coefficient 1 if
+    d' = d and 0 otherwise: x_d is the coefficient of (d, g) in vec.
+    Raises linalg.NoSolution if Delta(x) is not vec."""
     f = D.field
-    idx: dict = {}
-    cols = []
-    labels = [d for d in D.space.labels(degree)]
-    for d in labels:
-        col = {}
+    x = {d: vec[(d, D.coaug)] for d in D.space.labels(degree)
+         if vec.get((d, D.coaug))}
+    image: dict = {}
+    for d, c in x.items():
         for pr, v in D.comult_of(d).items():
-            col[idx.setdefault(pr, len(idx))] = v
-        cols.append(col)
-    tgt = {}
-    for pr, v in vec.items():
-        if pr not in idx:
-            if v:
-                raise linalg.NoSolution(f"pair {pr} outside the diagonal")
-            continue
-        tgt[idx[pr]] = v
-    (sol,) = linalg.solve(Matrix.from_columns(cols, len(idx)), [tgt], f)
-    return {labels[j]: v for j, v in sol.items()}
+            add_term(image, pr, f.mul(c, v), f)
+    if sub_sums(image, vec, f):
+        raise linalg.NoSolution("not in the image of the diagonal")
+    return x
 
 
 def check_box_bialgebra(box: BoxStructure, max_degree=None, s_max=None,

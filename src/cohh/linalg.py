@@ -14,9 +14,17 @@ The differentials this package reduces are about 1%
 dense, which is why there is no dense path.  The dense routines
 _rref_fraction_dense and _rref_modp_dense are kept only as oracles for
 the tests.
+
+A linear map given as formal sums on arbitrary hashable keys, one sum
+per source key, becomes a Matrix through keyed_matrix, which numbers the
+target keys in the order they first appear.  kernel_of and keyed_solve
+work on such maps and relabel their answers, so every cotensor,
+equalizer, primitive space and counit kernel in the package is a
+kernel_of call and no caller builds its own row index.  A kernel
+depends only on the order of the source keys (the columns), never on
+the row numbering, since an RREF is determined by its row space.
 """
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +220,24 @@ def kernel_basis(m: Matrix, field: FieldSpec):
     return kernel_of_echelon(*rref(m, field), m.ncols, field)
 
 
+def keyed_matrix(columns) -> Matrix:
+    """The matrix whose column j is the formal sum columns[j], with rows
+    numbered by the keys in the order they first appear."""
+    rows: dict = {}
+    return Matrix.from_columns(
+        [{rows.setdefault(k, len(rows)): v for k, v in col.items()}
+         for col in columns], len(rows))
+
+
+def kernel_of(images: dict, field: FieldSpec):
+    """Kernel of the linear map sending each key of images to its formal
+    sum, as formal sums on those keys.  It is kernel_basis of the
+    keyed_matrix, so it depends on the order of images only."""
+    keys = list(images)
+    return [{keys[j]: v for j, v in vec.items()}
+            for vec in kernel_basis(keyed_matrix(images.values()), field)]
+
+
 def kernel_of_echelon(rows, pivots, ncols: int, field: FieldSpec):
     """kernel_basis of an ncols-column matrix whose RREF is (rows, pivots)."""
     pivot_set = set(pivots)
@@ -253,6 +279,15 @@ def solve(m: Matrix, targets, field: FieldSpec):
     return sols
 
 
+def keyed_solve(columns, targets, field: FieldSpec):
+    """solve for formal sums on arbitrary keys: the coordinates x of each
+    target with sum_j x_j columns[j] = target, on column positions."""
+    m = keyed_matrix(list(columns) + list(targets))
+    cols = m.columns()
+    return solve(Matrix.from_columns(cols[:len(columns)], m.nrows),
+                 cols[len(columns):], field)
+
+
 def reduce_mod_span(vec: dict, echelon_rows, pivots, field: FieldSpec) -> dict:
     """Reduce vec modulo the span of echelon_rows (RREF rows with pivots)."""
     p = field.characteristic
@@ -261,28 +296,6 @@ def reduce_mod_span(vec: dict, echelon_rows, pivots, field: FieldSpec) -> dict:
         c = out.get(pc)
         if c:
             _sub_multiple(out, c, row, p)
-    return out
-
-
-def complete_basis(vecs: list, n: int, field: FieldSpec) -> list:
-    """vecs, which must be linearly independent, followed by the unit
-    vectors {j: 1}, j < n, that are not in the span of the vectors
-    before them: a basis of the n-dimensional space."""
-    rows: list = []
-    pivots: list = []
-    out: list = []
-    units = ({j: field.one} for j in range(n))
-    for k, vec in enumerate(itertools.chain(vecs, units)):
-        red = reduce_mod_span(vec, rows, pivots, field)
-        if red:
-            pc = min(red)
-            inv = field.inv(red[pc])
-            rows.append({j: field.mul(inv, v) for j, v in red.items()})
-            pivots.append(pc)
-            out.append(vec)
-        elif k < len(vecs):
-            raise AssertionError(f"vector {k} is in the span of the ones "
-                                 f"before it")
     return out
 
 

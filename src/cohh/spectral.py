@@ -429,26 +429,17 @@ def _quotient_by_products(box, cs, t: int) -> dict:
 def _primitive_dims(box, cs, bound: int) -> dict:
     """Kernel dims of the reduced coproduct, per bidegree."""
     from . import linalg
-    from .linalg import Matrix
 
-    f = box.field
-    E = box.carrier.space
     one = ("h", 0, 0, 0)
+    E = box.carrier.space
     out: dict = {}
     bidegrees = sorted({(l[1], l[2]) for l in E.degree_of if
                         0 < l[2] <= bound})
     for (s, t) in bidegrees:
-        labels = [l for l in E.labels(t) if l[1] == s]
-        idx: dict = {}
-        cols = []
-        for l in labels:
-            col: dict = {}
-            for (a, b), v in box.comult.column(l).items():
-                if a == one or b == one:
-                    continue
-                col[idx.setdefault((a, b), len(idx))] = v
-            cols.append(col)
-        kernel = linalg.kernel_basis(Matrix.from_columns(cols, len(idx)), f)
+        kernel = linalg.kernel_of(
+            {l: {pr: v for pr, v in box.comult.column(l).items()
+                 if one not in pr}
+             for l in E.labels(t) if l[1] == s}, box.field)
         if kernel:
             out[(s, t)] = len(kernel)
     return out

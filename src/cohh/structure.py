@@ -11,10 +11,12 @@ Koszul sign.
 """
 
 import itertools
+from collections import Counter
+from functools import partial
 
 from . import linalg
 from .coalgebra import GradedCoalgebra
-from .comodule import BoxStructure, Comodule, cotensor
+from .comodule import BoxStructure, Comodule, cotensor, pair_defect
 from .complexes import (
     CosimplicialModule,
     HomologyTable,
@@ -220,39 +222,38 @@ class CircleStructure:
     def class_coproduct(self, label) -> dict:
         """Coproduct of a homology class, as a formal sum on pairs of
         class labels."""
-        _, s, t, _ = label
+        _, s, _, _ = label
         f = self.field
         tz = levelwise_comult(self.mx, s, self.H.rep(label))
         out: dict = {}
         for p in range(s + 1):
-            q = s - p
-            comp = sh_map(self.mx, p, q, tz)
-            if not comp:
-                continue
-            for (hA, hB), v in self._pair_project(comp, p, q, t).items():
-                add_term(out, (hA, hB), v, f)
+            comp = sh_map(self.mx, p, s - p, tz)
+            pairs = {self.mx.split(p, s - p, w): c for w, c in comp.items()}
+            for pr, v in self.pair_classes(pairs).items():
+                add_term(out, pr, v, f)
         return out
 
-    def _pair_project(self, vec, p, q, t) -> dict:
-        """(pi (x) pi) on a vector of the mixed (p, q) space."""
+    def pair_classes(self, vec: dict) -> dict:
+        """(pi (x) pi) on a formal sum of word pairs {(wa, wb): c}: group
+        the pairs by (level and degree of wa, wb) and tensor the class
+        coordinates of the two words.  Raises linalg.NoSolution on a
+        word outside the normalized terms (HomologyTable.class_coords)."""
         f = self.field
-        by_ta: dict = {}
-        for word, c in vec.items():
-            wa, wb = self.mx.split(p, q, word)
-            ta = word_degree(self.D, wa)
-            by_ta.setdefault(ta, {}).setdefault(wb, {})
-            add_term(by_ta[ta][wb], wa, c, f)
+        H = self.H
+        groups: dict = {}
+        for (wa, wb), c in vec.items():
+            key = (word_level(wa), word_degree(self.D, wa), wb)
+            add_term(groups.setdefault(key, {}), wa, c, f)
         out: dict = {}
-        for ta, slices in by_ta.items():
-            tb = t - ta
-            for wb, avec in slices.items():
-                ca = self.proj.project(p, ta, avec)
-                if not ca:
-                    continue
-                cb = self.proj.project(q, tb, {wb: f.one})
-                for hA, va in ca.items():
-                    for hB, vb in cb.items():
-                        add_term(out, (hA, hB), f.mul(va, vb), f)
+        for (u, ta, wb), avec in groups.items():
+            ca = H.class_coords(u, ta, avec)
+            if not ca:
+                continue
+            cb = H.class_coords(word_level(wb), word_degree(self.D, wb),
+                                {wb: f.one})
+            for hA, va in ca.items():
+                for hB, vb in cb.items():
+                    add_term(out, (hA, hB), f.mul(va, vb), f)
         return out
 
     def product_on_cotensor(self, terms: dict, check=True) -> dict:
@@ -282,14 +283,12 @@ class CircleStructure:
         return self.proj.project(n, t, total)
 
     def is_equalized(self, terms: dict) -> bool:
-        f = self.field
-        defect: dict = {}
-        for (wa, wb), c in terms.items():
-            for (wa2, d), v in cochain_right_coaction(self.D, wa).items():
-                add_term(defect, (wa2, d, wb), f.mul(c, v), f)
-            for (d, wb2), v in cochain_left_coaction(self.D, wb).items():
-                add_term(defect, (wa, d, wb2), f.mul(f.neg(c), v), f)
-        return not defect
+        return not self.defect(terms)
+
+    def defect(self, terms: dict) -> dict:
+        """rho_r (x) id - id (x) rho_l on a formal sum of word pairs."""
+        return pair_defect(terms, partial(cochain_right_coaction, self.D),
+                           partial(cochain_left_coaction, self.D), self.field)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +305,9 @@ class CotensorComplex:
         H = cs.H
         cc = H.complex
         self.f = f
-        self.basis: dict = {}       # (n, t) -> list of formal sums on tagged pairs
+        self.basis: dict = {}       # (n, t) -> (pairs, kernel on positions)
         self.reps: dict = {}        # (n, t) -> homology reps (index vectors)
         self.dims: dict = {}
-        D = cs.D
 
         s_max, t_max = H.s_max, H.t_max
         for n in range(s_max + 2):
@@ -324,24 +322,10 @@ class CotensorComplex:
                         for la in cc.terms[u].labels(ta):
                             for lb in cc.terms[v].labels(tb):
                                 pairs.append((la, lb))
-                if not pairs:
-                    continue
-                idx: dict = {}
-                cols = []
-                for (la, lb) in pairs:
-                    col: dict = {}
-                    for (wa2, d), vv in cochain_right_coaction(D, la).items():
-                        k = idx.setdefault((wa2, d, lb), len(idx))
-                        col[k] = f.add(col.get(k, f.zero), vv)
-                    for (d, wb2), vv in cochain_left_coaction(D, lb).items():
-                        k = idx.setdefault((la, d, wb2), len(idx))
-                        col[k] = f.sub(col.get(k, f.zero), vv)
-                    cols.append({k: v for k, v in col.items() if v})
-                kernel = linalg.kernel_basis(
-                    Matrix.from_columns(cols, len(idx)), f)
-                self.basis[(n, t)] = (
-                    pairs,
-                    [{j: v for j, v in k.items()} for k in kernel])
+                if pairs:
+                    self.basis[(n, t)] = (pairs, linalg.kernel_of(
+                        {j: cs.defect({p: f.one})
+                         for j, p in enumerate(pairs)}, f))
 
         # restricted total differential and homology
         for n in range(s_max + 1):
@@ -412,33 +396,15 @@ class CotensorComplex:
                 raise AssertionError("differential left the cotensor")
         return m
 
-    def kuenneth_class(self, n, t, kvec) -> dict:
-        """Class of a cotensor cycle in (pairs of homology classes)."""
-        f = self.f
-        H = self.cs.H
-        D = self.cs.D
-        vec = self._pair_vec(n, t, kvec)
-        out: dict = {}
-        groups: dict = {}
-        for (la, lb), c in vec.items():
-            key = (word_level(la), word_degree(D, la), lb)
-            groups.setdefault(key, {})[la] = c
-        for (u, ta, lb), avec in groups.items():
-            ca = H.class_coords(u, ta, avec)
-            if not ca:
-                continue
-            cb = H.class_coords(word_level(lb), word_degree(D, lb),
-                                {lb: f.one})
-            for hA, va in ca.items():
-                for hB, vb in cb.items():
-                    add_term(out, (hA, hB), f.mul(va, vb), f)
-        return out
-
 
 def homology_multiplication(cs: CircleStructure):
     """The multiplication on homology classes, as a GradedMap defined on
-    the full pair space (a linear extension of the map on the cotensor
-    of the homology with itself).
+    the full pair space: a linear extension of the map on the cotensor
+    of the homology with itself, which is mu(vec) at the free pair of
+    each cotensor basis vector vec and zero at every other pair.  The
+    free pair is the vector's last pair in the cotensor's repr order
+    (kernel_basis puts the free column last): vec is 1 there, and no
+    other basis vector touches it.
 
     Returns (mult, carrier_comodule, kuenneth_ok)."""
     f = cs.field
@@ -453,74 +419,42 @@ def homology_multiplication(cs: CircleStructure):
     cot = cotensor(carrier, carrier, cs.t_max)
     blocks: dict = {}
     for t, vecs in cot.basis.items():
+        hits = Counter(pr for vec in vecs for pr in vec)
         for vec in vecs:
+            free = max(vec, key=repr)
+            if vec[free] != f.one or hits[free] != 1:
+                raise AssertionError(f"cotensor basis vector is not alone "
+                                     f"and 1 at its free pair {free!r}")
             ns = {la[1] + lb[1] for (la, lb) in vec}
             if len(ns) != 1:
                 # mixed filtration blocks cannot occur: coactions preserve s
                 kuenneth_ok = False
                 continue
             n = ns.pop()
-            blocks.setdefault((n, t), []).append(vec)
+            blocks.setdefault((n, t), []).append((vec, free))
 
     handled = set()
-    for (n, t), vecs in sorted(blocks.items(), key=repr):
+    for (n, t), block in sorted(blocks.items(), key=repr):
         if n > cs.s_max:
             continue
-        reps = ct.reps.get((n, t), [])
-        if len(reps) != len(vecs):
+        reps = [ct._pair_vec(n, t, kvec) for kvec in ct.reps.get((n, t), [])]
+        if len(reps) != len(block):
             kuenneth_ok = False
-        # kuenneth matrix: columns are classes of the cotensor-complex reps
-        pair_idx: dict = {}
-        cols = []
-        mu_classes = []
-        for kvec in reps:
-            kc = ct.kuenneth_class(n, t, kvec)
-            col = {}
-            for pr, v in kc.items():
-                col[pair_idx.setdefault(pr, len(pair_idx))] = v
-            cols.append(col)
-            mu_classes.append(cs.product_on_cotensor(
-                ct._pair_vec(n, t, kvec), check=False))
-        kmat = Matrix.from_columns(cols, len(pair_idx))
-        targets = []
-        for vec in vecs:
-            tv = {}
-            for pr, v in vec.items():
-                if pr not in pair_idx:
-                    pair_idx.setdefault(pr, len(pair_idx))
-                    kmat.nrows = len(pair_idx)
-                tv[pair_idx[pr]] = v
-            targets.append(tv)
+        # write each cotensor basis vector in the Kuenneth classes of the
+        # cotensor complex's representatives
         try:
-            sols = linalg.solve(kmat, targets, f)
+            sols = linalg.keyed_solve([cs.pair_classes(z) for z in reps],
+                                      [vec for vec, _ in block], f)
         except linalg.NoSolution:
             kuenneth_ok = False
             continue
-        # mu on each cotensor basis vector; collect as equations on the
-        # pair space, then extend linearly
-        block_pairs = sorted({pr for vec in vecs for pr in vec}, key=repr)
-        bp_idx = {p: i for i, p in enumerate(block_pairs)}
-        basis_cols = []
-        values = []
-        for vec, sol in zip(vecs, sols):
-            basis_cols.append({bp_idx[p]: v for p, v in vec.items()})
+        mu = [cs.product_on_cotensor(z, check=False) for z in reps]
+        for (_, free), sol in zip(block, sols):
             val: dict = {}
             for j, c in sol.items():
-                for h, v in mu_classes[j].items():
+                for h, v in mu[j].items():
                     add_term(val, h, f.mul(c, v), f)
-            values.append(val)
-        # complete to a basis of the block pair space; zero on complement
-        npairs = len(block_pairs)
-        full = Matrix.from_columns(
-            linalg.complete_basis(basis_cols, npairs, f), npairs)
-        sols = linalg.solve(full, [{i: f.one} for i in range(npairs)], f)
-        for pr, sol in zip(block_pairs, sols):
-            col: dict = {}
-            for j, c in sol.items():
-                if j < len(values):
-                    for h, v in values[j].items():
-                        add_term(col, h, f.mul(c, v), f)
-            mult.set_column(pr, col)
+            mult.set_column(free, val)
         handled.add((n, t))
 
     for (n, t), d in ct.dims.items():
@@ -627,14 +561,10 @@ def cohh_antipode(cs: CircleStructure) -> GradedMap:
     for (s, t) in sorted(set((lbl[1], lbl[2])
                              for lbl in H.classes.degree_of)):
         src = [("h", s, t, k) for k in range(H.dim(s, t))]
-        dcls = [("h", s, t, k) for k in range(Hd.dim(s, t))]
-        didx = {l: i for i, l in enumerate(dcls)}
-        pim = Matrix.from_columns(
-            [{didx[l]: v for l, v in pi.column(lbl).items()} for lbl in src],
-            len(dcls))
-        for lbl in src:
-            img = flip.apply(pi.column(lbl), f)
-            (sol,) = linalg.solve(
-                pim, [{didx[l]: v for l, v in img.items()}], f)
+        # one solve per bidegree: pi(x) = flip(pi(lbl)) for every class
+        sols = linalg.keyed_solve([pi.column(l) for l in src],
+                                  [flip.apply(pi.column(l), f) for l in src],
+                                  f)
+        for lbl, sol in zip(src, sols):
             out.set_column(lbl, {src[j]: v for j, v in sol.items()})
     return out

@@ -198,6 +198,17 @@ EXTERIOR_TABLE = {"kind": "table", "basis": [["1", 0], ["x", 3]],
     dict(EXTERIOR_TABLE, coaug=["1"]),
     dict(EXTERIOR_TABLE, coaug="y"),
     {"kind": "tensor", "factors": [{"kind": "exterior", "degrees": [3]}, 5]},
+    # job fields of the wrong JSON type (the flags set s_max and t_max)
+    dict(EXTERIOR_TABLE, max_degree={}),
+    dict(EXTERIOR_TABLE, max_degree=4.0),
+    dict(EXTERIOR_TABLE, max_degree=-1),
+    dict(EXTERIOR_TABLE, prime=[2]),
+    dict(EXTERIOR_TABLE, prime=True),
+    dict(EXTERIOR_TABLE, field=2.9),
+    dict(EXTERIOR_TABLE, field=True),
+    dict(EXTERIOR_TABLE, field=[2]),
+    dict(EXTERIOR_TABLE, output=7),
+    dict(EXTERIOR_TABLE, output=7.5),
 ])
 def test_bad_table_specs_are_input_errors(spec, tmp_path, capsys):
     path = tmp_path / "job.json"
@@ -205,6 +216,19 @@ def test_bad_table_specs_are_input_errors(spec, tmp_path, capsys):
     status, out, err = run_cli(
         ["cohh", "--spec", str(path), "--max-s", "2", "--max-t", "6"],
         capsys)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["s_max", "t_max"])
+@pytest.mark.parametrize("value", [[1], {}, True, 2.7, "2"])
+def test_bounds_of_the_wrong_json_type_are_input_errors(key, value,
+                                                        tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(EXTERIOR_TABLE, **{key: value})))
+    status, out, err = run_cli(["cohh", "--spec", str(path)], capsys)
     assert status == 1
     assert out == ""
     assert err.startswith("error:")
@@ -232,6 +256,16 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["table"]
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "table.json"):
+        status, out, err = run_cli(
+            ["cohh", "--kind", "exterior", "--degrees", "3", "--max-s", "1",
+             "--max-t", "3", "--output", str(target)], capsys)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: cannot write")
 
 
 def test_validate_command(capsys):

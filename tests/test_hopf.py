@@ -5,7 +5,7 @@ actually catches a broken structure map."""
 
 import pytest
 
-from cohh import hopf, structure as st
+from cohh import hopf, linalg, structure as st
 from cohh.coalgebra import exterior_coalgebra, polynomial_coalgebra
 from cohh.comodule import BoxStructure, polynomial_multiplication, \
     tensor_box_structure
@@ -183,3 +183,19 @@ def test_leibniz_rejects_a_non_derivation(box_f2):
 
     report = hopf.check_leibniz(box_f2, fake_diff, max_degree=12, s_max=3)
     assert not report.ok
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ])
+def test_diagonal_coords_reads_the_diagonal_and_refuses_the_rest(field):
+    D = polynomial_coalgebra([2], field, truncation=8)
+    f = field
+    for t in range(0, 9, 2):
+        (d,) = D.space.labels(t)
+        x = {d: f.coerce(2)}
+        diag = {pr: f.mul(x[d], v) for pr, v in D.comult_of(d).items()}
+        assert hopf._diagonal_coords(D, diag, t) == x
+        if t:
+            # (d, 1) alone satisfies the counit law but is not diagonal
+            with pytest.raises(linalg.NoSolution):
+                hopf._diagonal_coords(D, {(d, D.coaug): f.one}, t)
+    assert hopf._diagonal_coords(D, {}, 4) == {}

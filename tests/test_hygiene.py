@@ -1,12 +1,17 @@
 """Source hygiene checks that need no linter: every name a module of
-the package imports at module level is used in that module."""
+the package imports at module level is used in that module, and every
+private top-level name of the package is referenced somewhere."""
 
 import ast
+import re
 from pathlib import Path
 
 import cohh
 
 SRC = Path(cohh.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+# where a private name may be referenced: perfbench wraps some by name
+REFERRERS = ("src", "tests", "perfbench")
 
 # (module, name) bindings kept on purpose although the module never
 # reads them: perfbench's tracer wraps structure.induced_operator
@@ -42,3 +47,48 @@ def test_checker_flags_an_unused_import(tmp_path):
     path.write_text("import os\nfrom math import pi, tau as t\n"
                     "def f():\n    return pi\n")
     assert unused_imports(path) == [("mod", "os", 1), ("mod", "t", 2)]
+
+
+def _private_top_level_names(tree):
+    """(name, line) for each _name a module defines or assigns at top
+    level; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def unreferenced_private_names(path: Path, referrers):
+    """Private top-level names of path that occur, as a whole word, only
+    once in path and the referrer files together: at their definition.
+    A name in a string counts, since perfbench names its targets so."""
+    texts = {p.resolve(): p.read_text() for p in (path, *referrers)}
+    tree = ast.parse(texts[path.resolve()], filename=str(path))
+    return [(path.stem, name, line)
+            for name, line in _private_top_level_names(tree)
+            if sum(len(re.findall(rf"\b{name}\b", text))
+                   for text in texts.values()) == 1]
+
+
+def test_every_private_top_level_name_is_referenced():
+    referrers = [p for d in REFERRERS for p in (ROOT / d).rglob("*.py")]
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in unreferenced_private_names(path, referrers)]
+    assert found == [], ("unreferenced private names (module, name, "
+                         "line): " + repr(found))
+
+
+def test_checker_flags_an_unreferenced_private_name(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def _dead():\n    pass\n\n\ndef _used():\n"
+                    "    pass\n\n\n_LIMIT = _used()\n__all__ = []\n")
+    other = tmp_path / "other.py"
+    other.write_text('TARGETS = [("mod", "_LIMIT")]\n_dead_too = 1\n')
+    assert unreferenced_private_names(path, [path, other]) == [
+        ("mod", "_dead", 1)]

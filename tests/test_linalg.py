@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohh import linalg
 from cohh.fields import GF, QQ, FieldSpec
-from cohh.graded import sub_sums
+from cohh.graded import add_term, sub_sums
 from cohh.linalg import Matrix, NoSolution
 
 
@@ -291,12 +291,55 @@ def test_elimination_refuses_a_wrong_inverse():
         linalg.rref(mat([[2, 1], [4, 3]], QQ), WrongInverse(0))
 
 
-def test_complete_basis_appends_the_missing_unit_vectors():
-    f = GF(3)
-    assert linalg.complete_basis([{0: 1, 1: 1}], 3, f) == [
-        {0: 1, 1: 1}, {0: 1}, {2: 1}]
-    with pytest.raises(AssertionError):
-        linalg.complete_basis([{0: 1}, {0: 2}], 2, f)
+@settings(max_examples=60, deadline=None)
+@given(char=st.sampled_from([0, 2, 3]), rnd=st.randoms(use_true_random=False),
+       ncols=st.integers(0, 10))
+def test_kernel_of_matches_a_hand_indexed_matrix(char, rnd, ncols):
+    f = FieldSpec(char)
+    keys = [("k", i) for i in range(8)]
+    # random sparse formal sums on tuple keys, zero coefficients included
+    images = {("col", j): {k: f.coerce(rnd.randint(-2, 2))
+                           for k in rnd.sample(keys, rnd.randint(0, 5))}
+              for j in range(ncols)}
+    idx: dict = {}
+    cols = []
+    for img in images.values():
+        cols.append({idx.setdefault(k, len(idx)): v for k, v in img.items()})
+    by_hand = Matrix.from_columns(cols, len(idx))
+    assert linalg.keyed_matrix(images.values()) == by_hand
+    labels = list(images)
+    want = [{labels[j]: v for j, v in vec.items()}
+            for vec in linalg.kernel_basis(by_hand, f)]
+    got = linalg.kernel_of(images, f)
+    assert got == want
+    assert [list(v) for v in got] == [list(v) for v in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(char=st.sampled_from([0, 2, 3]), rnd=st.randoms(use_true_random=False))
+def test_keyed_solve_writes_each_target_in_the_columns(char, rnd):
+    f = FieldSpec(char)
+    keys = ["a", "b", ("c", 1), ("c", 2), 5]
+    columns = [{k: f.coerce(rnd.randint(-2, 2))
+                for k in rnd.sample(keys, rnd.randint(0, 4))}
+               for _ in range(rnd.randint(0, 5))]
+    targets = []
+    for _ in range(3):
+        target: dict = {}
+        for col in columns:
+            c = f.coerce(rnd.randint(-2, 2))
+            for k, v in col.items():
+                add_term(target, k, f.mul(c, v), f)
+        targets.append(target)
+    for target, sol in zip(targets,
+                           linalg.keyed_solve(columns, targets, f)):
+        got: dict = {}
+        for j, c in sol.items():
+            for k, v in columns[j].items():
+                add_term(got, k, f.mul(c, v), f)
+        assert got == target
+    with pytest.raises(NoSolution):
+        linalg.keyed_solve(columns, [{"outside": f.one}], f)
 
 
 def kernel_basis_per_free_column(m, field):

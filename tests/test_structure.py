@@ -11,8 +11,10 @@ import itertools
 
 import pytest
 
-from cohh import structure as st
-from cohh.coalgebra import exterior_coalgebra
+from cohh import linalg, structure as st
+from cohh.coalgebra import (exterior_coalgebra, polynomial_coalgebra,
+                            tensor_coalgebra)
+from cohh.comodule import cotensor
 from cohh.complexes import (
     CosimplicialModule,
     _words,
@@ -21,6 +23,7 @@ from cohh.complexes import (
 )
 from cohh.fields import GF, QQ
 from cohh.graded import GradedMap, add_term, sub_sums
+from cohh.linalg import Matrix
 from cohh.simplicial import circle
 
 
@@ -256,6 +259,91 @@ def test_product_refuses_non_equalized_input():
     assert not cs.is_equalized(bad)
     with pytest.raises(st.NotEqualized):
         cs.product_on_cotensor(bad)
+
+
+def complete_basis(vecs, n, f):
+    """vecs, linearly independent, then the unit vectors {j: 1}, j < n,
+    not in the span of the vectors before them: a basis of F^n."""
+    rows, pivots, out = [], [], []
+    units = ({j: f.one} for j in range(n))
+    for k, vec in enumerate(itertools.chain(vecs, units)):
+        red = linalg.reduce_mod_span(vec, rows, pivots, f)
+        if red:
+            pc = min(red)
+            inv = f.inv(red[pc])
+            rows.append({j: f.mul(inv, v) for j, v in red.items()})
+            pivots.append(pc)
+            out.append(vec)
+        else:
+            assert k >= len(vecs), "the vectors are dependent"
+    return out
+
+
+def complete_basis_extension(mult, cot, s_max, f):
+    """The extension of mult off the cotensor that completes each
+    filtration block's cotensor basis with unit vectors and sends those
+    to zero, solved for every pair of the block."""
+    out = GradedMap(mult.source, mult.target)
+    for vecs in cot.basis.values():
+        blocks: dict = {}
+        for vec in vecs:
+            (n,) = {la[1] + lb[1] for la, lb in vec}
+            blocks.setdefault(n, []).append(vec)
+        for n, block in blocks.items():
+            if n > s_max:
+                continue
+            pairs = sorted({pr for vec in block for pr in vec}, key=repr)
+            idx = {pr: i for i, pr in enumerate(pairs)}
+            basis = complete_basis(
+                [{idx[pr]: v for pr, v in vec.items()} for vec in block],
+                len(pairs), f)
+            values = [mult.apply(vec, f) for vec in block]
+            sols = linalg.solve(Matrix.from_columns(basis, len(pairs)),
+                                [{i: f.one} for i in range(len(pairs))], f)
+            for pr, sol in zip(pairs, sols):
+                col: dict = {}
+                for j, c in sol.items():
+                    for h, v in (values[j] if j < len(values) else {}).items():
+                        add_term(col, h, f.mul(c, v), f)
+                out.set_column(pr, col)
+    return out
+
+
+@pytest.mark.parametrize("degrees, field, s_max, t_max", [
+    ([3], GF(3), 4, 16), ([3], GF(2), 4, 16), ([3], QQ, 4, 16),
+    ([3, 5], GF(2), 3, 16), ([3, 5], GF(3), 3, 16), ([3, 5], QQ, 3, 16),
+    (None, GF(3), 3, 12)])
+def test_multiplication_is_the_complete_basis_extension(degrees, field,
+                                                        s_max, t_max):
+    # None stands for Lambda(x_3) (x) k[w_4] truncated at 12
+    D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
+        exterior_coalgebra([3], field),
+        polynomial_coalgebra([4], field, truncation=12)))
+    cs = st.CircleStructure(D, s_max, t_max)
+    mult, carrier, ok = st.homology_multiplication(cs)
+    assert ok
+    f = field
+    # on the Kuenneth class of a cotensor cocycle, mult is the cochain
+    # product
+    ct = st.CotensorComplex(cs)
+    for (n, t), reps in ct.reps.items():
+        for kvec in reps:
+            z = ct._pair_vec(n, t, kvec)
+            assert mult.apply(cs.pair_classes(z), f) == \
+                cs.product_on_cotensor(z)
+    extension = complete_basis_extension(
+        mult, cotensor(carrier, carrier, t_max), s_max, f)
+    assert extension.equals(mult, f)
+
+
+def test_pair_classes_refuses_a_word_outside_the_normalized_terms():
+    D = exterior_coalgebra([3], GF(2))
+    cs = st.CircleStructure(D, 2, 9)
+    # the coaugmentation in slot 1 makes ("x3", "1") degenerate, so it is
+    # no word of the normalized level-1 term, although (1, 3) has a class
+    assert cs.H.dim(1, 3) == 1
+    with pytest.raises(linalg.NoSolution):
+        cs.pair_classes({(("x3", "1"), ("x3",)): cs.field.one})
 
 
 def test_carrier_comodule_satisfies_the_comodule_axioms():
