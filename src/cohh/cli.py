@@ -126,8 +126,10 @@ def build_coalgebra(spec: dict, field: FieldSpec,
         degrees = parse_degrees(spec.get("degrees"))
         if not degrees:
             raise ParseError("polynomial coalgebra needs degrees")
+        # no command reads a degree above t_max
         return polynomial_coalgebra(
-            degrees, field, truncation=t_max if trunc is None else trunc)
+            degrees, field,
+            truncation=t_max if trunc is None else min(trunc, t_max))
     if kind == "tensor":
         factors = spec.get("factors")
         if not isinstance(factors, list) or not all(

@@ -21,8 +21,10 @@ from .coalgebra import (
     GradedCoalgebra,
     ValidationReport,
 )
+from .complexes import CochainComplex, HomologyTable
 from .fields import FieldSpec
 from .graded import GradedMap, GradedSpace, add_term, sub_sums
+from .linalg import Matrix
 
 
 class Comodule:
@@ -331,36 +333,15 @@ class CotorTable:
 
 
 def cobar_cotor(M: Comodule, N: Comodule, s_max: int, t_max: int) -> CotorTable:
-    """Cotor_D^{s,t}(M, N) for 0 <= s <= s_max, t <= t_max, by the
-    reduced cobar complex.
-
-    Only ranks are needed: dim = dim C^s_t - rank d^s_t - rank d^(s-1)_t,
-    with each block's rank computed once and reused at level s + 1, after
-    checking d^s_t d^(s-1)_t = 0.
-    """
-    f = M.field
+    """Cotor_D^{s,t}(M, N) for 0 <= s <= s_max, t <= t_max: the dims of
+    the homology table of the reduced cobar complex, read off ranks."""
     bound = min(M.complete_through(), N.complete_through(), t_max)
-    spaces = []
-    for s in range(s_max + 2):
-        spaces.append(GradedSpace(cobar_level_space(M, N, s, bound)))
+    spaces = [GradedSpace(cobar_level_space(M, N, s, bound))
+              for s in range(s_max + 2)]
     diffs = [cobar_differential(M, N, s, spaces[s], spaces[s + 1])
              for s in range(s_max + 1)]
-    dims = {}
-    prev: dict = {}  # t -> (d^(s-1)_t, its rank)
-    for s in range(s_max + 1):
-        cur = {}
-        for t in range(bound + 1):
-            d_out = diffs[s].matrix(t)
-            rank_out = linalg.rank(d_out, f)
-            d_in, rank_in = prev.get(t, (None, 0))
-            if d_in is not None:
-                linalg.check_composite_zero(d_out, d_in, f)
-            cur[t] = (d_out, rank_out)
-            dim = spaces[s].dim(t) - rank_out - rank_in
-            if dim:
-                dims[(s, t)] = dim
-        prev = cur
-    return CotorTable(dims, s_max, bound, bound)
+    table = HomologyTable(CochainComplex(M.field, spaces, diffs), s_max, bound)
+    return CotorTable(table.dims(), s_max, bound, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +525,11 @@ def _counit_kernel(box: BoxStructure, t: int):
 
 def _unit_image_rows(box: BoxStructure, t: int):
     """Echelonized rows spanning im(unit) in degree t, as index vectors."""
-    f = box.field
     E = box.carrier.space
-    rows = []
-    for c in box.base.space.labels(t):
-        col = box.unit.column(c)
-        if col:
-            rows.append({E.index(lbl): v for lbl, v in col.items()})
-    return linalg._rref_sparse(rows, f)
+    cols = [{E.index(lbl): v for lbl, v in box.unit.column(c).items()}
+            for c in box.base.space.labels(t)]
+    return linalg.rref(Matrix.from_columns(cols, E.dim(t)).transpose(),
+                       box.field)
 
 
 def _q_reduce(label, unit_image, box: BoxStructure, f):
@@ -591,23 +569,16 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
             img.update({("r", a, d): v
                         for d, v in box.counit.column(b).items()})
             images[(a, b)] = img
-        image_rows = []
-        for pair_sum in linalg.kernel_of(images, f):
-            img = box.mult.apply(pair_sum, f)
-            if img:
-                image_rows.append({E.index(l): v for l, v in img.items()})
-        img_ech = linalg._rref_sparse(image_rows, f)
-        labels = E.labels(t)
-        reps = []
-        for vec in ie:
-            red = linalg.reduce_mod_span(
-                {E.index(l): v for l, v in vec.items()}, *img_ech, f)
-            if red:
-                reps.append(red)
-        reps_ech, _ = linalg._rref_sparse(reps, f)
-        if reps_ech:
-            out[t] = (len(reps_ech),
-                      [{labels[i]: v for i, v in r.items()} for r in reps_ech])
+        products = Matrix.from_columns(
+            [{E.index(l): v for l, v in box.mult.apply(pair_sum, f).items()}
+             for pair_sum in linalg.kernel_of(images, f)], E.dim(t))
+        dim, reps, _ = linalg.classes_mod_boundaries(
+            [{E.index(l): v for l, v in vec.items()} for vec in ie],
+            products, f)
+        if dim:
+            labels = E.labels(t)
+            out[t] = (dim, [{labels[i]: v for i, v in r.items()}
+                            for r in reps])
     return out
 
 

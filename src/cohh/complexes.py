@@ -17,14 +17,14 @@ filtered out of the ambient levels, and its differential reaches a slot
 that one codegeneracy deletes alone only through the reduced
 comultiplication.
 
-Homology tables read dims off ranks.  A bidegree's class representatives
-and the RREF of its boundaries are built on demand, the first time a
-representative or class coordinates are asked for, from the RREF of
-d_out kept from the rank and one elimination of d_in.  The
-representatives are RREF rows already reduced modulo the boundaries, so
-their pivots avoid the boundary pivots: reducing a vector modulo the
-boundary rows and reading its entry at the pivot of each representative
-gives its class coordinates, with no solve.  That map is linear, kills
+Homology tables read dims off ranks and keep no RREF.  A bidegree's
+class representatives and the RREF of its boundaries are built on
+demand by linalg.homology_reps, the first time a representative or
+class coordinates are asked for.  The representatives are RREF rows
+already reduced modulo the boundaries, so their pivots avoid the
+boundary pivots: reducing a vector modulo the boundary rows and reading
+its entry at the pivot of each representative gives its class
+coordinates, with no solve.  That map is linear, kills
 every boundary and fixes every representative, so it is a chain
 retraction onto the homology with zero differential; two such
 retractions differ by h o d, so they agree on every cocycle.
@@ -265,7 +265,7 @@ class CochainComplex:
     field: FieldSpec
     terms: list          # GradedSpace per s
     diff: list           # GradedMap terms[s] -> terms[s+1]
-    ambient: CosimplicialModule
+    ambient: CosimplicialModule = None
 
     @property
     def s_max(self) -> int:
@@ -313,9 +313,6 @@ def unnormalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
 @dataclass
 class Bidegree:
     dim: int
-    # rref(d_out): its rows and pivots, kept until the representatives
-    # are built from them
-    out_echelon: tuple = None
     # RREF rows (sparse index vectors in term coordinates) spanning
     # ker d_out / im d_in, reduced modulo the boundaries: rep k has its
     # pivot min(rep) outside the boundary pivots; None until built
@@ -330,9 +327,9 @@ class HomologyTable:
     Classes are labelled ("h", s, t, k).  class_coords projects a
     cocycle (a formal sum on terms[s] labels) to its homology class.
 
-    dim = n - rank d_out - rank d_in, one rref(d_out) per block, reused
-    at s + 1, after checking d_out d_in = 0; representatives are built
-    on first use (see the module docstring).
+    dim = n - rank d_out - rank d_in, one rank per block, reused at
+    s + 1, after checking d_out d_in = 0; representatives are built on
+    first use (see the module docstring).
     """
 
     def __init__(self, cc: CochainComplex, s_max: int, t_max: int):
@@ -353,13 +350,12 @@ class HomologyTable:
                     continue
                 n = term.dim(t)
                 d_out = cc.diff[s].matrix(t)
-                echelon = linalg.rref(d_out, f)
-                rank_out = len(echelon[0])
+                rank_out = linalg.rank(d_out, f)
                 d_in, rank_in = prev.get(t, (Matrix(n, 0), 0))
                 linalg.check_composite_zero(d_out, d_in, f)
                 cur[t] = (d_out, rank_out)
                 dim = n - rank_out - rank_in
-                self.data[(s, t)] = Bidegree(dim, echelon)
+                self.data[(s, t)] = Bidegree(dim)
                 for k in range(dim):
                     self.classes.add(("h", s, t, k), t)
                     self.class_filtration[("h", s, t, k)] = s
@@ -373,16 +369,14 @@ class HomologyTable:
             cc, f = self.complex, self.field
             n = cc.terms[s].dim(t)
             d_in = cc.diff[s - 1].matrix(t) if s else Matrix(n, 0)
-            cycles = linalg.kernel_of_echelon(*bd.out_echelon, n, f)
-            dim, reps, bnd_rows = linalg.classes_mod_boundaries(
-                cycles, d_in, f)
+            dim, reps, bnd_rows = linalg.homology_reps(
+                cc.diff[s].matrix(t), d_in, f)
             if dim != bd.dim:
                 raise AssertionError(
                     f"bidegree ({s}, {t}): {dim} representatives for "
                     f"dimension {bd.dim}")
             bd.rep_vectors = reps
             bd.boundary = (bnd_rows, [min(row) for row in bnd_rows])
-            bd.out_echelon = None
         return bd
 
     def dim(self, s: int, t: int) -> int:

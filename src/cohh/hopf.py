@@ -105,24 +105,6 @@ def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None,
     return linalg.kernel_of(images, box.field)
 
 
-def _apply_mult(box: BoxStructure, terms: dict) -> dict:
-    f = box.field
-    out: dict = {}
-    for pr, c in terms.items():
-        for h, v in box.mult.column(pr).items():
-            add_term(out, h, f.mul(c, v), f)
-    return out
-
-
-def _apply_comult(box: BoxStructure, terms: dict) -> dict:
-    f = box.field
-    out: dict = {}
-    for h, c in terms.items():
-        for pr, v in box.comult.column(h).items():
-            add_term(out, pr, f.mul(c, v), f)
-    return out
-
-
 def check_box_coalgebra(box: BoxStructure, max_degree=None,
                         s_of=_default_s_of) -> StructureReport:
     """Coassociativity, counit laws against the coactions, and the
@@ -200,7 +182,8 @@ def check_box_algebra(box: BoxStructure, max_degree=None, s_max=None,
                     add_term(first, (m, c), f.mul(v, w), f)
                 for m, w in box.mult.column((b, c)).items():
                     add_term(second, (a, m), f.mul(v, w), f)
-            if sub_sums(_apply_mult(box, first), _apply_mult(box, second), f):
+            if sub_sums(box.mult.apply(first, f),
+                        box.mult.apply(second, f), f):
                 bad.append(t)
                 break
     report.checks.append(AxiomCheck(
@@ -233,20 +216,11 @@ def check_box_algebra(box: BoxStructure, max_degree=None, s_max=None,
 
     bad = [d for d in D.space.degree_of
            if D.degree(d) <= bound and sub_sums(
-               _apply_counit(box, box.unit.column(d)), {d: f.one}, f)]
+               box.counit.apply(box.unit.column(d), f), {d: f.one}, f)]
     report.checks.append(AxiomCheck(
         "counit of the unit is the identity of the base", not bad,
         f"first failure at {bad[0]!r}" if bad else ""))
     return report
-
-
-def _apply_counit(box: BoxStructure, terms: dict) -> dict:
-    f = box.field
-    out: dict = {}
-    for h, c in terms.items():
-        for d, v in box.counit.column(h).items():
-            add_term(out, d, f.mul(c, v), f)
-    return out
 
 
 def _diagonal_coords(D, vec: dict, degree: int) -> dict:
@@ -280,7 +254,7 @@ def check_box_bialgebra(box: BoxStructure, max_degree=None, s_max=None,
     bad = []
     for t in range(bound + 1):
         for vec in _pair_cotensor_basis(box, t, s_max, s_of):
-            lhs = _apply_comult(box, _apply_mult(box, vec))
+            lhs = box.comult.apply(box.mult.apply(vec, f), f)
             rhs: dict = {}
             for (a, b), c in vec.items():
                 for (a1, a2), va in box.comult.column(a).items():
@@ -307,7 +281,7 @@ def check_box_bialgebra(box: BoxStructure, max_degree=None, s_max=None,
     bad = []
     for t in range(bound + 1):
         for vec in _pair_cotensor_basis(box, t, s_max, s_of):
-            lhs = _apply_counit(box, _apply_mult(box, vec))
+            lhs = box.counit.apply(box.mult.apply(vec, f), f)
             dd: dict = {}
             for (a, b), c in vec.items():
                 for d1, v1 in box.counit.column(a).items():
@@ -330,7 +304,7 @@ def check_box_bialgebra(box: BoxStructure, max_degree=None, s_max=None,
     for d in D.space.degree_of:
         if D.degree(d) > bound:
             continue
-        lhs = _apply_comult(box, box.unit.column(d))
+        lhs = box.comult.apply(box.unit.column(d), f)
         rhs: dict = {}
         for (d1, d2), v in D.comult_of(d).items():
             for u1, w1 in box.unit.column(d1).items():
@@ -345,7 +319,7 @@ def check_box_bialgebra(box: BoxStructure, max_degree=None, s_max=None,
     # 4: counit splits the unit
     bad = [d for d in D.space.degree_of
            if D.degree(d) <= bound and sub_sums(
-               _apply_counit(box, box.unit.column(d)), {d: f.one}, f)]
+               box.counit.apply(box.unit.column(d), f), {d: f.one}, f)]
     report.checks.append(AxiomCheck(
         "counit after unit is the identity", not bad,
         f"first failure at {bad[0]!r}" if bad else ""))
@@ -361,7 +335,7 @@ def check_antipode(box: BoxStructure, max_degree=None,
     bad_l = []
     bad_r = []
     for l in _labels_within(box, bound):
-        target = _apply_unit(box, box.counit.column(l))
+        target = box.unit.apply(box.counit.column(l), f)
         lhs: dict = {}
         rhs: dict = {}
         for (a, b), c in box.comult.column(l).items():
@@ -384,15 +358,6 @@ def check_antipode(box: BoxStructure, max_degree=None,
     return report
 
 
-def _apply_unit(box: BoxStructure, terms: dict) -> dict:
-    f = box.field
-    out: dict = {}
-    for d, c in terms.items():
-        for h, v in box.unit.column(d).items():
-            add_term(out, h, f.mul(c, v), f)
-    return out
-
-
 def check_leibniz(box: BoxStructure, diff, max_degree=None, s_max=None,
                   s_of=_default_s_of) -> StructureReport:
     """diff is a map on carrier labels (label -> formal sum); checks
@@ -404,7 +369,7 @@ def check_leibniz(box: BoxStructure, diff, max_degree=None, s_max=None,
     for t in range(bound + 1):
         for vec in _pair_cotensor_basis(box, t, s_max, s_of):
             lhs: dict = {}
-            for h, c in _apply_mult(box, vec).items():
+            for h, c in box.mult.apply(vec, f).items():
                 for h2, v in diff(h).items():
                     add_term(lhs, h2, f.mul(c, v), f)
             rhs: dict = {}

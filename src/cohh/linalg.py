@@ -18,9 +18,9 @@ the tests.
 A linear map given as formal sums on arbitrary hashable keys, one sum
 per source key, becomes a Matrix through keyed_matrix, which numbers the
 target keys in the order they first appear.  kernel_of and keyed_solve
-work on such maps and relabel their answers, so every cotensor,
-equalizer, primitive space and counit kernel in the package is a
-kernel_of call and no caller builds its own row index.  A kernel
+work on such maps and relabel their answers, so every comodule
+cotensor, equalizer, primitive space and counit kernel in the package
+is a kernel_of call and no caller builds its own row index.  A kernel
 depends only on the order of the source keys (the columns), never on
 the row numbering, since an RREF is determined by its row space.
 """
@@ -217,7 +217,16 @@ def rank(m: Matrix, field: FieldSpec) -> int:
 
 def kernel_basis(m: Matrix, field: FieldSpec):
     """Canonical basis of ker(m) (vectors on column indices), from RREF."""
-    return kernel_of_echelon(*rref(m, field), m.ncols, field)
+    rows, pivots = rref(m, field)
+    pivot_set = set(pivots)
+    vecs = {j: {j: field.one} for j in range(m.ncols) if j not in pivot_set}
+    # one pass over the rows: a non-pivot entry (f, v) of the row with
+    # pivot pc puts -v at pc in free column f's vector
+    for row, pc in zip(rows, pivots):
+        for f, v in row.items():
+            if f != pc:
+                vecs[f][pc] = field.neg(v)
+    return list(vecs.values())
 
 
 def keyed_matrix(columns) -> Matrix:
@@ -236,19 +245,6 @@ def kernel_of(images: dict, field: FieldSpec):
     keys = list(images)
     return [{keys[j]: v for j, v in vec.items()}
             for vec in kernel_basis(keyed_matrix(images.values()), field)]
-
-
-def kernel_of_echelon(rows, pivots, ncols: int, field: FieldSpec):
-    """kernel_basis of an ncols-column matrix whose RREF is (rows, pivots)."""
-    pivot_set = set(pivots)
-    vecs = {j: {j: field.one} for j in range(ncols) if j not in pivot_set}
-    # one pass over the rows: a non-pivot entry (f, v) of the row with
-    # pivot pc puts -v at pc in free column f's vector
-    for row, pc in zip(rows, pivots):
-        for f, v in row.items():
-            if f != pc:
-                vecs[f][pc] = field.neg(v)
-    return list(vecs.values())
 
 
 class NoSolution(Exception):

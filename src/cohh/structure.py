@@ -26,7 +26,7 @@ from .complexes import (
     # unused here; perfbench's tracer test asserts this binding is wrapped
     induced_operator,
 )
-from .graded import GradedMap, add_term, tensor_space
+from .graded import GradedMap, add_term, sub_sums, tensor_space
 from .linalg import Matrix
 from .simplicial import (
     collapse_double_edge,
@@ -296,103 +296,109 @@ class CircleStructure:
 
 
 class CotensorComplex:
-    """The total cotensor subcomplex of N* (x) N* with its homology and
-    the Kuenneth identification."""
+    """The total cotensor subcomplex Tot(N box_D N) of the normalized
+    circle cochains in closed form, with its homology.
+
+    The left coaction of a circle cochain is Delta on slot 0, so
+    N^v = D (x) Dbar^(x)v is a cofree left comodule and
+    N^u box_D N^v = N^u (x) Dbar^(x)v (Doi, "Homological coalgebra",
+    1981; Hess-Parent-Scott, JPAA 2009).  The (n, t) coordinates are the
+    pairs (wa, tail): wa a word of N^u, tail a word of N^(n-u) whose
+    slot 0 holds the coaugmentation, with that slot dropped.  Nothing is
+    eliminated.  phi sends (wa, tail) to (rho_r (x) id)(wa (x) tail),
+    which is equalized because rho_r is coassociative; psi sends a pair
+    (wa, wb) to counit(wb[0]) (wa, wb[1:]).  psi phi = id by the counit
+    law, so the differential in coordinates is psi D phi, with D the
+    total differential on word pairs.
+    """
 
     def __init__(self, cs: CircleStructure):
         self.cs = cs
         f = cs.field
         H = cs.H
-        cc = H.complex
+        coaug = cs.D.coaug
         self.f = f
-        self.basis: dict = {}       # (n, t) -> (pairs, kernel on positions)
+        self.basis: dict = {}       # (n, t) -> coordinates (wa, tail)
         self.reps: dict = {}        # (n, t) -> homology reps (index vectors)
         self.dims: dict = {}
+        # tails[v][t]: words of terms[v] in degree t with the
+        # coaugmentation in slot 0, that slot dropped
+        self._tails = [{t: [w[1:] for w in term.labels(t) if w[0] == coaug]
+                        for t in term.degrees()}
+                       for term in H.complex.terms]
 
-        s_max, t_max = H.s_max, H.t_max
-        for n in range(s_max + 2):
-            for t in range(t_max + 1):
-                pairs = []
-                for u in range(n + 1):
-                    v = n - u
-                    if v > s_max + 1:
-                        continue
-                    for ta in cc.terms[u].degrees():
-                        tb = t - ta
-                        for la in cc.terms[u].labels(ta):
-                            for lb in cc.terms[v].labels(tb):
-                                pairs.append((la, lb))
-                if pairs:
-                    self.basis[(n, t)] = (pairs, linalg.kernel_of(
-                        {j: cs.defect({p: f.one})
-                         for j, p in enumerate(pairs)}, f))
+        # t outside, n inside: each block's differential is built once,
+        # as d_out here and d_in at n + 1
+        for t in range(H.t_max + 1):
+            cur = self._block(0, t)
+            d_in = Matrix(len(cur), 0)
+            for n in range(H.s_max + 1):
+                nxt = self._block(n + 1, t)
+                d_out = self._diff_matrix(cur, nxt)
+                if cur:
+                    dim, reps, _ = linalg.homology_reps(d_out, d_in, f)
+                    if dim:
+                        self.reps[(n, t)] = reps
+                        self.dims[(n, t)] = dim
+                d_in, cur = d_out, nxt
 
-        # restricted total differential and homology
-        for n in range(s_max + 1):
-            for t in range(t_max + 1):
-                cur = self.basis.get((n, t))
-                if cur is None:
-                    continue
-                d_out = self._diff_matrix(n, t)
-                d_in = (self._diff_matrix(n - 1, t)
-                        if (n - 1, t) in self.basis else
-                        Matrix(len(cur[1]), 0))
-                dim, reps, _ = linalg.homology_reps(d_out, d_in, f)
-                if dim:
-                    self.reps[(n, t)] = reps
-                    self.dims[(n, t)] = dim
+    def _block(self, n, t) -> list:
+        """The (n, t) coordinates, kept in basis when there are any."""
+        terms = self.cs.H.complex.terms
+        coords = [(wa, tail)
+                  for u in range(n + 1) for ta in terms[u].degrees()
+                  for tail in self._tails[n - u].get(t - ta, ())
+                  for wa in terms[u].labels(ta)]
+        if coords:
+            self.basis[(n, t)] = coords
+        return coords
+
+    def _phi(self, coord) -> dict:
+        wa, tail = coord
+        return {(wa2, (d,) + tail): v for (wa2, d), v
+                in cochain_right_coaction(self.cs.D, wa).items()}
 
     def _pair_vec(self, n, t, kvec):
-        pairs, kern = self.basis[(n, t)]
+        """phi of a vector on the (n, t) coordinates."""
+        f = self.f
+        coords = self.basis[(n, t)]
         out: dict = {}
         for j, c in kvec.items():
-            for pj, v in kern[j].items():
-                add_term(out, pairs[pj], self.f.mul(c, v), self.f)
+            for pr, v in self._phi(coords[j]).items():
+                add_term(out, pr, f.mul(c, v), f)
         return out
 
-    def _diff_matrix(self, n, t) -> Matrix:
-        """Total differential from the (n, t) kernel basis to the
-        (n+1, t) kernel basis coordinates."""
+    def _diff_matrix(self, cur, nxt) -> Matrix:
+        """psi D phi from the coordinates cur to the coordinates nxt."""
         f = self.f
         cc = self.cs.H.complex
-        cur = self.basis.get((n, t))
-        nxt = self.basis.get((n + 1, t))
-        if cur is None:
-            return Matrix(0, 0)
-        pairs, kern = cur
-        if nxt is None:
-            return Matrix(0, len(kern))
-        npairs, nkern = nxt
-        npair_idx = {p: i for i, p in enumerate(npairs)}
-        # kernel_basis vector i is 1 at its free column max(k), where no
-        # other vector has an entry: coordinates are read off there
-        free = {max(k): i for i, k in enumerate(nkern)}
-        m = Matrix(len(nkern), len(kern))
-        for j, k in enumerate(kern):
+        D = self.cs.D
+        index = {x: i for i, x in enumerate(nxt)}
+        m = Matrix(len(nxt), len(cur))
+        for j, x in enumerate(cur):
             img: dict = {}
-            for pj, c in k.items():
-                la, lb = pairs[pj]
+            for (la, lb), c in self._phi(x).items():
                 u = word_level(la)
                 for la2, v in cc.diff[u].column(la).items():
                     add_term(img, (la2, lb), f.mul(c, v), f)
                 sgn = f.coerce((-1) ** u)
                 for lb2, v in cc.diff[word_level(lb)].column(lb).items():
                     add_term(img, (la, lb2), f.mul(f.mul(c, sgn), v), f)
-            tvec = {}
-            for p, v in img.items():
-                if p not in npair_idx:
-                    if v:
-                        raise AssertionError("differential left pair range")
-                    continue
-                tvec[npair_idx[p]] = v
-            rebuilt: dict = {}
-            for pj, c in tvec.items():
-                i = free.get(pj)
-                if i is not None:
-                    m.entries[(i, j)] = c
-                    for pk, v in nkern[i].items():
-                        add_term(rebuilt, pk, f.mul(c, v), f)
-            if rebuilt != tvec:
+            col: dict = {}
+            for (la, lb), v in img.items():
+                e = D.counit_of(lb[0])
+                if e:
+                    i = index.get((la, lb[1:]))
+                    if i is None:
+                        raise AssertionError(
+                            "differential left the next coordinate block")
+                    add_term(col, i, f.mul(v, e), f)
+            back: dict = {}
+            for i, c in col.items():
+                m.entries[(i, j)] = c
+                for pr, v in self._phi(nxt[i]).items():
+                    add_term(back, pr, f.mul(c, v), f)
+            if sub_sums(back, img, f):
                 raise AssertionError("differential left the cotensor")
         return m
 

@@ -276,6 +276,28 @@ def test_validate_command(capsys):
     assert "ok: True" in out
 
 
+def test_polynomial_coalgebra_is_built_through_t_max(monkeypatch, capsys):
+    built = []
+    real = cli.polynomial_coalgebra
+
+    def recording(degrees, field, truncation):
+        built.append(truncation)
+        return real(degrees, field, truncation=truncation)
+
+    monkeypatch.setattr(cli, "polynomial_coalgebra", recording)
+    outs = []
+    for trunc in ("60", "2"):
+        status, out, _ = run_cli(
+            ["cotor", "--kind", "polynomial", "--degrees", "2",
+             "--trunc", trunc, "--max-s", "0", "--max-t", "2",
+             "--format", "json"], capsys)
+        assert status == 0
+        outs.append(out)
+    # no command reads a degree above t_max, so none is built
+    assert built == [2, 2]
+    assert outs[0] == outs[1]
+
+
 def test_audit_command(capsys):
     status, out, _ = run_cli(
         ["audit", "--kind", "exterior", "--degrees", "3", "--field", "3",

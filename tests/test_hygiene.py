@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module of
-the package imports at module level is used in that module, and every
-private top-level name of the package is referenced somewhere."""
+the package imports at module level is used in that module, every
+private top-level name of the package is referenced somewhere, and no
+module but linalg reads a private linalg name."""
 
 import ast
 import re
@@ -92,3 +93,41 @@ def test_checker_flags_an_unreferenced_private_name(tmp_path):
     other.write_text('TARGETS = [("mod", "_LIMIT")]\n_dead_too = 1\n')
     assert unreferenced_private_names(path, [path, other]) == [
         ("mod", "_dead", 1)]
+
+
+def private_linalg_reads(path: Path):
+    """(module, name, line) for each private linalg._name that path
+    reads, as an attribute of linalg or through a from-import."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "linalg"):
+            names = [node.attr]
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "linalg"):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        hits += [(path.stem, name, node.lineno) for name in names
+                 if name.startswith("_") and not name.startswith("__")]
+    return sorted(hits, key=lambda hit: hit[2])
+
+
+def test_no_module_but_linalg_reads_a_private_linalg_name():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             if path.stem != "linalg" for hit in private_linalg_reads(path)]
+    assert found == [], ("private linalg names read (module, name, "
+                         "line): " + repr(found))
+
+
+def test_checker_flags_a_private_linalg_read(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import linalg\n"
+                    "from .linalg import _rows_of, rank\n"
+                    "def f(m):\n"
+                    "    return linalg._rref_sparse(m), linalg.rank(m), "
+                    "linalg.__doc__\n")
+    assert private_linalg_reads(path) == [("mod", "_rows_of", 2),
+                                          ("mod", "_rref_sparse", 4)]

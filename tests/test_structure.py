@@ -336,6 +336,42 @@ def test_multiplication_is_the_complete_basis_extension(degrees, field,
     assert extension.equals(mult, f)
 
 
+@pytest.mark.parametrize("degrees, field, s_max, t_max", [
+    ([3, 5], GF(3), 3, 16), ([3, 5], QQ, 3, 16), ([3], GF(2), 4, 16),
+    (None, GF(3), 3, 12)])
+def test_cotensor_coordinates_span_the_equalizer(degrees, field, s_max,
+                                                 t_max):
+    # None stands for Lambda(x_3) (x) k[w_4] truncated at 12
+    D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
+        exterior_coalgebra([3], field),
+        polynomial_coalgebra([4], field, truncation=12)))
+    cs = st.CircleStructure(D, s_max, t_max)
+    ct = st.CotensorComplex(cs)
+    terms = cs.H.complex.terms
+    blocks = 0
+    for n in range(s_max + 2):
+        for t in range(t_max + 1):
+            # the elimination the closed form replaces: the kernel of
+            # rho_r (x) id - id (x) rho_l over every word pair
+            pairs = [(wa, wb) for u in range(n + 1)
+                     for wa, ta in terms[u].degree_of.items()
+                     for wb in terms[n - u].labels(t - ta)]
+            kernel = linalg.kernel_of(
+                {p: cs.defect({p: field.one}) for p in pairs}, field)
+            images = [ct._pair_vec(n, t, {j: field.one})
+                      for j in range(len(ct.basis.get((n, t), ())))]
+            assert len(images) == len(kernel), (n, t)
+            if images:
+                # independent, and together with the kernel of rank no
+                # more than the kernel's: the same subspace
+                assert linalg.rank(linalg.keyed_matrix(images),
+                                   field) == len(images), (n, t)
+                assert linalg.rank(linalg.keyed_matrix(images + kernel),
+                                   field) == len(kernel), (n, t)
+                blocks += 1
+    assert blocks > 10, blocks
+
+
 def test_pair_classes_refuses_a_word_outside_the_normalized_terms():
     D = exterior_coalgebra([3], GF(2))
     cs = st.CircleStructure(D, 2, 9)
