@@ -3,10 +3,12 @@ their normalized cochain complexes, and homology with representatives.
 
 The single induced-map engine: a function f: A -> B between finite
 ordered sets induces D^{(x) B} -> D^{(x) A} by applying the |fiber|-fold
-comultiplication to each tensor factor (counit for empty fibers) and
-then permuting the output into A-order with Koszul signs.  Cofaces,
-codegeneracies, and the maps induced by simplicial maps are all
-instances.  _word_image computes the image of one word;
+comultiplication to each tensor factor and then permuting the output
+into A-order with Koszul signs.  A fiber of size 0 is the counit and a
+fiber of size 1 passes its label through, so only a fiber of size >= 2
+expands: a shuffle map or codegeneracy expands none, a circle coface
+one.  Cofaces, codegeneracies, and the maps induced by simplicial maps
+are all instances.  _word_image computes the image of one word;
 induced_operator collects those images as matrix columns and
 induced_apply applies them to one vector.
 
@@ -45,49 +47,81 @@ def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None,
     """The per-word image of the map D^{(x) b_list} -> D^{(x) a_list}
     induced by f: A -> B, as a function word -> formal sum of words.
 
-    The fibers of f, and so the permutation into A-order and the pairs
-    of factors it swaps, are computed once, here.  When keep is given,
-    image words not in it are dropped.  The A-slots in nonunit (indices
-    into a_list) take no coaugmentation factor: a partial product is
-    dropped as soon as one of them would, which on a fiber of size 1 or
-    2 is the reduced comultiplication.  Every image word dropped that
-    way must be outside keep, so the result is unchanged.
+    The fibers of f are told apart by size once, here.  A fiber of
+    size 0 is a counit factor, a fiber of size 1 passes its label
+    through, and only a fiber of size >= 2 expands, through
+    iterated_comult.  Each output label is read at a fixed index into
+    the word followed by the expanded legs, and the Koszul sign comes
+    from the pairs of those indices that the permutation into A-order
+    swaps.  Terms come in the product order over the expanded fibers,
+    the order a slot-by-slot expansion gives.  When keep is given, image
+    words not in it are dropped.  The A-slots in nonunit (indices into
+    a_list) take no coaugmentation factor: the image is empty when a
+    fiber of size 1 passes the coaugmentation to one of them, and a
+    larger fiber holding one expands each label once, here, with those
+    terms left out, which on a fiber of size 2 is the reduced
+    comultiplication.  Every image word dropped that way must be
+    outside keep, so the result is unchanged.
     """
     f = D.field
+    deg = D.space.degree_of
+    counit = D.counit
+    coaug = D.coaug
     b_index = {b: k for k, b in enumerate(b_list)}
     fibers = [[] for _ in b_list]
     for ai, a in enumerate(a_list):
         fibers[b_index[fmap(a)]].append(ai)
-    sizes = [len(fiber) for fiber in fibers]
-    # factors come out fiber by fiber; order[u] is the A-slot of factor u
+    counits, checked, big = [], [], []
+    # src[ai]: the index of A-slot ai's label in word + expanded legs
+    src = [0] * len(a_list)
+    legs = len(b_list)
+    for b, fiber in enumerate(fibers):
+        if not fiber:
+            counits.append(b)
+        elif len(fiber) == 1:
+            src[fiber[0]] = b
+            if fiber[0] in nonunit:
+                checked.append(b)
+        else:
+            for o, ai in enumerate(fiber):
+                src[ai] = legs + o
+            legs += len(fiber)
+            held = [o for o, ai in enumerate(fiber) if ai in nonunit]
+            big.append((b, len(fiber), {
+                x: [(tup, v) for tup, v in
+                    D.iterated_comult(x, len(fiber)).items()
+                    if all(tup[o] != coaug for o in held)]
+                for x in deg} if held else None))
+    # factors come out fiber by fiber; these pairs of them change order
     order = [ai for fiber in fibers for ai in fiber]
-    perm = sorted(range(len(order)), key=order.__getitem__)
-    swaps = [(u, v) for u in range(len(order))
+    swaps = [(src[order[u]], src[order[v]]) for u in range(len(order))
              for v in range(u + 1, len(order)) if order[u] > order[v]]
-    # a fiber holding nonunit slots expands each label once, here, with
-    # the terms that put the coaugmentation in one of those slots left out
-    reduced = []
-    for fiber in fibers:
-        held = [o for o, ai in enumerate(fiber) if ai in nonunit]
-        reduced.append({x: [(tup, v) for tup, v in
-                            D.iterated_comult(x, len(fiber)).items()
-                            if all(tup[o] != D.coaug for o in held)]
-                        for x in D.space.degree_of} if held else None)
 
     def image(word) -> dict:
         out: dict = {}
-        partial = [((), f.one)]
-        for x, k, red in zip(word, sizes, reduced):
-            exp = D.iterated_comult(x, k).items() if red is None else red[x]
+        c0 = f.one
+        for b in counits:
+            e = counit.get(word[b])
+            if e is None:
+                return out
+            c0 = f.mul(c0, e)
+        for b in checked:
+            if word[b] == coaug:
+                return out
+        partial = [((), c0)]
+        for b, k, red in big:
+            exp = (D.iterated_comult(word[b], k).items() if red is None
+                   else red[word[b]])
             partial = [(seq + tup, f.mul(c, v))
                        for seq, c in partial for tup, v in exp]
             if not partial:
                 return out
         for seq, c in partial:
-            out_word = tuple(seq[i] for i in perm)
+            full = word + seq
+            out_word = tuple(full[i] for i in src)
             if keep is not None and out_word not in keep:
                 continue
-            sign = sum(D.degree(seq[u]) * D.degree(seq[v]) for u, v in swaps)
+            sign = sum(deg[full[i]] * deg[full[j]] for i, j in swaps)
             add_term(out, out_word, f.neg(c) if sign & 1 else c, f)
         return out
     return image

@@ -12,14 +12,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin with these bases is exact for every n < 3.18 * 10**23
+# (Sorenson and Webster, Math. Comp. 2017), so for every n < 2**64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_CHARACTERISTIC = 2**64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < MAX_CHARACTERISTIC."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -33,6 +51,8 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        if p >= MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic must be below 2**64, got {p}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
 

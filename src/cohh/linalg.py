@@ -27,9 +27,6 @@ the row numbering, since an RREF is determined by its row space.
 
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
 from .fields import FieldSpec
 
 
@@ -192,6 +189,10 @@ def _rref_fraction_dense(rows, ncols):
 
 
 def _rref_modp_dense(rows, ncols, p):
+    # numpy is imported here, so that importing the package never loads it
+    import numpy as np
+
+    from . import _kernels
     a = np.zeros((max(len(rows), 1), ncols), dtype=np.int64)
     for i, r in enumerate(rows):
         for j, v in r.items():

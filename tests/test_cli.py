@@ -126,6 +126,19 @@ def test_exit_codes(capsys):
         assert "error" in err
 
 
+def test_huge_prime_field_runs_and_64_bit_characteristic_is_refused(capsys):
+    status, out, _ = run_cli(
+        ["cohh", "--degrees", "3", "--field", str(2**61 - 1), "--max-s", "2",
+         "--max-t", "8", "--format", "json"], capsys)
+    assert status == 0
+    assert json.loads(out)["meta"]["field"] == f"F_{2**61 - 1}"
+    for argv in (["cohh", "--degrees", "3", "--field", str(2**64 + 13)],
+                 ["collapse", "--degrees", "3,5", "--prime", str(2**64 + 13)]):
+        status, _, err = run_cli(argv, capsys)
+        assert status == 1, argv
+        assert err.startswith("error:") and "2**64" in err
+
+
 def test_csv_format(capsys):
     status, out, _ = run_cli(
         ["cohh", "--kind", "exterior", "--degrees", "3", "--field", "2",
@@ -340,7 +353,9 @@ def test_rational_json_output_is_pinned(argv, digest, capsys):
      "ec54dd08176a04318fe68e528928b27e120f3cb0a63cb22e6e961a68893a836e"),
     ("audit --degrees 3 --field 2 --max-s 5 --max-t 18",
      "290e4d9c150182b06afbf918e5ae71796310399c223fb7cc840447e9cb582a37"),
-], ids=["cohh-exterior", "cohh-polynomial", "audit"])
+    ("audit --degrees 3,5 --field 3 --max-s 4 --max-t 20",
+     "9b890253d78add0c062bd4c949241c3eb7aff4d1709243a6deb07988b73229f9"),
+], ids=["cohh-exterior", "cohh-polynomial", "audit", "audit-two-generators"])
 def test_modular_json_output_is_pinned(argv, digest, capsys):
     # generated terms, cut-off cofaces and rank dims must print exactly
     # what the filtered terms and per-block representatives printed

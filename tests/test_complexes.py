@@ -1,18 +1,22 @@
 import itertools
+import random
 
 import pytest
 
 from cohh import linalg
 from cohh.coalgebra import (
+    GradedCoalgebra,
     exterior_coalgebra,
     polynomial_coalgebra,
     table_coalgebra,
     tensor_coalgebra,
     trivial_coalgebra,
+    validate,
 )
 from cohh.complexes import (
     CosimplicialModule,
     HomologyTable,
+    _word_image,
     cohh,
     compare_by_induced_map,
     normalized_complex,
@@ -181,6 +185,113 @@ def test_generated_terms_and_cut_off_cofaces_match_the_ambient_ones(
             want = {w: v for w, v in ambient.column(word).items()
                     if w in cc.terms[s + 1]}
             assert cc.diff[s].column(word) == want, (s, word)
+
+
+def partial_product_image(D, a_list, b_list, fmap, keep=None, nonunit=()):
+    """The oracle for _word_image: every slot expands through
+    iterated_comult (the counit on a fiber of size 0, the label itself
+    on a fiber of size 1) into a growing list of partial products,
+    whose factors are then permuted into A-order with Koszul signs."""
+    f = D.field
+    b_index = {b: k for k, b in enumerate(b_list)}
+    fibers = [[] for _ in b_list]
+    for ai, a in enumerate(a_list):
+        fibers[b_index[fmap(a)]].append(ai)
+    order = [ai for fiber in fibers for ai in fiber]
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    swaps = [(u, v) for u in range(len(order))
+             for v in range(u + 1, len(order)) if order[u] > order[v]]
+    held = [[o for o, ai in enumerate(fiber) if ai in nonunit]
+            for fiber in fibers]
+
+    def image(word):
+        out = {}
+        partial = [((), f.one)]
+        for x, fiber, hold in zip(word, fibers, held):
+            exp = [(tup, v) for tup, v in
+                   D.iterated_comult(x, len(fiber)).items()
+                   if all(tup[o] != D.coaug for o in hold)]
+            partial = [(seq + tup, f.mul(c, v))
+                       for seq, c in partial for tup, v in exp]
+        for seq, c in partial:
+            out_word = tuple(seq[i] for i in perm)
+            if keep is not None and out_word not in keep:
+                continue
+            sign = sum(D.degree(seq[u]) * D.degree(seq[v]) for u, v in swaps)
+            add_term(out, out_word, f.neg(c) if sign & 1 else c, f)
+        return out
+    return image
+
+
+def deconcatenation_coalgebra(f):
+    # the words in a (degree 3) and b (degree 4) of length <= 2 with
+    # letters in order, under deconcatenation: not cocommutative
+    return table_coalgebra(
+        f, [("1", 0), ("a", 3), ("b", 4), ("ab", 7)],
+        {"1": {("1", "1"): 1}, "a": {("1", "a"): 1, ("a", "1"): 1},
+         "b": {("1", "b"): 1, ("b", "1"): 1},
+         "ab": {("1", "ab"): 1, ("a", "b"): 1, ("ab", "1"): 1}},
+        {"1": 1})
+
+
+def scaled_grouplike_coalgebra(f):
+    # Delta g = 2 g (x) g and eps(g) = 2 over F_3, so 2g is grouplike:
+    # the one input whose counit factor is not 1
+    return GradedCoalgebra(
+        f, [("1", 0), ("g", 0), ("x", 3)],
+        {"1": {("1", "1"): 1}, "g": {("g", "g"): 2},
+         "x": {("1", "x"): 1, ("x", "1"): 1}},
+        {"1": 1, "g": 2})
+
+
+WORD_IMAGE_CASES = [
+    (name, build, field)
+    for name, build in [
+        ("Lambda(3,5)", lambda f: exterior_coalgebra([3, 5], f)),
+        ("Lambda(3)(x)k[w4]", lambda f: tensor_coalgebra(
+            exterior_coalgebra([3], f),
+            polynomial_coalgebra([4], f, truncation=12))),
+        ("deconcatenation", deconcatenation_coalgebra)]
+    for field in (GF(2), GF(3), QQ)
+] + [("2g grouplike", scaled_grouplike_coalgebra, GF(3))]
+
+
+@pytest.mark.parametrize(
+    "build, field", [case[1:] for case in WORD_IMAGE_CASES],
+    ids=[f"{case[0]}-{case[2]}" for case in WORD_IMAGE_CASES])
+def test_word_image_matches_the_partial_product_oracle(build, field):
+    D = build(field)
+    report = {c.name: c.passed for c in validate(D).checks}
+    assert report["coassociativity"] and report["counit law"]
+    rng = random.Random(f"{D.name}-{field}")
+    labels = sorted(D.space.degree_of)
+    # fiber sizes 0 to 3, with sizes >= 2 next to size 0 every time
+    shapes = [(2, 0, 1), (0, 3), (1, 1, 1), (3, 0, 2), (0, 0, 2)]
+    shapes += [tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+               for _ in range(5)]
+    for sizes in shapes:
+        slots = list(range(sum(sizes)))
+        rng.shuffle(slots)
+        owner = {}
+        for b, k in enumerate(sizes):
+            owner.update((a, f"b{b}") for a in slots[:k])
+            slots = slots[k:]
+        a_list = list(range(sum(sizes)))
+        b_list = [f"b{b}" for b in range(len(sizes))]
+        words = [w for w in itertools.product(labels, repeat=len(sizes))
+                 if sum(D.degree(x) for x in w) <= 12]
+        seen = sorted({w for word in words for w in partial_product_image(
+            D, a_list, b_list, owner.__getitem__)(word)})
+        keep = set(rng.sample(seen, len(seen) // 2))
+        nonunit = set(rng.sample(a_list, min(2, len(a_list))))
+        for kw in ({}, {"keep": keep}, {"nonunit": nonunit},
+                   {"keep": keep, "nonunit": nonunit}):
+            got = _word_image(D, a_list, b_list, owner.__getitem__, **kw)
+            want = partial_product_image(D, a_list, b_list,
+                                         owner.__getitem__, **kw)
+            for word in words:
+                assert list(got(word).items()) == list(want(word).items()), (
+                    sizes, owner, kw, word)
 
 
 def test_normalized_complex_needs_counit_on_the_coaugmentation_only():

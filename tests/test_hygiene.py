@@ -5,6 +5,8 @@ module but linalg reads a private linalg name."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cohh
@@ -131,3 +133,11 @@ def test_checker_flags_a_private_linalg_read(tmp_path):
                     "linalg.__doc__\n")
     assert private_linalg_reads(path) == [("mod", "_rows_of", 2),
                                           ("mod", "_rref_sparse", 4)]
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # numpy serves only the dense test oracle, imported where it runs
+    code = "import sys, cohh.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=SRC.parent)
+    assert out.stdout.strip() == "False"

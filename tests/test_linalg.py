@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohh import linalg
-from cohh.fields import GF, QQ, FieldSpec
+from cohh.fields import GF, QQ, FieldSpec, _is_prime
 from cohh.graded import add_term, sub_sums
 from cohh.linalg import Matrix, NoSolution
 
@@ -35,6 +37,34 @@ def brute_kernel(rows, ncols, p):
 def test_fieldspec_rejects_composite_characteristic():
     with pytest.raises(ValueError):
         FieldSpec(6)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert ([n for n in range(20000) if _is_prime(n)]
+            == [n for n in range(20000) if trial(n)])
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 41041,
+                               2147483647 * 2147483629])
+def test_is_prime_rejects_carmichael_numbers_and_semiprimes(n):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="prime"):
+        FieldSpec(n)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59])
+def test_huge_primes_are_accepted_at_once(p):
+    start = time.perf_counter()
+    assert GF(p).characteristic == p
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [2**64, 2**64 + 13, 2**89 - 1])
+def test_characteristic_of_64_bits_or_more_is_refused(n):
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        FieldSpec(n)
 
 
 def test_fieldspec_coerce_fraction_mod_p():
