@@ -19,7 +19,12 @@ filtered out of the ambient levels, and its differential reaches a slot
 that one codegeneracy deletes alone only through the reduced
 comultiplication.
 
-Homology tables read dims off ranks and keep no RREF.  A bidegree's
+Homology tables read dims off ranks and keep no RREF.  Walking s up,
+block (s, t) row-reduces the word-image columns of d_s less those whose
+index is a pivot (least index) of block (s - 1, t); its pivots count
+rank d_s.  A cleared j is the least index of some y in im d_{s-1} with
+d_s y = 0, so column j is a combination of columns of larger index and
+the rank is kept; the pivots depend on the row space alone.  A bidegree's
 class representatives and the RREF of its boundaries are built on
 demand by linalg.homology_reps, the first time a representative or
 class coordinates are asked for.  The representatives are RREF rows
@@ -301,14 +306,6 @@ class CochainComplex:
     diff: list           # GradedMap terms[s] -> terms[s+1]
     ambient: CosimplicialModule = None
 
-    @property
-    def s_max(self) -> int:
-        return len(self.diff) - 1
-
-    def dims(self):
-        return {s: {t: sp.dim(t) for t in sp.degrees()}
-                for s, sp in enumerate(self.terms)}
-
 
 def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
     """The intersection of the codegeneracy kernels, built directly.
@@ -361,9 +358,9 @@ class HomologyTable:
     Classes are labelled ("h", s, t, k).  class_coords projects a
     cocycle (a formal sum on terms[s] labels) to its homology class.
 
-    dim = n - rank d_out - rank d_in, one rank per block, reused at
-    s + 1, after checking d_out d_in = 0; representatives are built on
-    first use (see the module docstring).
+    dim = n - rank d_out - rank d_in, one cleared column reduction per
+    block, its pivots cleared at s + 1, after checking d_out d_in = 0;
+    representatives are built on first use (see the module docstring).
     """
 
     def __init__(self, cc: CochainComplex, s_max: int, t_max: int):
@@ -374,21 +371,25 @@ class HomologyTable:
         self.data: dict = {}
         self.classes = GradedSpace()
         self.class_filtration: dict = {}
-        f = cc.field
-        prev: dict = {}  # t -> (d_in, its rank)
+        prev: dict = {}  # t -> (d_in columns, pivots of their reduction)
         for s in range(s_max + 1):
-            term = cc.terms[s]
+            term, d = cc.terms[s], cc.diff[s]
             cur = {}
             for t in term.degrees():
                 if t > t_max:
                     continue
-                n = term.dim(t)
-                d_out = cc.diff[s].matrix(t)
-                rank_out = linalg.rank(d_out, f)
-                d_in, rank_in = prev.get(t, (Matrix(n, 0), 0))
-                linalg.check_composite_zero(d_out, d_in, f)
-                cur[t] = (d_out, rank_out)
-                dim = n - rank_out - rank_in
+                cols = {x: d.column(x) for x in term.labels(t)}
+                d_in, cleared = prev.get(t, ((), set()))
+                linalg.check_composite_zero(cols, d_in, self.field)
+                # d_s^T on target indices, the cleared rows left out
+                rows = [col for j, col in enumerate(cols.values())
+                        if j not in cleared]
+                m = Matrix(len(rows), d.target.dim(t), {
+                    (r, d.target.index(w)): v
+                    for r, row in enumerate(rows) for w, v in row.items()})
+                pivots = linalg.rref(m, self.field, reduced=False)[1]
+                cur[t] = (cols.values(), set(pivots))
+                dim = len(cols) - len(pivots) - len(cleared)
                 self.data[(s, t)] = Bidegree(dim)
                 for k in range(dim):
                     self.classes.add(("h", s, t, k), t)

@@ -8,8 +8,11 @@ coordinates and homology representatives are deterministic.
 One elimination routine, _rref_sparse, serves every field and size.  It
 keeps the reduced rows in a dict keyed by pivot column, reduces each
 incoming row only against the pivots its leading entries hit, and
-back-substitutes once at the end.  rank is the length of the RREF, so
-every elimination is an rref call (perfbench traces rref, not rank).
+back-substitutes once at the end unless only pivots are wanted (rank,
+via rref(reduced=False)), so every elimination is an rref call (perfbench
+traces rref, not rank).  A homology table reduces the columns of each d_s
+less those at the pivot (least index) of some y in im d_{s-1}: d_s y = 0
+makes each a combination of later columns, so the rank is kept.
 The differentials this package reduces are about 1%
 dense, which is why there is no dense path.  The dense routines
 _rref_fraction_dense and _rref_modp_dense are kept only as oracles for
@@ -47,9 +50,6 @@ class Matrix:
                     m.entries[(i, j)] = v
         return m
 
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
         for (i, j), v in self.entries.items():
@@ -70,13 +70,6 @@ class Matrix:
             if c:
                 out[i] = field.add(out.get(i, field.zero), field.mul(v, c))
         return {i: v for i, v in out.items() if v}
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        assert self.nrows == other.nrows
-        m = Matrix(self.nrows, self.ncols + other.ncols, dict(self.entries))
-        for (i, j), v in other.entries.items():
-            m.entries[(i, j + self.ncols)] = v
-        return m
 
     def __eq__(self, other):
         return (
@@ -142,21 +135,23 @@ def _echelon(rows, field: FieldSpec) -> dict:
     return pivots
 
 
-def _rref_sparse(rows, field: FieldSpec):
+def _rref_sparse(rows, field: FieldSpec, reduced=True):
     """Sparse RREF over any FieldSpec; rows is a list of dict rows.
 
     Returns (rref_rows, pivot_cols), pivots increasing.  Forward
-    elimination, then one back-substitution from the last pivot up.
+    elimination, then one back-substitution from the last pivot up; with
+    reduced=False there is none, and the rows are an echelon form.
     """
     p = field.characteristic
     pivots = _echelon(rows, field)
     cols = sorted(pivots)
-    for c in reversed(cols):
-        row = pivots[c]
-        # pivot rows right of c are already reduced, so eliminating one
-        # hit adds no entry in another pivot column
-        for j in [j for j in row if j != c and j in pivots]:
-            _sub_multiple(row, row[j], pivots[j], p)
+    if reduced:
+        for c in reversed(cols):
+            row = pivots[c]
+            # pivot rows right of c are already reduced, so eliminating
+            # one hit adds no entry in another pivot column
+            for j in [j for j in row if j != c and j in pivots]:
+                _sub_multiple(row, row[j], pivots[j], p)
     return [pivots[c] for c in cols], cols
 
 
@@ -189,6 +184,8 @@ def _rref_fraction_dense(rows, ncols):
 
 
 def _rref_modp_dense(rows, ncols, p):
+    if p >= 2**31:
+        raise ValueError(f"the dense mod-p kernel needs p < 2**31, got {p}")
     # numpy is imported here, so that importing the package never loads it
     import numpy as np
 
@@ -207,13 +204,14 @@ def _rref_modp_dense(rows, ncols, p):
     return out, pivots
 
 
-def rref(m: Matrix, field: FieldSpec):
-    """Reduced row echelon form: returns (rows as sparse dicts, pivot cols)."""
-    return _rref_sparse(_rows_of(m), field)
+def rref(m: Matrix, field: FieldSpec, reduced=True):
+    """Reduced row echelon form: returns (rows as sparse dicts, pivot cols).
+    reduced=False skips the back-substitution; the pivots are the same."""
+    return _rref_sparse(_rows_of(m), field, reduced)
 
 
 def rank(m: Matrix, field: FieldSpec) -> int:
-    return len(rref(m, field)[0])
+    return len(rref(m, field, reduced=False)[1])
 
 
 def kernel_basis(m: Matrix, field: FieldSpec):
@@ -264,7 +262,7 @@ def solve(m: Matrix, targets, field: FieldSpec):
     targets = list(targets)
     if not targets:
         return []
-    aug = m.hstack(Matrix.from_columns(targets, m.nrows))
+    aug = Matrix.from_columns(m.columns() + targets, m.nrows)
     rows, pivots = rref(aug, field)
     sols = [dict() for _ in targets]
     for row, pc in zip(rows, pivots):
@@ -296,15 +294,16 @@ def reduce_mod_span(vec: dict, echelon_rows, pivots, field: FieldSpec) -> dict:
     return out
 
 
-def check_composite_zero(d_out: Matrix, d_in: Matrix, field: FieldSpec):
+def check_composite_zero(out_cols, in_cols, field: FieldSpec):
     """Raise AssertionError unless d_out @ d_in = 0, column by column.
 
+    in_cols are the columns of d_in as sparse vectors on the middle
+    term, and out_cols[i] is the column of d_out at its basis key i.
     Not a ValueError: a complex whose square is nonzero is a fault in
     the program, not bad input.
     """
     p = field.characteristic
-    out_cols = d_out.columns()
-    for j, col in enumerate(d_in.columns()):
+    for j, col in enumerate(in_cols):
         acc: dict = {}
         for i, v in col.items():
             _sub_multiple(acc, -v, out_cols[i], p)
@@ -319,7 +318,7 @@ def homology_reps(d_out: Matrix, d_in: Matrix, field: FieldSpec):
     Checks d_out @ d_in = 0.  Returns (dim, representatives, boundary
     rows) as classes_mod_boundaries does, for the cycles ker(d_out).
     """
-    check_composite_zero(d_out, d_in, field)
+    check_composite_zero(d_out.columns(), d_in.columns(), field)
     return classes_mod_boundaries(kernel_basis(d_out, field), d_in, field)
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohh import linalg
 from cohh.coalgebra import (
@@ -13,7 +14,14 @@ from cohh.coalgebra import (
     trivial_coalgebra,
     validate,
 )
+from cohh.comodule import (
+    cobar_cotor,
+    cobar_differential,
+    cobar_level_space,
+    trivial_comodule,
+)
 from cohh.complexes import (
+    CochainComplex,
     CosimplicialModule,
     HomologyTable,
     _word_image,
@@ -21,8 +29,8 @@ from cohh.complexes import (
     compare_by_induced_map,
     normalized_complex,
 )
-from cohh.fields import GF, QQ
-from cohh.graded import GradedMap, add_term
+from cohh.fields import GF, QQ, FieldSpec
+from cohh.graded import GradedMap, GradedSpace, add_term
 from cohh.linalg import Matrix
 from cohh.simplicial import (
     circle,
@@ -461,6 +469,132 @@ def test_homology_table_checks_every_block_without_building_reps():
     cc.diff[1].columns[word][entry] *= 2
     with pytest.raises(AssertionError, match="nonzero"):
         HomologyTable(cc, 3, 12)
+
+
+def rank_loop_dims(cc, s_max, t_max):
+    """The table's dims from rank(d_s.matrix(t)) on every block, the rank
+    loop before clearing: the oracle for the cleared column reduction."""
+    ranks = {(s, t): linalg.rank(cc.diff[s].matrix(t), cc.field)
+             for s in range(s_max + 1) for t in cc.terms[s].degrees()
+             if t <= t_max}
+    return {(s, t): cc.terms[s].dim(t) - r - ranks.get((s - 1, t), 0)
+            for (s, t), r in ranks.items()}
+
+
+def table_dims(H):
+    return {st: bd.dim for st, bd in H.data.items()}
+
+
+def random_complex(rnd, field, s_max):
+    """A cochain complex with d o d = 0 and terms[s] spanned by words
+    ("e", s, t, k) in a few degrees t.  Each column of d_s is a random
+    combination of functionals on terms[s] that vanish on im d_{s-1},
+    each paired with a random sparse target vector."""
+    degrees = range(rnd.randint(1, 3))
+    dims = [{t: rnd.randint(0, 7) for t in degrees}
+            for _ in range(s_max + 2)]
+    terms = [GradedSpace((("e", s, t, k), t)
+                         for t in degrees for k in range(n[t]))
+             for s, n in enumerate(dims)]
+    diffs = [GradedMap(terms[s], terms[s + 1]) for s in range(s_max + 1)]
+
+    def sparse(n):
+        return {i: field.coerce(rnd.choice([1, 2, -1, 3]))
+                for i in range(n) if rnd.random() < 0.5}
+    for t in degrees:
+        d_in = []  # columns of d_{s-1} at t, on indices of terms[s]
+        for s in range(s_max + 1):
+            n, m = dims[s][t], dims[s + 1][t]
+            ann = linalg.kernel_basis(
+                Matrix.from_columns(d_in, n).transpose(), field)
+            pairs = []
+            for _ in range(rnd.randint(0, len(ann))):
+                phi: dict = {}
+                for y in ann:
+                    c = field.coerce(rnd.choice([0, 1, 1, 2, -1]))
+                    for j, v in y.items():
+                        add_term(phi, j, field.mul(c, v), field)
+                pairs.append((phi, sparse(m)))
+            d_in = []
+            for j in range(n):
+                col: dict = {}
+                for phi, b in pairs:
+                    for i, v in b.items():
+                        add_term(col, i, field.mul(phi.get(j, 0), v), field)
+                d_in.append(col)
+                diffs[s].set_column(("e", s, t, j), {
+                    ("e", s + 1, t, i): v for i, v in col.items()})
+    return CochainComplex(field, terms, diffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(char=st.sampled_from([2, 3, 0]), rnd=st.randoms(use_true_random=False),
+       s_max=st.integers(1, 4))
+def test_cleared_ranks_match_the_rank_loop_on_random_complexes(char, rnd,
+                                                                s_max):
+    cc = random_complex(rnd, FieldSpec(char), s_max)
+    for s in range(s_max):
+        sq = cc.diff[s + 1].compose(cc.diff[s], cc.field)
+        assert sq.equals(GradedMap.zero(cc.terms[s], cc.terms[s + 2]),
+                         cc.field)
+    H = HomologyTable(cc, s_max, 2)
+    assert table_dims(H) == rank_loop_dims(cc, s_max, 2)
+
+
+def cobar_complex(D, s_max, t_max):
+    """The reduced cobar complex of (k, k) over D, as cobar_cotor builds
+    it."""
+    k = trivial_comodule(D)
+    spaces = [GradedSpace(cobar_level_space(k, k, s, t_max))
+              for s in range(s_max + 2)]
+    return CochainComplex(D.field, spaces, [
+        cobar_differential(k, k, s, spaces[s], spaces[s + 1])
+        for s in range(s_max + 1)])
+
+
+# the complexes of the benchmark's three jobs, at the small bounds of its
+# self-tests and at the jobs' own bounds: Lambda(3,5) over F_2 (cohh),
+# the cobar complex of Lambda(3,5,7) over Q (cotor) and Lambda(3) over
+# F_3 on both circles that audit reads
+@pytest.mark.parametrize("job,s_max,t_max", [
+    ("cohh", 2, 10), ("cohh", 5, 20), ("cotor", 2, 14), ("cotor", 5, 26),
+    ("audit", 3, 9), ("audit", 4, 18)])
+def test_cleared_ranks_match_the_rank_loop_on_the_benchmark_complexes(
+        job, s_max, t_max):
+    if job == "cotor":
+        cc = cobar_complex(exterior_coalgebra([3, 5, 7], QQ), s_max, t_max)
+        assert table_dims(HomologyTable(cc, s_max, t_max)) == \
+            rank_loop_dims(cc, s_max, t_max)
+        return
+    D = (exterior_coalgebra([3, 5], GF(2)) if job == "cohh"
+         else exterior_coalgebra([3], GF(3)))
+    shapes = [circle()] + ([double_edge_circle()] if job == "audit" else [])
+    for shape in shapes:
+        H = cohh(D, s_max, t_max, shape=shape)
+        assert table_dims(H) == rank_loop_dims(H.complex, s_max, H.t_max)
+
+
+def test_tables_make_no_matrix_call(monkeypatch):
+    def cohh_table():
+        return cohh(exterior_coalgebra([3, 5], GF(3)), 4, 16)
+
+    def cotor_table():
+        k = trivial_comodule(exterior_coalgebra([3, 5, 7], QQ))
+        return cobar_cotor(k, k, 3, 20)
+    want = (cohh_table().dims(), cotor_table().dims)
+
+    def refuse(self, degree):
+        raise AssertionError("GradedMap.matrix called")
+    monkeypatch.setattr(GradedMap, "matrix", refuse)
+    H = cohh_table()
+    got = (H.dims(), cotor_table().dims)
+    monkeypatch.undo()
+    assert got == want
+    # representatives still build lazily, through matrix, once it is back
+    for (s, t), bd in H.data.items():
+        for k in range(bd.dim):
+            label = ("h", s, t, k)
+            assert H.class_coords(s, t, H.rep(label)) == {label: 1}
 
 
 def test_class_coords_refuses_a_word_outside_the_term():

@@ -284,6 +284,12 @@ def test_rref_matches_the_dense_oracles(char, params):
     else:
         want = linalg._rref_fraction_dense(rows, m.ncols)
     assert linalg.rref(m, f) == want
+    # without back-substitution: an echelon form of the same row space,
+    # 1 at the same pivots
+    echelon, pivots = linalg.rref(m, f, reduced=False)
+    assert pivots == want[1]
+    assert [(min(r), r[min(r)]) for r in echelon] == [(c, 1) for c in pivots]
+    assert linalg._rref_sparse(echelon, f) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -308,6 +314,16 @@ def test_large_prime_takes_the_exact_sparse_path():
     assert len(rows) == linalg.rank(m, f) == 5
     for row, pc in zip(rows, pivots):
         assert min(row) == pc and row[pc] == 1
+
+
+def test_dense_mod_p_oracle_refuses_a_prime_of_31_bits_or_more():
+    # at p = 2**61 - 1 the int64 kernel wraps and returns a wrong RREF
+    rows = [{0: 3, 1: 5}, {0: 7, 1: 11}, {0: 10, 1: 16}]
+    assert linalg._rref_modp_dense(rows, 2, 2**31 - 1) == (
+        [{0: 1}, {1: 1}], [0, 1])
+    for p in (2**31 + 11, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"p < 2\*\*31"):
+            linalg._rref_modp_dense(rows, 2, p)
 
 
 def test_elimination_refuses_a_wrong_inverse():
