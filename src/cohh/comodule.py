@@ -229,23 +229,6 @@ def cotensor(M: Comodule, N: Comodule, max_degree=None) -> CotensorSpace:
 # reduced cobar complex and Cotor
 
 
-def _reduced_right(M: Comodule, m):
-    """rho_r minus the unit term m (x) 1; valid for connected base."""
-    g = M.base.coaug
-    return {k: v for k, v in M.right_of(m).items() if k[1] != g}
-
-
-def _reduced_left(N: Comodule, n):
-    g = N.base.coaug
-    return {k: v for k, v in N.left_of(n).items() if k[0] != g}
-
-
-def _reduced_comult(D: GradedCoalgebra, d):
-    g = D.coaug
-    return {k: v for k, v in D.comult_of(d).items()
-            if k[0] != g and k[1] != g}
-
-
 def cobar_level_space(M: Comodule, N: Comodule, s: int, t_max: int):
     """Basis labels of M (x) Dbar^s (x) N up to internal degree t_max.
 
@@ -278,45 +261,56 @@ def cobar_level_space(M: Comodule, N: Comodule, s: int, t_max: int):
 
 
 def cobar_differential(M: Comodule, N: Comodule, s: int,
-                       source: GradedSpace, target: GradedSpace) -> GradedMap:
+                       source: GradedSpace, target: GradedSpace) -> dict:
     """d: M (x) Dbar^s (x) N -> M (x) Dbar^(s+1) (x) N, alternating sum of
-    the reduced coaction/comultiplication insertions.
-
-    Each reduced (co)action is computed once per label, here; slots whose
-    reduced comultiplication is empty (primitives) contribute nothing.
-    """
+    the reduced coaction/comultiplication insertions, written straight
+    into the blocks of complexes.CochainComplex.diff that HomologyTable
+    reduces: each image word is looked up in target.index_of, and one
+    outside target is dropped.  Each reduced (co)action is computed once
+    per label, here, with its sign.  The kept words of a column are
+    distinct, so each is written once: their Dbar labels have positive
+    degree, so the label an insertion leaves at slot i is of lower degree
+    than the one any insertion further right leaves there."""
     f = M.field
     D = M.base
-    right = {m: _reduced_right(M, m) for m in M.space.degree_of}
-    left = {n: _reduced_left(N, n) for n in N.space.degree_of}
-    comult = {a: _reduced_comult(D, a) for a in D.space.degree_of}
-    mid_signs = [f.coerce((-1) ** (i + 1)) for i in range(s)]
+    g = D.coaug
+    # the reduced coactions and comultiplication (D is connected), signed
+    right = {m: [(md, v) for md, v in M.right_of(m).items() if md[1] != g]
+             for m in M.space.degree_of}
     last_sign = f.coerce((-1) ** (s + 1))
-    words = target.degree_of
-    out = GradedMap(source, target)
-    for label in source.degree_of:
-        m, mids, n = label[0], label[1:-1], label[-1]
-        col: dict = {}
-        for (mm, d), v in right[m].items():
-            key = (mm, d) + mids + (n,)
-            if key in words:
-                add_term(col, key, v, f)
-        for i, a in enumerate(mids):
-            split = comult[a]
-            if not split:
-                continue
-            head, tail = label[:i + 1], label[i + 2:]
-            sgn = mid_signs[i]
-            for pair, v in split.items():
-                key = head + pair + tail
-                if key in words:
-                    add_term(col, key, f.mul(sgn, v), f)
-        for (d, nn), v in left[n].items():
-            key = (m,) + mids + (d, nn)
-            if key in words:
-                add_term(col, key, f.mul(last_sign, v), f)
-        out.set_column(label, col)
-    return out
+    left = {n: [(dn, f.mul(last_sign, v))
+                for dn, v in N.left_of(n).items() if dn[0] != g]
+            for n in N.space.degree_of}
+    comult = {a: [(pair, v) for pair, v in D.comult_of(a).items()
+                  if g not in pair] for a in D.space.degree_of}
+    neg_comult = {a: [(pair, f.neg(v)) for pair, v in split]
+                  for a, split in comult.items()}
+    index = target.index_of
+    blocks = {}
+    for t, labels in source.by_degree.items():
+        cols = blocks[t] = []
+        for label in labels:
+            m, mids, n = label[0], label[1:-1], label[-1]
+            col: dict = {}
+            for (mm, d), v in right[m]:
+                i = index.get((mm, d) + mids + (n,))
+                if i is not None:
+                    col[i] = v
+            for k, a in enumerate(mids):
+                # the sign of slot k is (-1)^(k + 1)
+                split = (neg_comult if k % 2 == 0 else comult)[a]
+                if split:
+                    head, tail = label[:k + 1], label[k + 2:]
+                    for pair, v in split:
+                        i = index.get(head + pair + tail)
+                        if i is not None:
+                            col[i] = v
+            for dn, v in left[n]:
+                i = index.get((m,) + mids + dn)
+                if i is not None:
+                    col[i] = v
+            cols.append(col)
+    return blocks
 
 
 @dataclass
@@ -526,7 +520,7 @@ def _counit_kernel(box: BoxStructure, t: int):
 def _unit_image_rows(box: BoxStructure, t: int):
     """Echelonized rows spanning im(unit) in degree t, as index vectors."""
     E = box.carrier.space
-    cols = [{E.index(lbl): v for lbl, v in box.unit.column(c).items()}
+    cols = [{E.index_of[lbl]: v for lbl, v in box.unit.column(c).items()}
             for c in box.base.space.labels(t)]
     return linalg.rref(Matrix.from_columns(cols, E.dim(t)).transpose(),
                        box.field)
@@ -537,7 +531,7 @@ def _q_reduce(label, unit_image, box: BoxStructure, f):
     E = box.carrier.space
     t = E.degree_of[label]
     rows, pivots = unit_image
-    vec = {E.index(label): f.one}
+    vec = {E.index_of[label]: f.one}
     red = linalg.reduce_mod_span(vec, rows, pivots, f)
     labels = E.labels(t)
     return {labels[i]: v for i, v in red.items()}
@@ -570,10 +564,10 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
                         for d, v in box.counit.column(b).items()})
             images[(a, b)] = img
         products = Matrix.from_columns(
-            [{E.index(l): v for l, v in box.mult.apply(pair_sum, f).items()}
+            [{E.index_of[l]: v for l, v in box.mult.apply(pair_sum, f).items()}
              for pair_sum in linalg.kernel_of(images, f)], E.dim(t))
         dim, reps, _ = linalg.classes_mod_boundaries(
-            [{E.index(l): v for l, v in vec.items()} for vec in ie],
+            [{E.index_of[l]: v for l, v in vec.items()} for vec in ie],
             products, f)
         if dim:
             labels = E.labels(t)

@@ -9,8 +9,14 @@ fiber of size 1 passes its label through, so only a fiber of size >= 2
 expands: a shuffle map or codegeneracy expands none, a circle coface
 one.  Cofaces, codegeneracies, and the maps induced by simplicial maps
 are all instances.  _word_image computes the image of one word;
-induced_operator collects those images as matrix columns and
+induced_operator collects those images as the word-keyed columns of a
+GradedMap, coface_sum sums them into a differential's blocks, and
 induced_apply applies them to one vector.
+
+A differential is stored in one form, the blocks of CochainComplex.diff:
+per internal degree, its columns as index dicts over the target words.
+coface_sum and comodule.cobar_differential write them, and
+HomologyTable reduces them as written.
 
 The normalized complex is C (x) Cbar^(x)s on the circle, and in general
 the span of the words with a non-coaugmentation label in some slot that
@@ -20,20 +26,20 @@ that one codegeneracy deletes alone only through the reduced
 comultiplication.
 
 Homology tables read dims off ranks and keep no RREF.  Walking s up,
-block (s, t) row-reduces the word-image columns of d_s less those whose
-index is a pivot (least index) of block (s - 1, t); its pivots count
-rank d_s.  A cleared j is the least index of some y in im d_{s-1} with
-d_s y = 0, so column j is a combination of columns of larger index and
-the rank is kept; the pivots depend on the row space alone.  A bidegree's
-class representatives and the RREF of its boundaries are built on
-demand by linalg.homology_reps, the first time a representative or
-class coordinates are asked for.  The representatives are RREF rows
-already reduced modulo the boundaries, so their pivots avoid the
-boundary pivots: reducing a vector modulo the boundary rows and reading
-its entry at the pivot of each representative gives its class
-coordinates, with no solve.  That map is linear, kills
-every boundary and fixes every representative, so it is a chain
-retraction onto the homology with zero differential; two such
+block (s, t) row-reduces its columns of d_s, less those whose index is
+a pivot (least index) of block (s - 1, t), as the rows of one rref call;
+its pivots count rank d_s.  A cleared j is the least index of some y in
+im d_{s-1} with d_s y = 0, so column j is a combination of columns of
+larger index and the rank is kept; the pivots depend on the row space
+alone.  A bidegree's class representatives and the RREF of its
+boundaries are built from the blocks on demand by linalg.homology_reps,
+the first time a representative or class coordinates are asked for.
+The representatives are RREF rows already reduced modulo the
+boundaries, so their pivots avoid the boundary pivots: reducing a vector
+modulo the boundary rows and reading its entry at the pivot of each
+representative gives its class coordinates, with no solve.  That map is
+linear, kills every boundary and fixes every representative, so it is a
+chain retraction onto the homology with zero differential; two such
 retractions differ by h o d, so they agree on every cocycle.
 """
 
@@ -59,9 +65,10 @@ def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None,
     the word followed by the expanded legs, and the Koszul sign comes
     from the pairs of those indices that the permutation into A-order
     swaps.  Terms come in the product order over the expanded fibers,
-    the order a slot-by-slot expansion gives.  When keep is given, image
-    words not in it are dropped.  The A-slots in nonunit (indices into
-    a_list) take no coaugmentation factor: the image is empty when a
+    the order a slot-by-slot expansion gives.  When keep, a dict, is
+    given, image words not in it are dropped and each other one is summed
+    at keep[word] (its block index, say).  The A-slots in nonunit (indices
+    into a_list) take no coaugmentation factor: the image is empty when a
     fiber of size 1 passes the coaugmentation to one of them, and a
     larger fiber holding one expands each label once, here, with those
     terms left out, which on a fiber of size 2 is the reduced
@@ -123,11 +130,13 @@ def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None,
                 return out
         for seq, c in partial:
             full = word + seq
-            out_word = tuple(full[i] for i in src)
-            if keep is not None and out_word not in keep:
-                continue
+            key = tuple(full[i] for i in src)
+            if keep is not None:
+                key = keep.get(key)
+                if key is None:
+                    continue
             sign = sum(deg[full[i]] * deg[full[j]] for i, j in swaps)
-            add_term(out, out_word, f.neg(c) if sign & 1 else c, f)
+            add_term(out, key, f.neg(c) if sign & 1 else c, f)
         return out
     return image
 
@@ -142,11 +151,10 @@ def induced_operator(D: GradedCoalgebra, a_list, b_list, fmap,
     labels are tuples of D basis ids aligned with b_list, target labels
     aligned with a_list.
     """
-    image = _word_image(D, a_list, b_list, fmap, target.degree_of)
-    out = GradedMap(source, target)
-    for word in source.degree_of:
-        out.set_column(word, image(word))
-    return out
+    image = _word_image(D, a_list, b_list, fmap,
+                        {w: w for w in target.degree_of})
+    return GradedMap(source, target,
+                     {word: image(word) for word in source.degree_of})
 
 
 def induced_apply(D: GradedCoalgebra, a_list, b_list, fmap, vec: dict) -> dict:
@@ -216,7 +224,6 @@ class CosimplicialModule:
         self.t_max = t_max
         self.name = name
         self._spaces: dict = {}
-        self._ops: dict = {}
 
     @classmethod
     def from_shape(cls, D: GradedCoalgebra, X: GraphSimplicialSet,
@@ -227,10 +234,6 @@ class CosimplicialModule:
                    lambda n, i, s: X.degeneracy(n, i, s),
                    t_max, name=f"{D.name}^{X.name}")
 
-    @property
-    def n_max(self) -> int:
-        return len(self.levels) - 2
-
     def space(self, n: int) -> GradedSpace:
         if n not in self._spaces:
             self._spaces[n] = GradedSpace(
@@ -238,51 +241,40 @@ class CosimplicialModule:
         return self._spaces[n]
 
     def coface(self, n: int, i: int) -> GradedMap:
-        key = ("d", n, i)
-        if key not in self._ops:
-            self._ops[key] = induced_operator(
-                self.D, self.levels[n + 1], self.levels[n],
-                lambda s: self.face_fn(n + 1, i, s),
-                self.space(n), self.space(n + 1))
-        return self._ops[key]
+        return induced_operator(self.D, self.levels[n + 1], self.levels[n],
+                                lambda s: self.face_fn(n + 1, i, s),
+                                self.space(n), self.space(n + 1))
 
     def codegeneracy(self, n: int, i: int) -> GradedMap:
         """sigma_i: level n+1 -> level n, 0 <= i <= n."""
-        key = ("s", n, i)
-        if key not in self._ops:
-            self._ops[key] = induced_operator(
-                self.D, self.levels[n], self.levels[n + 1],
-                lambda s: self.degeneracy_fn(n, i, s),
-                self.space(n + 1), self.space(n))
-        return self._ops[key]
+        return induced_operator(self.D, self.levels[n], self.levels[n + 1],
+                                lambda s: self.degeneracy_fn(n, i, s),
+                                self.space(n + 1), self.space(n))
 
     def coface_sum(self, n: int, source: GradedSpace, target: GradedSpace,
-                   nonunit=()) -> GradedMap:
+                   nonunit=()) -> dict:
         """sum_i (-1)^i delta_i from words of level n to words of level
-        n + 1; image words outside target are dropped.  Every target word
-        must hold a non-coaugmentation label in the slots nonunit, so
-        images are cut off as soon as one of those slots would not."""
+        n + 1, in the block form of CochainComplex.diff: each image word
+        is looked up in target.index_of, and one outside target is
+        dropped.  Every target word must hold a non-coaugmentation label
+        in the slots nonunit, so images are cut off as soon as one of
+        those slots would not."""
         f = self.field
         images = [(i & 1, _word_image(
             self.D, self.levels[n + 1], self.levels[n],
-            lambda s, i=i: self.face_fn(n + 1, i, s), target.degree_of,
+            lambda s, i=i: self.face_fn(n + 1, i, s), target.index_of,
             nonunit))
             for i in range(n + 2)]
-        d = GradedMap(source, target)
-        for word in source.degree_of:
-            col: dict = {}
-            for odd, image in images:
-                for w, v in image(word).items():
-                    add_term(col, w, f.neg(v) if odd else v, f)
-            d.set_column(word, col)
-        return d
-
-    def differential(self, n: int) -> GradedMap:
-        key = ("diff", n)
-        if key not in self._ops:
-            self._ops[key] = self.coface_sum(
-                n, self.space(n), self.space(n + 1))
-        return self._ops[key]
+        blocks = {}
+        for t, words in source.by_degree.items():
+            cols = blocks[t] = []
+            for word in words:
+                col: dict = {}
+                for odd, image in images:
+                    for i, v in image(word).items():
+                        add_term(col, i, f.neg(v) if odd else v, f)
+                cols.append(col)
+        return blocks
 
     def missing_slots(self, n: int):
         """For each codegeneracy sigma_i: level n+1 -> level n, the slots
@@ -299,12 +291,29 @@ class CosimplicialModule:
 @dataclass
 class CochainComplex:
     """Terms spanned by words of a cosimplicial module's levels (each
-    label is the word itself), and the differential between them."""
+    label is the word itself), and the differential between them.
+
+    diff[s] is d_s: terms[s] -> terms[s+1] in block form, a dict
+    t -> list of columns, with a list for every degree t of terms[s].
+    Column j is the image of terms[s].labels(t)[j], stored as
+    {i: scalar} over terms[s+1].labels(t), with no zero.
+    CosimplicialModule.coface_sum and comodule.cobar_differential write
+    the blocks; HomologyTable reduces them as written, and column reads
+    one back as a formal sum on words.
+    """
 
     field: FieldSpec
     terms: list          # GradedSpace per s
-    diff: list           # GradedMap terms[s] -> terms[s+1]
+    diff: list           # block form of d_s: terms[s] -> terms[s+1]
     ambient: CosimplicialModule = None
+
+    def column(self, s: int, word) -> dict:
+        """d_s(word) as a formal sum on the words of terms[s+1]."""
+        term = self.terms[s]
+        t = term.degree_of[word]
+        labels = self.terms[s + 1].labels(t)
+        return {labels[i]: v
+                for i, v in self.diff[s][t][term.index_of[word]].items()}
 
 
 def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
@@ -337,7 +346,8 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
 
 def unnormalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
     terms = [cm.space(s) for s in range(s_max + 2)]
-    diffs = [cm.differential(s) for s in range(s_max + 1)]
+    diffs = [cm.coface_sum(s, terms[s], terms[s + 1])
+             for s in range(s_max + 1)]
     return CochainComplex(cm.field, terms, diffs, cm)
 
 
@@ -359,8 +369,9 @@ class HomologyTable:
     cocycle (a formal sum on terms[s] labels) to its homology class.
 
     dim = n - rank d_out - rank d_in, one cleared column reduction per
-    block, its pivots cleared at s + 1, after checking d_out d_in = 0;
-    representatives are built on first use (see the module docstring).
+    block of cc.diff, read as written, its pivots cleared at s + 1, after
+    checking d_out d_in = 0 on the same columns; representatives are
+    built on first use (see the module docstring).
     """
 
     def __init__(self, cc: CochainComplex, s_max: int, t_max: int):
@@ -373,22 +384,19 @@ class HomologyTable:
         self.class_filtration: dict = {}
         prev: dict = {}  # t -> (d_in columns, pivots of their reduction)
         for s in range(s_max + 1):
-            term, d = cc.terms[s], cc.diff[s]
             cur = {}
-            for t in term.degrees():
+            for t in cc.terms[s].degrees():
                 if t > t_max:
                     continue
-                cols = {x: d.column(x) for x in term.labels(t)}
+                cols = cc.diff[s][t]
                 d_in, cleared = prev.get(t, ((), set()))
                 linalg.check_composite_zero(cols, d_in, self.field)
-                # d_s^T on target indices, the cleared rows left out
-                rows = [col for j, col in enumerate(cols.values())
-                        if j not in cleared]
-                m = Matrix(len(rows), d.target.dim(t), {
-                    (r, d.target.index(w)): v
-                    for r, row in enumerate(rows) for w, v in row.items()})
+                # d_s^T, the cleared rows left out
+                m = Matrix.from_rows([col for j, col in enumerate(cols)
+                                      if j not in cleared],
+                                     cc.terms[s + 1].dim(t))
                 pivots = linalg.rref(m, self.field, reduced=False)[1]
-                cur[t] = (cols.values(), set(pivots))
+                cur[t] = (cols, set(pivots))
                 dim = len(cols) - len(pivots) - len(cleared)
                 self.data[(s, t)] = Bidegree(dim)
                 for k in range(dim):
@@ -402,10 +410,10 @@ class HomologyTable:
         bd = self.data[(s, t)]
         if bd.rep_vectors is None:
             cc, f = self.complex, self.field
-            n = cc.terms[s].dim(t)
-            d_in = cc.diff[s - 1].matrix(t) if s else Matrix(n, 0)
             dim, reps, bnd_rows = linalg.homology_reps(
-                cc.diff[s].matrix(t), d_in, f)
+                Matrix.from_columns(cc.diff[s][t], cc.terms[s + 1].dim(t)),
+                Matrix.from_columns(cc.diff[s - 1].get(t, []) if s else [],
+                                    cc.terms[s].dim(t)), f)
             if dim != bd.dim:
                 raise AssertionError(
                     f"bidegree ({s}, {t}): {dim} representatives for "
@@ -444,7 +452,7 @@ class HomologyTable:
             if term.degree_of.get(word) != t:
                 raise linalg.NoSolution(
                     f"{word!r} is not a word of term {s} in degree {t}")
-            target[term.index(word)] = c
+            target[term.index_of[word]] = c
         if not self.data[(s, t)].dim:
             return {}
         bd = self._built(s, t)

@@ -33,18 +33,24 @@ class GradedSpace:
     """Labelled basis, organised by degree, with stable ordering."""
 
     def __init__(self, labelled_degrees=()):
-        self.by_degree: dict = {}
-        self.degree_of: dict = {}
-        self._index: dict = {}
+        # index_of[label]: its position among the labels of its degree
+        self.by_degree = by_degree = {}
+        self.degree_of = degree_of = {}
+        self.index_of = index_of = {}
         for label, degree in labelled_degrees:
-            self.add(label, degree)
+            if label in degree_of:
+                raise ValueError(f"duplicate basis label {label!r}")
+            degree_of[label] = degree
+            bucket = by_degree.setdefault(degree, [])
+            index_of[label] = len(bucket)
+            bucket.append(label)
 
     def add(self, label, degree: int):
         if label in self.degree_of:
             raise ValueError(f"duplicate basis label {label!r}")
         self.degree_of[label] = degree
         bucket = self.by_degree.setdefault(degree, [])
-        self._index[label] = len(bucket)
+        self.index_of[label] = len(bucket)
         bucket.append(label)
 
     def degrees(self):
@@ -59,22 +65,16 @@ class GradedSpace:
     def total_dim(self) -> int:
         return len(self.degree_of)
 
-    def index(self, label) -> int:
-        return self._index[label]
-
     def __contains__(self, label):
         return label in self.degree_of
 
 
 def tensor_space(a: GradedSpace, b: GradedSpace, max_degree=None) -> GradedSpace:
     """Tensor product with pair labels (la, lb); optionally truncated."""
-    out = GradedSpace()
-    for la, da in a.degree_of.items():
-        for lb, db in b.degree_of.items():
-            d = da + db
-            if max_degree is None or d <= max_degree:
-                out.add((la, lb), d)
-    return out
+    return GradedSpace(((la, lb), da + db)
+                       for la, da in a.degree_of.items()
+                       for lb, db in b.degree_of.items()
+                       if max_degree is None or da + db <= max_degree)
 
 
 class GradedMap:
@@ -111,13 +111,10 @@ class GradedMap:
         return out
 
     def matrix(self, degree: int) -> Matrix:
-        rows = self.target.dim(degree)
-        cols = self.source.labels(degree)
-        m = Matrix(rows, len(cols))
-        for j, label in enumerate(cols):
-            for tgt, v in self.column(label).items():
-                m.entries[(self.target.index(tgt), j)] = v
-        return m
+        index = self.target.index_of
+        return Matrix.from_columns(
+            [{index[w]: v for w, v in self.column(label).items()}
+             for label in self.source.labels(degree)], self.target.dim(degree))
 
     def equals(self, other: "GradedMap", field: FieldSpec) -> bool:
         labels = set(self.columns) | set(other.columns)
@@ -132,7 +129,3 @@ class GradedMap:
         for label in space.degree_of:
             out.set_column(label, {label: field.one})
         return out
-
-    @classmethod
-    def zero(cls, source: GradedSpace, target: GradedSpace) -> "GradedMap":
-        return cls(source, target)

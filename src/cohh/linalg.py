@@ -34,21 +34,36 @@ from .fields import FieldSpec
 
 
 class Matrix:
-    """Sparse matrix with explicit shape over a FieldSpec."""
+    """Sparse matrix with explicit shape over a FieldSpec, its entries
+    {(row, col): scalar}.  One built by from_rows keeps the rows it is
+    given, which rref reads as they are, and makes its entries from them
+    the first time they are asked for."""
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = dict(entries or {})
+        self._entries = dict(entries or {})
+        self.rows = None
 
     @classmethod
     def from_columns(cls, columns, nrows: int) -> "Matrix":
-        m = cls(nrows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    m.entries[(i, j)] = v
+        return cls(nrows, len(columns), {
+            (i, j): v for j, col in enumerate(columns)
+            for i, v in col.items() if v})
+
+    @classmethod
+    def from_rows(cls, rows, ncols: int) -> "Matrix":
+        m = cls(len(rows), ncols)
+        m._entries, m.rows = None, rows
         return m
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            self._entries = {(i, j): v for i, row in enumerate(self.rows)
+                             for j, v in row.items() if v}
+            self.rows = None
+        return self._entries
 
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
@@ -57,11 +72,8 @@ class Matrix:
         return cols
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ncols,
-            self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-        )
+        return Matrix(self.ncols, self.nrows,
+                      {(j, i): v for (i, j), v in self.entries.items()})
 
     def apply(self, vec: dict, field: FieldSpec) -> dict:
         out: dict = {}
@@ -72,19 +84,18 @@ class Matrix:
         return {i: v for i, v in out.items() if v}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and {k: v for k, v in self.entries.items() if v}
-            == {k: v for k, v in other.entries.items() if v}
-        )
+        return (isinstance(other, Matrix)
+                and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+                and {k: v for k, v in self.entries.items() if v}
+                == {k: v for k, v in other.entries.items() if v})
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
 def _rows_of(m: Matrix):
+    if m.rows is not None:
+        return m.rows
     rows = [dict() for _ in range(m.nrows)]
     for (i, j), v in m.entries.items():
         if v:
@@ -121,12 +132,18 @@ def _echelon(rows, field: FieldSpec) -> dict:
             c = min(row)
             prow = pivots.get(c)
             if prow is None or len(row) < len(prow):
-                inv = field.inv(row[c])
-                pivots[c] = {j: field.mul(inv, v) for j, v in row.items()}
-                if pivots[c][c] != 1:
+                a = row[c]
+                inv = field.inv(a)
+                if inv != 1:
+                    row = {j: field.mul(inv, v) for j, v in row.items()}
+                if type(inv) is Fraction:
+                    # a non-unit pivot over Q: integral entries stay ints
+                    row = {j: field.coerce(v) for j, v in row.items()}
+                if row[c] != 1:
                     # reducing by this row would never clear column c
                     raise AssertionError(
-                        f"{field}.inv({row[c]!r}) is not an inverse")
+                        f"{field}.inv({a!r}) is not an inverse")
+                pivots[c] = row
                 if prow is None:
                     break
                 row = prow

@@ -87,15 +87,9 @@ def exterior_monomials(degrees, s_max: int, t_max: int):
 
 
 def monomial_name(degrees, eps, exps) -> str:
-    parts = []
-    for e, d in zip(eps, degrees):
-        if e:
-            parts.append(f"y{d}")
-    for a, d in zip(exps, degrees):
-        if a == 1:
-            parts.append(f"w{d}")
-        elif a > 1:
-            parts.append(f"w{d}^{a}")
+    parts = [f"y{d}" for e, d in zip(eps, degrees) if e]
+    parts += [f"w{d}" if a == 1 else f"w{d}^{a}"
+              for a, d in zip(exps, degrees) if a]
     return "*".join(parts) if parts else "1"
 
 

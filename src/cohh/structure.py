@@ -379,10 +379,10 @@ class CotensorComplex:
             img: dict = {}
             for (la, lb), c in self._phi(x).items():
                 u = word_level(la)
-                for la2, v in cc.diff[u].column(la).items():
+                for la2, v in cc.column(u, la).items():
                     add_term(img, (la2, lb), f.mul(c, v), f)
                 sgn = f.coerce((-1) ** u)
-                for lb2, v in cc.diff[word_level(lb)].column(lb).items():
+                for lb2, v in cc.column(word_level(lb), lb).items():
                     add_term(img, (la, lb2), f.mul(f.mul(c, sgn), v), f)
             col: dict = {}
             for (la, lb), v in img.items():
@@ -536,17 +536,11 @@ def cohh_box_structure(D: GradedCoalgebra, s_max: int, t_max: int,
         if t <= t_max:
             unit.set_column(d, cs.proj.project(0, t, {(d,): f.one}))
 
-    mult = None
-    carrier = None
-    kuenneth_ok = True
     if with_mult:
         mult, carrier, kuenneth_ok = homology_multiplication(cs)
     else:
-        carrier = cohh_carrier_comodule(cs)
-
-    antipode = None
-    if with_antipode:
-        antipode = cohh_antipode(cs)
+        mult, carrier, kuenneth_ok = None, cohh_carrier_comodule(cs), True
+    antipode = cohh_antipode(cs) if with_antipode else None
 
     box = BoxStructure(D, carrier, comult=comult, counit=counit, unit=unit,
                        mult=mult, antipode=antipode,

@@ -24,8 +24,10 @@ from cohh.comodule import (
     tensor_box_structure,
     trivial_comodule,
 )
+from cohh.complexes import CochainComplex
 from cohh.fields import GF, QQ
-from cohh.graded import GradedSpace
+from cohh.graded import GradedMap, GradedSpace, add_term
+from test_complexes import assert_blocks_match, block_square
 
 
 def brute_cotensor_dim(M, N, degree):
@@ -144,29 +146,107 @@ def test_cobar_level_space_is_the_lexicographic_walk(s):
     assert cobar_level_space(M, N, s, t_max) == want
 
 
+def cobar_complex(M, N, s_max, t_max):
+    spaces = [GradedSpace(cobar_level_space(M, N, s, t_max))
+              for s in range(s_max + 2)]
+    return CochainComplex(M.field, spaces, [
+        cobar_differential(M, N, s, spaces[s], spaces[s + 1])
+        for s in range(s_max + 1)])
+
+
+def word_keyed_cobar_differential(M, N, s, source, target):
+    """The cobar differential as the word-keyed GradedMap it was built as
+    before the block form: the reference for cobar_differential."""
+    f = M.field
+    D = M.base
+    g = D.coaug
+    right = {m: {k: v for k, v in M.right_of(m).items() if k[1] != g}
+             for m in M.space.degree_of}
+    left = {n: {k: v for k, v in N.left_of(n).items() if k[0] != g}
+            for n in N.space.degree_of}
+    comult = {a: {k: v for k, v in D.comult_of(a).items()
+                  if k[0] != g and k[1] != g} for a in D.space.degree_of}
+    mid_signs = [f.coerce((-1) ** (i + 1)) for i in range(s)]
+    last_sign = f.coerce((-1) ** (s + 1))
+    words = target.degree_of
+    out = GradedMap(source, target)
+    for label in source.degree_of:
+        m, mids, n = label[0], label[1:-1], label[-1]
+        col: dict = {}
+        for (mm, d), v in right[m].items():
+            key = (mm, d) + mids + (n,)
+            if key in words:
+                add_term(col, key, v, f)
+        for i, a in enumerate(mids):
+            head, tail = label[:i + 1], label[i + 2:]
+            for pair, v in comult[a].items():
+                key = head + pair + tail
+                if key in words:
+                    add_term(col, key, f.mul(mid_signs[i], v), f)
+        for (d, nn), v in left[n].items():
+            key = (m,) + mids + (d, nn)
+            if key in words:
+                add_term(col, key, f.mul(last_sign, v), f)
+        out.set_column(label, col)
+    return out
+
+
+@pytest.mark.parametrize("case", ["Lambda(3,5,7) (k, k) Q",
+                                  "Lambda(3,5) regular-trivial F_3",
+                                  "k[w2] trivial-regular F_2"])
+def test_cobar_blocks_match_the_word_keyed_builder(case):
+    if case.startswith("Lambda(3,5,7)"):
+        D = exterior_coalgebra([3, 5, 7], QQ)
+        M = N = trivial_comodule(D)
+        s_max, t_max = 5, 26  # the cotor benchmark job
+    elif case.startswith("Lambda(3,5)"):
+        D = exterior_coalgebra([3, 5], GF(3))
+        M, N = regular_comodule(D), trivial_comodule(D)
+        s_max, t_max = 3, 16
+    else:
+        D = polynomial_coalgebra([2], GF(2), truncation=10)
+        M, N = trivial_comodule(D), regular_comodule(D)
+        s_max, t_max = 3, 10
+    cc = cobar_complex(M, N, s_max, t_max)
+    nonzero = 0
+    for s in range(s_max + 1):
+        want = word_keyed_cobar_differential(M, N, s, cc.terms[s],
+                                             cc.terms[s + 1])
+        assert_blocks_match(cc, s, want)
+        nonzero += sum(map(bool, want.columns.values()))
+    assert nonzero > 10
+
+
+def test_cobar_images_outside_the_target_are_dropped():
+    # a target cut off below the source's degrees: the images of the top
+    # source words have no target word, and their columns come out empty
+    D = exterior_coalgebra([3, 5], GF(3))
+    M = N = regular_comodule(D)
+    source = GradedSpace(cobar_level_space(M, N, 1, 16))
+    full = GradedSpace(cobar_level_space(M, N, 2, 16))
+    cut = GradedSpace(cobar_level_space(M, N, 2, 12))
+    cc = CochainComplex(D.field, [source, cut], [
+        cobar_differential(M, N, 1, source, cut)])
+    assert_blocks_match(cc, 0, word_keyed_cobar_differential(
+        M, N, 1, source, cut))
+    whole = cobar_differential(M, N, 1, source, full)
+    assert any(any(whole[t]) and not any(cc.diff[0][t])
+               for t in source.degrees() if t > 12)
+
+
 def test_cobar_differential_squares_to_zero():
     D = exterior_coalgebra([3, 5], GF(2))
-    M = regular_comodule(D)
-    N = trivial_comodule(D)
-    t_max = 16
-    spaces = [GradedSpace(cobar_level_space(M, N, s, t_max)) for s in range(4)]
-    d = [cobar_differential(M, N, s, spaces[s], spaces[s + 1])
-         for s in range(3)]
-    f = D.field
+    cc = cobar_complex(regular_comodule(D), trivial_comodule(D), 2, 16)
     for s in range(2):
-        assert d[s + 1].compose(d[s], f).equals(
-            d[s + 1].zero(spaces[s], spaces[s + 2]), f)
+        assert block_square(cc, s) == [], s
 
 
 def test_cobar_d_squared_zero_polynomial_q():
     P = polynomial_coalgebra([2], QQ, truncation=8)
     k = trivial_comodule(P)
-    spaces = [GradedSpace(cobar_level_space(k, k, s, 8)) for s in range(5)]
-    d = [cobar_differential(k, k, s, spaces[s], spaces[s + 1])
-         for s in range(4)]
+    cc = cobar_complex(k, k, 3, 8)
     for s in range(3):
-        assert d[s + 1].compose(d[s], QQ).equals(
-            d[s + 1].zero(spaces[s], spaces[s + 2]), QQ)
+        assert block_square(cc, s) == [], s
 
 
 def test_rational_cobar_differentials_have_int_entries():
@@ -174,14 +254,14 @@ def test_rational_cobar_differentials_have_int_entries():
     # whole elimination back on Fraction arithmetic
     D = exterior_coalgebra([3, 5, 7], QQ)
     k = trivial_comodule(D)
-    spaces = [GradedSpace(cobar_level_space(k, k, s, 15)) for s in range(4)]
+    cc = cobar_complex(k, k, 2, 15)
     seen = 0
     for s in range(3):
-        d = cobar_differential(k, k, s, spaces[s], spaces[s + 1])
-        for t in range(16):
-            for v in d.matrix(t).entries.values():
-                assert type(v) is int, (s, t, v)
-                seen += 1
+        for t, cols in cc.diff[s].items():
+            for col in cols:
+                for v in col.values():
+                    assert type(v) is int, (s, t, v)
+                    seen += 1
     assert seen
 
 
@@ -223,7 +303,8 @@ def test_cotor_refuses_a_cobar_differential_whose_square_is_nonzero(
     def perturbed(M, N, s, source, target):
         d = cobar_differential(M, N, s, source, target)
         if s == 1:
-            d.columns[word][entry] *= 2
+            t = source.degree_of[word]
+            d[t][source.index_of[word]][target.index_of[entry]] *= 2
         return d
 
     assert cobar_cotor(k, k, 2, 15).dim(2, 10) == 2  # w3 w7, w5^2

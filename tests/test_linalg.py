@@ -232,6 +232,22 @@ def test_homology_with_zero_differentials():
     assert boundaries == []
 
 
+@pytest.mark.parametrize("reduced", [True, False])
+def test_rational_rref_keeps_integral_entries_ints(reduced):
+    # pivots 2 and 4 scale their rows by 1/2 and 1/4: every entry is
+    # integral all the same, and must come back as an int, not a Fraction
+    rows, pivots = linalg._rref_sparse(
+        [{0: 2, 1: 4, 2: 6}, {0: 1, 1: 3, 2: 5}, {1: 2, 2: 8}], QQ, reduced)
+    assert pivots == [0, 1, 2]
+    assert rows == ([{0: 1}, {1: 1}, {2: 1}] if reduced else
+                    [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 2}, {2: 1}])
+    assert all(type(v) is int for row in rows for v in row.values())
+    # a non-integral entry stays a Fraction
+    rows, _ = linalg._rref_sparse([{0: 2, 1: 3}], QQ, reduced)
+    assert rows == [{0: 1, 1: Fraction(3, 2)}]
+    assert type(rows[0][0]) is int and type(rows[0][1]) is Fraction
+
+
 def test_homology_refuses_a_nonzero_square():
     f = QQ
     d_in = mat([[1, 0], [0, 1], [1, 1]], f)
