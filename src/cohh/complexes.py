@@ -15,8 +15,8 @@ induced_apply applies them to one vector.
 
 A differential is stored in one form, the blocks of CochainComplex.diff:
 per internal degree, its columns as index dicts over the target words.
-coface_sum and comodule.cobar_differential write them, and
-HomologyTable reduces them as written.
+coface_sum, comodule.cobar_differential and structure.CotensorComplex
+write them, and HomologyTable reduces them as written.
 
 The normalized complex is C (x) Cbar^(x)s on the circle, and in general
 the span of the words with a non-coaugmentation label in some slot that
@@ -25,10 +25,12 @@ filtered out of the ambient levels, and its differential reaches a slot
 that one codegeneracy deletes alone only through the reduced
 comultiplication.
 
-Homology tables read dims off ranks and keep no RREF.  Walking s up,
-block (s, t) row-reduces its columns of d_s, less those whose index is
-a pivot (least index) of block (s - 1, t), as the rows of one rref call;
-its pivots count rank d_s.  A cleared j is the least index of some y in
+Every homology in the package is a HomologyTable: coHH, Cotor over the
+cobar complex, and the cotensor total complex behind the product in
+structure.  A table reads dims off ranks and keeps no RREF.  Walking s
+up, block (s, t) row-reduces its columns of d_s, less those whose index
+is a pivot (least index) of block (s - 1, t), as the rows of one rref
+call; its pivots count rank d_s.  A cleared j is the least index of some y in
 im d_{s-1} with d_s y = 0, so column j is a combination of columns of
 larger index and the rank is kept; the pivots depend on the row space
 alone.  A bidegree's class representatives and the RREF of its
@@ -290,16 +292,17 @@ class CosimplicialModule:
 
 @dataclass
 class CochainComplex:
-    """Terms spanned by words of a cosimplicial module's levels (each
-    label is the word itself), and the differential between them.
+    """Terms with labelled bases (the words of a cosimplicial module's
+    levels, cobar words, or cotensor coordinates), and the differential
+    between them.
 
     diff[s] is d_s: terms[s] -> terms[s+1] in block form, a dict
     t -> list of columns, with a list for every degree t of terms[s].
     Column j is the image of terms[s].labels(t)[j], stored as
     {i: scalar} over terms[s+1].labels(t), with no zero.
-    CosimplicialModule.coface_sum and comodule.cobar_differential write
-    the blocks; HomologyTable reduces them as written, and column reads
-    one back as a formal sum on words.
+    CosimplicialModule.coface_sum, comodule.cobar_differential and
+    structure.CotensorComplex write the blocks; HomologyTable reduces
+    them as written, and column reads one back as a formal sum on labels.
     """
 
     field: FieldSpec

@@ -2,6 +2,9 @@
 the dual Eilenberg-Zilber maps, the coproduct and product at cochain
 level, and the assembled box-(bi)algebra structure on the homology
 table, including the antipode transported from the double-edge model.
+The product is read off the homology of the cotensor total complex,
+which, like every homology in the package, is a HomologyTable over a
+CochainComplex.
 
 Conventions.  For cochains over a shape whose level lists start with
 the basepoint vertex, the D-coactions use that tensor slot: the left
@@ -18,6 +21,7 @@ from . import linalg
 from .coalgebra import GradedCoalgebra
 from .comodule import BoxStructure, Comodule, cotensor, pair_defect
 from .complexes import (
+    CochainComplex,
     CosimplicialModule,
     HomologyTable,
     cohh,
@@ -26,8 +30,7 @@ from .complexes import (
     # unused here; perfbench's tracer test asserts this binding is wrapped
     induced_operator,
 )
-from .graded import GradedMap, add_term, sub_sums, tensor_space
-from .linalg import Matrix
+from .graded import GradedMap, GradedSpace, add_term, sub_sums, tensor_space
 from .simplicial import (
     collapse_double_edge,
     double_edge_circle,
@@ -297,110 +300,94 @@ class CircleStructure:
 
 class CotensorComplex:
     """The total cotensor subcomplex Tot(N box_D N) of the normalized
-    circle cochains in closed form, with its homology.
+    circle cochains in closed form, as a CochainComplex read by a
+    HomologyTable.
 
     The left coaction of a circle cochain is Delta on slot 0, so
     N^v = D (x) Dbar^(x)v is a cofree left comodule and
     N^u box_D N^v = N^u (x) Dbar^(x)v (Doi, "Homological coalgebra",
-    1981; Hess-Parent-Scott, JPAA 2009).  The (n, t) coordinates are the
-    pairs (wa, tail): wa a word of N^u, tail a word of N^(n-u) whose
-    slot 0 holds the coaugmentation, with that slot dropped.  Nothing is
-    eliminated.  phi sends (wa, tail) to (rho_r (x) id)(wa (x) tail),
-    which is equalized because rho_r is coassociative; psi sends a pair
-    (wa, wb) to counit(wb[0]) (wa, wb[1:]).  psi phi = id by the counit
-    law, so the differential in coordinates is psi D phi, with D the
-    total differential on word pairs.
+    1981; Hess-Parent-Scott, JPAA 2009).  Term n holds the coordinates
+    (wa, tail): wa a word of N^u, tail a word of N^(n-u) whose slot 0
+    holds the coaugmentation, with that slot dropped; each degree lists
+    them in (u, deg wa, tail, wa) order.  No kernel is eliminated.  phi
+    sends (wa, tail) to (rho_r (x) id)(wa (x) tail), which is equalized
+    because rho_r is coassociative; psi sends a pair (wa, wb) to
+    counit(wb[0]) (wa, wb[1:]).  psi phi = id by the counit law, so the
+    differential in coordinates is psi D phi, with D the total
+    differential on word pairs.  Its homology is H, one HomologyTable,
+    and pair_vec takes a representative back to word pairs through phi.
     """
 
     def __init__(self, cs: CircleStructure):
         self.cs = cs
-        f = cs.field
         H = cs.H
+        words = H.complex.terms
         coaug = cs.D.coaug
-        self.f = f
-        self.basis: dict = {}       # (n, t) -> coordinates (wa, tail)
-        self.reps: dict = {}        # (n, t) -> homology reps (index vectors)
-        self.dims: dict = {}
-        # tails[v][t]: words of terms[v] in degree t with the
+        self._rho: dict = {}        # wa -> its right coaction, read by phi
+        # tails[v][t]: words of words[v] in degree t with the
         # coaugmentation in slot 0, that slot dropped
-        self._tails = [{t: [w[1:] for w in term.labels(t) if w[0] == coaug]
-                        for t in term.degrees()}
-                       for term in H.complex.terms]
-
-        # t outside, n inside: each block's differential is built once,
-        # as d_out here and d_in at n + 1
-        for t in range(H.t_max + 1):
-            cur = self._block(0, t)
-            d_in = Matrix(len(cur), 0)
-            for n in range(H.s_max + 1):
-                nxt = self._block(n + 1, t)
-                d_out = self._diff_matrix(cur, nxt)
-                if cur:
-                    dim, reps, _ = linalg.homology_reps(d_out, d_in, f)
-                    if dim:
-                        self.reps[(n, t)] = reps
-                        self.dims[(n, t)] = dim
-                d_in, cur = d_out, nxt
-
-    def _block(self, n, t) -> list:
-        """The (n, t) coordinates, kept in basis when there are any."""
-        terms = self.cs.H.complex.terms
-        coords = [(wa, tail)
-                  for u in range(n + 1) for ta in terms[u].degrees()
-                  for tail in self._tails[n - u].get(t - ta, ())
-                  for wa in terms[u].labels(ta)]
-        if coords:
-            self.basis[(n, t)] = coords
-        return coords
+        tails = [{t: [w[1:] for w in term.labels(t) if w[0] == coaug]
+                  for t in term.degrees()} for term in words]
+        terms = [GradedSpace(((wa, tail), t) for t in range(H.t_max + 1)
+                             for u in range(n + 1) for ta in words[u].degrees()
+                             for tail in tails[n - u].get(t - ta, ())
+                             for wa in words[u].labels(ta))
+                 for n in range(H.s_max + 2)]
+        self.complex = CochainComplex(
+            cs.field, terms, [self._diff_blocks(terms[n], terms[n + 1])
+                              for n in range(H.s_max + 1)])
+        self.H = HomologyTable(self.complex, H.s_max, H.t_max)
+        self._rho.clear()       # after the build, phi reads few words
 
     def _phi(self, coord) -> dict:
         wa, tail = coord
-        return {(wa2, (d,) + tail): v for (wa2, d), v
-                in cochain_right_coaction(self.cs.D, wa).items()}
+        rho = self._rho.get(wa)
+        if rho is None:
+            rho = self._rho[wa] = cochain_right_coaction(self.cs.D, wa)
+        return {(wa2, (d,) + tail): v for (wa2, d), v in rho.items()}
 
-    def _pair_vec(self, n, t, kvec):
-        """phi of a vector on the (n, t) coordinates."""
-        f = self.f
-        coords = self.basis[(n, t)]
+    def pair_vec(self, vec: dict) -> dict:
+        """phi of a formal sum on coordinates: a formal sum on word pairs."""
+        f = self.cs.field
         out: dict = {}
-        for j, c in kvec.items():
-            for pr, v in self._phi(coords[j]).items():
+        for x, c in vec.items():
+            for pr, v in self._phi(x).items():
                 add_term(out, pr, f.mul(c, v), f)
         return out
 
-    def _diff_matrix(self, cur, nxt) -> Matrix:
-        """psi D phi from the coordinates cur to the coordinates nxt."""
-        f = self.f
+    def _diff_blocks(self, source, target) -> dict:
+        """psi D phi from the coordinates of source to those of target, in
+        the block form of CochainComplex.diff."""
+        f = self.cs.field
         cc = self.cs.H.complex
         D = self.cs.D
-        index = {x: i for i, x in enumerate(nxt)}
-        m = Matrix(len(nxt), len(cur))
-        for j, x in enumerate(cur):
-            img: dict = {}
-            for (la, lb), c in self._phi(x).items():
-                u = word_level(la)
-                for la2, v in cc.column(u, la).items():
-                    add_term(img, (la2, lb), f.mul(c, v), f)
-                sgn = f.coerce((-1) ** u)
-                for lb2, v in cc.column(word_level(lb), lb).items():
-                    add_term(img, (la, lb2), f.mul(f.mul(c, sgn), v), f)
-            col: dict = {}
-            for (la, lb), v in img.items():
-                e = D.counit_of(lb[0])
-                if e:
-                    i = index.get((la, lb[1:]))
-                    if i is None:
-                        raise AssertionError(
-                            "differential left the next coordinate block")
-                    add_term(col, i, f.mul(v, e), f)
-            back: dict = {}
-            for i, c in col.items():
-                m.entries[(i, j)] = c
-                for pr, v in self._phi(nxt[i]).items():
-                    add_term(back, pr, f.mul(c, v), f)
-            if sub_sums(back, img, f):
-                raise AssertionError("differential left the cotensor")
-        return m
+        blocks = {}
+        for t, coords in source.by_degree.items():
+            cols = blocks[t] = []
+            labels = target.labels(t)
+            for x in coords:
+                img: dict = {}
+                for (la, lb), c in self._phi(x).items():
+                    u = word_level(la)
+                    for la2, v in cc.column(u, la).items():
+                        add_term(img, (la2, lb), f.mul(c, v), f)
+                    sgn = f.coerce((-1) ** u)
+                    for lb2, v in cc.column(word_level(lb), lb).items():
+                        add_term(img, (la, lb2), f.mul(f.mul(c, sgn), v), f)
+                col: dict = {}
+                for (la, lb), v in img.items():
+                    e = D.counit_of(lb[0])
+                    if e:
+                        y = (la, lb[1:])
+                        if target.degree_of.get(y) != t:
+                            raise AssertionError(
+                                "differential left the next coordinate block")
+                        add_term(col, target.index_of[y], f.mul(v, e), f)
+                if sub_sums(self.pair_vec({labels[i]: c
+                                           for i, c in col.items()}), img, f):
+                    raise AssertionError("differential left the cotensor")
+                cols.append(col)
+        return blocks
 
 
 def homology_multiplication(cs: CircleStructure):
@@ -443,7 +430,8 @@ def homology_multiplication(cs: CircleStructure):
     for (n, t), block in sorted(blocks.items(), key=repr):
         if n > cs.s_max:
             continue
-        reps = [ct._pair_vec(n, t, kvec) for kvec in ct.reps.get((n, t), [])]
+        reps = [ct.pair_vec(ct.H.rep(("h", n, t, k)))
+                for k in range(ct.H.dim(n, t))]
         if len(reps) != len(block):
             kuenneth_ok = False
         # write each cotensor basis vector in the Kuenneth classes of the
@@ -463,9 +451,8 @@ def homology_multiplication(cs: CircleStructure):
             mult.set_column(free, val)
         handled.add((n, t))
 
-    for (n, t), d in ct.dims.items():
-        if n <= cs.s_max and (n, t) not in handled and d:
-            kuenneth_ok = False
+    if set(ct.H.dims()) - handled:
+        kuenneth_ok = False
     return mult, carrier, kuenneth_ok
 
 

@@ -17,6 +17,7 @@ from cohh.coalgebra import (exterior_coalgebra, polynomial_coalgebra,
 from cohh.comodule import cotensor
 from cohh.complexes import (
     CosimplicialModule,
+    HomologyTable,
     _words,
     induced_apply,
     normalized_complex,
@@ -326,11 +327,10 @@ def test_multiplication_is_the_complete_basis_extension(degrees, field,
     # on the Kuenneth class of a cotensor cocycle, mult is the cochain
     # product
     ct = st.CotensorComplex(cs)
-    for (n, t), reps in ct.reps.items():
-        for kvec in reps:
-            z = ct._pair_vec(n, t, kvec)
-            assert mult.apply(cs.pair_classes(z), f) == \
-                cs.product_on_cotensor(z)
+    assert ct.H.dims()
+    for label in ct.H.classes.degree_of:
+        z = ct.pair_vec(ct.H.rep(label))
+        assert mult.apply(cs.pair_classes(z), f) == cs.product_on_cotensor(z)
     extension = complete_basis_extension(
         mult, cotensor(carrier, carrier, t_max), s_max, f)
     assert extension.equals(mult, f)
@@ -358,8 +358,8 @@ def test_cotensor_coordinates_span_the_equalizer(degrees, field, s_max,
                      for wb in terms[n - u].labels(t - ta)]
             kernel = linalg.kernel_of(
                 {p: cs.defect({p: field.one}) for p in pairs}, field)
-            images = [ct._pair_vec(n, t, {j: field.one})
-                      for j in range(len(ct.basis.get((n, t), ())))]
+            images = [ct.pair_vec({x: field.one})
+                      for x in ct.complex.terms[n].labels(t)]
             assert len(images) == len(kernel), (n, t)
             if images:
                 # independent, and together with the kernel of rank no
@@ -370,6 +370,127 @@ def test_cotensor_coordinates_span_the_equalizer(degrees, field, s_max,
                                    field) == len(kernel), (n, t)
                 blocks += 1
     assert blocks > 10, blocks
+
+
+def per_block_cotensor_homology(cs):
+    """The cotensor complex's homology by its own per-block loop: the
+    (n, t) coordinates in (u, deg wa, tail, wa) order, psi D phi as a
+    Matrix from block (n, t) to block (n + 1, t), and
+    linalg.homology_reps on every nonempty block.  Returns
+    {(n, t): (coordinates, dim, representatives on the coordinates)}."""
+    D, f, H = cs.D, cs.field, cs.H
+    cc = H.complex
+    words = cc.terms
+    tails = [{t: [w[1:] for w in term.labels(t) if w[0] == D.coaug]
+              for t in term.degrees()} for term in words]
+
+    def block(n, t):
+        return [(wa, tail) for u in range(n + 1) for ta in words[u].degrees()
+                for tail in tails[n - u].get(t - ta, ())
+                for wa in words[u].labels(ta)]
+
+    def diff_matrix(cur, nxt):
+        index = {x: i for i, x in enumerate(nxt)}
+        cols = []
+        for wa, tail in cur:
+            img = {}
+            for (la, d), c in st.cochain_right_coaction(D, wa).items():
+                lb = (d,) + tail
+                u = len(la) - 1
+                for la2, v in cc.column(u, la).items():
+                    add_term(img, (la2, lb), f.mul(c, v), f)
+                sgn = f.coerce((-1) ** u)
+                for lb2, v in cc.column(len(lb) - 1, lb).items():
+                    add_term(img, (la, lb2), f.mul(f.mul(c, sgn), v), f)
+            col = {}
+            for (la, lb), v in img.items():
+                if D.counit_of(lb[0]):
+                    add_term(col, index[(la, lb[1:])],
+                             f.mul(v, D.counit_of(lb[0])), f)
+            cols.append(col)
+        return Matrix.from_columns(cols, len(nxt))
+
+    out = {}
+    for t in range(H.t_max + 1):
+        cur = block(0, t)
+        d_in = Matrix(len(cur), 0)
+        for n in range(H.s_max + 1):
+            nxt = block(n + 1, t)
+            d_out = diff_matrix(cur, nxt)
+            if cur:
+                dim, reps, _ = linalg.homology_reps(d_out, d_in, f)
+                out[(n, t)] = (cur, dim, [{cur[j]: v for j, v in r.items()}
+                                          for r in reps])
+            d_in, cur = d_out, nxt
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+@pytest.mark.parametrize("degrees, s_max, t_max", [
+    ([3], 4, 16), ([3, 5], 3, 16), (None, 3, 12)])
+def test_cotensor_homology_table_matches_the_per_block_loop(degrees, s_max,
+                                                            t_max, field):
+    # None stands for Lambda(x_3) (x) k[w_4] truncated at 12
+    D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
+        exterior_coalgebra([3], field),
+        polynomial_coalgebra([4], field, truncation=12)))
+    cs = st.CircleStructure(D, s_max, t_max)
+    ct = st.CotensorComplex(cs)
+    oracle = per_block_cotensor_homology(cs)
+    assert ct.H.dims() == {nt: dim for nt, (_, dim, _) in oracle.items()
+                           if dim}
+    assert max(dim for _, dim, _ in oracle.values()) > 1
+    for (n, t), (coords, dim, reps) in oracle.items():
+        assert ct.complex.terms[n].labels(t) == coords, (n, t)
+        assert [ct.H.rep(("h", n, t, k)) for k in range(dim)] == reps, (n, t)
+
+
+def test_cotensor_complex_refuses_a_right_coaction_off_the_cotensor(
+        monkeypatch):
+    D = exterior_coalgebra([3, 5], QQ)
+    cs = st.CircleStructure(D, 2, 12)
+    right = st.cochain_right_coaction
+
+    def flipped(D, word):
+        # one sign of rho_r(x3): phi is no longer equalized
+        return {(w, d): (-v if d == "x3" and word == ("x3",) else v)
+                for (w, d), v in right(D, word).items()}
+
+    monkeypatch.setattr(st, "cochain_right_coaction", flipped)
+    with pytest.raises(AssertionError, match="differential left the cotensor"):
+        st.CotensorComplex(cs)
+
+
+def test_cotensor_complex_refuses_an_image_outside_the_next_block(
+        monkeypatch):
+    D = exterior_coalgebra([3], QQ)
+    cs = st.CircleStructure(D, 2, 9)
+    cc = cs.H.complex
+    column = cc.column
+
+    def leaky(s, word):
+        # word with the coaugmentation appended is degenerate: no
+        # coordinate holds it
+        return {**column(s, word), word + (D.coaug,): 1}
+
+    monkeypatch.setattr(cc, "column", leaky)
+    with pytest.raises(AssertionError,
+                       match="differential left the next coordinate block"):
+        st.CotensorComplex(cs)
+
+
+def test_cotensor_homology_table_checks_every_block():
+    # doubling one entry (x, y) of d^1 whose target y has d^2(y) != 0
+    # makes d^2 d^1 nonzero on x
+    D = exterior_coalgebra([3, 5], QQ)
+    cs = st.CircleStructure(D, 3, 12)
+    ct = st.CotensorComplex(cs)
+    cc = ct.complex
+    col, i = next((col, i) for t, cols in cc.diff[1].items() for col in cols
+                  for i in col if cc.diff[2][t][i])
+    col[i] *= 2
+    with pytest.raises(AssertionError, match="nonzero"):
+        HomologyTable(cc, ct.H.s_max, ct.H.t_max)
 
 
 def test_pair_classes_refuses_a_word_outside_the_normalized_terms():
