@@ -186,9 +186,8 @@ def pair_defect(terms: dict, right_of, left_of, field: FieldSpec) -> dict:
 def degree_pairs(M: GradedSpace, N: GradedSpace, degree: int) -> list:
     """The pairs (m, n) of basis labels of total degree degree, in repr
     order."""
-    return sorted(((m, n) for m, dm in M.degree_of.items()
-                   for n, dn in N.degree_of.items() if dm + dn == degree),
-                  key=repr)
+    return sorted(((m, n) for dm, ms in M.by_degree.items() for m in ms
+                   for n in N.labels(degree - dm)), key=repr)
 
 
 @dataclass

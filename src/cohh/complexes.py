@@ -11,7 +11,8 @@ one.  Cofaces, codegeneracies, and the maps induced by simplicial maps
 are all instances.  _word_image computes the image of one word;
 induced_operator collects those images as the word-keyed columns of a
 GradedMap, coface_sum sums them into a differential's blocks, and
-induced_apply applies them to one vector.
+induced_map applies them to formal sums, with one plan for every vector
+it is given.
 
 A differential is stored in one form, the blocks of CochainComplex.diff:
 per internal degree, its columns as index dicts over the target words.
@@ -159,16 +160,21 @@ def induced_operator(D: GradedCoalgebra, a_list, b_list, fmap,
                      {word: image(word) for word in source.degree_of})
 
 
-def induced_apply(D: GradedCoalgebra, a_list, b_list, fmap, vec: dict) -> dict:
-    """The map induced_operator builds, applied to one formal sum of
-    words (aligned with b_list) without building its matrix."""
+def induced_map(D: GradedCoalgebra, a_list, b_list, fmap):
+    """The map induced_operator builds, as a function on formal sums of
+    words (aligned with b_list) that builds no matrix.  Its per-word
+    plan is made once, here, so a caller that applies the map to many
+    vectors keeps the function and makes no second plan."""
     f = D.field
     image = _word_image(D, a_list, b_list, fmap)
-    out: dict = {}
-    for word, c in vec.items():
-        for w, v in image(word).items():
-            add_term(out, w, f.mul(c, v), f)
-    return out
+
+    def apply(vec: dict) -> dict:
+        out: dict = {}
+        for word, c in vec.items():
+            for w, v in image(word).items():
+                add_term(out, w, f.mul(c, v), f)
+        return out
+    return apply
 
 
 def _words(D: GradedCoalgebra, slots: int, t_max: int, missing=()):
@@ -487,11 +493,13 @@ def induced_homology_map(D: GradedCoalgebra, f: SimplicialMap,
     # the image of a rep is taken over every word over X, so that
     # class_coords refuses an image outside the normalized words
     out = GradedMap(HY.classes, HX.classes)
+    # one induced map per level, applied to every representative there
+    maps = {s: induced_map(D, f.source.level(s), f.target.level(s),
+                           lambda x, s=s: f.apply(s, x))
+            for s in {label[1] for label in HY.classes.degree_of}}
     for label in HY.classes.degree_of:
         _, s, t, _ = label
-        img = induced_apply(D, f.source.level(s), f.target.level(s),
-                            lambda x, s=s: f.apply(s, x), HY.rep(label))
-        out.set_column(label, HX.class_coords(s, t, img))
+        out.set_column(label, HX.class_coords(s, t, maps[s](HY.rep(label))))
     return out
 
 

@@ -349,7 +349,7 @@ def e2_structure_audit(page: E2Page, max_degree: int = None,
     bound = page.t_max if max_degree is None else min(max_degree,
                                                      page.t_max)
     box, cs, kuenneth_ok = st.cohh_box_structure(
-        h, page.s_max, page.t_max, with_mult=True)
+        h, page.s_max, page.t_max, with_mult=True, H=page.table)
 
     # indecomposables of the positive-filtration part modulo products
     computed_ind: dict = {}

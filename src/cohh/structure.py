@@ -6,6 +6,15 @@ The product is read off the homology of the cotensor total complex,
 which, like every homology in the package, is a HomologyTable over a
 CochainComplex.
 
+The coproduct of a class is the dual shuffle map after the levelwise
+comultiplication, applied to its representative.  Both are maps induced
+by functions between slot lists, so their composite is the one induced
+map of the composite function (CircleStructure.class_coproduct says
+why); the coproduct applies that one map per shuffle, its plan made
+once per level, and sh_map and levelwise_comult stay as the separate
+factors.  A CircleStructure reads the circle homology table it is
+given (an audit hands it the E2 page's) or builds one.
+
 Conventions.  For cochains over a shape whose level lists start with
 the basepoint vertex, the D-coactions use that tensor slot: the left
 coaction applies Delta there and pulls the first leg out front; the
@@ -25,8 +34,8 @@ from .complexes import (
     CosimplicialModule,
     HomologyTable,
     cohh,
-    induced_apply,
     induced_homology_map,
+    induced_map,
     # unused here; perfbench's tracer test asserts this binding is wrapped
     induced_operator,
 )
@@ -131,7 +140,7 @@ def _on_part(mx, part, a_lv, b_lv, op, vec):
     identity on the others, to a formal sum of mixed words."""
     def fmap(s):
         return (part, op(s[1])) if s[0] == part else s
-    return induced_apply(mx.D, a_lv, b_lv, fmap, vec)
+    return induced_map(mx.D, a_lv, b_lv, fmap)(vec)
 
 
 def delta_A(mx: MixedBicosimplicial, p, q, i, vec) -> dict:
@@ -171,6 +180,16 @@ def _degeneracy_chain(degeneracy_fn, low: int, idxs):
     return fmap
 
 
+def _shuffles(mx: MixedBicosimplicial, p: int, q: int):
+    """For each (p, q)-shuffle (mu, nu): mu, s_nu on the A part and s_mu
+    on the B part, as functions on simplices."""
+    n = p + q
+    for mu in itertools.combinations(range(n), p):
+        nu = tuple(sorted(set(range(n)) - set(mu)))
+        yield (mu, _degeneracy_chain(mx.A.degeneracy_fn, p, nu),
+               _degeneracy_chain(mx.B.degeneracy_fn, q, mu))
+
+
 def sh_map(mx: MixedBicosimplicial, p: int, q: int, vec: dict) -> dict:
     """Dual shuffle component (A (x) B)^{p+q} -> A^p (x) B^q on a formal
     sum: over the (p, q)-shuffles (mu, nu), the signed map induced by
@@ -181,16 +200,12 @@ def sh_map(mx: MixedBicosimplicial, p: int, q: int, vec: dict) -> dict:
     f = mx.D.field
     n = p + q
     total: dict = {}
-    for mu in itertools.combinations(range(n), p):
-        nu = tuple(sorted(set(range(n)) - set(mu)))
-        s_nu = _degeneracy_chain(mx.A.degeneracy_fn, p, nu)
-        s_mu = _degeneracy_chain(mx.B.degeneracy_fn, q, mu)
-        cur = induced_apply(
+    for mu, s_nu, s_mu in _shuffles(mx, p, q):
+        shuffle = induced_map(
             mx.D, mx.level(p, q), mx.level(n, n),
-            lambda s: ("L", s_nu(s[1])) if s[0] == "L" else ("R", s_mu(s[1])),
-            vec)
+            lambda s: ("L", s_nu(s[1])) if s[0] == "L" else ("R", s_mu(s[1])))
         sign = f.coerce((-1) ** shuffle_sign(mu))
-        for word, v in cur.items():
+        for word, v in shuffle(vec).items():
             add_term(total, word, f.mul(sign, v), f)
     return total
 
@@ -200,8 +215,8 @@ def levelwise_comult(mx: MixedBicosimplicial, n: int, vec: dict) -> dict:
     reorder into (first legs, second legs) with Koszul signs: the map
     induced by folding the mixed (n, n) level onto level n.  The two
     factors of mx must share their levels."""
-    return induced_apply(mx.D, mx.level(n, n), mx.A.levels[n],
-                         lambda s: s[1], vec)
+    return induced_map(mx.D, mx.level(n, n), mx.A.levels[n],
+                       lambda s: s[1])(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +225,66 @@ def levelwise_comult(mx: MixedBicosimplicial, n: int, vec: dict) -> dict:
 
 class CircleStructure:
     """Bundles a homology table over the circle with the machinery that
-    computes its box-bialgebra structure maps."""
+    computes its box-bialgebra structure maps.  H, when given, is that
+    table, cohh(D, s_max, t_max) as an E2 page holds it; otherwise it is
+    built here."""
 
-    def __init__(self, D: GradedCoalgebra, s_max: int, t_max: int):
+    def __init__(self, D: GradedCoalgebra, s_max: int, t_max: int,
+                 H: HomologyTable = None):
         self.D = D
         self.field = D.field
         self.s_max = s_max
         self.t_max = t_max
-        self.H = cohh(D, s_max, t_max)
+        self.H = cohh(D, s_max, t_max) if H is None else H
         cm = self.H.complex.ambient
         self.mx = MixedBicosimplicial(cm, cm)
         self.proj = AmbientProjector(self.H)
+        self._shuffle_cache: dict = {}  # (n, p) -> [(sign parity, map)]
+
+    def _shuffle_maps(self, n: int, p: int) -> list:
+        """For each (p, n - p)-shuffle (mu, nu): the parity of its sign
+        and the map induced by fold o (s_nu + s_mu), from level n to the
+        mixed level (p, n - p), made once per (n, p)."""
+        maps = self._shuffle_cache.get((n, p))
+        if maps is None:
+            mx = self.mx
+            maps = self._shuffle_cache[(n, p)] = [
+                (shuffle_sign(mu) & 1, induced_map(
+                    self.D, mx.level(p, n - p), mx.A.levels[n],
+                    lambda s, s_nu=s_nu, s_mu=s_mu:
+                        s_nu(s[1]) if s[0] == "L" else s_mu(s[1])))
+                for mu, s_nu, s_mu in _shuffles(mx, p, n - p)]
+        return maps
 
     def class_coproduct(self, label) -> dict:
         """Coproduct of a homology class, as a formal sum on pairs of
-        class labels."""
-        _, s, _, _ = label
+        class labels: (pi (x) pi) sh Delta on its representative, where
+        Delta is the levelwise comultiplication and sh the dual shuffle
+        map.
+
+        Both factors are induced maps.  Delta is induced by the fold g
+        of the mixed level (n, n) onto level n, and the component of sh
+        at a (p, q)-shuffle (mu, nu) by s_nu + s_mu: (p, q) -> (n, n).
+        The induced-map engine is functorial, (g o f)^* = f^* o g^*:
+        over a fiber of g o f, expanding the fiber of g and then each
+        leg over its own fiber of f is the iterated comultiplication of
+        the whole fiber, by coassociativity and the counit law, and the
+        Koszul signs of the two reorderings add up to that of the
+        composite one.  So each shuffle's term is the one map induced
+        by g o (s_nu + s_mu), ("L", a) -> s_nu(a) and ("R", b) ->
+        s_mu(b), equal term for term to sh after Delta; its fibers hold
+        at most one slot of each part, so only a fiber of size 2
+        expands.  sh_map and levelwise_comult are not called."""
+        _, n, _, _ = label
         f = self.field
-        tz = levelwise_comult(self.mx, s, self.H.rep(label))
-        out: dict = {}
-        for p in range(s + 1):
-            comp = sh_map(self.mx, p, s - p, tz)
-            pairs = {self.mx.split(p, s - p, w): c for w, c in comp.items()}
-            for pr, v in self.pair_classes(pairs).items():
-                add_term(out, pr, v, f)
-        return out
+        z = self.H.rep(label)
+        pairs: dict = {}
+        for p in range(n + 1):
+            for odd, apply in self._shuffle_maps(n, p):
+                for w, v in apply(z).items():
+                    add_term(pairs, self.mx.split(p, n - p, w),
+                             f.neg(v) if odd else v, f)
+        return self.pair_classes(pairs)
 
     def pair_classes(self, vec: dict) -> dict:
         """(pi (x) pi) on a formal sum of word pairs {(wa, wb): c}: group
@@ -243,16 +293,17 @@ class CircleStructure:
         word outside the normalized terms (HomologyTable.class_coords)."""
         f = self.field
         H = self.H
+        deg = self.D.space.degree_of
         groups: dict = {}
         for (wa, wb), c in vec.items():
-            key = (word_level(wa), word_degree(self.D, wa), wb)
+            key = (word_level(wa), sum(deg[x] for x in wa), wb)
             add_term(groups.setdefault(key, {}), wa, c, f)
         out: dict = {}
         for (u, ta, wb), avec in groups.items():
             ca = H.class_coords(u, ta, avec)
             if not ca:
                 continue
-            cb = H.class_coords(word_level(wb), word_degree(self.D, wb),
+            cb = H.class_coords(word_level(wb), sum(deg[x] for x in wb),
                                 {wb: f.one})
             for hA, va in ca.items():
                 for hB, vb in cb.items():
@@ -328,8 +379,9 @@ class CotensorComplex:
         # coaugmentation in slot 0, that slot dropped
         tails = [{t: [w[1:] for w in term.labels(t) if w[0] == coaug]
                   for t in term.degrees()} for term in words]
+        degrees = [term.degrees() for term in words]
         terms = [GradedSpace(((wa, tail), t) for t in range(H.t_max + 1)
-                             for u in range(n + 1) for ta in words[u].degrees()
+                             for u in range(n + 1) for ta in degrees[u]
                              for tail in tails[n - u].get(t - ta, ())
                              for wa in words[u].labels(ta))
                  for n in range(H.s_max + 2)]
@@ -493,11 +545,13 @@ def cohh_carrier_comodule(cs: CircleStructure) -> Comodule:
 
 
 def cohh_box_structure(D: GradedCoalgebra, s_max: int, t_max: int,
-                       with_mult=True, with_antipode=False):
-    """Assemble the box-bialgebra structure on the circle homology.
+                       with_mult=True, with_antipode=False,
+                       H: HomologyTable = None):
+    """Assemble the box-bialgebra structure on the circle homology, read
+    from the table H when it is given (see CircleStructure).
 
     Returns (BoxStructure, CircleStructure, kuenneth_ok)."""
-    cs = CircleStructure(D, s_max, t_max)
+    cs = CircleStructure(D, s_max, t_max, H)
     f = cs.field
     H = cs.H
 

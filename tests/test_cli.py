@@ -355,7 +355,11 @@ def test_rational_json_output_is_pinned(argv, digest, capsys):
      "290e4d9c150182b06afbf918e5ae71796310399c223fb7cc840447e9cb582a37"),
     ("audit --degrees 3,5 --field 3 --max-s 4 --max-t 20",
      "9b890253d78add0c062bd4c949241c3eb7aff4d1709243a6deb07988b73229f9"),
-], ids=["cohh-exterior", "cohh-polynomial", "audit", "audit-two-generators"])
+    # the job of perfbench's audit-ext1-f3 workload
+    ("audit --degrees 3 --field 3 --max-s 4 --max-t 18",
+     "da157dd00ea3164834f3c9cd153592175da4afb41c26cc582f9516d7530552cf"),
+], ids=["cohh-exterior", "cohh-polynomial", "audit", "audit-two-generators",
+        "audit-one-generator-mod-3"])
 def test_modular_json_output_is_pinned(argv, digest, capsys):
     # generated terms, cut-off cofaces and rank dims must print exactly
     # what the filtered terms and per-block representatives printed

@@ -419,3 +419,15 @@ def test_coflatness_report_for_cofree_comodule():
     assert rep.cofree_dims_ok
     assert rep.cogenerator_dims == {t: P.space.dim(t) for t in range(11)
                                     if P.space.dim(t) and t > 0} | {0: 1}
+
+
+def test_degree_pairs_keeps_the_order_of_the_full_scan():
+    D = tensor_coalgebra(exterior_coalgebra([3, 5], GF(3)),
+                         polynomial_coalgebra([4], GF(3), truncation=12))
+    M = D.space
+    N = GradedSpace([("1", 0), ("a", 3), ("b", 3), ("c", 7)])
+    for degree in range(-1, 24):
+        full = sorted(((m, n) for m, dm in M.degree_of.items()
+                       for n, dn in N.degree_of.items()
+                       if dm + dn == degree), key=repr)
+        assert comodule.degree_pairs(M, N, degree) == full, degree

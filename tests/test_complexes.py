@@ -690,3 +690,27 @@ def test_collapse_induces_iso_small():
     D = exterior_coalgebra([3], GF(2))
     rep = compare_by_induced_map(D, collapse_subdivided(), 2, 9)
     assert rep.iso, str(rep)
+
+
+def test_induced_homology_map_plans_each_level_once(monkeypatch):
+    from cohh import complexes
+    D = exterior_coalgebra([3], GF(3))
+    f = collapse_subdivided()
+    HY = cohh(D, 3, 12, shape=f.target)
+    HX = cohh(D, 3, 12, shape=f.source)
+    plans = []
+    real = complexes._word_image
+
+    def counting(*args, **kwargs):
+        plans.append(args[1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(complexes, "_word_image", counting)
+    m = complexes.induced_homology_map(D, f, HY, HX)
+    levels = {label[1] for label in HY.classes.degree_of}
+    assert len(plans) == len(levels) > 1
+    # still an iso on every bidegree (compare_by_induced_map's check)
+    for (s, t), bd in HY.data.items():
+        cols = [{l[3]: v for l, v in m.column(("h", s, t, k)).items()}
+                for k in range(bd.dim)]
+        assert linalg.rank(Matrix.from_columns(cols, HX.dim(s, t)),
+                           D.field) == bd.dim == HX.dim(s, t)

@@ -152,6 +152,23 @@ def test_structure_audit_of_two_generators_mod_2():
     assert sp.e2_structure_audit(page).ok
 
 
+def test_structure_audit_builds_one_circle_table(monkeypatch):
+    from cohh import complexes
+    tables = []
+    init = complexes.HomologyTable.__init__
+
+    def recording(self, cc, s_max, t_max):
+        tables.append(cc)
+        init(self, cc, s_max, t_max)
+    monkeypatch.setattr(complexes.HomologyTable, "__init__", recording)
+    page = sp.build_e2(exterior_coalgebra([3], GF(3)), 3, 9)
+    assert sp.e2_structure_audit(page).ok
+    # the E2 page's table over the circle cochains, then the cotensor
+    # total complex's, which has no cosimplicial ambient
+    assert [cc.ambient is not None for cc in tables] == [True, False]
+    assert tables[0] is page.table.complex
+
+
 def test_structure_audit_rejects_non_exterior_pages():
     page = sp.build_e2(polynomial_coalgebra([2], GF(3), truncation=8),
                        2, 8)

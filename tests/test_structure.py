@@ -19,7 +19,7 @@ from cohh.complexes import (
     CosimplicialModule,
     HomologyTable,
     _words,
-    induced_apply,
+    induced_map,
     normalized_complex,
 )
 from cohh.fields import GF, QQ
@@ -89,18 +89,18 @@ def sh_by_single_codegeneracies(mx, p, q, vec):
         cur = vec
         for k, i in enumerate(reversed(mu)):
             b = n - 1 - k     # sigma_i on the B part: (n, b + 1) -> (n, b)
-            cur = induced_apply(
+            sigma = induced_map(
                 mx.D, mx.level(n, b), mx.level(n, b + 1),
                 lambda s, b=b, i=i: (s if s[0] == "L" else
-                                     ("R", mx.B.degeneracy_fn(b, i, s[1]))),
-                cur)
+                                     ("R", mx.B.degeneracy_fn(b, i, s[1]))))
+            cur = sigma(cur)
         for k, i in enumerate(reversed(nu)):
             a = n - 1 - k     # sigma_i on the A part: (a + 1, q) -> (a, q)
-            cur = induced_apply(
+            sigma = induced_map(
                 mx.D, mx.level(a, q), mx.level(a + 1, q),
                 lambda s, a=a, i=i: (s if s[0] == "R" else
-                                     ("L", mx.A.degeneracy_fn(a, i, s[1]))),
-                cur)
+                                     ("L", mx.A.degeneracy_fn(a, i, s[1]))))
+            cur = sigma(cur)
         sign = f.coerce((-1) ** st.shuffle_sign(mu))
         for w, v in cur.items():
             add_term(total, w, f.mul(sign, v), f)
@@ -228,6 +228,54 @@ def test_coproduct_of_suspension_powers_is_binomial(field):
             add_term(expected, (ha, hb), f.mul(f.inv(scale), coeff), f)
         got = cs.class_coproduct(label)
         assert got == expected, (q, got, expected)
+
+
+def composite_coproduct(cs, label):
+    """The coproduct of a class as the factors give it: the levelwise
+    comultiplication, then sh_map one p at a time, split into pairs and
+    projected."""
+    mx, f = cs.mx, cs.field
+    _, n, _, _ = label
+    tz = st.levelwise_comult(mx, n, cs.H.rep(label))
+    out = {}
+    for p in range(n + 1):
+        comp = st.sh_map(mx, p, n - p, tz)
+        pairs = {mx.split(p, n - p, w): c for w, c in comp.items()}
+        for pr, v in cs.pair_classes(pairs).items():
+            add_term(out, pr, v, f)
+    return out
+
+
+@pytest.mark.parametrize("degrees, field, s_max, t_max", [
+    ([3], GF(2), 4, 16), ([3], GF(3), 4, 16), ([3], QQ, 4, 16),
+    ([3, 5], GF(2), 3, 16), ([3, 5], GF(3), 3, 16), (None, GF(3), 3, 12)],
+    ids=str)
+def test_class_coproduct_equals_sh_after_levelwise_comult(
+        degrees, field, s_max, t_max, monkeypatch):
+    # None stands for Lambda(x_3) (x) k[w_4] truncated at 12
+    D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
+        exterior_coalgebra([3], field),
+        polynomial_coalgebra([4], field, truncation=12)))
+    cs = st.CircleStructure(D, s_max, t_max)
+    labels = sorted(cs.H.classes.degree_of, key=lambda l: (l[1], l[2], l[3]))
+    expected = {label: composite_coproduct(cs, label) for label in labels}
+
+    def refuse(*args):
+        raise AssertionError("class_coproduct called a factor")
+    monkeypatch.setattr(st, "sh_map", refuse)
+    monkeypatch.setattr(st, "levelwise_comult", refuse)
+    made = []
+    real = st.induced_map
+
+    def counting(*args):
+        made.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(st, "induced_map", counting)
+    assert any(label[1] >= 2 for label in labels)
+    for label in labels:
+        assert cs.class_coproduct(label) == expected[label], label
+    # one map per shuffle, 2^n of them at level n, made once per level
+    assert len(made) == sum(2 ** n for n in {label[1] for label in labels})
 
 
 def test_coproduct_of_exterior_class_is_primitive():
