@@ -47,6 +47,13 @@ class ParseError(ValueError):
     """A job or coalgebra spec that does not match the schema."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: a ParseError, which exits 1."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 @dataclass
 class JobSpec:
     command: str
@@ -426,7 +433,7 @@ def _job_from_args(args) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohh",
         description="coHochschild homology of finite-type graded "
                     "coalgebras, with structure checks and loop tables")
@@ -445,9 +452,8 @@ def main(argv=None) -> int:
                       "complex")):
         _add_common(subs.add_parser(name, help=text))
 
-    args = parser.parse_args(argv)
     try:
-        job = _job_from_args(args)
+        job = _job_from_args(parser.parse_args(argv))
         status, text = run(job)
     except (ParseError, DegreeEven, NotPrime, ValueError,
             json.JSONDecodeError) as exc:

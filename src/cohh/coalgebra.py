@@ -34,6 +34,7 @@ class GradedCoalgebra:
         self.name = name
         self.metadata = metadata or {}
         self._iterated: dict = {}
+        self._tables: dict = {}
 
     def degree(self, label) -> int:
         return self.space.degree_of[label]
@@ -77,6 +78,16 @@ class GradedCoalgebra:
                     add_term(out, prefix[:-1] + (a, b), f.mul(c, d), f)
         self._iterated[key] = out
         return out
+
+    def comult_table(self, k: int, held: tuple) -> dict:
+        """label -> the (tuple, scalar) terms of iterated_comult(label, k)
+        with no coaugmentation at an offset in held.  Cached per (k, held)."""
+        if (k, held) not in self._tables:
+            self._tables[k, held] = {
+                x: [(tup, v) for tup, v in self.iterated_comult(x, k).items()
+                    if all(tup[o] != self.coaug for o in held)]
+                for x in self.space.degree_of}
+        return self._tables[k, held]
 
     def __repr__(self):
         return f"GradedCoalgebra({self.name or 'table'}, {self.field}, dim={self.space.total_dim()})"

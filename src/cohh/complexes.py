@@ -8,11 +8,11 @@ into A-order with Koszul signs.  A fiber of size 0 is the counit and a
 fiber of size 1 passes its label through, so only a fiber of size >= 2
 expands: a shuffle map or codegeneracy expands none, a circle coface
 one.  Cofaces, codegeneracies, and the maps induced by simplicial maps
-are all instances.  _word_image computes the image of one word;
-induced_operator collects those images as the word-keyed columns of a
-GradedMap, coface_sum sums them into a differential's blocks, and
-induced_map applies them to formal sums, with one plan for every vector
-it is given.
+are all instances.  _word_image adds c times the image of one word,
+unreduced, into a sum its caller owns, and the caller reduces it once
+with FieldSpec.canonical: induced_operator per image, as a word-keyed
+column of a GradedMap; coface_sum per column of a differential's
+blocks; induced_map per formal sum, with one plan for every vector.
 
 A differential is stored in one form, the blocks of CochainComplex.diff:
 per internal degree, its columns as index dicts over the target words.
@@ -47,11 +47,13 @@ retractions differ by h o d, so they agree on every cocycle.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 
 from . import linalg
 from .coalgebra import GradedCoalgebra
 from .fields import FieldSpec
-from .graded import GradedMap, GradedSpace, add_term
+from .graded import GradedMap, GradedSpace
 from .linalg import Matrix
 from .simplicial import GraphSimplicialSet, SimplicialMap, circle
 
@@ -59,24 +61,27 @@ from .simplicial import GraphSimplicialSet, SimplicialMap, circle
 def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None,
                 nonunit=()):
     """The per-word image of the map D^{(x) b_list} -> D^{(x) a_list}
-    induced by f: A -> B, as a function word -> formal sum of words.
+    induced by f: A -> B, as a function image(word, c=1, out=None).
 
     The fibers of f are told apart by size once, here.  A fiber of
     size 0 is a counit factor, a fiber of size 1 passes its label
-    through, and only a fiber of size >= 2 expands, through
-    iterated_comult.  Each output label is read at a fixed index into
-    the word followed by the expanded legs, and the Koszul sign comes
-    from the pairs of those indices that the permutation into A-order
-    swaps.  Terms come in the product order over the expanded fibers,
-    the order a slot-by-slot expansion gives.  When keep, a dict, is
-    given, image words not in it are dropped and each other one is summed
-    at keep[word] (its block index, say).  The A-slots in nonunit (indices
+    through, and only a fiber of size >= 2 expands, through the
+    coalgebra's comult_table, made once per coalgebra.  Each output word
+    is read in one itemgetter call at fixed indices into the word
+    followed by the expanded legs, and the Koszul sign comes from the
+    pairs of those indices that the permutation into A-order swaps; with
+    no such pair, no odd-degree label, or over F_2, no sign is summed.
+    Terms come in the product order over the expanded fibers, the order a
+    slot-by-slot expansion gives.  When keep, a dict, is given, image
+    words not in it are dropped and each other one is summed at
+    keep[word] (its block index, say).  The A-slots in nonunit (indices
     into a_list) take no coaugmentation factor: the image is empty when a
     fiber of size 1 passes the coaugmentation to one of them, and a
-    larger fiber holding one expands each label once, here, with those
-    terms left out, which on a fiber of size 2 is the reduced
-    comultiplication.  Every image word dropped that way must be
-    outside keep, so the result is unchanged.
+    larger fiber holding one expands each label with those terms left
+    out, which on a fiber of size 2 is the reduced comultiplication.
+    Every image word dropped that way must be outside keep, so the result
+    is unchanged.  image(word, c, out) adds c times the image into out
+    with plain + and *, unreduced; image(word) returns it reduced.
     """
     f = D.field
     deg = D.space.degree_of
@@ -101,45 +106,46 @@ def _word_image(D: GradedCoalgebra, a_list, b_list, fmap, keep=None,
             for o, ai in enumerate(fiber):
                 src[ai] = legs + o
             legs += len(fiber)
-            held = [o for o, ai in enumerate(fiber) if ai in nonunit]
-            big.append((b, len(fiber), {
-                x: [(tup, v) for tup, v in
-                    D.iterated_comult(x, len(fiber)).items()
-                    if all(tup[o] != coaug for o in held)]
-                for x in deg} if held else None))
-    # factors come out fiber by fiber; these pairs of them change order
+            big.append((b, D.comult_table(len(fiber), tuple(
+                o for o, ai in enumerate(fiber) if ai in nonunit))))
+    pick = (itemgetter(*src) if len(src) > 1
+            else lambda full: tuple(full[i] for i in src))
+    # factors come out fiber by fiber; these pairs of them change order,
+    # and a pair signs only if D has odd labels and -1 != 1
+    signed = f.characteristic != 2 and any(d & 1 for d in deg.values())
     order = [ai for fiber in fibers for ai in fiber]
-    swaps = [(src[order[u]], src[order[v]]) for u in range(len(order))
-             for v in range(u + 1, len(order)) if order[u] > order[v]]
+    swaps = [(src[x], src[y]) for x, y in combinations(order, 2)
+             if signed and x > y]
 
-    def image(word) -> dict:
-        out: dict = {}
-        c0 = f.one
+    def image(word, c=1, out=None) -> dict:
+        if out is None:
+            return f.canonical(image(word, c, {}))
         for b in counits:
             e = counit.get(word[b])
             if e is None:
                 return out
-            c0 = f.mul(c0, e)
+            c = c * e
+        partial = [((), c)]
+        for b, table in big:
+            exp = table[word[b]]
+            if not exp:
+                return out
+            partial = [(seq + tup, c * v)
+                       for seq, c in partial for tup, v in exp]
         for b in checked:
             if word[b] == coaug:
                 return out
-        partial = [((), c0)]
-        for b, k, red in big:
-            exp = (D.iterated_comult(word[b], k).items() if red is None
-                   else red[word[b]])
-            partial = [(seq + tup, f.mul(c, v))
-                       for seq, c in partial for tup, v in exp]
-            if not partial:
-                return out
         for seq, c in partial:
             full = word + seq
-            key = tuple(full[i] for i in src)
+            key = pick(full)
             if keep is not None:
                 key = keep.get(key)
                 if key is None:
                     continue
-            sign = sum(deg[full[i]] * deg[full[j]] for i, j in swaps)
-            add_term(out, key, f.neg(c) if sign & 1 else c, f)
+            if swaps and sum(deg[full[i]] * deg[full[j]]
+                             for i, j in swaps) & 1:
+                c = -c
+            out[key] = out.get(key, 0) + c
         return out
     return image
 
@@ -165,15 +171,13 @@ def induced_map(D: GradedCoalgebra, a_list, b_list, fmap):
     words (aligned with b_list) that builds no matrix.  Its per-word
     plan is made once, here, so a caller that applies the map to many
     vectors keeps the function and makes no second plan."""
-    f = D.field
     image = _word_image(D, a_list, b_list, fmap)
 
     def apply(vec: dict) -> dict:
         out: dict = {}
         for word, c in vec.items():
-            for w, v in image(word).items():
-                add_term(out, w, f.mul(c, v), f)
-        return out
+            image(word, c, out)
+        return D.field.canonical(out)
     return apply
 
 
@@ -182,40 +186,35 @@ def _words(D: GradedCoalgebra, slots: int, t_max: int, missing=()):
     and, for each list of slots in missing, a non-coaugmentation label in
     at least one of them.
 
-    The words come depth first, labels in (degree, label) order.  A
-    prefix is dropped at the last slot of a list in missing once every
-    slot of that list holds the coaugmentation, so the order is that of
-    the unrestricted walk with the other words left out; an empty list
-    leaves no word at all.
+    The words are grown slot by slot, each prefix extended in (degree,
+    label) order, which is the depth-first order.  A prefix is dropped at
+    the last slot of a list in missing once every slot of that list holds
+    the coaugmentation, so the order is that of the unrestricted walk
+    with the other words left out; an empty list leaves no word at all.
     """
     if not all(missing):
         return []
     by_deg = sorted((d, lbl) for lbl, d in D.space.degree_of.items())
     coaug = D.coaug
+    choices = (by_deg, [dl for dl in by_deg if dl[1] != coaug])
     # closing[k]: the other slots of each list whose last slot is k
     closing = [[] for _ in range(slots)]
     for group in missing:
         last = max(group)
         closing[last].append([j for j in group if j != last])
-    out = []
-
-    def rec(prefix, deg, k):
-        if k == slots:
-            out.append((tuple(prefix), deg))
-            return
-        reduced = any(all(prefix[j] == coaug for j in rest)
-                      for rest in closing[k])
-        for d, lbl in by_deg:
-            if deg + d > t_max:
-                break
-            if reduced and lbl == coaug:
-                continue
-            prefix.append(lbl)
-            rec(prefix, deg + d, k + 1)
-            prefix.pop()
-
-    rec([], 0, 0)
-    return out
+    layer = [((), 0)]
+    for rests in closing:
+        grown = []
+        always = [] in rests
+        for prefix, deg in layer:
+            reduced = always or any(all(prefix[j] == coaug for j in rest)
+                                    for rest in rests)
+            for d, lbl in choices[reduced]:
+                if deg + d > t_max:
+                    break
+                grown.append((prefix + (lbl,), deg + d))
+        layer = grown
+    return layer
 
 
 class CosimplicialModule:
@@ -237,10 +236,8 @@ class CosimplicialModule:
     def from_shape(cls, D: GradedCoalgebra, X: GraphSimplicialSet,
                    n_max: int, t_max: int) -> "CosimplicialModule":
         levels = [X.level(n) for n in range(n_max + 2)]
-        return cls(D, levels,
-                   lambda n, i, s: X.face(n, i, s),
-                   lambda n, i, s: X.degeneracy(n, i, s),
-                   t_max, name=f"{D.name}^{X.name}")
+        return cls(D, levels, X.face, X.degeneracy, t_max,
+                   name=f"{D.name}^{X.name}")
 
     def space(self, n: int) -> GradedSpace:
         if n not in self._spaces:
@@ -267,8 +264,8 @@ class CosimplicialModule:
         dropped.  Every target word must hold a non-coaugmentation label
         in the slots nonunit, so images are cut off as soon as one of
         those slots would not."""
-        f = self.field
-        images = [(i & 1, _word_image(
+        canonical = self.field.canonical
+        images = [(-1 if i & 1 else 1, _word_image(
             self.D, self.levels[n + 1], self.levels[n],
             lambda s, i=i: self.face_fn(n + 1, i, s), target.index_of,
             nonunit))
@@ -278,10 +275,9 @@ class CosimplicialModule:
             cols = blocks[t] = []
             for word in words:
                 col: dict = {}
-                for odd, image in images:
-                    for i, v in image(word).items():
-                        add_term(col, i, f.neg(v) if odd else v, f)
-                cols.append(col)
+                for sign, image in images:
+                    image(word, sign, col)
+                cols.append(canonical(col))
         return blocks
 
     def missing_slots(self, n: int):

@@ -82,10 +82,6 @@ class FieldSpec:
         p = self.characteristic
         return (a + b) % p if p else a + b
 
-    def sub(self, a, b):
-        p = self.characteristic
-        return (a - b) % p if p else a - b
-
     def mul(self, a, b):
         p = self.characteristic
         return (a * b) % p if p else a * b
@@ -102,8 +98,11 @@ class FieldSpec:
             return a
         return self.coerce(1 / Fraction(a))
 
-    def is_zero(self, a) -> bool:
-        return a == 0
+    def canonical(self, terms: dict) -> dict:
+        """A formal sum accumulated with plain + and *, reduced once: each
+        scalar taken mod p over F_p, and zeros dropped, in key order."""
+        p = self.characteristic
+        return {k: r for k, v in terms.items() if (r := v % p if p else v)}
 
     def __str__(self):
         p = self.characteristic

@@ -222,12 +222,12 @@ def brute_force_equalizer_dims(M, N, max_degree):
                 row[key] = f.add(row.get(key, f.zero), v)
             for (d, nn), v in N.left_of(n).items():
                 key = triples.setdefault((m, d, nn), len(triples))
-                row[key] = f.sub(row.get(key, f.zero), v)
+                row[key] = f.add(row.get(key, f.zero), f.neg(v))
             cols.append(row)
         # column rank by elementary reduction against an echelon set
         echelon: dict = {}
         for col in cols:
-            col = {k: v for k, v in col.items() if not f.is_zero(v)}
+            col = {k: v for k, v in col.items() if v != 0}
             while col:
                 lead = min(col)
                 if lead not in echelon:
@@ -237,8 +237,8 @@ def brute_force_equalizer_dims(M, N, max_degree):
                     break
                 c = col[lead]
                 for k, v in echelon[lead].items():
-                    nv = f.sub(col.get(k, f.zero), f.mul(c, v))
-                    if f.is_zero(nv):
+                    nv = f.add(col.get(k, f.zero), f.neg(f.mul(c, v)))
+                    if nv == 0:
                         col.pop(k, None)
                     else:
                         col[k] = nv

@@ -120,10 +120,25 @@ def test_exit_codes(capsys):
                  ["cohh", "--kind", "exterior", "--degrees", "3",
                   "--field", "4"],
                  ["collapse", "--degrees", "3,5"],
-                 ["cohh", "--spec", "/does/not/exist.json"]):
+                 ["cohh", "--spec", "/does/not/exist.json"],
+                 # usage errors of the argument parser itself
+                 ["cohh", "--max-s", "abc"],
+                 ["cohh", "--bogus"],
+                 ["cohh", "--kind", "tensor"],
+                 ["cohh", "--format", "xml"],
+                 []):
         status, _, err = run_cli(argv, capsys)
         assert status == 1, argv
-        assert "error" in err
+        assert err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["cohh", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_huge_prime_field_runs_and_64_bit_characteristic_is_refused(capsys):
@@ -358,8 +373,13 @@ def test_rational_json_output_is_pinned(argv, digest, capsys):
     # the job of perfbench's audit-ext1-f3 workload
     ("audit --degrees 3 --field 3 --max-s 4 --max-t 18",
      "da157dd00ea3164834f3c9cd153592175da4afb41c26cc582f9516d7530552cf"),
+    ("cohh --degrees 3,5,7 --field 2 --max-s 4 --max-t 24",
+     "dd8cacda66dae378418f3710b0ee7052092e1e3896129f7724266145ad0c38fd"),
+    ("cohh --degrees 3,5 --field 2305843009213693951 --max-s 3 --max-t 16",
+     "b3bef9116e8363db85e9b2b27efb6dafedb18a2491d706fb3e944477d4eac011"),
 ], ids=["cohh-exterior", "cohh-polynomial", "audit", "audit-two-generators",
-        "audit-one-generator-mod-3"])
+        "audit-one-generator-mod-3", "cohh-three-generators",
+        "cohh-mod-2**61-1"])
 def test_modular_json_output_is_pinned(argv, digest, capsys):
     # generated terms, cut-off cofaces and rank dims must print exactly
     # what the filtered terms and per-block representatives printed

@@ -51,7 +51,7 @@ def brute_cotensor_dim(M, N, degree):
                     v = f.add(v, c)
             for (d, nn), c in N.left_of(n).items():
                 if (m, d, nn) == t:
-                    v = f.sub(v, c)
+                    v = f.add(v, f.neg(c))
             row.append(v)
         rows.append(row)
     if not pairs:

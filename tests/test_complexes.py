@@ -253,9 +253,11 @@ def assert_blocks_match(cc, s, want):
 @pytest.mark.parametrize("case,s_max,t_max", [
     ("Lambda(3,5) F_2", 3, 16), ("Lambda(3) F_3", 4, 18),
     ("Lambda(3) F_3 double edge", 3, 15), ("k[w2] F_3", 3, 14),
-    ("Lambda(3) Q unnormalized", 2, 12)])
+    ("Lambda(3) Q unnormalized", 2, 12), ("Lambda(3,5) F_M61", 3, 16),
+    ("k[w2] F_M61", 3, 14)])
 def test_blocks_match_the_word_keyed_coface_sum(case, s_max, t_max):
-    field = {"F_2": GF(2), "F_3": GF(3), "Q": QQ}[case.split()[1]]
+    field = {"F_2": GF(2), "F_3": GF(3), "Q": QQ,
+             "F_M61": GF(2**61 - 1)}[case.split()[1]]
     D = (polynomial_coalgebra([2], field, truncation=t_max)
          if case.startswith("k[w2]") else
          exterior_coalgebra([3, 5] if "3,5" in case else [3], field))
@@ -344,7 +346,7 @@ WORD_IMAGE_CASES = [
             exterior_coalgebra([3], f),
             polynomial_coalgebra([4], f, truncation=12))),
         ("deconcatenation", deconcatenation_coalgebra)]
-    for field in (GF(2), GF(3), QQ)
+    for field in (GF(2), GF(3), QQ, GF(2**61 - 1))
 ] + [("2g grouplike", scaled_grouplike_coalgebra, GF(3))]
 
 
@@ -653,6 +655,53 @@ def test_cleared_ranks_match_the_rank_loop_on_the_benchmark_complexes(
     for shape in shapes:
         H = cohh(D, s_max, t_max, shape=shape)
         assert table_dims(H) == rank_loop_dims(H.complex, s_max, H.t_max)
+
+
+def benchmark_complexes():
+    """The complexes of the benchmark's three jobs at their own bounds."""
+    yield cobar_complex(exterior_coalgebra([3, 5, 7], QQ), 5, 26)
+    yield cohh(exterior_coalgebra([3, 5], GF(2)), 5, 20).complex
+    for shape in (circle(), double_edge_circle()):
+        yield cohh(exterior_coalgebra([3], GF(3)), 4, 18, shape=shape).complex
+
+
+def test_block_scalars_are_reduced_on_the_benchmark_complexes():
+    # the word images are summed unreduced; each column is reduced once,
+    # so every F_p entry lies in 1..p-1 and no block holds a zero
+    seen = set()
+    for cc in benchmark_complexes():
+        p = cc.field.characteristic
+        for blocks in cc.diff:
+            for cols in blocks.values():
+                for col in cols:
+                    for v in col.values():
+                        assert (0 < v < p) if p else v != 0, v
+                        seen.add(p)
+    assert seen == {0, 2, 3}
+
+
+def test_each_filtered_table_is_made_once(monkeypatch):
+    # two builds of the normalized complex on one coalgebra share every
+    # (fiber size, held offsets) table, and distinct keys get distinct ones
+    D = exterior_coalgebra([3, 5], GF(2))
+    made = {}
+    real = GradedCoalgebra.iterated_comult
+
+    def counting(self, label, k):
+        made[(label, k)] = made.get((label, k), 0) + 1
+        return real(self, label, k)
+    monkeypatch.setattr(GradedCoalgebra, "iterated_comult", counting)
+    tables = {}
+    for _ in range(2):
+        cm = CosimplicialModule.from_shape(D, circle(), 5, 20)
+        normalized_complex(cm, 5)
+        for key, table in D._tables.items():
+            assert tables.setdefault(key, table) is table, key
+    assert sorted(tables) == [(2, (0, 1)), (2, (1,))]
+    assert len({id(t) for t in tables.values()}) == 2
+    # each table expands every label once, and no word image expands one
+    assert {key: n for key, n in made.items() if key[1] == 2} == \
+        {(x, 2): len(tables) for x in D.space.degree_of}
 
 
 def test_tables_make_no_matrix_call(monkeypatch):
