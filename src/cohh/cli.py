@@ -378,8 +378,7 @@ def run(job: JobSpec):
     elif job.command == "audit":
         c = build_coalgebra(job.coalgebra, job.field, job.t_max)
         page = build_e2(c, job.s_max, job.t_max)
-        report = e2_structure_audit(page, max_degree=job.max_degree,
-                                    strict=False)
+        report = e2_structure_audit(page, max_degree=job.max_degree)
         payload["ok"] = report.ok
         for kind in AUDIT_TABLES:
             payload[kind] = _table_rows(getattr(report, kind))

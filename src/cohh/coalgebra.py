@@ -201,10 +201,12 @@ def validate(c: GradedCoalgebra, max_degree=None) -> ValidationReport:
     return report
 
 
-def is_cocommutative(c: GradedCoalgebra, max_degree=None) -> bool:
-    """Graded cocommutativity: tau Delta = Delta with Koszul signs."""
+def is_cocommutative(c: GradedCoalgebra) -> bool:
+    """Graded cocommutativity: tau Delta = Delta with Koszul signs, on
+    the labels through complete_through() (a tensor basis runs past its
+    truncation, where its table rows are incomplete)."""
     f = c.field
-    bound = c.complete_through() if max_degree is None else max_degree
+    bound = c.complete_through()
     for k in c.space.degree_of:
         if c.degree(k) > bound:
             continue
@@ -231,7 +233,7 @@ def _dedupe_names(prefix: str, degrees):
     return names
 
 
-def exterior_coalgebra(degrees, field: FieldSpec, name=None) -> GradedCoalgebra:
+def exterior_coalgebra(degrees, field: FieldSpec) -> GradedCoalgebra:
     """Exterior coalgebra on primitive generators in odd degrees.
 
     Basis: square-free monomials, id "1" or the concatenation of
@@ -274,13 +276,13 @@ def exterior_coalgebra(degrees, field: FieldSpec, name=None) -> GradedCoalgebra:
             comult[mid] = terms
     return GradedCoalgebra(
         field, basis, comult, counit, coaug="1", truncation=None,
-        name=name or "Lambda(" + ",".join(str(d) for d in degrees) + ")",
+        name="Lambda(" + ",".join(str(d) for d in degrees) + ")",
         metadata={"kind": "exterior", "degrees": list(degrees),
                   "generators": gens})
 
 
-def polynomial_coalgebra(degrees, field: FieldSpec, truncation: int,
-                         name=None) -> GradedCoalgebra:
+def polynomial_coalgebra(degrees, field: FieldSpec,
+                         truncation: int) -> GradedCoalgebra:
     """Polynomial coalgebra on even-degree generators, truncated.
 
     Delta(w^j) = sum_k C(j, k) w^k (x) w^(j-k); binomials are computed in
@@ -329,13 +331,13 @@ def polynomial_coalgebra(degrees, field: FieldSpec, truncation: int,
         comult[mid] = terms
     return GradedCoalgebra(
         field, basis, comult, counit, coaug="1", truncation=truncation,
-        name=name or "k[" + ",".join(str(d) for d in degrees) + f"]<= {truncation}",
+        name="k[" + ",".join(str(d) for d in degrees) + f"]<= {truncation}",
         metadata={"kind": "polynomial", "degrees": list(degrees),
                   "generators": gens, "truncation": truncation})
 
 
-def tensor_coalgebra(c1: GradedCoalgebra, c2: GradedCoalgebra,
-                     name=None) -> GradedCoalgebra:
+def tensor_coalgebra(c1: GradedCoalgebra,
+                     c2: GradedCoalgebra) -> GradedCoalgebra:
     """Tensor product coalgebra, Delta = (id (x) tau (x) id)(Delta (x) Delta).
 
     Basis ids are "a*b".  If either factor is truncated the product is
@@ -369,21 +371,20 @@ def tensor_coalgebra(c1: GradedCoalgebra, c2: GradedCoalgebra,
     return GradedCoalgebra(
         f, basis, comult, counit, coaug=tid(c1.coaug, c2.coaug),
         truncation=min(truncs) if truncs else None,
-        name=name or f"{c1.name}(x){c2.name}",
+        name=f"{c1.name}(x){c2.name}",
         metadata={"kind": "tensor", "factors": factors,
-                  "factor_objects": (c1, c2),
-                  "factor_names": (c1.name, c2.name)})
+                  "factor_objects": (c1, c2)})
 
 
-def table_coalgebra(field: FieldSpec, basis, comult, counit, coaug="1",
-                    truncation=None, name="table") -> GradedCoalgebra:
-    """Coalgebra from explicit structure tables (also the fault-injection
-    entry point: no axioms are checked here, run validate separately)."""
+def table_coalgebra(field: FieldSpec, basis, comult,
+                    counit) -> GradedCoalgebra:
+    """Finite coalgebra from explicit structure tables, coaugmented at
+    "1" (also the fault-injection entry point: no axioms are checked
+    here, run validate separately)."""
     comult = {k: {tuple(p): field.coerce(v) for p, v in row.items()}
               for k, row in comult.items()}
     counit = {k: field.coerce(v) for k, v in counit.items()}
-    return GradedCoalgebra(field, basis, comult, counit, coaug=coaug,
-                           truncation=truncation, name=name)
+    return GradedCoalgebra(field, basis, comult, counit, name="table")
 
 
 def trivial_coalgebra(field: FieldSpec) -> GradedCoalgebra:

@@ -28,13 +28,13 @@ from .linalg import Matrix
 
 
 class Comodule:
-    """A (bi)comodule over a graded coalgebra, given by coaction tables.
+    """A bicomodule over a graded coalgebra, given by coaction tables.
 
-    left[m] = {(d, m'): coeff} and right[m] = {(m', d): coeff}.  Either
-    side may be omitted when only one coaction is needed.
+    left[m] = {(d, m'): coeff} and right[m] = {(m', d): coeff}.  Both
+    coactions are required; a label a table leaves out has coaction 0.
     """
 
-    def __init__(self, base: GradedCoalgebra, basis, left=None, right=None,
+    def __init__(self, base: GradedCoalgebra, basis, left, right,
                  truncation=None, name=""):
         self.base = base
         self.space = GradedSpace(basis)
@@ -55,10 +55,10 @@ class Comodule:
         return min(own, self.base.complete_through())
 
     def left_of(self, label) -> dict:
-        return self.left.get(label, {}) if self.left else {}
+        return self.left.get(label, {})
 
     def right_of(self, label) -> dict:
-        return self.right.get(label, {}) if self.right else {}
+        return self.right.get(label, {})
 
     def validate(self, max_degree=None) -> ValidationReport:
         f = self.field
@@ -70,8 +70,6 @@ class Comodule:
             return self.degree(label) <= bound
 
         for side, table in (("left", self.left), ("right", self.right)):
-            if table is None:
-                continue
             bad = []
             for m in self.space.degree_of:
                 if not within(m):
@@ -111,24 +109,23 @@ class Comodule:
                 f"{side} coaction coassociativity", not bad,
                 f"fails at {bad[:3]}" if bad else ""))
 
-        if self.left is not None and self.right is not None:
-            bad = []
-            for m in self.space.degree_of:
-                if not within(m):
-                    continue
-                lhs: dict = {}
-                rhs: dict = {}
-                for (d, mm), v in self.left_of(m).items():
-                    for (mmm, d2), w in self.right_of(mm).items():
-                        add_term(lhs, (d, mmm, d2), f.mul(v, w), f)
-                for (mm, d2), v in self.right_of(m).items():
-                    for (d, mmm), w in self.left_of(mm).items():
-                        add_term(rhs, (d, mmm, d2), f.mul(v, w), f)
-                if sub_sums(lhs, rhs, f):
-                    bad.append(m)
-            report.checks.append(AxiomCheck(
-                "bicomodule compatibility", not bad,
-                f"fails at {bad[:3]}" if bad else ""))
+        bad = []
+        for m in self.space.degree_of:
+            if not within(m):
+                continue
+            lhs: dict = {}
+            rhs: dict = {}
+            for (d, mm), v in self.left_of(m).items():
+                for (mmm, d2), w in self.right_of(mm).items():
+                    add_term(lhs, (d, mmm, d2), f.mul(v, w), f)
+            for (mm, d2), v in self.right_of(m).items():
+                for (d, mmm), w in self.left_of(mm).items():
+                    add_term(rhs, (d, mmm, d2), f.mul(v, w), f)
+            if sub_sums(lhs, rhs, f):
+                bad.append(m)
+        report.checks.append(AxiomCheck(
+            "bicomodule compatibility", not bad,
+            f"fails at {bad[:3]}" if bad else ""))
         return report
 
     def __repr__(self):
@@ -194,9 +191,6 @@ def degree_pairs(M: GradedSpace, N: GradedSpace, degree: int) -> list:
 class CotensorSpace:
     """Degreewise basis of M box_D N, as formal sums over pair labels."""
 
-    left: Comodule
-    right: Comodule
-    bound: int
     basis: dict = dc_field(default_factory=dict)  # degree -> [formal sums]
 
     def dim(self, degree: int) -> int:
@@ -213,9 +207,8 @@ def cotensor(M: Comodule, N: Comodule, max_degree=None) -> CotensorSpace:
     bound = min(M.complete_through(), N.complete_through(), ambient)
     if max_degree is not None:
         bound = min(bound, max_degree)
-    bound = int(bound)
-    out = CotensorSpace(M, N, bound)
-    for t in range(0, bound + 1):
+    out = CotensorSpace()
+    for t in range(int(bound) + 1):
         pairs = degree_pairs(M.space, N.space, t)
         if pairs:
             out.basis[t] = linalg.kernel_of(
@@ -318,8 +311,7 @@ class CotorTable:
 
     dims: dict  # (s, t) -> int
     s_max: int
-    t_max: int
-    bound: int  # internal degree through which values are trustworthy
+    t_max: int  # internal degree through which values are trustworthy
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
@@ -334,7 +326,7 @@ def cobar_cotor(M: Comodule, N: Comodule, s_max: int, t_max: int) -> CotorTable:
     diffs = [cobar_differential(M, N, s, spaces[s], spaces[s + 1])
              for s in range(s_max + 1)]
     table = HomologyTable(CochainComplex(M.field, spaces, diffs), s_max, bound)
-    return CotorTable(table.dims(), s_max, bound, bound)
+    return CotorTable(table.dims(), s_max, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +570,6 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
 @dataclass
 class CoflatnessReport:
     vanishing_ok: bool
-    nonzero_at: list
     cofree_dims_ok: bool
     cogenerator_dims: dict
     s_max: int
@@ -594,7 +585,7 @@ def coflatness_report(M: Comodule, s_max: int, t_max: int) -> CoflatnessReport:
     1 <= s <= s_max and t <= t_max, plus a dimension-series check that
     dim M_t matches a cofree D (x) V."""
     table = cobar_cotor(M, trivial_comodule(M.base), s_max, t_max)
-    nonzero = sorted((s, t) for (s, t) in table.dims if s >= 1)
+    vanishing = all(s == 0 for s, _ in table.dims)
     D = M.base
     bound = min(t_max, M.complete_through())
     v: dict = {}
@@ -610,5 +601,5 @@ def coflatness_report(M: Comodule, s_max: int, t_max: int) -> CoflatnessReport:
         if rem % D.space.dim(0):
             ok = False
             break
-    return CoflatnessReport(not nonzero, nonzero, ok,
+    return CoflatnessReport(vanishing, ok,
                             {t: d for t, d in v.items() if d}, s_max, bound)

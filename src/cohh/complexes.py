@@ -333,19 +333,30 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
     targets to it drops only zeros, and a slot that some sigma_i deletes
     alone (every slot but the first, on the circle) is reached only
     through the reduced comultiplication.
+
+    The terms are generated up to the first empty one, and every later
+    term is empty, with empty blocks: on a graph simplicial set sigma_i
+    deletes the slots (e, i + 1), so dropping the slots (e, s + 1) of a
+    level-(s + 1) normalized word leaves a level-s normalized word of no
+    larger degree, and an empty level s leaves none at level s + 1.
     """
     D = cm.D
     if set(D.counit) != {D.coaug}:
         raise ValueError(
             f"normalized complex needs the counit supported on the "
             f"coaugmentation {D.coaug!r} alone, got {sorted(D.counit)}")
-    missing = [cm.missing_slots(s - 1) if s else []
-               for s in range(s_max + 2)]
-    terms = [GradedSpace(_words(D, len(cm.levels[s]), cm.t_max, missing[s]))
-             for s in range(s_max + 2)]
-    diffs = [cm.coface_sum(s, terms[s], terms[s + 1],
-                           {g[0] for g in missing[s + 1] if len(g) == 1})
-             for s in range(s_max + 1)]
+    terms = [GradedSpace(_words(D, len(cm.levels[0]), cm.t_max))]
+    diffs = []
+    for s in range(s_max + 1):
+        if not terms[s].degree_of:
+            terms.append(GradedSpace())
+            diffs.append({})
+            continue
+        missing = cm.missing_slots(s)
+        terms.append(GradedSpace(
+            _words(D, len(cm.levels[s + 1]), cm.t_max, missing)))
+        diffs.append(cm.coface_sum(s, terms[s], terms[s + 1],
+                                   {g[0] for g in missing if len(g) == 1}))
     return CochainComplex(cm.field, terms, diffs, cm)
 
 

@@ -5,14 +5,16 @@ basis elements (or on a basis of the relevant cotensor subspace, where
 a multiplication is only well defined on equalized vectors) and
 reports the first discrepancy found.  Twists between bigraded factors
 use the sign (-1)^{ss' + tt'}: a separate Koszul sign for the
-filtration grading and for the internal grading.
+filtration grading and for the internal grading.  The filtration s of
+a carrier label is read from the label: s for a circle homology class
+("h", s, t, k), 0 for any other label.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .coalgebra import AxiomCheck
-from .comodule import BoxStructure, degree_pairs, pair_defect
+from .comodule import BoxStructure, cotensor, pair_defect
 from .graded import add_term, sub_sums
 
 
@@ -38,9 +40,7 @@ class StructureReport:
         return "\n".join(lines)
 
 
-def _default_s_of(label):
-    """Homological filtration of a carrier label; circle homology
-    classes are tagged ("h", s, t, k)."""
+def _s_of(label):
     if isinstance(label, tuple) and len(label) == 4 and label[0] == "h":
         return label[1]
     return 0
@@ -59,26 +59,25 @@ def _labels_within(box: BoxStructure, bound):
     return [l for l, t in box.carrier.space.degree_of.items() if t <= bound]
 
 
-def _pair_defect(box: BoxStructure, terms: dict) -> dict:
-    """rho_r (x) id - id (x) rho_l on a formal sum of carrier pairs."""
-    E = box.carrier
-    return pair_defect(terms, E.right_of, E.left_of, box.field)
+def _pair_cotensor(box: BoxStructure, bound: int, s_max) -> dict:
+    """E box E through internal degree bound, {degree: basis}, with the
+    basis vectors of total filtration > s_max (where the multiplication
+    is unknown) left out.
+
+    The coactions preserve filtration, so the equalizer is block
+    diagonal in the total filtration of a pair, and each kernel basis
+    vector lies in one block: keeping the blocks <= s_max gives the
+    basis the pairs <= s_max alone would, in the same order.  So one
+    cotensor serves every check of a report."""
+    basis = cotensor(box.carrier, box.carrier, bound).basis
+    if s_max is None:
+        return basis
+    return {t: [vec for vec in vecs
+                if all(_s_of(a) + _s_of(b) <= s_max for a, b in vec)]
+            for t, vecs in basis.items()}
 
 
-def _pair_cotensor_basis(box: BoxStructure, degree: int, s_max=None,
-                         s_of=_default_s_of):
-    """Basis of (E box E) in one internal degree, optionally restricted
-    to total filtration <= s_max (where the multiplication is known)."""
-    one = box.field.one
-    pairs = [(a, b) for a, b in degree_pairs(box.carrier.space,
-                                             box.carrier.space, degree)
-             if s_max is None or s_of(a) + s_of(b) <= s_max]
-    return linalg.kernel_of({p: _pair_defect(box, {p: one}) for p in pairs},
-                            box.field)
-
-
-def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None,
-                           s_of=_default_s_of):
+def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None):
     """Basis of E box E box E in one internal degree: the kernel of the
     pair defects of the first two and of the last two factors."""
     one = box.field.one
@@ -91,22 +90,23 @@ def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None,
             for c, dcg in E.space.degree_of.items():
                 if da + db + dcg != degree:
                     continue
-                if s_max is not None and s_of(a) + s_of(b) + s_of(c) > s_max:
+                if (s_max is not None
+                        and _s_of(a) + _s_of(b) + _s_of(c) > s_max):
                     continue
                 triples.append((a, b, c))
     triples.sort(key=repr)
     images = {}
     for (a, b, c) in triples:
-        img = {("m",) + k + (c,): v
-               for k, v in _pair_defect(box, {(a, b): one}).items()}
-        img.update({("r", a) + k: v
-                    for k, v in _pair_defect(box, {(b, c): one}).items()})
+        img = {("m",) + k + (c,): v for k, v in pair_defect(
+            {(a, b): one}, E.right_of, E.left_of, box.field).items()}
+        img.update({("r", a) + k: v for k, v in pair_defect(
+            {(b, c): one}, E.right_of, E.left_of, box.field).items()})
         images[(a, b, c)] = img
     return linalg.kernel_of(images, box.field)
 
 
-def check_box_coalgebra(box: BoxStructure, max_degree=None,
-                        s_of=_default_s_of) -> StructureReport:
+def check_box_coalgebra(box: BoxStructure,
+                        max_degree=None) -> StructureReport:
     """Coassociativity, counit laws against the coactions, and the
     cotensor condition on the comultiplication."""
     f = box.field
@@ -116,7 +116,7 @@ def check_box_coalgebra(box: BoxStructure, max_degree=None,
     report = StructureReport(f"box coalgebra on {box.name or E.name}")
 
     bad = [l for l in labels
-           if _pair_defect(box, box.comult.column(l))]
+           if pair_defect(box.comult.column(l), E.right_of, E.left_of, f)]
     report.checks.append(AxiomCheck(
         "comultiplication lands in the cotensor", not bad,
         f"first failure at {bad[0]!r}" if bad else ""))
@@ -162,8 +162,8 @@ def check_box_coalgebra(box: BoxStructure, max_degree=None,
     return report
 
 
-def check_box_algebra(box: BoxStructure, max_degree=None, s_max=None,
-                      s_of=_default_s_of) -> StructureReport:
+def check_box_algebra(box: BoxStructure, max_degree=None,
+                      s_max=None) -> StructureReport:
     """Associativity on the triple cotensor and unitality through the
     coactions."""
     f = box.field
@@ -174,7 +174,7 @@ def check_box_algebra(box: BoxStructure, max_degree=None, s_max=None,
 
     bad = []
     for t in range(bound + 1):
-        for vec in _triple_cotensor_basis(box, t, s_max, s_of):
+        for vec in _triple_cotensor_basis(box, t, s_max):
             first: dict = {}
             second: dict = {}
             for (a, b, c), v in vec.items():
@@ -241,26 +241,27 @@ def _diagonal_coords(D, vec: dict, degree: int) -> dict:
     return x
 
 
-def check_box_bialgebra(box: BoxStructure, max_degree=None, s_max=None,
-                        s_of=_default_s_of) -> StructureReport:
+def check_box_bialgebra(box: BoxStructure, max_degree=None,
+                        s_max=None) -> StructureReport:
     """The four compatibility diagrams between the algebra and the
     coalgebra halves."""
     f = box.field
     D = box.base
     bound = _bound(box, max_degree)
     report = StructureReport(f"box bialgebra on {box.name or box.carrier.name}")
+    pairs = _pair_cotensor(box, bound, s_max)
 
     # 1: comultiplication is multiplicative (with the bigraded twist)
     bad = []
-    for t in range(bound + 1):
-        for vec in _pair_cotensor_basis(box, t, s_max, s_of):
+    for t, vecs in pairs.items():
+        for vec in vecs:
             lhs = box.comult.apply(box.mult.apply(vec, f), f)
             rhs: dict = {}
             for (a, b), c in vec.items():
                 for (a1, a2), va in box.comult.column(a).items():
                     for (b1, b2), vb in box.comult.column(b).items():
                         sgn = (-1) ** (
-                            s_of(a2) * s_of(b1)
+                            _s_of(a2) * _s_of(b1)
                             + box.carrier.degree(a2)
                             * box.carrier.degree(b1))
                         coeff = f.mul(f.mul(c, f.coerce(sgn)),
@@ -279,8 +280,8 @@ def check_box_bialgebra(box: BoxStructure, max_degree=None, s_max=None,
 
     # 2: counit is multiplicative through the diagonal of the base
     bad = []
-    for t in range(bound + 1):
-        for vec in _pair_cotensor_basis(box, t, s_max, s_of):
+    for t, vecs in pairs.items():
+        for vec in vecs:
             lhs = box.counit.apply(box.mult.apply(vec, f), f)
             dd: dict = {}
             for (a, b), c in vec.items():
@@ -326,8 +327,7 @@ def check_box_bialgebra(box: BoxStructure, max_degree=None, s_max=None,
     return report
 
 
-def check_antipode(box: BoxStructure, max_degree=None,
-                   s_of=_default_s_of) -> StructureReport:
+def check_antipode(box: BoxStructure, max_degree=None) -> StructureReport:
     """mu(chi (x) id)Delta = unit . counit = mu(id (x) chi)Delta."""
     f = box.field
     bound = _bound(box, max_degree)
@@ -358,16 +358,16 @@ def check_antipode(box: BoxStructure, max_degree=None,
     return report
 
 
-def check_leibniz(box: BoxStructure, diff, max_degree=None, s_max=None,
-                  s_of=_default_s_of) -> StructureReport:
+def check_leibniz(box: BoxStructure, diff, max_degree=None,
+                  s_max=None) -> StructureReport:
     """diff is a map on carrier labels (label -> formal sum); checks
     d(ab) = d(a)b + (-1)^{s+t} a d(b) on the pair cotensor basis."""
     f = box.field
     bound = _bound(box, max_degree)
     report = StructureReport("Leibniz rule")
     bad = []
-    for t in range(bound + 1):
-        for vec in _pair_cotensor_basis(box, t, s_max, s_of):
+    for t, vecs in _pair_cotensor(box, bound, s_max).items():
+        for vec in vecs:
             lhs: dict = {}
             for h, c in box.mult.apply(vec, f).items():
                 for h2, v in diff(h).items():
@@ -377,7 +377,7 @@ def check_leibniz(box: BoxStructure, diff, max_degree=None, s_max=None,
                 for a2, v in diff(a).items():
                     for m, w in box.mult.column((a2, b)).items():
                         add_term(rhs, m, f.mul(c, f.mul(v, w)), f)
-                sgn = f.coerce((-1) ** (s_of(a) + box.carrier.degree(a)))
+                sgn = f.coerce((-1) ** (_s_of(a) + box.carrier.degree(a)))
                 for b2, v in diff(b).items():
                     for m, w in box.mult.column((a, b2)).items():
                         add_term(rhs, m, f.mul(f.mul(c, sgn),
@@ -391,8 +391,8 @@ def check_leibniz(box: BoxStructure, diff, max_degree=None, s_max=None,
     return report
 
 
-def check_co_leibniz(box: BoxStructure, diff, max_degree=None,
-                     s_of=_default_s_of) -> StructureReport:
+def check_co_leibniz(box: BoxStructure, diff,
+                     max_degree=None) -> StructureReport:
     """Delta . d = (d (x) id + (-1)^{s+t} id (x) d) . Delta on carrier
     labels."""
     f = box.field
@@ -408,7 +408,7 @@ def check_co_leibniz(box: BoxStructure, diff, max_degree=None,
         for (a, b), c in box.comult.column(l).items():
             for a2, v in diff(a).items():
                 add_term(rhs, (a2, b), f.mul(c, v), f)
-            sgn = f.coerce((-1) ** (s_of(a) + box.carrier.degree(a)))
+            sgn = f.coerce((-1) ** (_s_of(a) + box.carrier.degree(a)))
             for b2, v in diff(b).items():
                 add_term(rhs, (a, b2), f.mul(f.mul(c, sgn), v), f)
         if sub_sums(lhs, rhs, f):
@@ -419,21 +419,21 @@ def check_co_leibniz(box: BoxStructure, diff, max_degree=None,
     return report
 
 
-def full_hopf_report(box: BoxStructure, max_degree=None, s_max=None,
-                     s_of=_default_s_of) -> StructureReport:
+def full_hopf_report(box: BoxStructure, max_degree=None,
+                     s_max=None) -> StructureReport:
     """All applicable checks concatenated into one report."""
     report = StructureReport(f"box structure on "
                              f"{box.name or box.carrier.name}")
     if box.comult is not None and box.counit is not None:
         report.checks.extend(
-            check_box_coalgebra(box, max_degree, s_of).checks)
+            check_box_coalgebra(box, max_degree).checks)
     if box.mult is not None and box.unit is not None:
         report.checks.extend(
-            check_box_algebra(box, max_degree, s_max, s_of).checks)
+            check_box_algebra(box, max_degree, s_max).checks)
     if all(m is not None for m in
            (box.comult, box.counit, box.mult, box.unit)):
         report.checks.extend(
-            check_box_bialgebra(box, max_degree, s_max, s_of).checks)
+            check_box_bialgebra(box, max_degree, s_max).checks)
     if box.antipode is not None and box.mult is not None:
-        report.checks.extend(check_antipode(box, max_degree, s_of).checks)
+        report.checks.extend(check_antipode(box, max_degree).checks)
     return report

@@ -545,8 +545,7 @@ def cohh_carrier_comodule(cs: CircleStructure) -> Comodule:
 
 
 def cohh_box_structure(D: GradedCoalgebra, s_max: int, t_max: int,
-                       with_mult=True, with_antipode=False,
-                       H: HomologyTable = None):
+                       with_antipode=False, H: HomologyTable = None):
     """Assemble the box-bialgebra structure on the circle homology, read
     from the table H when it is given (see CircleStructure).
 
@@ -577,10 +576,7 @@ def cohh_box_structure(D: GradedCoalgebra, s_max: int, t_max: int,
         if t <= t_max:
             unit.set_column(d, cs.proj.project(0, t, {(d,): f.one}))
 
-    if with_mult:
-        mult, carrier, kuenneth_ok = homology_multiplication(cs)
-    else:
-        mult, carrier, kuenneth_ok = None, cohh_carrier_comodule(cs), True
+    mult, carrier, kuenneth_ok = homology_multiplication(cs)
     antipode = cohh_antipode(cs) if with_antipode else None
 
     box = BoxStructure(D, carrier, comult=comult, counit=counit, unit=unit,

@@ -336,6 +336,25 @@ def test_audit_command(capsys):
     assert {"s": 3, "t": 9, "dim": 1} in payload["primitives"]
 
 
+def test_audit_mismatch_exits_2_with_ok_false(monkeypatch, capsys):
+    from cohh import spectral
+    closed_form = spectral.exterior_monomials
+
+    def with_a_ghost(degrees, s_max, t_max):
+        out = closed_form(degrees, s_max, t_max)
+        out.setdefault((1, 1), []).append("ghost")
+        return out
+    monkeypatch.setattr(spectral, "exterior_monomials", with_a_ghost)
+    status, out, err = run_cli(
+        ["audit", "--degrees", "3", "--field", "3", "--max-s", "2",
+         "--max-t", "6", "--format", "json"], capsys)
+    assert status == 2
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert {"s": 1, "t": 1, "dim": 1} in payload["expected_indecomposables"]
+
+
 def test_cotor_command(capsys):
     status, out, _ = run_cli(
         ["cotor", "--kind", "exterior", "--degrees", "3", "--field", "2",

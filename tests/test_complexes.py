@@ -484,6 +484,41 @@ def test_normalized_and_unnormalized_agree():
     assert Hn.dims() == Hu.dims()
 
 
+@pytest.mark.parametrize("shape", [circle, double_edge_circle,
+                                   subdivided_circle, wedge_of_circles])
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+def test_normalized_walk_stops_at_the_first_empty_term(shape, field):
+    # a level-s normalized word of Lambda(3) holds x3 in s slots, so
+    # term 3 is the first empty one at t 7 and the terms after it are
+    # padded, not generated; the ambient complex still has every level
+    D = exterior_coalgebra([3], field)
+    cc = normalized_complex(
+        CosimplicialModule.from_shape(D, shape(), 6, 7), 6)
+    assert [term.total_dim() > 0 for term in cc.terms] == [True] * 3 + [
+        False] * 5
+    assert cc.diff[3:] == [{}] * 4
+    X = shape()
+    assert (cohh(D, 6, 7, shape=X).dims()
+            == cohh(D, 6, 7, shape=X, normalized=False).dims())
+
+
+def test_a_large_s_max_makes_missing_slots_only_up_to_the_empty_term(
+        monkeypatch):
+    want = cohh(exterior_coalgebra([3], GF(2)), 2, 5).dims()
+    levels = []
+    missing_slots = CosimplicialModule.missing_slots
+
+    def recording(self, n):
+        levels.append(n)
+        # fail fast rather than walk all 401 levels
+        assert len(levels) <= 3, "missing_slots on every level"
+        return missing_slots(self, n)
+    monkeypatch.setattr(CosimplicialModule, "missing_slots", recording)
+    H = cohh(exterior_coalgebra([3], GF(2)), 400, 5)
+    assert levels == [0, 1]
+    assert H.dims() == want
+
+
 def test_class_coords_roundtrip():
     D = exterior_coalgebra([3, 5], GF(3))
     H = cohh(D, 2, 10)

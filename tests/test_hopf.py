@@ -7,8 +7,8 @@ import pytest
 
 from cohh import hopf, linalg, structure as st
 from cohh.coalgebra import exterior_coalgebra, polynomial_coalgebra
-from cohh.comodule import BoxStructure, polynomial_multiplication, \
-    tensor_box_structure
+from cohh.comodule import BoxStructure, degree_pairs, pair_defect, \
+    polynomial_multiplication, tensor_box_structure
 from cohh.fields import GF, QQ
 from cohh.graded import GradedMap
 
@@ -27,6 +27,21 @@ def box_f2():
     box, cs, ok = st.cohh_box_structure(D, 3, 12, with_antipode=True)
     assert ok
     return box
+
+
+@pytest.fixture(scope="module")
+def box_35_f2():
+    D = exterior_coalgebra([3, 5], GF(2))
+    box, cs, ok = st.cohh_box_structure(D, 2, 10, with_antipode=True)
+    assert ok
+    return box
+
+
+@pytest.fixture(scope="module")
+def box_tensor_f3():
+    C = exterior_coalgebra([3], GF(3))
+    D2 = polynomial_coalgebra([2], GF(3), truncation=6)
+    return tensor_box_structure(C, D2, polynomial_multiplication(D2))
 
 
 def clone_map(m: GradedMap) -> GradedMap:
@@ -51,20 +66,43 @@ def test_circle_homology_is_a_box_hopf_algebra(box_q, box_f2):
         assert report.ok, str(report)
 
 
-def test_two_generator_circle_homology_passes_mod_2():
-    D = exterior_coalgebra([3, 5], GF(2))
-    box, cs, ok = st.cohh_box_structure(D, 2, 10, with_antipode=True)
-    assert ok
-    report = hopf.full_hopf_report(box, max_degree=10, s_max=2)
+def test_two_generator_circle_homology_passes_mod_2(box_35_f2):
+    report = hopf.full_hopf_report(box_35_f2, max_degree=10, s_max=2)
     assert report.ok, str(report)
 
 
-def test_cofree_tensor_box_structure_passes():
-    C = exterior_coalgebra([3], GF(3))
-    D2 = polynomial_coalgebra([2], GF(3), truncation=6)
-    box = tensor_box_structure(C, D2, polynomial_multiplication(D2))
-    report = hopf.full_hopf_report(box, max_degree=6)
+def test_cofree_tensor_box_structure_passes(box_tensor_f3):
+    report = hopf.full_hopf_report(box_tensor_f3, max_degree=6)
     assert report.ok, str(report)
+
+
+def pair_cotensor_basis(box: BoxStructure, degree: int, s_max):
+    """Oracle: E box E in one internal degree, eliminated on the pairs
+    of total filtration <= s_max alone."""
+    E = box.carrier
+
+    def filtration(label):
+        return label[1] if isinstance(label, tuple) else 0
+
+    pairs = [(a, b) for a, b in degree_pairs(E.space, E.space, degree)
+             if s_max is None or filtration(a) + filtration(b) <= s_max]
+    return linalg.kernel_of(
+        {p: pair_defect({p: box.field.one}, E.right_of, E.left_of, box.field)
+         for p in pairs}, box.field)
+
+
+@pytest.mark.parametrize("box, max_degree, s_max", [
+    ("box_q", 12, 3), ("box_f2", 12, 3), ("box_35_f2", 10, 2),
+    ("box_tensor_f3", 6, None)])
+def test_shared_pair_cotensor_is_the_per_degree_basis(box, max_degree, s_max,
+                                                      request):
+    # coactions preserve filtration, so the blocks of total filtration
+    # <= s_max of one cotensor are the bases of the pairs <= s_max alone
+    box = request.getfixturevalue(box)
+    bound = hopf._bound(box, max_degree)
+    pairs = hopf._pair_cotensor(box, bound, s_max)
+    for t in range(bound + 1):
+        assert pairs.get(t, []) == pair_cotensor_basis(box, t, s_max), t
 
 
 def test_fault_broken_comultiplication_is_caught(box_f2):

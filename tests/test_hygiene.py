@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module of
 the package imports at module level is used in that module, every
-private top-level name of the package is referenced somewhere, and no
-module but linalg reads a private linalg name."""
+private top-level name of the package is referenced somewhere, every
+dataclass field is read somewhere, and no module but linalg reads a
+private linalg name."""
 
 import ast
 import re
@@ -95,6 +96,51 @@ def test_checker_flags_an_unreferenced_private_name(tmp_path):
     other.write_text('TARGETS = [("mod", "_LIMIT")]\n_dead_too = 1\n')
     assert unreferenced_private_names(path, [path, other]) == [
         ("mod", "_dead", 1)]
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) for each annotated field of a top-level
+    @dataclass class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and getattr(d.func, "id", None)
+                == "dataclass" for d in node.decorator_list):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield node.name, item.target.id, item.lineno
+
+
+def unread_dataclass_fields(path: Path, referrers):
+    """(module, class.field, line) for each dataclass field of path
+    whose name no referrer file reads as an attribute (.name) or passes
+    as a keyword (name=)."""
+    texts = [p.read_text() for p in referrers]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(path.stem, f"{cls}.{name}", line)
+            for cls, name, line in _dataclass_fields(tree)
+            if not any(re.search(rf"\.{name}\b|\b{name}=", text)
+                       for text in texts)]
+
+
+def test_every_dataclass_field_is_read():
+    referrers = [p for d in REFERRERS for p in (ROOT / d).rglob("*.py")]
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in unread_dataclass_fields(path, referrers)]
+    assert found == [], ("dataclass fields nothing reads (module, field, "
+                         "line): " + repr(found))
+
+
+def test_checker_flags_a_dataclass_field_nothing_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from dataclasses import dataclass\n\n\n"
+                    "@dataclass\nclass Report:\n    read: int\n"
+                    "    keyword: int\n    dead: int = 0\n\n\n"
+                    "class Plain:\n    unread: int\n\n\n"
+                    "def f(r):\n    return r.read, Report(1, keyword=2)\n")
+    assert unread_dataclass_fields(path, [path]) == [
+        ("mod", "Report.dead", 8)]
 
 
 def private_linalg_reads(path: Path):

@@ -152,6 +152,22 @@ def test_structure_audit_of_two_generators_mod_2():
     assert sp.e2_structure_audit(page).ok
 
 
+def test_structure_audit_reports_a_mismatch_without_raising(monkeypatch):
+    closed_form = sp.exterior_monomials
+
+    def with_a_ghost(degrees, s_max, t_max):
+        out = closed_form(degrees, s_max, t_max)
+        out.setdefault((1, 1), []).append("ghost")
+        return out
+    page = sp.build_e2(exterior_coalgebra([3], GF(3)), 2, 6)
+    monkeypatch.setattr(sp, "exterior_monomials", with_a_ghost)
+    rep = sp.e2_structure_audit(page)
+    assert not rep.ok
+    assert rep.indecomposables == {(1, 3): 1, (1, 6): 1}
+    assert rep.expected_indecomposables == {(1, 1): 1, (1, 3): 1, (1, 6): 1}
+    assert "MISMATCH" in str(rep)
+
+
 def test_structure_audit_builds_one_circle_table(monkeypatch):
     from cohh import complexes
     tables = []
