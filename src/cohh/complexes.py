@@ -51,7 +51,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from . import linalg
-from .coalgebra import GradedCoalgebra
+from .coalgebra import GradedCoalgebra, is_cocommutative
 from .fields import FieldSpec
 from .graded import GradedMap, GradedSpace
 from .linalg import Matrix
@@ -397,7 +397,6 @@ class HomologyTable:
         self.t_max = t_max
         self.data: dict = {}
         self.classes = GradedSpace()
-        self.class_filtration: dict = {}
         prev: dict = {}  # t -> (d_in columns, pivots of their reduction)
         for s in range(s_max + 1):
             cur = {}
@@ -417,7 +416,6 @@ class HomologyTable:
                 self.data[(s, t)] = Bidegree(dim)
                 for k in range(dim):
                     self.classes.add(("h", s, t, k), t)
-                    self.class_filtration[("h", s, t, k)] = s
             prev = cur
 
     def _built(self, s: int, t: int) -> Bidegree:
@@ -484,7 +482,13 @@ class HomologyTable:
 def cohh(D: GradedCoalgebra, s_max: int, t_max: int,
          shape: GraphSimplicialSet = None, normalized=True) -> HomologyTable:
     """coHochschild homology of D through filtration s_max and internal
-    degree t_max, over the standard circle unless another shape is given."""
+    degree t_max, over the standard circle unless another shape is given.
+    D must be cocommutative: both faces of the circle's edge go to the
+    basepoint, and the induced-map engine puts the legs of Delta in one
+    order, so delta_0 = delta_1 at level 0 with no twist."""
+    if not is_cocommutative(D):
+        raise ValueError("coHochschild homology needs a cocommutative "
+                         "coalgebra: tau Delta != Delta here")
     cm = CosimplicialModule.from_shape(D, shape or circle(), s_max, t_max)
     cc = (normalized_complex if normalized else unnormalized_complex)(cm, s_max)
     bound = min(t_max, D.complete_through())

@@ -310,7 +310,7 @@ class CircleStructure:
                     add_term(out, (hA, hB), f.mul(va, vb), f)
         return out
 
-    def product_on_cotensor(self, terms: dict, check=True) -> dict:
+    def product_on_cotensor(self, terms: dict) -> dict:
         """Multiply an equalized element of the total cotensor of the
         cochain complex with itself.
 
@@ -321,10 +321,8 @@ class CircleStructure:
         f = self.field
         if not terms:
             return {}
-        if check and not self.is_equalized(terms):
+        if not self.is_equalized(terms):
             raise NotEqualized("input is not in the cotensor subspace")
-        n = None
-        t = None
         total: dict = {}
         for (wa, wb), c in terms.items():
             n = len(wa) + len(wb) - 2
@@ -360,13 +358,12 @@ class CotensorComplex:
     1981; Hess-Parent-Scott, JPAA 2009).  Term n holds the coordinates
     (wa, tail): wa a word of N^u, tail a word of N^(n-u) whose slot 0
     holds the coaugmentation, with that slot dropped; each degree lists
-    them in (u, deg wa, tail, wa) order.  No kernel is eliminated.  phi
-    sends (wa, tail) to (rho_r (x) id)(wa (x) tail), which is equalized
-    because rho_r is coassociative; psi sends a pair (wa, wb) to
-    counit(wb[0]) (wa, wb[1:]).  psi phi = id by the counit law, so the
-    differential in coordinates is psi D phi, with D the total
-    differential on word pairs.  Its homology is H, one HomologyTable,
-    and pair_vec takes a representative back to word pairs through phi.
+    them in (u, deg wa, tail, wa) order.  No kernel is eliminated.  A
+    coordinate is the word wa + tail on the wedge of two circles, and
+    _diff_blocks reads its differential off the circle blocks.  phi
+    sends (wa, tail) to (rho_r (x) id)(wa (x) tail), equalized as rho_r
+    is coassociative, and pair_vec takes a class representative of H,
+    a HomologyTable, back to word pairs through phi.
     """
 
     def __init__(self, cs: CircleStructure):
@@ -374,14 +371,16 @@ class CotensorComplex:
         H = cs.H
         words = H.complex.terms
         coaug = cs.D.coaug
-        self._rho: dict = {}        # wa -> its right coaction, read by phi
         # tails[v][t]: words of words[v] in degree t with the
         # coaugmentation in slot 0, that slot dropped
         tails = [{t: [w[1:] for w in term.labels(t) if w[0] == coaug]
                   for t in term.degrees()} for term in words]
         degrees = [term.degrees() for term in words]
+        # the nonempty circle levels, a prefix (normalized_complex)
+        live = range(sum(1 for term in words if term.degree_of))
         terms = [GradedSpace(((wa, tail), t) for t in range(H.t_max + 1)
-                             for u in range(n + 1) for ta in degrees[u]
+                             for u in live if n - u in live
+                             for ta in degrees[u]
                              for tail in tails[n - u].get(t - ta, ())
                              for wa in words[u].labels(ta))
                  for n in range(H.s_max + 2)]
@@ -389,55 +388,64 @@ class CotensorComplex:
             cs.field, terms, [self._diff_blocks(terms[n], terms[n + 1])
                               for n in range(H.s_max + 1)])
         self.H = HomologyTable(self.complex, H.s_max, H.t_max)
-        self._rho.clear()       # after the build, phi reads few words
-
-    def _phi(self, coord) -> dict:
-        wa, tail = coord
-        rho = self._rho.get(wa)
-        if rho is None:
-            rho = self._rho[wa] = cochain_right_coaction(self.cs.D, wa)
-        return {(wa2, (d,) + tail): v for (wa2, d), v in rho.items()}
 
     def pair_vec(self, vec: dict) -> dict:
         """phi of a formal sum on coordinates: a formal sum on word pairs."""
         f = self.cs.field
         out: dict = {}
-        for x, c in vec.items():
-            for pr, v in self._phi(x).items():
-                add_term(out, pr, f.mul(c, v), f)
+        for (wa, tail), c in vec.items():
+            for (wa2, d), v in cochain_right_coaction(self.cs.D, wa).items():
+                add_term(out, (wa2, (d,) + tail), f.mul(c, v), f)
         return out
 
     def _diff_blocks(self, source, target) -> dict:
-        """psi D phi from the coordinates of source to those of target, in
-        the block form of CochainComplex.diff."""
+        """The differential on the coordinates of source, in the block
+        form of CochainComplex.diff, is the sum of the two circles'
+        cofaces on the wedge word wa + tail: c (la, tail) over c la in
+        d(wa), and (-1)^(u + (|wa[0]| - |w[0]|) |wa[1:]|) c (w[:1] +
+        wa[1:], w[1:]) over c w in d(wa[:1] + tail).  It is psi D phi,
+        psi (wa, wb) = counit(wb[0]) (wa, wb[1:]): the first sum by the
+        counit law, the second as d is a map of left comodules, with the
+        legs of Delta(wa[0]) swapped (cohh admits only cocommutative
+        coalgebras) and the one of degree |wa[0]| - |w[0]| moved past
+        wa[1:].  The guard phi(column) = D phi(coordinate) runs where
+        u = 0 or tail = () and covers all: the defect's d (x) 1 and
+        1 (x) d parts have disjoint supports, and at (wa, tail) they are
+        those at (wa, ()) with tail appended and at ((wa[0],), tail)
+        with wa[1:] put after each first word's first label x, signed
+        (-1)^((|wa[0]| - |x|) |wa[1:]|): both maps are injective."""
         f = self.cs.field
         cc = self.cs.H.complex
-        D = self.cs.D
+        deg = self.cs.D.space.degree_of
         blocks = {}
         for t, coords in source.by_degree.items():
             cols = blocks[t] = []
             labels = target.labels(t)
-            for x in coords:
-                img: dict = {}
-                for (la, lb), c in self._phi(x).items():
-                    u = word_level(la)
-                    for la2, v in cc.column(u, la).items():
-                        add_term(img, (la2, lb), f.mul(c, v), f)
-                    sgn = f.coerce((-1) ** u)
-                    for lb2, v in cc.column(word_level(lb), lb).items():
-                        add_term(img, (la, lb2), f.mul(f.mul(c, sgn), v), f)
+            for wa, tail in coords:
+                u, rest = word_level(wa), wa[1:]
+                r = sum(deg[a] for a in rest)
+                img = [((la, tail), v) for la, v in cc.column(u, wa).items()]
+                img += [((w[:1] + rest, w[1:]), f.neg(v) if (
+                    u + (deg[wa[0]] - deg[w[0]]) * r) & 1 else v)
+                    for w, v in cc.column(len(tail), wa[:1] + tail).items()]
                 col: dict = {}
-                for (la, lb), v in img.items():
-                    e = D.counit_of(lb[0])
-                    if e:
-                        y = (la, lb[1:])
-                        if target.degree_of.get(y) != t:
-                            raise AssertionError(
-                                "differential left the next coordinate block")
-                        add_term(col, target.index_of[y], f.mul(v, e), f)
-                if sub_sums(self.pair_vec({labels[i]: c
-                                           for i, c in col.items()}), img, f):
-                    raise AssertionError("differential left the cotensor")
+                for y, v in img:
+                    if target.degree_of.get(y) != t:
+                        raise AssertionError(
+                            "differential left the next coordinate block")
+                    add_term(col, target.index_of[y], v, f)
+                if u == 0 or not tail:
+                    d_phi: dict = {}
+                    phi = self.pair_vec({(wa, tail): f.one})
+                    for (la, lb), c in phi.items():
+                        for la2, v in cc.column(u, la).items():
+                            add_term(d_phi, (la2, lb), f.mul(c, v), f)
+                        for lb2, v in cc.column(len(tail), lb).items():
+                            add_term(d_phi, (la, lb2), f.mul(
+                                c, f.neg(v) if u & 1 else v), f)
+                    if sub_sums(self.pair_vec(
+                            {labels[i]: c for i, c in col.items()}), d_phi, f):
+                        raise AssertionError("differential left the cotensor")
                 cols.append(col)
         return blocks
 
@@ -482,25 +490,25 @@ def homology_multiplication(cs: CircleStructure):
     for (n, t), block in sorted(blocks.items(), key=repr):
         if n > cs.s_max:
             continue
-        reps = [ct.pair_vec(ct.H.rep(("h", n, t, k)))
-                for k in range(ct.H.dim(n, t))]
+        reps = [ct.H.rep(("h", n, t, k)) for k in range(ct.H.dim(n, t))]
         if len(reps) != len(block):
             kuenneth_ok = False
         # write each cotensor basis vector in the Kuenneth classes of the
         # cotensor complex's representatives
         try:
-            sols = linalg.keyed_solve([cs.pair_classes(z) for z in reps],
-                                      [vec for vec, _ in block], f)
+            sols = linalg.keyed_solve(
+                [cs.pair_classes(ct.pair_vec(z)) for z in reps],
+                [vec for vec, _ in block], f)
         except linalg.NoSolution:
             kuenneth_ok = False
             continue
-        mu = [cs.product_on_cotensor(z, check=False) for z in reps]
+        # the product of phi (wa, tail) is wa + tail, by the counit law
         for (_, free), sol in zip(block, sols):
-            val: dict = {}
+            words: dict = {}
             for j, c in sol.items():
-                for h, v in mu[j].items():
-                    add_term(val, h, f.mul(c, v), f)
-            mult.set_column(free, val)
+                for (wa, tail), v in reps[j].items():
+                    add_term(words, wa + tail, f.mul(c, v), f)
+            mult.set_column(free, cs.proj.project(n, t, words))
         handled.add((n, t))
 
     if set(ct.H.dims()) - handled:

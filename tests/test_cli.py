@@ -250,6 +250,37 @@ def test_bad_table_specs_are_input_errors(spec, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# deconcatenation: a coassociative, counital coalgebra that is not
+# cocommutative
+DECONCATENATION = {
+    "kind": "table",
+    "basis": [["1", 0], ["a", 3], ["b", 5], ["ab", 8], ["ba", 8]],
+    "comult": {"1": {"1|1": 1}, "a": {"1|a": 1, "a|1": 1},
+               "b": {"1|b": 1, "b|1": 1},
+               "ab": {"1|ab": 1, "a|b": 1, "ab|1": 1},
+               "ba": {"1|ba": 1, "b|a": 1, "ba|1": 1}},
+    "counit": {"1": 1}}
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["cohh", "--max-s", "1", "--max-t", "10"], 1), (["cohh"], 1),
+    (["e2"], 1), (["audit"], 1), (["cotor"], 0), (["validate"], 0)],
+    ids=["cohh-s1-t10", "cohh", "e2", "audit", "cotor", "validate"])
+def test_circle_homology_refuses_a_coalgebra_that_is_not_cocommutative(
+        argv, status, tmp_path, capsys):
+    # the cobar complex needs no cocommutativity, so cotor still runs
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(DECONCATENATION))
+    got, out, err = run_cli(argv + ["--spec", str(path)], capsys)
+    assert got == status
+    assert "Traceback" not in err
+    if status:
+        assert out == ""
+        assert err.startswith("error:") and "cocommutative" in err
+    else:
+        assert out and not err
+
+
 @pytest.mark.parametrize("key", ["s_max", "t_max"])
 @pytest.mark.parametrize("value", [[1], {}, True, 2.7, "2"])
 def test_bounds_of_the_wrong_json_type_are_input_errors(key, value,
@@ -372,7 +403,13 @@ def test_cotor_command(capsys):
      "cfeb999c28845ef2e01d35dc584334eb397cfc66ec939d68b77965639df97ecc"),
     ("audit --degrees 3 --field 0 --max-s 3 --max-t 12",
      "6a032c4c6af7ddc4ce9ceb8a81086874b9d504412ffa94e32ca1f2195fcc7cdf"),
-], ids=["cotor", "cohh", "audit"])
+    # the cotensor differential's wa[1:] sign on odd generators
+    ("audit --degrees 3,5 --field 0 --max-s 3 --max-t 16",
+     "97c4a62c30033c37214c3d8a0f385630b429859f64460a2fd4ccb7b4563b17f8"),
+    ("audit --degrees 3,5,7 --field 0 --max-s 3 --max-t 20",
+     "8e123c08f7a04850d4f44b01fe83b720bab8445067fc69d7e3b5b103acd97b96"),
+], ids=["cotor", "cohh", "audit", "audit-two-generators",
+        "audit-three-generators"])
 def test_rational_json_output_is_pinned(argv, digest, capsys):
     # int scalars over Q must render exactly as the Fraction ones did
     status, out, _ = run_cli(argv.split() + ["--format", "json"], capsys)
@@ -389,6 +426,8 @@ def test_rational_json_output_is_pinned(argv, digest, capsys):
      "290e4d9c150182b06afbf918e5ae71796310399c223fb7cc840447e9cb582a37"),
     ("audit --degrees 3,5 --field 3 --max-s 4 --max-t 20",
      "9b890253d78add0c062bd4c949241c3eb7aff4d1709243a6deb07988b73229f9"),
+    ("audit --degrees 3,5 --field 2 --max-s 3 --max-t 16",
+     "3a40fc32b6425e39fc0af18835eeb92b74e5858d7d3489fa7d121342bd00bb70"),
     # the job of perfbench's audit-ext1-f3 workload
     ("audit --degrees 3 --field 3 --max-s 4 --max-t 18",
      "da157dd00ea3164834f3c9cd153592175da4afb41c26cc582f9516d7530552cf"),
@@ -397,7 +436,7 @@ def test_rational_json_output_is_pinned(argv, digest, capsys):
     ("cohh --degrees 3,5 --field 2305843009213693951 --max-s 3 --max-t 16",
      "b3bef9116e8363db85e9b2b27efb6dafedb18a2491d706fb3e944477d4eac011"),
 ], ids=["cohh-exterior", "cohh-polynomial", "audit", "audit-two-generators",
-        "audit-one-generator-mod-3", "cohh-three-generators",
+        "audit-two-generators-mod-2", "audit-one-generator-mod-3", "cohh-three-generators",
         "cohh-mod-2**61-1"])
 def test_modular_json_output_is_pinned(argv, digest, capsys):
     # generated terms, cut-off cofaces and rank dims must print exactly

@@ -399,6 +399,21 @@ def test_normalized_complex_needs_counit_on_the_coaugmentation_only():
         normalized_complex(cm, 1)
 
 
+def test_cohh_refuses_a_coalgebra_that_is_not_cocommutative():
+    # deconcatenation on 1, a, b, ab, ba: d^0(ab) = a|b - b|a, so the
+    # two cofaces of the minimal circle, which agree, would be wrong
+    D = table_coalgebra(
+        QQ, [("1", 0), ("a", 3), ("b", 5), ("ab", 8), ("ba", 8)],
+        {"1": {("1", "1"): 1}, "a": {("1", "a"): 1, ("a", "1"): 1},
+         "b": {("1", "b"): 1, ("b", "1"): 1},
+         "ab": {("1", "ab"): 1, ("a", "b"): 1, ("ab", "1"): 1},
+         "ba": {("1", "ba"): 1, ("b", "a"): 1, ("ba", "1"): 1}}, {"1": 1})
+    assert validate(D).ok
+    for shape in (circle(), double_edge_circle()):
+        with pytest.raises(ValueError, match="cocommutative"):
+            cohh(D, 1, 10, shape=shape)
+
+
 def convolve(a, b, s_max, t_max):
     out = {}
     for (s1, t1), d1 in a.items():

@@ -1,8 +1,8 @@
 """Source hygiene checks that need no linter: every name a module of
 the package imports at module level is used in that module, every
 private top-level name of the package is referenced somewhere, every
-dataclass field is read somewhere, and no module but linalg reads a
-private linalg name."""
+dataclass field and every attribute a method sets on self is read
+somewhere, and no module but linalg reads a private linalg name."""
 
 import ast
 import re
@@ -141,6 +141,85 @@ def test_checker_flags_a_dataclass_field_nothing_reads(tmp_path):
                     "def f(r):\n    return r.read, Report(1, keyword=2)\n")
     assert unread_dataclass_fields(path, [path]) == [
         ("mod", "Report.dead", 8)]
+
+
+def _attribute_targets(tree):
+    """Each attribute node that an assignment in tree writes, itself or
+    an item of it: the x of a.x = v, a.x[k] = v, a.x += v and a.x: T = v."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            stack = list(node.targets)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            stack = [node.target]
+        else:
+            continue
+        while stack:
+            target = stack.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                stack += target.elts
+                continue
+            if isinstance(target, ast.Starred):
+                target = target.value
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute):
+                yield target
+
+
+def loaded_attributes(paths) -> set:
+    """The names of the attributes the files read (.name), less the
+    bases of item writes: self.x[k] = v writes x, it does not read it."""
+    loaded = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        written = {id(node) for node in _attribute_targets(tree)}
+        loaded |= {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)
+                   and id(node) not in written}
+    return loaded
+
+
+def unread_instance_attributes(path: Path, loaded: set):
+    """(module, class.name, line) for each self.name that a top-level
+    class of path writes and that is not in loaded, the attribute names
+    read on anything; line is the first write."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in _attribute_targets(cls):
+                if (isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                        and node.attr not in loaded):
+                    found.setdefault(f"{cls.name}.{node.attr}", node.lineno)
+    return sorted(((path.stem, name, line) for name, line in found.items()),
+                  key=lambda hit: hit[2])
+
+
+def test_every_instance_attribute_is_read():
+    loaded = loaded_attributes(
+        p for d in REFERRERS for p in (ROOT / d).rglob("*.py"))
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in unread_instance_attributes(path, loaded)]
+    assert found == [], ("instance attributes nothing reads (module, "
+                         "attribute, line): " + repr(found))
+
+
+def test_checker_flags_an_instance_attribute_nothing_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class Table:\n"
+                    "    def __init__(self):\n"
+                    "        self.read = {}\n"
+                    "        self.dead, self.items = 0, {}\n"
+                    "        self.items[1] = 2\n"
+                    "        self.count: int = 0\n"
+                    "        self.count += 1\n"
+                    "        self.read[0] = self.dead\n\n\n"
+                    "def f(t):\n"
+                    "    return t.read\n")
+    assert unread_instance_attributes(path, loaded_attributes([path])) == [
+        ("mod", "Table.items", 4), ("mod", "Table.count", 6)]
 
 
 def private_linalg_reads(path: Path):

@@ -23,7 +23,7 @@ from cohh.complexes import (
     normalized_complex,
 )
 from cohh.fields import GF, QQ
-from cohh.graded import GradedMap, add_term, sub_sums
+from cohh.graded import GradedMap, GradedSpace, add_term, sub_sums
 from cohh.linalg import Matrix
 from cohh.simplicial import circle
 
@@ -420,6 +420,22 @@ def test_cotensor_coordinates_span_the_equalizer(degrees, field, s_max,
     assert blocks > 10, blocks
 
 
+def pair_differential(cs, vec):
+    """D = d (x) 1 + (-1)^u 1 (x) d, the total differential of the
+    circle complex with itself, on a formal sum of word pairs (wa, wb),
+    wa of level u."""
+    f, cc = cs.field, cs.H.complex
+    out = {}
+    for (la, lb), c in vec.items():
+        u = len(la) - 1
+        for la2, v in cc.column(u, la).items():
+            add_term(out, (la2, lb), f.mul(c, v), f)
+        sgn = f.coerce((-1) ** u)
+        for lb2, v in cc.column(len(lb) - 1, lb).items():
+            add_term(out, (la, lb2), f.mul(f.mul(c, sgn), v), f)
+    return out
+
+
 def per_block_cotensor_homology(cs):
     """The cotensor complex's homology by its own per-block loop: the
     (n, t) coordinates in (u, deg wa, tail, wa) order, psi D phi as a
@@ -441,15 +457,9 @@ def per_block_cotensor_homology(cs):
         index = {x: i for i, x in enumerate(nxt)}
         cols = []
         for wa, tail in cur:
-            img = {}
-            for (la, d), c in st.cochain_right_coaction(D, wa).items():
-                lb = (d,) + tail
-                u = len(la) - 1
-                for la2, v in cc.column(u, la).items():
-                    add_term(img, (la2, lb), f.mul(c, v), f)
-                sgn = f.coerce((-1) ** u)
-                for lb2, v in cc.column(len(lb) - 1, lb).items():
-                    add_term(img, (la, lb2), f.mul(f.mul(c, sgn), v), f)
+            img = pair_differential(cs, {
+                (la, (d,) + tail): c for (la, d), c
+                in st.cochain_right_coaction(D, wa).items()})
             col = {}
             for (la, lb), v in img.items():
                 if D.counit_of(lb[0]):
@@ -482,6 +492,20 @@ def test_cotensor_homology_table_matches_the_per_block_loop(degrees, s_max,
     D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
         exterior_coalgebra([3], field),
         polynomial_coalgebra([4], field, truncation=12)))
+    assert_cotensor_homology_matches_the_per_block_loop(D, s_max, t_max)
+
+
+@pytest.mark.parametrize("D, s_max, t_max", [
+    (polynomial_coalgebra([2], GF(3), truncation=8), 4, 8),
+    # -1 is p - 1 here, not a small int
+    (exterior_coalgebra([3, 5], GF(2**61 - 1)), 3, 16)],
+    ids=["k[w2]<=8-F_3", "Lambda(3,5)-F_(2**61-1)"])
+def test_cotensor_homology_matches_the_per_block_loop_on_more_coalgebras(
+        D, s_max, t_max):
+    assert_cotensor_homology_matches_the_per_block_loop(D, s_max, t_max)
+
+
+def assert_cotensor_homology_matches_the_per_block_loop(D, s_max, t_max):
     cs = st.CircleStructure(D, s_max, t_max)
     ct = st.CotensorComplex(cs)
     oracle = per_block_cotensor_homology(cs)
@@ -491,6 +515,55 @@ def test_cotensor_homology_table_matches_the_per_block_loop(degrees, s_max,
     for (n, t), (coords, dim, reps) in oracle.items():
         assert ct.complex.terms[n].labels(t) == coords, (n, t)
         assert [ct.H.rep(("h", n, t, k)) for k in range(dim)] == reps, (n, t)
+
+
+@pytest.mark.parametrize("degrees, field, s_max, t_max", [
+    ([3, 5], GF(3), 4, 20), ([3, 5], QQ, 4, 20), (None, GF(3), 3, 12)])
+def test_every_cotensor_column_stays_in_the_cotensor(degrees, field, s_max,
+                                                     t_max):
+    # the build checks phi(column) = D phi(coordinate) only where u = 0
+    # or tail = (); here it is checked on every coordinate
+    # None stands for Lambda(x_3) (x) k[w_4] truncated at 12
+    D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
+        exterior_coalgebra([3], field),
+        polynomial_coalgebra([4], field, truncation=12)))
+    cs = st.CircleStructure(D, s_max, t_max)
+    ct = st.CotensorComplex(cs)
+    cc = ct.complex
+    unguarded = 0
+    for n in range(s_max + 1):
+        for t, cols in cc.diff[n].items():
+            labels = cc.terms[n + 1].labels(t)
+            for (wa, tail), col in zip(cc.terms[n].labels(t), cols):
+                image = ct.pair_vec({labels[i]: v for i, v in col.items()})
+                want = pair_differential(
+                    cs, ct.pair_vec({(wa, tail): field.one}))
+                assert not sub_sums(image, want, field), (wa, tail)
+                unguarded += len(wa) > 1 and bool(tail)
+    assert unguarded > 30, unguarded
+
+
+def test_the_cotensor_walk_opens_only_nonempty_circle_levels(monkeypatch):
+    # Lambda(x_3) at t <= 5 has circle levels 0 and 1 only, so at s_max
+    # 200 a walk over every u <= n, for every n and t, opens a level's
+    # degree list about 6 * 203 * 202 / 2 times; one over the nonempty
+    # levels, some 24 times, besides the one reading per term
+    D = exterior_coalgebra([3], GF(2))
+    want = st.CotensorComplex(st.CircleStructure(D, 2, 5)).H.dims()
+    cs = st.CircleStructure(D, 200, 5)
+    opened = []
+    degrees = GradedSpace.degrees
+
+    class Counted(list):
+        def __iter__(self):
+            opened.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(GradedSpace, "degrees",
+                        lambda self: Counted(degrees(self)))
+    ct = st.CotensorComplex(cs)
+    assert len(opened) <= 3 * (200 + 2), len(opened)
+    assert ct.H.dims() == want
 
 
 def test_cotensor_complex_refuses_a_right_coaction_off_the_cotensor(
