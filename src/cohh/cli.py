@@ -387,7 +387,7 @@ def run(job: JobSpec):
         c = build_coalgebra(job.coalgebra, job.field, job.t_max)
         k = trivial_comodule(c)
         table = cobar_cotor(k, k, job.s_max, job.t_max)
-        grid = table.dims
+        grid = table.dims()
         payload["table"] = _table_rows(grid)
     else:
         raise ParseError(f"unknown command {job.command!r}")

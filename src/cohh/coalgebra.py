@@ -333,7 +333,8 @@ def polynomial_coalgebra(degrees, field: FieldSpec,
         field, basis, comult, counit, coaug="1", truncation=truncation,
         name="k[" + ",".join(str(d) for d in degrees) + f"]<= {truncation}",
         metadata={"kind": "polynomial", "degrees": list(degrees),
-                  "generators": gens, "truncation": truncation})
+                  "truncation": truncation,
+                  "exponents": {mono_id(m): m for m in monomials}})
 
 
 def tensor_coalgebra(c1: GradedCoalgebra,

@@ -305,28 +305,17 @@ def cobar_differential(M: Comodule, N: Comodule, s: int,
     return blocks
 
 
-@dataclass
-class CotorTable:
-    """Bigraded dimensions (s = cobar filtration, t = internal degree)."""
-
-    dims: dict  # (s, t) -> int
-    s_max: int
-    t_max: int  # internal degree through which values are trustworthy
-
-    def dim(self, s: int, t: int) -> int:
-        return self.dims.get((s, t), 0)
-
-
-def cobar_cotor(M: Comodule, N: Comodule, s_max: int, t_max: int) -> CotorTable:
-    """Cotor_D^{s,t}(M, N) for 0 <= s <= s_max, t <= t_max: the dims of
-    the homology table of the reduced cobar complex, read off ranks."""
+def cobar_cotor(M: Comodule, N: Comodule, s_max: int,
+                t_max: int) -> HomologyTable:
+    """Cotor_D^{s,t}(M, N) for 0 <= s <= s_max, t <= t_max: the homology
+    table of the reduced cobar complex, its dims read off ranks.  Its
+    t_max is the internal degree through which the values hold."""
     bound = min(M.complete_through(), N.complete_through(), t_max)
     spaces = [GradedSpace(cobar_level_space(M, N, s, bound))
               for s in range(s_max + 2)]
     diffs = [cobar_differential(M, N, s, spaces[s], spaces[s + 1])
              for s in range(s_max + 1)]
-    table = HomologyTable(CochainComplex(M.field, spaces, diffs), s_max, bound)
-    return CotorTable(table.dims(), s_max, bound)
+    return HomologyTable(CochainComplex(M.field, spaces, diffs), s_max, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +401,9 @@ def polynomial_multiplication(D2: GradedCoalgebra):
     """Exponent-addition product on a polynomial coalgebra's basis."""
     if D2.metadata.get("kind") != "polynomial":
         raise ValueError("needs a polynomial coalgebra")
-    gens = D2.metadata["generators"]
     degrees = D2.metadata["degrees"]
     trunc = D2.metadata["truncation"]
-    exps = {}
-    for label in D2.space.degree_of:
-        exps[label] = _parse_exponents(label, gens)
+    exps = D2.metadata["exponents"]
     ids = {v: k for k, v in exps.items()}
     f = D2.field
 
@@ -428,30 +414,6 @@ def polynomial_multiplication(D2: GradedCoalgebra):
         return {ids[total]: f.one}
 
     return mult
-
-
-def _parse_exponents(label: str, gens):
-    if label == "1":
-        return (0,) * len(gens)
-    out = []
-    rest = label
-    for g in gens:
-        e = 0
-        if rest.startswith(g):
-            rest = rest[len(g):]
-            if rest.startswith("^"):
-                num = ""
-                rest = rest[1:]
-                while rest and rest[0].isdigit():
-                    num += rest[0]
-                    rest = rest[1:]
-                e = int(num)
-            else:
-                e = 1
-        out.append(e)
-    if rest:
-        raise ValueError(f"cannot parse monomial {label!r}")
-    return tuple(out)
 
 
 def box_primitives(box: BoxStructure, max_degree: int) -> dict:
@@ -529,7 +491,9 @@ def _q_reduce(label, unit_image, box: BoxStructure, f):
 
 
 def box_indecomposables(box: BoxStructure, max_degree: int):
-    """Indecomposables coker(mult: IE box IE -> IE), per internal degree.
+    """Indecomposables coker(mult: IE box IE -> IE), per internal degree,
+    with IE = ker(counit: E -> D): the homology of
+    IE box IE -> E -> D at E.
 
     Returns {degree: (dim, [representative formal sums on E labels])}.
     """
@@ -537,10 +501,11 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
     E = box.carrier.space
     if box.mult is None:
         raise ValueError("box structure has no multiplication")
+    counit = {l: box.counit.column(l) for l in E.degree_of}
     out = {}
     for t in range(1, max_degree + 1):
-        ie = _counit_kernel(box, t)
-        if not ie:
+        labels = E.labels(t)
+        if not labels:
             continue
         # (IE (x) IE) cap (E box E): the equalizer and both counits,
         # each on its own tagged keys
@@ -554,16 +519,18 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
             img.update({("r", a, d): v
                         for d, v in box.counit.column(b).items()})
             images[(a, b)] = img
-        products = Matrix.from_columns(
-            [{E.index_of[l]: v for l, v in box.mult.apply(pair_sum, f).items()}
-             for pair_sum in linalg.kernel_of(images, f)], E.dim(t))
-        dim, reps, _ = linalg.classes_mod_boundaries(
-            [{E.index_of[l]: v for l, v in vec.items()} for vec in ie],
-            products, f)
-        if dim:
-            labels = E.labels(t)
-            out[t] = (dim, [{labels[i]: v for i, v in r.items()}
-                            for r in reps])
+        products = [box.mult.apply(pair_sum, f)
+                    for pair_sum in linalg.kernel_of(images, f)]
+        # the quotient is a homology only if the products lie in IE
+        linalg.check_composite_zero(counit, products, f)
+        pivots = linalg.rref(Matrix.from_rows(
+            [{E.index_of[l]: v for l, v in p.items()} for p in products],
+            len(labels)), f, reduced=False)[1]
+        reps = linalg.homology_reps(
+            linalg.keyed_matrix([counit[l] for l in labels]), set(pivots), f)
+        if reps:
+            out[t] = (len(reps), [{labels[i]: v for i, v in r.items()}
+                                  for r in reps])
     return out
 
 
@@ -585,7 +552,7 @@ def coflatness_report(M: Comodule, s_max: int, t_max: int) -> CoflatnessReport:
     1 <= s <= s_max and t <= t_max, plus a dimension-series check that
     dim M_t matches a cofree D (x) V."""
     table = cobar_cotor(M, trivial_comodule(M.base), s_max, t_max)
-    vanishing = all(s == 0 for s, _ in table.dims)
+    vanishing = all(s == 0 for s, _ in table.dims())
     D = M.base
     bound = min(t_max, M.complete_through())
     v: dict = {}

@@ -31,19 +31,25 @@ cobar complex, and the cotensor total complex behind the product in
 structure.  A table reads dims off ranks and keeps no RREF.  Walking s
 up, block (s, t) row-reduces its columns of d_s, less those whose index
 is a pivot (least index) of block (s - 1, t), as the rows of one rref
-call; its pivots count rank d_s.  A cleared j is the least index of some y in
-im d_{s-1} with d_s y = 0, so column j is a combination of columns of
-larger index and the rank is kept; the pivots depend on the row space
-alone.  A bidegree's class representatives and the RREF of its
-boundaries are built from the blocks on demand by linalg.homology_reps,
-the first time a representative or class coordinates are asked for.
-The representatives are RREF rows already reduced modulo the
-boundaries, so their pivots avoid the boundary pivots: reducing a vector
-modulo the boundary rows and reading its entry at the pivot of each
-representative gives its class coordinates, with no solve.  That map is
-linear, kills every boundary and fixes every representative, so it is a
-chain retraction onto the homology with zero differential; two such
-retractions differ by h o d, so they agree on every cocycle.
+call; its pivots count rank d_s.  A cleared j is the least index of
+some y in im d_{s-1} with d_s y = 0, so column j is a combination of
+columns of larger index and the rank is kept; the pivots depend on the
+row space alone.  So the cleared set of block (s, t) is the pivot set
+of its boundaries, and a bidegree with classes keeps it.
+
+Its class representatives are built on demand, the first time one is
+asked for, by linalg.homology_reps: the rows of the RREF of ker d_s
+whose pivot is not cleared.  The boundaries lie in ker d_s, so their
+pivots are pivots of that RREF, and the rows kept are zero at each of
+them: they are already reduced modulo the boundaries, and they are the
+RREF of the cycles reduced modulo the boundaries.  The RREF of the
+boundaries is built by the first class_coords, and its pivots must be
+the cleared set.  Reducing a vector modulo the boundary rows and
+reading its entry at the pivot of each representative gives its class
+coordinates, with no solve.  That map is linear, kills every boundary
+and fixes every representative, so it is a chain retraction onto the
+homology with zero differential; two such retractions differ by h o d,
+so they agree on every cocycle.
 """
 
 from dataclasses import dataclass
@@ -218,42 +224,41 @@ def _words(D: GradedCoalgebra, slots: int, t_max: int, missing=()):
 
 
 class CosimplicialModule:
-    """Levelwise D^{(x) levels[n]} with cofaces and codegeneracies induced
-    from face_fn / degeneracy_fn of the underlying simplicial set."""
+    """Levelwise D^{(x) X_n} over a graph simplicial set X, with cofaces
+    and codegeneracies induced from its faces and degeneracies.  Each
+    level X_n is read from X on first use, once."""
 
-    def __init__(self, D: GradedCoalgebra, levels, face_fn, degeneracy_fn,
-                 t_max: int, name=""):
+    def __init__(self, D: GradedCoalgebra, X: GraphSimplicialSet,
+                 t_max: int):
         self.D = D
         self.field = D.field
-        self.levels = levels
-        self.face_fn = face_fn
-        self.degeneracy_fn = degeneracy_fn
+        self.shape = X
         self.t_max = t_max
-        self.name = name
+        self.name = f"{D.name}^{X.name}"
+        self._levels: dict = {}
         self._spaces: dict = {}
 
-    @classmethod
-    def from_shape(cls, D: GradedCoalgebra, X: GraphSimplicialSet,
-                   n_max: int, t_max: int) -> "CosimplicialModule":
-        levels = [X.level(n) for n in range(n_max + 2)]
-        return cls(D, levels, X.face, X.degeneracy, t_max,
-                   name=f"{D.name}^{X.name}")
+    def level(self, n: int):
+        """The simplices of X_n, in order: the slots of a level-n word."""
+        if n not in self._levels:
+            self._levels[n] = self.shape.level(n)
+        return self._levels[n]
 
     def space(self, n: int) -> GradedSpace:
         if n not in self._spaces:
             self._spaces[n] = GradedSpace(
-                _words(self.D, len(self.levels[n]), self.t_max))
+                _words(self.D, len(self.level(n)), self.t_max))
         return self._spaces[n]
 
     def coface(self, n: int, i: int) -> GradedMap:
-        return induced_operator(self.D, self.levels[n + 1], self.levels[n],
-                                lambda s: self.face_fn(n + 1, i, s),
+        return induced_operator(self.D, self.level(n + 1), self.level(n),
+                                lambda s: self.shape.face(n + 1, i, s),
                                 self.space(n), self.space(n + 1))
 
     def codegeneracy(self, n: int, i: int) -> GradedMap:
         """sigma_i: level n+1 -> level n, 0 <= i <= n."""
-        return induced_operator(self.D, self.levels[n], self.levels[n + 1],
-                                lambda s: self.degeneracy_fn(n, i, s),
+        return induced_operator(self.D, self.level(n), self.level(n + 1),
+                                lambda s: self.shape.degeneracy(n, i, s),
                                 self.space(n + 1), self.space(n))
 
     def coface_sum(self, n: int, source: GradedSpace, target: GradedSpace,
@@ -266,8 +271,8 @@ class CosimplicialModule:
         those slots would not."""
         canonical = self.field.canonical
         images = [(-1 if i & 1 else 1, _word_image(
-            self.D, self.levels[n + 1], self.levels[n],
-            lambda s, i=i: self.face_fn(n + 1, i, s), target.index_of,
+            self.D, self.level(n + 1), self.level(n),
+            lambda s, i=i: self.shape.face(n + 1, i, s), target.index_of,
             nonunit))
             for i in range(n + 2)]
         blocks = {}
@@ -284,10 +289,10 @@ class CosimplicialModule:
         """For each codegeneracy sigma_i: level n+1 -> level n, the slots
         of level n+1 outside the image of s_i.  sigma_i applies the
         counit there and deletes them."""
-        nxt = self.levels[n + 1]
+        nxt = self.level(n + 1)
         out = []
         for i in range(n + 1):
-            image = {self.degeneracy_fn(n, i, x) for x in self.levels[n]}
+            image = {self.shape.degeneracy(n, i, x) for x in self.level(n)}
             out.append([k for k, y in enumerate(nxt) if y not in image])
         return out
 
@@ -345,7 +350,7 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
         raise ValueError(
             f"normalized complex needs the counit supported on the "
             f"coaugmentation {D.coaug!r} alone, got {sorted(D.counit)}")
-    terms = [GradedSpace(_words(D, len(cm.levels[0]), cm.t_max))]
+    terms = [GradedSpace(_words(D, len(cm.level(0)), cm.t_max))]
     diffs = []
     for s in range(s_max + 1):
         if not terms[s].degree_of:
@@ -354,7 +359,7 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
             continue
         missing = cm.missing_slots(s)
         terms.append(GradedSpace(
-            _words(D, len(cm.levels[s + 1]), cm.t_max, missing)))
+            _words(D, len(cm.level(s + 1)), cm.t_max, missing)))
         diffs.append(cm.coface_sum(s, terms[s], terms[s + 1],
                                    {g[0] for g in missing if len(g) == 1}))
     return CochainComplex(cm.field, terms, diffs, cm)
@@ -370,11 +375,15 @@ def unnormalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
 @dataclass
 class Bidegree:
     dim: int
+    # the pivots of im d_in, the indices cleared at this block; kept
+    # only when dim > 0
+    cleared: set = None
     # RREF rows (sparse index vectors in term coordinates) spanning
     # ker d_out / im d_in, reduced modulo the boundaries: rep k has its
-    # pivot min(rep) outside the boundary pivots; None until built
+    # pivot min(rep) outside cleared; None until built
     rep_vectors: list = None
-    # (RREF rows of im d_in, their pivot columns)
+    # (RREF rows of im d_in, their pivot columns), built by the first
+    # class_coords
     boundary: tuple = None
 
 
@@ -386,8 +395,8 @@ class HomologyTable:
 
     dim = n - rank d_out - rank d_in, one cleared column reduction per
     block of cc.diff, read as written, its pivots cleared at s + 1, after
-    checking d_out d_in = 0 on the same columns; representatives are
-    built on first use (see the module docstring).
+    checking d_out d_in = 0 on the same columns; representatives and
+    boundary rows are built on first use (see the module docstring).
     """
 
     def __init__(self, cc: CochainComplex, s_max: int, t_max: int):
@@ -413,27 +422,24 @@ class HomologyTable:
                 pivots = linalg.rref(m, self.field, reduced=False)[1]
                 cur[t] = (cols, set(pivots))
                 dim = len(cols) - len(pivots) - len(cleared)
-                self.data[(s, t)] = Bidegree(dim)
+                self.data[(s, t)] = Bidegree(dim, cleared if dim else None)
                 for k in range(dim):
                     self.classes.add(("h", s, t, k), t)
             prev = cur
 
     def _built(self, s: int, t: int) -> Bidegree:
-        """The bidegree (s, t), its representatives and boundary rows
-        built on first use."""
+        """The bidegree (s, t), its representatives built on first use."""
         bd = self.data[(s, t)]
         if bd.rep_vectors is None:
-            cc, f = self.complex, self.field
-            dim, reps, bnd_rows = linalg.homology_reps(
+            cc = self.complex
+            reps = linalg.homology_reps(
                 Matrix.from_columns(cc.diff[s][t], cc.terms[s + 1].dim(t)),
-                Matrix.from_columns(cc.diff[s - 1].get(t, []) if s else [],
-                                    cc.terms[s].dim(t)), f)
-            if dim != bd.dim:
+                bd.cleared, self.field)
+            if len(reps) != bd.dim:
                 raise AssertionError(
-                    f"bidegree ({s}, {t}): {dim} representatives for "
-                    f"dimension {bd.dim}")
+                    f"bidegree ({s}, {t}): {len(reps)} representatives "
+                    f"for dimension {bd.dim}")
             bd.rep_vectors = reps
-            bd.boundary = (bnd_rows, [min(row) for row in bnd_rows])
         return bd
 
     def dim(self, s: int, t: int) -> int:
@@ -470,6 +476,15 @@ class HomologyTable:
         if not self.data[(s, t)].dim:
             return {}
         bd = self._built(s, t)
+        if bd.boundary is None:
+            cc = self.complex
+            bd.boundary = linalg.rref(Matrix.from_rows(
+                cc.diff[s - 1].get(t, []) if s else [], cc.terms[s].dim(t)),
+                self.field)
+            if set(bd.boundary[1]) != bd.cleared:
+                raise AssertionError(
+                    f"bidegree ({s}, {t}): the boundary pivots are not "
+                    f"the cleared indices")
         red = linalg.reduce_mod_span(target, *bd.boundary, self.field)
         out = {}
         for k, rep in enumerate(bd.rep_vectors):
@@ -489,7 +504,7 @@ def cohh(D: GradedCoalgebra, s_max: int, t_max: int,
     if not is_cocommutative(D):
         raise ValueError("coHochschild homology needs a cocommutative "
                          "coalgebra: tau Delta != Delta here")
-    cm = CosimplicialModule.from_shape(D, shape or circle(), s_max, t_max)
+    cm = CosimplicialModule(D, shape or circle(), t_max)
     cc = (normalized_complex if normalized else unnormalized_complex)(cm, s_max)
     bound = min(t_max, D.complete_through())
     return HomologyTable(cc, s_max, int(bound))

@@ -13,10 +13,13 @@ via rref(reduced=False)), so every elimination is an rref call (perfbench
 traces rref, not rank).  A homology table reduces the columns of each d_s
 less those at the pivot (least index) of some y in im d_{s-1}: d_s y = 0
 makes each a combination of later columns, so the rank is kept.
-The differentials this package reduces are about 1%
-dense, which is why there is no dense path.  The dense routines
-_rref_fraction_dense and _rref_modp_dense are kept only as oracles for
-the tests.
+Those cleared pivots, the pivots of im d_{s-1}, are pivots of ker d_s,
+and the RREF rows of ker d_s at its other pivots are already reduced
+modulo the boundaries: homology_reps keeps those rows, one kernel_basis
+and one rref per block, and reduces no cycle.  The differentials this
+package reduces are about 1% dense, which is why there is no dense
+path.  The dense routines _rref_fraction_dense and _rref_modp_dense are
+kept only as oracles for the tests.
 
 A linear map given as formal sums on arbitrary hashable keys, one sum
 per source key, becomes a Matrix through keyed_matrix, which numbers the
@@ -329,27 +332,19 @@ def check_composite_zero(out_cols, in_cols, field: FieldSpec):
                 f"d_out @ d_in is nonzero on column {j} of d_in")
 
 
-def homology_reps(d_out: Matrix, d_in: Matrix, field: FieldSpec):
-    """Homology at the middle term of d_in: C' -> C, d_out: C -> C''.
+def homology_reps(d_out: Matrix, boundary_pivots, field: FieldSpec):
+    """Class representatives of ker(d_out) / B, for a subspace B of
+    ker(d_out) whose pivots (least indices) are the set boundary_pivots:
+    the rows of the RREF of ker(d_out) whose pivot is not in it.
 
-    Checks d_out @ d_in = 0.  Returns (dim, representatives, boundary
-    rows) as classes_mod_boundaries does, for the cycles ker(d_out).
+    B lies in ker(d_out), so its pivots are pivots of ker(d_out), and
+    each row of that RREF is zero at every other pivot of ker(d_out):
+    a row kept is already reduced modulo the RREF rows of B, and there
+    are dim ker(d_out) - dim B of them.  So they are the RREF of the
+    cycles reduced modulo the boundaries, the canonical
+    representatives.  The caller checks that B lies in ker(d_out).
     """
-    check_composite_zero(d_out.columns(), d_in.columns(), field)
-    return classes_mod_boundaries(kernel_basis(d_out, field), d_in, field)
-
-
-def classes_mod_boundaries(cycles, d_in: Matrix, field: FieldSpec):
-    """(dim, representatives, boundary rows) of span(cycles) / im(d_in),
-    for cycles containing im(d_in): the representatives are cycle
-    vectors echelonized for determinism, and the boundary rows are the
-    RREF rows of d_in^T, a basis of im(d_in).
-    """
-    img_rows, img_pivots = rref(d_in.transpose(), field)
-    reduced = []
-    for z in cycles:
-        r = reduce_mod_span(z, img_rows, img_pivots, field)
-        if r:
-            reduced.append(r)
-    reps, _ = _rref_sparse(reduced, field)
-    return len(reps), reps, img_rows
+    rows, pivots = rref(Matrix.from_rows(kernel_basis(d_out, field),
+                                         d_out.ncols), field)
+    return [row for row, pc in zip(rows, pivots)
+            if pc not in boundary_pivots]

@@ -90,12 +90,12 @@ def cochain_right_coaction(D: GradedCoalgebra, word):
 
 
 class AmbientProjector:
-    """Linear retraction (level words) -> homology classes.
+    """Linear retraction (normalized level words) -> homology classes,
+    the chain projection onto chosen representatives.
 
-    Words outside the normalized term are dropped; on the normalized
-    subspace this is the chain projection onto chosen representatives.
-    Callers only evaluate it on slices of vectors lying in
-    (normalized) (x) (normalized), where the dropped part is zero.
+    A word outside the normalized term raises linalg.NoSolution
+    (HomologyTable.class_coords); callers evaluate it only on normalized
+    words.
     """
 
     def __init__(self, H: HomologyTable):
@@ -103,12 +103,7 @@ class AmbientProjector:
 
     def project(self, s: int, t: int, vec: dict) -> dict:
         """vec: formal sum on words of level s, degree t."""
-        H = self.H
-        if (s, t) not in H.data:
-            return {}
-        term = H.complex.terms[s]
-        return H.class_coords(s, t, {w: c for w, c in vec.items()
-                                     if w in term})
+        return self.H.class_coords(s, t, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +122,11 @@ class MixedBicosimplicial:
         self.D = A.D
 
     def level(self, p: int, q: int):
-        return ([("L", s) for s in self.A.levels[p]]
-                + [("R", s) for s in self.B.levels[q]])
+        return ([("L", s) for s in self.A.level(p)]
+                + [("R", s) for s in self.B.level(q)])
 
     def split(self, p: int, q: int, word):
-        cut = len(self.A.levels[p])
+        cut = len(self.A.level(p))
         return word[:cut], word[cut:]
 
 
@@ -146,13 +141,13 @@ def _on_part(mx, part, a_lv, b_lv, op, vec):
 def delta_A(mx: MixedBicosimplicial, p, q, i, vec) -> dict:
     """delta_i on the A part: (p, q) -> (p+1, q)."""
     return _on_part(mx, "L", mx.level(p + 1, q), mx.level(p, q),
-                    lambda s: mx.A.face_fn(p + 1, i, s), vec)
+                    lambda s: mx.A.shape.face(p + 1, i, s), vec)
 
 
 def delta_B(mx: MixedBicosimplicial, p, q, i, vec) -> dict:
     """delta_i on the B part: (p, q) -> (p, q+1)."""
     return _on_part(mx, "R", mx.level(p, q + 1), mx.level(p, q),
-                    lambda s: mx.B.face_fn(q + 1, i, s), vec)
+                    lambda s: mx.B.shape.face(q + 1, i, s), vec)
 
 
 def aw_map(mx: MixedBicosimplicial, p: int, q: int, vec: dict) -> dict:
@@ -186,8 +181,8 @@ def _shuffles(mx: MixedBicosimplicial, p: int, q: int):
     n = p + q
     for mu in itertools.combinations(range(n), p):
         nu = tuple(sorted(set(range(n)) - set(mu)))
-        yield (mu, _degeneracy_chain(mx.A.degeneracy_fn, p, nu),
-               _degeneracy_chain(mx.B.degeneracy_fn, q, mu))
+        yield (mu, _degeneracy_chain(mx.A.shape.degeneracy, p, nu),
+               _degeneracy_chain(mx.B.shape.degeneracy, q, mu))
 
 
 def sh_map(mx: MixedBicosimplicial, p: int, q: int, vec: dict) -> dict:
@@ -215,7 +210,7 @@ def levelwise_comult(mx: MixedBicosimplicial, n: int, vec: dict) -> dict:
     reorder into (first legs, second legs) with Koszul signs: the map
     induced by folding the mixed (n, n) level onto level n.  The two
     factors of mx must share their levels."""
-    return induced_map(mx.D, mx.level(n, n), mx.A.levels[n],
+    return induced_map(mx.D, mx.level(n, n), mx.A.level(n),
                        lambda s: s[1])(vec)
 
 
@@ -250,7 +245,7 @@ class CircleStructure:
             mx = self.mx
             maps = self._shuffle_cache[(n, p)] = [
                 (shuffle_sign(mu) & 1, induced_map(
-                    self.D, mx.level(p, n - p), mx.A.levels[n],
+                    self.D, mx.level(p, n - p), mx.A.level(n),
                     lambda s, s_nu=s_nu, s_mu=s_mu:
                         s_nu(s[1]) if s[0] == "L" else s_mu(s[1])))
                 for mu, s_nu, s_mu in _shuffles(mx, p, n - p)]

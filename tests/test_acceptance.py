@@ -258,7 +258,7 @@ def test_criterion_9_oracle_equivalence():
     # sh o aw = id, exactly, on every normalized pair in range
     field = GF(3)
     D = exterior_coalgebra([3], field)
-    cm = CosimplicialModule.from_shape(D, circle(), 2, 9)
+    cm = CosimplicialModule(D, circle(), 9)
     cc = normalized_complex(cm, 2)
     mx = st.MixedBicosimplicial(cm, cm)
     for n in range(3):

@@ -408,8 +408,11 @@ def test_cotor_command(capsys):
      "97c4a62c30033c37214c3d8a0f385630b429859f64460a2fd4ccb7b4563b17f8"),
     ("audit --degrees 3,5,7 --field 0 --max-s 3 --max-t 20",
      "8e123c08f7a04850d4f44b01fe83b720bab8445067fc69d7e3b5b103acd97b96"),
+    # representatives with Fraction entries
+    ("audit --degrees 3,5 --field 0 --max-s 5 --max-t 26",
+     "2e186a421c72d26b24d4163da76a69f52eb2d99393cff5bbe82c593780501eee"),
 ], ids=["cotor", "cohh", "audit", "audit-two-generators",
-        "audit-three-generators"])
+        "audit-three-generators", "audit-fraction-representatives"])
 def test_rational_json_output_is_pinned(argv, digest, capsys):
     # int scalars over Q must render exactly as the Fraction ones did
     status, out, _ = run_cli(argv.split() + ["--format", "json"], capsys)

@@ -279,7 +279,7 @@ def test_cotor_of_cofree_vanishes_positively():
     D = exterior_coalgebra([3], GF(2))
     M = regular_comodule(D)
     table = cobar_cotor(M, trivial_comodule(D), 3, 12)
-    assert not [st for st in table.dims if st[0] >= 1]
+    assert not [st for st in table.dims() if st[0] >= 1]
 
 
 def test_cotor_exterior_one_generator():
@@ -289,7 +289,8 @@ def test_cotor_exterior_one_generator():
     D = exterior_coalgebra([3], GF(3))
     k = trivial_comodule(D)
     table = cobar_cotor(k, k, 4, 12)
-    assert table.dims == {(0, 0): 1, (1, 3): 1, (2, 6): 1, (3, 9): 1, (4, 12): 1}
+    assert table.dims() == {(0, 0): 1, (1, 3): 1, (2, 6): 1, (3, 9): 1,
+                            (4, 12): 1}
 
 
 def test_cotor_refuses_a_cobar_differential_whose_square_is_nonzero(
@@ -379,7 +380,7 @@ def test_cotor_polynomial_matches_independent_construction():
     k = trivial_comodule(D)
     table = cobar_cotor(k, k, 3, 10)
     want = brute_cobar_dims(D, 3, 10, p)
-    assert table.dims == want
+    assert table.dims() == want
 
 
 def test_box_primitives_of_cofree_over_exterior_mod_3():
@@ -408,6 +409,16 @@ def test_box_indecomposables_of_cofree_over_exterior():
             for r in reps for lbl in r}
     assert flat == {(2, "1*w2"), (5, "x3*w2")}
     assert q[2][0] == 1 and q[5][0] == 1
+
+
+def test_box_indecomposables_refuses_products_outside_the_counit_kernel():
+    # mult2 always gives 1, so (1*w2) (1*w2) = 1*1, whose counit is 1:
+    # the products do not lie in IE
+    C = exterior_coalgebra([3], GF(3))
+    P = polynomial_coalgebra([2], GF(3), truncation=12)
+    box = tensor_box_structure(C, P, lambda a, b: {"1": 1})
+    with pytest.raises(AssertionError, match="nonzero"):
+        box_indecomposables(box, 9)
 
 
 def test_coflatness_report_for_cofree_comodule():

@@ -34,6 +34,7 @@ from cohh.fields import GF, QQ, FieldSpec
 from cohh.graded import GradedMap, GradedSpace, add_term
 from cohh.linalg import Matrix
 from cohh.simplicial import (
+    GraphSimplicialSet,
     circle,
     collapse_subdivided,
     double_edge_circle,
@@ -41,6 +42,7 @@ from cohh.simplicial import (
     subdivided_circle,
     wedge_of_circles,
 )
+from test_linalg import reduce_and_reeliminate
 
 
 def explicit_coface(D, n, i, source, target):
@@ -69,7 +71,7 @@ def explicit_coface(D, n, i, source, target):
     polynomial_coalgebra([2], GF(3), truncation=8),
 ])
 def test_cofaces_match_explicit_formula_for_cocommutative(D):
-    cm = CosimplicialModule.from_shape(D, circle(), 2, 8)
+    cm = CosimplicialModule(D, circle(), 8)
     for n in (0, 1, 2):
         for i in range(n + 2):
             got = cm.coface(n, i)
@@ -79,7 +81,7 @@ def test_cofaces_match_explicit_formula_for_cocommutative(D):
 
 def test_cosimplicial_cocodegeneracy_relations():
     D = exterior_coalgebra([3], GF(2))
-    cm = CosimplicialModule.from_shape(D, circle(), 3, 9)
+    cm = CosimplicialModule(D, circle(), 9)
     f = D.field
     # sigma_j delta_j = id = sigma_j delta_{j+1}
     for n in (0, 1, 2):
@@ -118,14 +120,14 @@ def word_map(cc, s):
 ])
 def test_differential_squares_to_zero(D):
     cc = unnormalized_complex(
-        CosimplicialModule.from_shape(D, circle(), 2, 10), 2)
+        CosimplicialModule(D, circle(), 10), 2)
     for n in (0, 1):
         assert block_square(cc, n) == [], n
 
 
 def test_normalized_differential_squares_to_zero():
     D = exterior_coalgebra([3, 5], GF(3))
-    cm = CosimplicialModule.from_shape(D, circle(), 3, 12)
+    cm = CosimplicialModule(D, circle(), 12)
     cc = normalized_complex(cm, 3)
     for s in range(3):
         assert block_square(cc, s) == [], s
@@ -135,7 +137,7 @@ def test_normalized_terms_for_one_exterior_generator():
     # N^q of Lambda(x_3) is spanned by 1 (x) x^q and x (x) x^q, and the
     # differential vanishes on it.
     D = exterior_coalgebra([3], QQ)
-    cm = CosimplicialModule.from_shape(D, circle(), 4, 15)
+    cm = CosimplicialModule(D, circle(), 15)
     cc = normalized_complex(cm, 4)
     for s in range(5):
         dims = {t: cc.terms[s].dim(t) for t in cc.terms[s].degrees()
@@ -163,7 +165,7 @@ def test_normalized_words_are_the_codegeneracy_kernels(shape, coalgebra,
                                                        field):
     D = COALGEBRAS[coalgebra](field)
     s_max, t_max = 2, 8
-    cm = CosimplicialModule.from_shape(D, shape(), s_max, t_max)
+    cm = CosimplicialModule(D, shape(), t_max)
     cc = normalized_complex(cm, s_max)
     for s in range(1, s_max + 2):
         sigmas = [cm.codegeneracy(s - 1, i) for i in range(s)]
@@ -198,7 +200,7 @@ def test_generated_terms_and_cut_off_cofaces_match_the_ambient_ones(
     # ambient one restricted to them
     D = COALGEBRAS[coalgebra](field)
     s_max, t_max = 2, 8
-    cm = CosimplicialModule.from_shape(D, shape(), s_max, t_max)
+    cm = CosimplicialModule(D, shape(), t_max)
     cc = normalized_complex(cm, s_max)
     for s in range(s_max + 2):
         missing = cm.missing_slots(s - 1) if s else []
@@ -221,8 +223,8 @@ def word_keyed_coface_sum(cm, n, source, target, nonunit=()):
     before the block form: the reference for its blocks."""
     f = cm.field
     keep = {w: w for w in target.degree_of}
-    images = [(i & 1, _word_image(cm.D, cm.levels[n + 1], cm.levels[n],
-                                  lambda x, i=i: cm.face_fn(n + 1, i, x),
+    images = [(i & 1, _word_image(cm.D, cm.level(n + 1), cm.level(n),
+                                  lambda x, i=i: cm.shape.face(n + 1, i, x),
                                   keep, nonunit))
               for i in range(n + 2)]
     d = GradedMap(source, target)
@@ -262,7 +264,7 @@ def test_blocks_match_the_word_keyed_coface_sum(case, s_max, t_max):
          if case.startswith("k[w2]") else
          exterior_coalgebra([3, 5] if "3,5" in case else [3], field))
     shape = double_edge_circle() if "double" in case else circle()
-    cm = CosimplicialModule.from_shape(D, shape, s_max, t_max)
+    cm = CosimplicialModule(D, shape, t_max)
     if "unnormalized" in case:
         cc = unnormalized_complex(cm, s_max)
         nonunits = [()] * (s_max + 1)
@@ -394,7 +396,7 @@ def test_normalized_complex_needs_counit_on_the_coaugmentation_only():
     D = table_coalgebra(
         f, [("1", 0), ("e", 0)],
         {"1": {("1", "1"): 1}, "e": {("e", "e"): 1}}, {"1": 1, "e": 1})
-    cm = CosimplicialModule.from_shape(D, circle(), 1, 0)
+    cm = CosimplicialModule(D, circle(), 0)
     with pytest.raises(ValueError, match="counit"):
         normalized_complex(cm, 1)
 
@@ -508,7 +510,7 @@ def test_normalized_walk_stops_at_the_first_empty_term(shape, field):
     # padded, not generated; the ambient complex still has every level
     D = exterior_coalgebra([3], field)
     cc = normalized_complex(
-        CosimplicialModule.from_shape(D, shape(), 6, 7), 6)
+        CosimplicialModule(D, shape(), 7), 6)
     assert [term.total_dim() > 0 for term in cc.terms] == [True] * 3 + [
         False] * 5
     assert cc.diff[3:] == [{}] * 4
@@ -532,6 +534,24 @@ def test_a_large_s_max_makes_missing_slots_only_up_to_the_empty_term(
     H = cohh(exterior_coalgebra([3], GF(2)), 400, 5)
     assert levels == [0, 1]
     assert H.dims() == want
+
+
+def test_circle_levels_are_read_on_demand_once(monkeypatch):
+    # Lambda(3) at t <= 5 has normalized terms 0 and 1 only, so the walk
+    # reads levels 0 to 2 whatever s_max is, each once
+    calls = []
+    level = GraphSimplicialSet.level
+
+    def counted(self, n):
+        calls.append(n)
+        return level(self, n)
+    monkeypatch.setattr(GraphSimplicialSet, "level", counted)
+    counts = []
+    for s_max in (2, 2000):
+        calls.clear()
+        cohh(exterior_coalgebra([3], GF(2)), s_max, 5)
+        counts.append(sorted(calls))
+    assert counts == [[0, 1, 2]] * 2
 
 
 def test_class_coords_roundtrip():
@@ -578,8 +598,8 @@ def test_rank_dims_and_lazy_reps_match_homology_reps(coalgebra, field):
     for (s, t), bd in sorted(H.data.items()):
         n = cc.terms[s].dim(t)
         d_in = word_map(cc, s - 1).matrix(t) if s else Matrix(n, 0)
-        dim, reps, bnd = linalg.homology_reps(word_map(cc, s).matrix(t), d_in,
-                                              field)
+        dim, reps, bnd = reduce_and_reeliminate(word_map(cc, s).matrix(t),
+                                                d_in, field)
         assert bd.dim == dim, (s, t)
         labels = cc.terms[s].labels(t)
         eager[(s, t)] = ([{labels[j]: v for j, v in r.items()} for r in reps],
@@ -598,7 +618,7 @@ def test_homology_table_checks_every_block_without_building_reps():
     # doubling one entry (x, y) of d^1 whose target y has d^2(y) != 0
     # makes d^2 d^1 nonzero on x
     D = exterior_coalgebra([3, 5], QQ)
-    cc = normalized_complex(CosimplicialModule.from_shape(D, circle(), 3, 12),
+    cc = normalized_complex(CosimplicialModule(D, circle(), 12),
                             3)
     HomologyTable(cc, 3, 12)
     col, i = next((col, i) for t, cols in cc.diff[1].items() for col in cols
@@ -743,7 +763,7 @@ def test_each_filtered_table_is_made_once(monkeypatch):
     monkeypatch.setattr(GradedCoalgebra, "iterated_comult", counting)
     tables = {}
     for _ in range(2):
-        cm = CosimplicialModule.from_shape(D, circle(), 5, 20)
+        cm = CosimplicialModule(D, circle(), 20)
         normalized_complex(cm, 5)
         for key, table in D._tables.items():
             assert tables.setdefault(key, table) is table, key
@@ -761,13 +781,13 @@ def test_tables_make_no_matrix_call(monkeypatch):
     def cotor_table():
         k = trivial_comodule(exterior_coalgebra([3, 5, 7], QQ))
         return cobar_cotor(k, k, 3, 20)
-    want = (cohh_table().dims(), cotor_table().dims)
+    want = (cohh_table().dims(), cotor_table().dims())
 
     def refuse(self, degree):
         raise AssertionError("GradedMap.matrix called")
     monkeypatch.setattr(GradedMap, "matrix", refuse)
     H = cohh_table()
-    assert (H.dims(), cotor_table().dims) == want
+    assert (H.dims(), cotor_table().dims()) == want
     # representatives and class coordinates build lazily from the blocks
     seen = 0
     for (s, t), bd in H.data.items():

@@ -26,6 +26,7 @@ from cohh.fields import GF, QQ
 from cohh.graded import GradedMap, GradedSpace, add_term, sub_sums
 from cohh.linalg import Matrix
 from cohh.simplicial import circle
+from test_linalg import reduce_and_reeliminate
 
 
 def mixed_words(mx, p, q, t_max):
@@ -45,7 +46,7 @@ def alternating_sum(op, count, vec, f):
 @pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_sh_after_aw_is_identity_on_normalized(field):
     D = exterior_coalgebra([3], field)
-    cm = CosimplicialModule.from_shape(D, circle(), 3, 9)
+    cm = CosimplicialModule(D, circle(), 9)
     cc = normalized_complex(cm, 3)
     mx = st.MixedBicosimplicial(cm, cm)
     f = D.field
@@ -64,7 +65,7 @@ def test_sh_after_aw_is_identity_on_normalized(field):
 def test_sh_after_aw_cross_components_vanish_on_normalized():
     field = QQ
     D = exterior_coalgebra([3], field)
-    cm = CosimplicialModule.from_shape(D, circle(), 2, 9)
+    cm = CosimplicialModule(D, circle(), 9)
     cc = normalized_complex(cm, 2)
     mx = st.MixedBicosimplicial(cm, cm)
     f = D.field
@@ -92,14 +93,14 @@ def sh_by_single_codegeneracies(mx, p, q, vec):
             sigma = induced_map(
                 mx.D, mx.level(n, b), mx.level(n, b + 1),
                 lambda s, b=b, i=i: (s if s[0] == "L" else
-                                     ("R", mx.B.degeneracy_fn(b, i, s[1]))))
+                                     ("R", mx.B.shape.degeneracy(b, i, s[1]))))
             cur = sigma(cur)
         for k, i in enumerate(reversed(nu)):
             a = n - 1 - k     # sigma_i on the A part: (a + 1, q) -> (a, q)
             sigma = induced_map(
                 mx.D, mx.level(a, q), mx.level(a + 1, q),
                 lambda s, a=a, i=i: (s if s[0] == "R" else
-                                     ("L", mx.A.degeneracy_fn(a, i, s[1]))))
+                                     ("L", mx.A.shape.degeneracy(a, i, s[1]))))
             cur = sigma(cur)
         sign = f.coerce((-1) ** st.shuffle_sign(mu))
         for w, v in cur.items():
@@ -109,7 +110,7 @@ def sh_by_single_codegeneracies(mx, p, q, vec):
 
 def test_sh_map_matches_single_codegeneracy_composites():
     D = exterior_coalgebra([3, 5], GF(3))
-    cm = CosimplicialModule.from_shape(D, circle(), 2, 10)
+    cm = CosimplicialModule(D, circle(), 10)
     mx = st.MixedBicosimplicial(cm, cm)
     f = D.field
     nonzero = 0
@@ -127,7 +128,7 @@ def test_sh_map_matches_single_codegeneracy_composites():
 def test_levelwise_comult_commutes_with_diagonal_cofaces():
     # needs a cocommutative coalgebra, which all our inputs are
     D = exterior_coalgebra([3, 5], QQ)
-    cm = CosimplicialModule.from_shape(D, circle(), 2, 10)
+    cm = CosimplicialModule(D, circle(), 10)
     mx = st.MixedBicosimplicial(cm, cm)
     f = D.field
     # (1 (x) x3 + x3 (x) 1)(1 (x) x5 + x5 (x) 1), legs sorted with the
@@ -147,7 +148,7 @@ def test_levelwise_comult_commutes_with_diagonal_cofaces():
 
 def test_sh_is_a_chain_map_to_the_total_complex():
     D = exterior_coalgebra([3], QQ)
-    cm = CosimplicialModule.from_shape(D, circle(), 3, 9)
+    cm = CosimplicialModule(D, circle(), 9)
     mx = st.MixedBicosimplicial(cm, cm)
     f = D.field
     for n in range(3):
@@ -440,7 +441,7 @@ def per_block_cotensor_homology(cs):
     """The cotensor complex's homology by its own per-block loop: the
     (n, t) coordinates in (u, deg wa, tail, wa) order, psi D phi as a
     Matrix from block (n, t) to block (n + 1, t), and
-    linalg.homology_reps on every nonempty block.  Returns
+    the reduce-every-cycle oracle on every nonempty block.  Returns
     {(n, t): (coordinates, dim, representatives on the coordinates)}."""
     D, f, H = cs.D, cs.field, cs.H
     cc = H.complex
@@ -476,7 +477,7 @@ def per_block_cotensor_homology(cs):
             nxt = block(n + 1, t)
             d_out = diff_matrix(cur, nxt)
             if cur:
-                dim, reps, _ = linalg.homology_reps(d_out, d_in, f)
+                dim, reps, _ = reduce_and_reeliminate(d_out, d_in, f)
                 out[(n, t)] = (cur, dim, [{cur[j]: v for j, v in r.items()}
                                           for r in reps])
             d_in, cur = d_out, nxt
@@ -622,6 +623,72 @@ def test_pair_classes_refuses_a_word_outside_the_normalized_terms():
     assert cs.H.dim(1, 3) == 1
     with pytest.raises(linalg.NoSolution):
         cs.pair_classes({(("x3", "1"), ("x3",)): cs.field.one})
+
+
+def test_projector_refuses_a_word_outside_the_normalized_terms():
+    D = exterior_coalgebra([3], GF(2))
+    cs = st.CircleStructure(D, 2, 9)
+    assert cs.proj.project(1, 3, {("1", "x3"): 1}) == {("h", 1, 3, 0): 1}
+    with pytest.raises(linalg.NoSolution):
+        cs.proj.project(1, 3, {("x3", "1"): 1})
+
+
+def assert_blocks_match_reducing_every_cycle(H):
+    """Every block of H with classes: its representatives, and the
+    boundary rows the first class_coords builds, equal the oracle's;
+    a block without classes keeps no cleared set."""
+    cc, f = H.complex, H.field
+    nonzero = 0
+    for (s, t), bd in sorted(H.data.items()):
+        if not bd.dim:
+            assert bd.cleared is None, (s, t)
+            continue
+        d_out = Matrix.from_columns(cc.diff[s][t], cc.terms[s + 1].dim(t))
+        d_in = Matrix.from_columns(cc.diff[s - 1].get(t, []) if s else [],
+                                   cc.terms[s].dim(t))
+        dim, reps, bnd = reduce_and_reeliminate(d_out, d_in, f)
+        labels = cc.terms[s].labels(t)
+        assert [H.rep(("h", s, t, k)) for k in range(bd.dim)] == [
+            {labels[j]: v for j, v in r.items()} for r in reps], (s, t)
+        assert bd.boundary is None
+        assert H.class_coords(s, t, H.rep(("h", s, t, 0))) == {
+            ("h", s, t, 0): 1}
+        assert bd.boundary[0] == bnd, (s, t)
+        nonzero += 1
+    return nonzero
+
+
+@pytest.mark.parametrize("case, field, s_max, t_max", [
+    ("Lambda(3,5)", GF(2), 4, 20), ("Lambda(3,5)", GF(3), 4, 20),
+    ("Lambda(3,5)", QQ, 4, 20), ("Lambda(3)(x)k[w4]", GF(2), 4, 12),
+    ("Lambda(3)(x)k[w4]", GF(3), 4, 12), ("Lambda(3)(x)k[w4]", QQ, 4, 12),
+    ("k[w2]", GF(3), 4, 10)], ids=str)
+def test_both_tables_match_reducing_every_cycle(case, field, s_max, t_max):
+    D = {"Lambda(3,5)": lambda: exterior_coalgebra([3, 5], field),
+         "Lambda(3)(x)k[w4]": lambda: tensor_coalgebra(
+             exterior_coalgebra([3], field),
+             polynomial_coalgebra([4], field, truncation=12)),
+         "k[w2]": lambda: polynomial_coalgebra([2], field, truncation=10),
+         }[case]()
+    cs = st.CircleStructure(D, s_max, t_max)
+    ct = st.CotensorComplex(cs)
+    assert assert_blocks_match_reducing_every_cycle(cs.H) > 5
+    assert assert_blocks_match_reducing_every_cycle(ct.H) > 5
+
+
+def test_the_cotensor_table_builds_no_boundary_rows(monkeypatch):
+    built = []
+
+    class Recorded(st.CotensorComplex):
+        def __init__(self, cs):
+            super().__init__(cs)
+            built.append(self)
+
+    monkeypatch.setattr(st, "CotensorComplex", Recorded)
+    st.cohh_box_structure(exterior_coalgebra([3, 5], GF(2)), 4, 20)
+    (ct,) = built
+    assert any(bd.rep_vectors for bd in ct.H.data.values())
+    assert all(bd.boundary is None for bd in ct.H.data.values())
 
 
 def test_carrier_comodule_satisfies_the_comodule_axioms():
