@@ -23,7 +23,7 @@ from .coalgebra import (
 )
 from .complexes import CochainComplex, HomologyTable
 from .fields import FieldSpec
-from .graded import GradedMap, GradedSpace, add_term, sub_sums
+from .graded import GradedMap, GradedSpace
 from .linalg import Matrix
 
 
@@ -77,8 +77,8 @@ class Comodule:
                 out: dict = {}
                 for key, v in table.get(m, {}).items():
                     d, mm = key if side == "left" else (key[1], key[0])
-                    add_term(out, mm, f.mul(D.counit_of(d), v), f)
-                if out != {m: f.one}:
+                    out[mm] = out.get(mm, 0) + D.counit_of(d) * v
+                if f.canonical(out) != {m: f.one}:
                     bad.append(m)
             report.checks.append(AxiomCheck(
                 f"{side} coaction counit law", not bad,
@@ -94,16 +94,16 @@ class Comodule:
                     if side == "left":
                         d, mm = key
                         for (d1, d2), w in D.comult_of(d).items():
-                            add_term(lhs, (d1, d2, mm), f.mul(v, w), f)
+                            lhs[d1, d2, mm] = lhs.get((d1, d2, mm), 0) + v * w
                         for (d2, mmm), w in table.get(mm, {}).items():
-                            add_term(rhs, (d, d2, mmm), f.mul(v, w), f)
+                            rhs[d, d2, mmm] = rhs.get((d, d2, mmm), 0) + v * w
                     else:
                         mm, d = key
                         for (d1, d2), w in D.comult_of(d).items():
-                            add_term(lhs, (mm, d1, d2), f.mul(v, w), f)
+                            lhs[mm, d1, d2] = lhs.get((mm, d1, d2), 0) + v * w
                         for (mmm, d1), w in table.get(mm, {}).items():
-                            add_term(rhs, (mmm, d1, d), f.mul(v, w), f)
-                if sub_sums(lhs, rhs, f):
+                            rhs[mmm, d1, d] = rhs.get((mmm, d1, d), 0) + v * w
+                if f.canonical(lhs) != f.canonical(rhs):
                     bad.append(m)
             report.checks.append(AxiomCheck(
                 f"{side} coaction coassociativity", not bad,
@@ -117,11 +117,11 @@ class Comodule:
             rhs: dict = {}
             for (d, mm), v in self.left_of(m).items():
                 for (mmm, d2), w in self.right_of(mm).items():
-                    add_term(lhs, (d, mmm, d2), f.mul(v, w), f)
+                    lhs[d, mmm, d2] = lhs.get((d, mmm, d2), 0) + v * w
             for (mm, d2), v in self.right_of(m).items():
                 for (d, mmm), w in self.left_of(mm).items():
-                    add_term(rhs, (d, mmm, d2), f.mul(v, w), f)
-            if sub_sums(lhs, rhs, f):
+                    rhs[d, mmm, d2] = rhs.get((d, mmm, d2), 0) + v * w
+            if f.canonical(lhs) != f.canonical(rhs):
                 bad.append(m)
         report.checks.append(AxiomCheck(
             "bicomodule compatibility", not bad,
@@ -143,11 +143,11 @@ def comodule_from_map(f: CoalgebraMap, name="") -> Comodule:
         r: dict = {}
         for (a, b), v in E.comult_of(m).items():
             for t, w in f.apply(a).items():
-                add_term(l, (t, b), fld.mul(v, w), fld)
+                l[t, b] = l.get((t, b), 0) + v * w
             for t, w in f.apply(b).items():
-                add_term(r, (a, t), fld.mul(v, w), fld)
-        left[m] = l
-        right[m] = r
+                r[a, t] = r.get((a, t), 0) + v * w
+        left[m] = fld.canonical(l)
+        right[m] = fld.canonical(r)
     return Comodule(f.target, list(E.space.degree_of.items()), left, right,
                     truncation=E.truncation, name=name or E.name)
 
@@ -174,10 +174,10 @@ def pair_defect(terms: dict, right_of, left_of, field: FieldSpec) -> dict:
     out: dict = {}
     for (m, n), c in terms.items():
         for (mm, d), v in right_of(m).items():
-            add_term(out, (mm, d, n), field.mul(c, v), field)
+            out[mm, d, n] = out.get((mm, d, n), 0) + c * v
         for (d, nn), v in left_of(n).items():
-            add_term(out, (m, d, nn), field.mul(field.neg(c), v), field)
-    return out
+            out[m, d, nn] = out.get((m, d, nn), 0) - c * v
+    return field.canonical(out)
 
 
 def degree_pairs(M: GradedSpace, N: GradedSpace, degree: int) -> list:
@@ -391,8 +391,8 @@ def tensor_box_structure(C: GradedCoalgebra, D2: GradedCoalgebra,
                 for dd, v in mult2(d1, d2).items():
                     tgt = f"{a1}*{dd}"
                     if tgt in space.degree_of:
-                        add_term(col, tgt, f.mul(e, v), f)
-            mult.set_column((la, lb), col)
+                        col[tgt] = col.get(tgt, 0) + e * v
+            mult.set_column((la, lb), f.canonical(col))
     return BoxStructure(C, carrier, comult=comult, counit=counit, unit=unit,
                         mult=mult, name=E.name)
 
@@ -449,16 +449,16 @@ def box_primitives(box: BoxStructure, max_degree: int) -> dict:
                     qb = _q_reduce(b, unit_image_at(E.degree_of[b]), box, f)
                     for la, va in qa.items():
                         for lb, vb in qb.items():
-                            add_term(img, (la, lb),
-                                     f.mul(c, f.mul(v, f.mul(va, vb))), f)
-            images[j] = img
+                            img[la, lb] = (img.get((la, lb), 0)
+                                           + c * v * va * vb)
+            images[j] = f.canonical(img)
         prims = []
         for k in linalg.kernel_of(images, f):
             vec: dict = {}
             for j, c in k.items():
                 for lbl, v in ie[j].items():
-                    add_term(vec, lbl, f.mul(c, v), f)
-            prims.append(vec)
+                    vec[lbl] = vec.get(lbl, 0) + c * v
+            prims.append(f.canonical(vec))
         if prims:
             out[t] = prims
     return out
@@ -496,6 +496,8 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
     IE box IE -> E -> D at E.
 
     Returns {degree: (dim, [representative formal sums on E labels])}.
+    Raises ValueError if the product of a pair of degree t has a label
+    of another degree.
     """
     f = box.field
     E = box.carrier.space
@@ -519,10 +521,16 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
             img.update({("r", a, d): v
                         for d, v in box.counit.column(b).items()})
             images[(a, b)] = img
-        products = [box.mult.apply(pair_sum, f)
-                    for pair_sum in linalg.kernel_of(images, f)]
+        pair_sums = linalg.kernel_of(images, f)
+        products = [box.mult.apply(pair_sum, f) for pair_sum in pair_sums]
         # the quotient is a homology only if the products lie in IE
         linalg.check_composite_zero(counit, products, f)
+        for pair in dict.fromkeys(pr for vec in pair_sums for pr in vec):
+            for l in box.mult.column(pair):
+                if E.degree_of[l] != t:
+                    raise ValueError(
+                        f"the product of the degree-{t} pair {pair!r} has "
+                        f"the label {l!r} of degree {E.degree_of[l]}")
         pivots = linalg.rref(Matrix.from_rows(
             [{E.index_of[l]: v for l, v in p.items()} for p in products],
             len(labels)), f, reduced=False)[1]

@@ -10,7 +10,8 @@ expands: a shuffle map or codegeneracy expands none, a circle coface
 one.  Cofaces, codegeneracies, and the maps induced by simplicial maps
 are all instances.  _word_image adds c times the image of one word,
 unreduced, into a sum its caller owns, and the caller reduces it once
-with FieldSpec.canonical: induced_operator per image, as a word-keyed
+with FieldSpec.canonical, the one way every formal sum in the package
+is summed (see graded): induced_operator per image, as a word-keyed
 column of a GradedMap; coface_sum per column of a differential's
 blocks; induced_map per formal sum, with one plan for every vector.
 

@@ -78,10 +78,6 @@ class FieldSpec:
             return (x.numerator * pow(x.denominator, -1, p)) % p
         return x.numerator if x.denominator == 1 else x
 
-    def add(self, a, b):
-        p = self.characteristic
-        return (a + b) % p if p else a + b
-
     def mul(self, a, b):
         p = self.characteristic
         return (a * b) % p if p else a * b
@@ -102,7 +98,9 @@ class FieldSpec:
         """A formal sum accumulated with plain + and *, reduced once: each
         scalar taken mod p over F_p, and zeros dropped, in key order."""
         p = self.characteristic
-        return {k: r for k, v in terms.items() if (r := v % p if p else v)}
+        if p:
+            return {k: r for k, v in terms.items() if (r := v % p)}
+        return {k: v for k, v in terms.items() if v}
 
     def __str__(self):
         p = self.characteristic

@@ -5,28 +5,16 @@ A label is any hashable (strings for coalgebra basis ids, tuples for
 tensor factors).  A GradedMap stores sparse columns {source label ->
 {target label -> scalar}}; every map here preserves the internal degree,
 so ranks and kernels are computed one degree at a time.
+
+There is one way to sum in the package: a formal sum accumulates with
+plain + and *, out[k] = out.get(k, 0) + c * v, and is reduced once by
+FieldSpec.canonical (scalars mod p, zeros dropped) before it is
+returned, tested for emptiness or compared; two sums are equal when
+their canonical forms are.
 """
 
 from .fields import FieldSpec
 from .linalg import Matrix
-
-
-def add_term(sum_: dict, key, coeff, field: FieldSpec):
-    """Accumulate coeff at key in a formal sum, dropping zeros."""
-    if not coeff:
-        return
-    v = field.add(sum_.get(key, field.zero), coeff)
-    if v:
-        sum_[key] = v
-    else:
-        sum_.pop(key, None)
-
-
-def sub_sums(a: dict, b: dict, field: FieldSpec) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        add_term(out, k, field.neg(v), field)
-    return out
 
 
 class GradedSpace:
@@ -100,8 +88,8 @@ class GradedMap:
         out: dict = {}
         for label, c in sum_.items():
             for tgt, v in self.column(label).items():
-                add_term(out, tgt, field.mul(c, v), field)
-        return out
+                out[tgt] = out.get(tgt, 0) + c * v
+        return field.canonical(out)
 
     def compose(self, other: "GradedMap", field: FieldSpec) -> "GradedMap":
         """self after other (self . other)."""
@@ -115,13 +103,6 @@ class GradedMap:
         return Matrix.from_columns(
             [{index[w]: v for w, v in self.column(label).items()}
              for label in self.source.labels(degree)], self.target.dim(degree))
-
-    def equals(self, other: "GradedMap", field: FieldSpec) -> bool:
-        labels = set(self.columns) | set(other.columns)
-        for label in labels:
-            if sub_sums(self.column(label), other.column(label), field):
-                return False
-        return True
 
     @classmethod
     def identity(cls, space: GradedSpace, field: FieldSpec) -> "GradedMap":

@@ -83,8 +83,8 @@ class Matrix:
         for (i, j), v in self.entries.items():
             c = vec.get(j)
             if c:
-                out[i] = field.add(out.get(i, field.zero), field.mul(v, c))
-        return {i: v for i, v in out.items() if v}
+                out[i] = out.get(i, 0) + v * c
+        return field.canonical(out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix)
@@ -319,15 +319,18 @@ def check_composite_zero(out_cols, in_cols, field: FieldSpec):
 
     in_cols are the columns of d_in as sparse vectors on the middle
     term, and out_cols[i] is the column of d_out at its basis key i.
-    Not a ValueError: a complex whose square is nonzero is a fault in
-    the program, not bad input.
+    Each column of the composite is one formal sum, accumulated with
+    plain + and * and reduced once by FieldSpec.canonical.  Not a
+    ValueError: a complex whose square is nonzero is a fault in the
+    program, not bad input.
     """
-    p = field.characteristic
+    canonical = field.canonical
     for j, col in enumerate(in_cols):
         acc: dict = {}
         for i, v in col.items():
-            _sub_multiple(acc, -v, out_cols[i], p)
-        if acc:
+            for k, w in out_cols[i].items():
+                acc[k] = acc.get(k, 0) + v * w
+        if canonical(acc):
             raise AssertionError(
                 f"d_out @ d_in is nonzero on column {j} of d_in")
 

@@ -31,7 +31,7 @@ from cohh.complexes import (
     unnormalized_complex,
 )
 from cohh.fields import GF, QQ, FieldSpec
-from cohh.graded import GradedMap, GradedSpace, add_term
+from cohh.graded import GradedMap, GradedSpace
 from cohh.linalg import Matrix
 from cohh.simplicial import (
     GraphSimplicialSet,
@@ -55,15 +55,23 @@ def explicit_coface(D, n, i, source, target):
         col = {}
         if i <= n:
             for (a, b), v in D.comult_of(word[i]).items():
-                add_term(col, word[:i] + (a, b) + word[i + 1:], v, f)
+                w = word[:i] + (a, b) + word[i + 1:]
+                col[w] = col.get(w, 0) + v
         else:
             t_rest = sum(D.degree(x) for x in word[1:])
             for (a, b), v in D.comult_of(word[0]).items():
                 sign = (-1) ** (D.degree(a) * (D.degree(b) + t_rest))
-                add_term(col, (b,) + word[1:] + (a,),
-                         f.mul(v, f.coerce(sign)), f)
-        out.set_column(word, col)
+                w = (b,) + word[1:] + (a,)
+                col[w] = col.get(w, 0) + v * sign
+        out.set_column(word, f.canonical(col))
     return out
+
+
+def columns_agree(a: GradedMap, b: GradedMap, f) -> bool:
+    """Whether two maps have the same canonical column at every source
+    label either of them sets."""
+    return all(f.canonical(a.column(label)) == f.canonical(b.column(label))
+               for label in a.columns.keys() | b.columns.keys())
 
 
 @pytest.mark.parametrize("D", [
@@ -76,7 +84,7 @@ def test_cofaces_match_explicit_formula_for_cocommutative(D):
         for i in range(n + 2):
             got = cm.coface(n, i)
             want = explicit_coface(D, n, i, cm.space(n), cm.space(n + 1))
-            assert got.equals(want, D.field), (n, i)
+            assert columns_agree(got, want, D.field), (n, i)
 
 
 def test_cosimplicial_cocodegeneracy_relations():
@@ -87,8 +95,10 @@ def test_cosimplicial_cocodegeneracy_relations():
     for n in (0, 1, 2):
         for j in range(n + 1):
             ident = GradedMap.identity(cm.space(n), f)
-            assert cm.codegeneracy(n, j).compose(cm.coface(n, j), f).equals(ident, f)
-            assert cm.codegeneracy(n, j).compose(cm.coface(n, j + 1), f).equals(ident, f)
+            for face in (j, j + 1):
+                composite = cm.codegeneracy(n, j).compose(
+                    cm.coface(n, face), f)
+                assert columns_agree(composite, ident, f)
 
 
 def block_square(cc, s):
@@ -102,7 +112,8 @@ def block_square(cc, s):
             acc: dict = {}
             for i, v in col.items():
                 for k, w in nxt[i].items():
-                    add_term(acc, k, f.mul(v, w), f)
+                    acc[k] = acc.get(k, 0) + v * w
+            acc = f.canonical(acc)
             if acc:
                 out.append(acc)
     return out
@@ -232,8 +243,8 @@ def word_keyed_coface_sum(cm, n, source, target, nonunit=()):
         col: dict = {}
         for odd, image in images:
             for w, v in image(word).items():
-                add_term(col, w, f.neg(v) if odd else v, f)
-        d.set_column(word, col)
+                col[w] = col.get(w, 0) + (-v if odd else v)
+        d.set_column(word, f.canonical(col))
     return d
 
 
@@ -313,9 +324,9 @@ def partial_product_image(D, a_list, b_list, fmap, keep=None, nonunit=()):
             if keep is not None and out_word not in keep:
                 continue
             sign = sum(D.degree(seq[u]) * D.degree(seq[v]) for u, v in swaps)
-            add_term(out, out_word if keep is None else keep[out_word],
-                     f.neg(c) if sign & 1 else c, f)
-        return out
+            key = out_word if keep is None else keep[out_word]
+            out[key] = out.get(key, 0) + (-c if sign & 1 else c)
+        return f.canonical(out)
     return image
 
 
@@ -581,7 +592,8 @@ def test_class_coords_reads_classes_modulo_boundaries(field):
             z = word_map(cc, s - 1).apply(x, field) if s else {}
             for k, ck in enumerate(c):
                 for word, v in H.rep(("h", s, t, k)).items():
-                    add_term(z, word, field.mul(ck, v), field)
+                    z[word] = z.get(word, 0) + ck * v
+            z = field.canonical(z)
             want = {("h", s, t, k): ck for k, ck in enumerate(c) if ck}
             assert H.class_coords(s, t, z) == want, (s, t)
             seen += bool(want and x)
@@ -670,15 +682,15 @@ def random_complex(rnd, field, s_max):
                 for y in ann:
                     c = field.coerce(rnd.choice([0, 1, 1, 2, -1]))
                     for j, v in y.items():
-                        add_term(phi, j, field.mul(c, v), field)
-                pairs.append((phi, sparse(m)))
+                        phi[j] = phi.get(j, 0) + c * v
+                pairs.append((field.canonical(phi), sparse(m)))
             d_in = diffs[s][t] = []
             for j in range(n):
                 col: dict = {}
                 for phi, b in pairs:
                     for i, v in b.items():
-                        add_term(col, i, field.mul(phi.get(j, 0), v), field)
-                d_in.append(col)
+                        col[i] = col.get(i, 0) + phi.get(j, 0) * v
+                d_in.append(field.canonical(col))
     return CochainComplex(field, terms, diffs)
 
 

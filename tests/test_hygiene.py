@@ -2,7 +2,8 @@
 the package imports at module level is used in that module, every
 private top-level name of the package is referenced somewhere, every
 dataclass field and every attribute a method sets on self is read
-somewhere, and no module but linalg reads a private linalg name."""
+somewhere, no module but linalg reads a private linalg name, and no
+module sums term by term with add_term or sub_sums."""
 
 import ast
 import re
@@ -258,6 +259,53 @@ def test_checker_flags_a_private_linalg_read(tmp_path):
                     "linalg.__doc__\n")
     assert private_linalg_reads(path) == [("mod", "_rows_of", 2),
                                           ("mod", "_rref_sparse", 4)]
+
+
+# formal sums accumulate with plain + and * and are reduced once by
+# FieldSpec.canonical; these were the term-by-term helpers
+RETIRED_SUM_HELPERS = {"add_term", "sub_sums"}
+
+
+def retired_sum_helpers(path: Path):
+    """(module, name, line) for each add_term or sub_sums that path
+    defines or imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [name for alias in node.names
+                     for name in (alias.name.split(".")[-1], alias.asname)]
+        else:
+            continue
+        hits += [(path.stem, name, node.lineno)
+                 for name in dict.fromkeys(names)
+                 if name in RETIRED_SUM_HELPERS]
+    return sorted(hits, key=lambda hit: hit[2])
+
+
+def test_no_module_defines_or_imports_a_term_by_term_sum_helper():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in retired_sum_helpers(path)]
+    assert found == [], ("term-by-term sum helpers (module, name, line): "
+                         + repr(found))
+
+
+def test_checker_flags_a_term_by_term_sum_helper(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .graded import GradedMap, add_term\n"
+                    "from . import graded as sub_sums\n"
+                    "def sub_sums_of(a):\n"
+                    "    def add_term(s, k, c):\n"
+                    "        s[k] = c\n"
+                    "    return a\n"
+                    "total = {}\n")
+    assert retired_sum_helpers(path) == [("mod", "add_term", 1),
+                                         ("mod", "sub_sums", 2),
+                                         ("mod", "add_term", 4)]
 
 
 def test_importing_the_cli_does_not_load_numpy():

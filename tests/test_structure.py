@@ -23,9 +23,10 @@ from cohh.complexes import (
     normalized_complex,
 )
 from cohh.fields import GF, QQ
-from cohh.graded import GradedMap, GradedSpace, add_term, sub_sums
+from cohh.graded import GradedMap, GradedSpace
 from cohh.linalg import Matrix
 from cohh.simplicial import circle
+from test_complexes import columns_agree
 from test_linalg import reduce_and_reeliminate
 
 
@@ -39,8 +40,8 @@ def alternating_sum(op, count, vec, f):
     out = {}
     for i in range(count):
         for w, v in op(i, vec).items():
-            add_term(out, w, f.mul(f.coerce((-1) ** i), v), f)
-    return out
+            out[w] = out.get(w, 0) + (-1) ** i * v
+    return f.canonical(out)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
@@ -102,10 +103,10 @@ def sh_by_single_codegeneracies(mx, p, q, vec):
                 lambda s, a=a, i=i: (s if s[0] == "R" else
                                      ("L", mx.A.shape.degeneracy(a, i, s[1]))))
             cur = sigma(cur)
-        sign = f.coerce((-1) ** st.shuffle_sign(mu))
+        sign = (-1) ** st.shuffle_sign(mu)
         for w, v in cur.items():
-            add_term(total, w, f.mul(sign, v), f)
-    return total
+            total[w] = total.get(w, 0) + sign * v
+    return f.canonical(total)
 
 
 def test_sh_map_matches_single_codegeneracy_composites():
@@ -143,7 +144,7 @@ def test_levelwise_comult_commutes_with_diagonal_cofaces():
                                           cm.coface(n, i).column(word))
                 rhs = st.delta_A(mx, n, n + 1, i, st.delta_B(
                     mx, n, n, i, st.levelwise_comult(mx, n, {word: f.one})))
-                assert not sub_sums(lhs, rhs, f), (n, i, word)
+                assert lhs == rhs, (n, i, word)
 
 
 def test_sh_is_a_chain_map_to_the_total_complex():
@@ -172,8 +173,8 @@ def test_sh_is_a_chain_map_to_the_total_complex():
                         lambda i, v: st.delta_B(mx, p, q - 1, i, v),
                         q + 1, st.sh_map(mx, p, q - 1, e), f)
                     for w, v in d_b.items():
-                        add_term(rhs, w, f.mul(f.coerce((-1) ** p), v), f)
-                assert not sub_sums(lhs, rhs, f), (n, p, q, word)
+                        rhs[w] = rhs.get(w, 0) + (-1) ** p * v
+                assert lhs == f.canonical(rhs), (n, p, q, word)
 
 
 @pytest.mark.parametrize("field", [GF(2), QQ])
@@ -192,8 +193,8 @@ def test_suspension_powers_multiply_freely(field):
         nxt = {}
         for h, c in power.items():
             for h2, v in mult.column((sx, h)).items():
-                add_term(nxt, h2, f.mul(c, v), f)
-        power = nxt
+                nxt[h2] = nxt.get(h2, 0) + c * v
+        power = f.canonical(nxt)
         assert power == {("h", q, 3 * q, 0): f.one}
     # the exterior generator squares to zero
     x = ("h", 0, 3, 0)
@@ -215,8 +216,8 @@ def test_coproduct_of_suspension_powers_is_binomial(field):
         nxt = {}
         for h, c in powers[q - 1].items():
             for h2, v in mult.column((sx, h)).items():
-                add_term(nxt, h2, f.mul(c, v), f)
-        powers[q] = nxt
+                nxt[h2] = nxt.get(h2, 0) + c * v
+        powers[q] = f.canonical(nxt)
     for q in (1, 2, 3):
         (label,) = powers[q]
         scale = powers[q][label]
@@ -224,9 +225,10 @@ def test_coproduct_of_suspension_powers_is_binomial(field):
         for i in range(q + 1):
             (ha,) = powers[i]
             (hb,) = powers[q - i]
-            coeff = f.mul(f.coerce(math.comb(q, i)),
-                          f.mul(powers[i][ha], powers[q - i][hb]))
-            add_term(expected, (ha, hb), f.mul(f.inv(scale), coeff), f)
+            coeff = math.comb(q, i) * powers[i][ha] * powers[q - i][hb]
+            expected[ha, hb] = (expected.get((ha, hb), 0)
+                                + f.inv(scale) * coeff)
+        expected = f.canonical(expected)
         got = cs.class_coproduct(label)
         assert got == expected, (q, got, expected)
 
@@ -243,8 +245,8 @@ def composite_coproduct(cs, label):
         comp = st.sh_map(mx, p, n - p, tz)
         pairs = {mx.split(p, n - p, w): c for w, c in comp.items()}
         for pr, v in cs.pair_classes(pairs).items():
-            add_term(out, pr, v, f)
-    return out
+            out[pr] = out.get(pr, 0) + v
+    return f.canonical(out)
 
 
 @pytest.mark.parametrize("degrees, field, s_max, t_max", [
@@ -354,8 +356,8 @@ def complete_basis_extension(mult, cot, s_max, f):
                 col: dict = {}
                 for j, c in sol.items():
                     for h, v in (values[j] if j < len(values) else {}).items():
-                        add_term(col, h, f.mul(c, v), f)
-                out.set_column(pr, col)
+                        col[h] = col.get(h, 0) + c * v
+                out.set_column(pr, f.canonical(col))
     return out
 
 
@@ -382,7 +384,7 @@ def test_multiplication_is_the_complete_basis_extension(degrees, field,
         assert mult.apply(cs.pair_classes(z), f) == cs.product_on_cotensor(z)
     extension = complete_basis_extension(
         mult, cotensor(carrier, carrier, t_max), s_max, f)
-    assert extension.equals(mult, f)
+    assert columns_agree(extension, mult, f)
 
 
 @pytest.mark.parametrize("degrees, field, s_max, t_max", [
@@ -430,11 +432,11 @@ def pair_differential(cs, vec):
     for (la, lb), c in vec.items():
         u = len(la) - 1
         for la2, v in cc.column(u, la).items():
-            add_term(out, (la2, lb), f.mul(c, v), f)
-        sgn = f.coerce((-1) ** u)
+            out[la2, lb] = out.get((la2, lb), 0) + c * v
+        sgn = (-1) ** u
         for lb2, v in cc.column(len(lb) - 1, lb).items():
-            add_term(out, (la, lb2), f.mul(f.mul(c, sgn), v), f)
-    return out
+            out[la, lb2] = out.get((la, lb2), 0) + c * sgn * v
+    return f.canonical(out)
 
 
 def per_block_cotensor_homology(cs):
@@ -464,9 +466,9 @@ def per_block_cotensor_homology(cs):
             col = {}
             for (la, lb), v in img.items():
                 if D.counit_of(lb[0]):
-                    add_term(col, index[(la, lb[1:])],
-                             f.mul(v, D.counit_of(lb[0])), f)
-            cols.append(col)
+                    i = index[(la, lb[1:])]
+                    col[i] = col.get(i, 0) + v * D.counit_of(lb[0])
+            cols.append(f.canonical(col))
         return Matrix.from_columns(cols, len(nxt))
 
     out = {}
@@ -539,7 +541,7 @@ def test_every_cotensor_column_stays_in_the_cotensor(degrees, field, s_max,
                 image = ct.pair_vec({labels[i]: v for i, v in col.items()})
                 want = pair_differential(
                     cs, ct.pair_vec({(wa, tail): field.one}))
-                assert not sub_sums(image, want, field), (wa, tail)
+                assert image == want, (wa, tail)
                 unguarded += len(wa) > 1 and bool(tail)
     assert unguarded > 30, unguarded
 
@@ -729,7 +731,7 @@ def test_antipode_is_an_involution_mod_2():
     chi = st.cohh_antipode(cs)
     f = GF(2)
     square = chi.compose(chi, f)
-    assert square.equals(GradedMap.identity(cs.H.classes, f), f)
+    assert columns_agree(square, GradedMap.identity(cs.H.classes, f), f)
 
 
 def test_box_structure_assembles_with_unit_and_counit():
