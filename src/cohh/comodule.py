@@ -309,12 +309,17 @@ def cobar_cotor(M: Comodule, N: Comodule, s_max: int,
                 t_max: int) -> HomologyTable:
     """Cotor_D^{s,t}(M, N) for 0 <= s <= s_max, t <= t_max: the homology
     table of the reduced cobar complex, its dims read off ranks.  Its
-    t_max is the internal degree through which the values hold."""
+    t_max is the internal degree through which the values hold.  Levels
+    past the first empty one are empty (drop a word's last Dbar label),
+    with empty blocks, and are not generated."""
     bound = min(M.complete_through(), N.complete_through(), t_max)
-    spaces = [GradedSpace(cobar_level_space(M, N, s, bound))
-              for s in range(s_max + 2)]
-    diffs = [cobar_differential(M, N, s, spaces[s], spaces[s + 1])
-             for s in range(s_max + 1)]
+    spaces, diffs = [GradedSpace(cobar_level_space(M, N, 0, bound))], []
+    for s in range(s_max + 1):
+        live = bool(spaces[s].degree_of)
+        spaces.append(GradedSpace(
+            cobar_level_space(M, N, s + 1, bound) if live else ()))
+        diffs.append(cobar_differential(M, N, s, spaces[s], spaces[s + 1])
+                     if live else {})
     return HomologyTable(CochainComplex(M.field, spaces, diffs), s_max, bound)
 
 
@@ -475,8 +480,7 @@ def _unit_image_rows(box: BoxStructure, t: int):
     E = box.carrier.space
     cols = [{E.index_of[lbl]: v for lbl, v in box.unit.column(c).items()}
             for c in box.base.space.labels(t)]
-    return linalg.rref(Matrix.from_columns(cols, E.dim(t)).transpose(),
-                       box.field)
+    return linalg.rref(Matrix.from_rows(cols, E.dim(t)), box.field)
 
 
 def _q_reduce(label, unit_image, box: BoxStructure, f):
@@ -531,9 +535,9 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
                     raise ValueError(
                         f"the product of the degree-{t} pair {pair!r} has "
                         f"the label {l!r} of degree {E.degree_of[l]}")
-        pivots = linalg.rref(Matrix.from_rows(
+        pivots = linalg.rref_last(
             [{E.index_of[l]: v for l, v in p.items()} for p in products],
-            len(labels)), f, reduced=False)[1]
+            len(labels), f, reduced=False)[1]
         reps = linalg.homology_reps(
             linalg.keyed_matrix([counit[l] for l in labels]), set(pivots), f)
         if reps:

@@ -30,27 +30,17 @@ comultiplication.
 Every homology in the package is a HomologyTable: coHH, Cotor over the
 cobar complex, and the cotensor total complex behind the product in
 structure.  A table reads dims off ranks and keeps no RREF.  Walking s
-up, block (s, t) row-reduces its columns of d_s, less those whose index
-is a pivot (least index) of block (s - 1, t), as the rows of one rref
-call; its pivots count rank d_s.  A cleared j is the least index of
-some y in im d_{s-1} with d_s y = 0, so column j is a combination of
-columns of larger index and the rank is kept; the pivots depend on the
-row space alone.  So the cleared set of block (s, t) is the pivot set
-of its boundaries, and a bidegree with classes keeps it.
-
-Its class representatives are built on demand, the first time one is
-asked for, by linalg.homology_reps: the rows of the RREF of ker d_s
-whose pivot is not cleared.  The boundaries lie in ker d_s, so their
-pivots are pivots of that RREF, and the rows kept are zero at each of
-them: they are already reduced modulo the boundaries, and they are the
-RREF of the cycles reduced modulo the boundaries.  The RREF of the
-boundaries is built by the first class_coords, and its pivots must be
-the cleared set.  Reducing a vector modulo the boundary rows and
-reading its entry at the pivot of each representative gives its class
-coordinates, with no solve.  That map is linear, kills every boundary
-and fixes every representative, so it is a chain retraction onto the
-homology with zero differential; two such retractions differ by h o d,
-so they agree on every cocycle.
+up, block (s, t) row-reduces its columns of d_s, less those cleared at
+the pivots of block (s - 1, t), in one linalg.rref_last call whose
+pivots count rank d_s; a bidegree with classes keeps its cleared set.
+linalg.homology_reps builds its representatives on first use, and the
+first class_coords the rref_last rows of its boundaries, whose pivots
+must be the cleared set (linalg says why both hold).  The class
+coordinates of a vector are its entries, reduced modulo those rows, at
+the greatest index of each representative, with no solve.  That map is
+linear, kills every boundary and fixes every representative, so it is
+a chain retraction onto the homology with zero differential; two such
+retractions differ by h o d, so they agree on every cocycle.
 """
 
 from dataclasses import dataclass
@@ -376,15 +366,12 @@ def unnormalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
 @dataclass
 class Bidegree:
     dim: int
-    # the pivots of im d_in, the indices cleared at this block; kept
-    # only when dim > 0
+    # the rref_last pivots of im d_in, cleared here; kept if dim > 0
     cleared: set = None
-    # RREF rows (sparse index vectors in term coordinates) spanning
-    # ker d_out / im d_in, reduced modulo the boundaries: rep k has its
-    # pivot min(rep) outside cleared; None until built
+    # the kernel_basis vectors of d_out at uncleared greatest indices,
+    # one per class, in term coordinates; None until built
     rep_vectors: list = None
-    # (RREF rows of im d_in, their pivot columns), built by the first
-    # class_coords
+    # (rref_last rows of im d_in, their pivots), by the first class_coords
     boundary: tuple = None
 
 
@@ -395,9 +382,8 @@ class HomologyTable:
     cocycle (a formal sum on terms[s] labels) to its homology class.
 
     dim = n - rank d_out - rank d_in, one cleared column reduction per
-    block of cc.diff, read as written, its pivots cleared at s + 1, after
-    checking d_out d_in = 0 on the same columns; representatives and
-    boundary rows are built on first use (see the module docstring).
+    block of cc.diff, read as written, after checking d_out d_in = 0
+    there (see the module docstring).
     """
 
     def __init__(self, cc: CochainComplex, s_max: int, t_max: int):
@@ -417,10 +403,9 @@ class HomologyTable:
                 d_in, cleared = prev.get(t, ((), set()))
                 linalg.check_composite_zero(cols, d_in, self.field)
                 # d_s^T, the cleared rows left out
-                m = Matrix.from_rows([col for j, col in enumerate(cols)
-                                      if j not in cleared],
-                                     cc.terms[s + 1].dim(t))
-                pivots = linalg.rref(m, self.field, reduced=False)[1]
+                pivots = linalg.rref_last(
+                    [col for j, col in enumerate(cols) if j not in cleared],
+                    cc.terms[s + 1].dim(t), self.field, reduced=False)[1]
                 cur[t] = (cols, set(pivots))
                 dim = len(cols) - len(pivots) - len(cleared)
                 self.data[(s, t)] = Bidegree(dim, cleared if dim else None)
@@ -460,9 +445,9 @@ class HomologyTable:
     def class_coords(self, s: int, t: int, vec: dict) -> dict:
         """Project a formal sum on the words of terms[s] in degree t onto
         homology classes: reduce it modulo the boundary rows and read the
-        coefficient of each class at its representative's pivot.  On a
-        cocycle this is its class.  Raises linalg.NoSolution if vec has a
-        nonzero coefficient on any other word."""
+        coefficient of each class at its representative's greatest index.
+        On a cocycle this is its class.  Raises linalg.NoSolution if vec
+        has a nonzero coefficient on any other word."""
         if (s, t) not in self.data or not vec:
             return {}
         term = self.complex.terms[s]
@@ -479,8 +464,8 @@ class HomologyTable:
         bd = self._built(s, t)
         if bd.boundary is None:
             cc = self.complex
-            bd.boundary = linalg.rref(Matrix.from_rows(
-                cc.diff[s - 1].get(t, []) if s else [], cc.terms[s].dim(t)),
+            bd.boundary = linalg.rref_last(
+                cc.diff[s - 1].get(t, []) if s else [], cc.terms[s].dim(t),
                 self.field)
             if set(bd.boundary[1]) != bd.cleared:
                 raise AssertionError(
@@ -489,7 +474,7 @@ class HomologyTable:
         red = linalg.reduce_mod_span(target, *bd.boundary, self.field)
         out = {}
         for k, rep in enumerate(bd.rep_vectors):
-            v = red.get(min(rep))
+            v = red.get(max(rep))
             if v:
                 out[("h", s, t, k)] = v
         return out

@@ -10,16 +10,22 @@ keeps the reduced rows in a dict keyed by pivot column, reduces each
 incoming row only against the pivots its leading entries hit, and
 back-substitutes once at the end unless only pivots are wanted (rank,
 via rref(reduced=False)), so every elimination is an rref call (perfbench
-traces rref, not rank).  A homology table reduces the columns of each d_s
-less those at the pivot (least index) of some y in im d_{s-1}: d_s y = 0
-makes each a combination of later columns, so the rank is kept.
-Those cleared pivots, the pivots of im d_{s-1}, are pivots of ker d_s,
-and the RREF rows of ker d_s at its other pivots are already reduced
-modulo the boundaries: homology_reps keeps those rows, one kernel_basis
-and one rref per block, and reduces no cycle.  The differentials this
-package reduces are about 1% dense, which is why there is no dense
-path.  The dense routines _rref_fraction_dense and _rref_modp_dense are
-kept only as oracles for the tests.
+traces rref, not rank).
+
+Homology reads a vector at its greatest index, the pivot convention of
+persistent homology with clearing, and rref_last is rref in that order.
+The kernel_basis vector of a free column f of rref(m) is 1 at f and 0
+at the other free columns, so these are the rref_last rows of ker(m).
+A homology table clears from d_s the columns at the rref_last pivots
+of im d_{s-1}: each is the greatest index of a y with d_s y = 0, so a
+combination of earlier columns, and the rank is kept.  They are free
+columns of d_s, and homology_reps keeps the kernel vectors at the
+other free columns: zero at every boundary pivot, they need no
+reduction.
+
+The differentials this package reduces are about 1% dense, which is
+why there is no dense path.  The dense routines _rref_fraction_dense
+and _rref_modp_dense are kept only as oracles for the tests.
 
 A linear map given as formal sums on arbitrary hashable keys, one sum
 per source key, becomes a Matrix through keyed_matrix, which numbers the
@@ -39,8 +45,8 @@ from .fields import FieldSpec
 class Matrix:
     """Sparse matrix with explicit shape over a FieldSpec, its entries
     {(row, col): scalar}.  One built by from_rows keeps the rows it is
-    given, which rref reads as they are, and makes its entries from them
-    the first time they are asked for."""
+    given, any sized iterable, which rref reads as they are, and makes
+    its entries from them the first time they are asked for."""
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
@@ -74,10 +80,6 @@ class Matrix:
             cols[j][i] = v
         return cols
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows,
-                      {(j, i): v for (i, j), v in self.entries.items()})
-
     def apply(self, vec: dict, field: FieldSpec) -> dict:
         out: dict = {}
         for (i, j), v in self.entries.items():
@@ -85,15 +87,6 @@ class Matrix:
             if c:
                 out[i] = out.get(i, 0) + v * c
         return field.canonical(out)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix)
-                and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-                and {k: v for k, v in self.entries.items() if v}
-                == {k: v for k, v in other.entries.items() if v})
-
-    def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
 def _rows_of(m: Matrix):
@@ -230,6 +223,31 @@ def rref(m: Matrix, field: FieldSpec, reduced=True):
     return _rref_sparse(_rows_of(m), field, reduced)
 
 
+class _Reversed:
+    """Sparse rows on ncols columns, read with the columns numbered in
+    reverse: each row is reversed as it is read, and no copy is kept."""
+
+    def __init__(self, rows, ncols: int):
+        self.rows, self.top = rows, ncols - 1
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        top = self.top
+        return ({top - j: v for j, v in r.items()} for r in self.rows)
+
+
+def rref_last(rows, ncols: int, field: FieldSpec, reduced=True):
+    """rref of the sparse rows with the columns numbered in reverse: each
+    row is 1 at its greatest index, its pivot, and 0 at the other pivots;
+    pivots decrease.  reduced=False returns (None, pivots)."""
+    out, pivots = rref(Matrix.from_rows(_Reversed(rows, ncols), ncols),
+                       field, reduced)
+    return (list(_Reversed(out, ncols)) if reduced else None), [
+        ncols - 1 - c for c in pivots]
+
+
 def rank(m: Matrix, field: FieldSpec) -> int:
     return len(rref(m, field, reduced=False)[1])
 
@@ -336,18 +354,9 @@ def check_composite_zero(out_cols, in_cols, field: FieldSpec):
 
 
 def homology_reps(d_out: Matrix, boundary_pivots, field: FieldSpec):
-    """Class representatives of ker(d_out) / B, for a subspace B of
-    ker(d_out) whose pivots (least indices) are the set boundary_pivots:
-    the rows of the RREF of ker(d_out) whose pivot is not in it.
-
-    B lies in ker(d_out), so its pivots are pivots of ker(d_out), and
-    each row of that RREF is zero at every other pivot of ker(d_out):
-    a row kept is already reduced modulo the RREF rows of B, and there
-    are dim ker(d_out) - dim B of them.  So they are the RREF of the
-    cycles reduced modulo the boundaries, the canonical
-    representatives.  The caller checks that B lies in ker(d_out).
-    """
-    rows, pivots = rref(Matrix.from_rows(kernel_basis(d_out, field),
-                                         d_out.ncols), field)
-    return [row for row, pc in zip(rows, pivots)
-            if pc not in boundary_pivots]
+    """The canonical representatives of ker(d_out) / B, for a subspace B
+    of ker(d_out) (the caller checks it) with rref_last pivots
+    boundary_pivots: the kernel_basis vectors at the other greatest
+    indices (see the module docstring), with no further elimination."""
+    return [v for v in kernel_basis(d_out, field)
+            if max(v) not in boundary_pivots]

@@ -448,9 +448,9 @@ def homology_multiplication(cs: CircleStructure):
     the full pair space: a linear extension of the map on the cotensor
     of the homology with itself, which is mu(vec) at the free pair of
     each cotensor basis vector vec and zero at every other pair.  The
-    free pair is the vector's last pair in the cotensor's repr order
-    (kernel_basis puts the free column last): vec is 1 there, and no
-    other basis vector touches it.
+    free pair is the vector's last pair in the cotensor's repr order,
+    the greatest index at which linalg reads every kernel_basis vector:
+    vec is 1 there, and no other basis vector touches it.
 
     Returns (mult, carrier_comodule, kuenneth_ok)."""
     f = cs.field

@@ -293,6 +293,27 @@ def test_cotor_exterior_one_generator():
                             (4, 12): 1}
 
 
+def test_a_large_s_max_makes_cobar_levels_only_up_to_the_empty_one(
+        monkeypatch):
+    # Lambda(3) at t <= 5 has cobar levels 0 and 1 only: level 2 is the
+    # first empty one, and the levels after it are padded, not generated
+    D = exterior_coalgebra([3], GF(2))
+    k = trivial_comodule(D)
+    want = cobar_cotor(k, k, 2, 5).dims()
+    levels = []
+
+    def recording(M, N, s, t_max):
+        levels.append(s)
+        # fail fast rather than walk all 401 levels
+        assert len(levels) <= 4, "cobar_level_space on every level"
+        return cobar_level_space(M, N, s, t_max)
+    monkeypatch.setattr(comodule, "cobar_level_space", recording)
+    H = cobar_cotor(k, k, 400, 5)
+    assert levels == [0, 1, 2]
+    assert H.dims() == want
+    assert H.complex.diff[2:] == [{}] * 399
+
+
 def test_cotor_refuses_a_cobar_differential_whose_square_is_nonzero(
         monkeypatch):
     # d^2(x3 | x5x7) != 0, so doubling that one entry of d^1(x3x5x7)

@@ -626,6 +626,35 @@ def test_rank_dims_and_lazy_reps_match_homology_reps(coalgebra, field):
             assert H.data[(s, t)].boundary[0] == bnd
 
 
+def test_reps_are_the_kernel_vectors_at_uncleared_indices(monkeypatch):
+    # H.rep runs one elimination, the rref inside kernel_basis; the first
+    # class_coords runs one more, for the boundary rows, and no other
+    H = cohh(exterior_coalgebra([3, 5], GF(3)), 3, 14)
+    cc = H.complex
+    (s, t), bd = max(((st, bd) for st, bd in H.data.items()
+                      if bd.dim and bd.cleared),
+                     key=lambda item: (item[1].dim, item[0]))
+    calls = []
+    rref = linalg.rref
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rref(*args, **kwargs)
+    monkeypatch.setattr(linalg, "rref", counting)
+    reps = [H.rep(("h", s, t, k)) for k in range(bd.dim)]
+    assert len(calls) == 1
+    for k, z in enumerate(reps):
+        assert H.class_coords(s, t, z) == {("h", s, t, k): 1}
+    assert len(calls) == 2
+    monkeypatch.undo()
+    labels = cc.terms[s].labels(t)
+    kernel = linalg.kernel_basis(
+        Matrix.from_columns(cc.diff[s][t], cc.terms[s + 1].dim(t)), H.field)
+    assert reps == [{labels[j]: c for j, c in v.items()} for v in kernel
+                    if max(v) not in bd.cleared]
+    assert len(reps) < len(kernel)
+
+
 def test_homology_table_checks_every_block_without_building_reps():
     # doubling one entry (x, y) of d^1 whose target y has d^2(y) != 0
     # makes d^2 d^1 nonzero on x
@@ -674,8 +703,7 @@ def random_complex(rnd, field, s_max):
         d_in = []  # columns of d_{s-1} at t, on indices of terms[s]
         for s in range(s_max + 1):
             n, m = dims[s][t], dims[s + 1][t]
-            ann = linalg.kernel_basis(
-                Matrix.from_columns(d_in, n).transpose(), field)
+            ann = linalg.kernel_basis(Matrix.from_rows(d_in, n), field)
             pairs = []
             for _ in range(rnd.randint(0, len(ann))):
                 phi: dict = {}

@@ -257,21 +257,32 @@ def test_solve_many_targets_at_once():
         linalg.solve(m, [inside[0], {2: 1}, inside[1]], f)
 
 
+def reversed_indices(vecs, n):
+    """The vectors with their n indices numbered in reverse."""
+    return [{n - 1 - j: v for j, v in vec.items()} for vec in vecs]
+
+
 def reduce_and_reeliminate(d_out, d_in, f):
-    """Homology at the middle of d_in, d_out by reducing every cycle:
-    the kernel basis of d_out, each vector reduced modulo the RREF rows
-    of d_in^T, and one RREF of what is left.  Returns (dim,
-    representatives, boundary rows): the oracle for homology_reps and
-    for a table's boundary rows."""
-    bnd, pivots = linalg.rref(d_in.transpose(), f)
-    reduced = [r for z in linalg.kernel_basis(d_out, f)
+    """Homology at the middle of d_in, d_out by reducing every cycle,
+    each vector read at its greatest index: with the indices numbered
+    in reverse, the kernel basis of d_out, each vector reduced modulo
+    the RREF rows of d_in^T, and one RREF of what is left, numbered
+    back.  Returns (dim, representatives, boundary rows): the oracle for
+    homology_reps and for a table's boundary rows, in their order."""
+    n = d_out.ncols
+    bnd, pivots = linalg.rref(
+        Matrix.from_rows(reversed_indices(d_in.columns(), n), n), f)
+    reduced = [r for z in reversed_indices(linalg.kernel_basis(d_out, f), n)
                if (r := linalg.reduce_mod_span(z, bnd, pivots, f))]
-    reps = linalg.rref(Matrix.from_rows(reduced, d_out.ncols), f)[0]
-    return len(reps), reps, bnd
+    reps = linalg.rref(Matrix.from_rows(reduced, n), f)[0]
+    return (len(reps), reversed_indices(reps[::-1], n),
+            reversed_indices(bnd, n))
 
 
 def boundary_pivots(d_in, f):
-    return set(linalg.rref(d_in.transpose(), f, reduced=False)[1])
+    n = d_in.nrows
+    return {n - 1 - c for c in linalg.rref(Matrix.from_rows(
+        reversed_indices(d_in.columns(), n), n), f, reduced=False)[1]}
 
 
 def test_homology_of_small_complex():
@@ -361,11 +372,23 @@ def test_rref_matches_the_dense_oracles(char, params):
 
 
 @settings(max_examples=80, deadline=None)
-@given(char=st.sampled_from([0, 2, 3, 4294967311]), params=sparse_matrices)
+@given(char=st.sampled_from([0, 2, 3, 4294967311, 2**61 - 1]),
+       params=sparse_matrices)
 def test_rank_is_the_length_of_the_rref(char, params):
     f = FieldSpec(char)
     m = draw_matrix(params, f)
-    assert linalg.rank(m, f) == len(linalg.rref(m, f)[0])
+    rank = linalg.rank(m, f)
+    assert rank == len(linalg.rref(m, f)[0])
+    # rref_last: each row 1 at its greatest index, its pivot, and 0 at
+    # every other pivot, spanning the row space of m
+    rows, pivots = linalg.rref_last(linalg._rows_of(m), m.ncols, f)
+    assert [(max(r), r[max(r)]) for r in rows] == [(c, 1) for c in pivots]
+    assert all(c == pc or c not in row for row, pc in zip(rows, pivots)
+               for c in pivots)
+    assert len(rows) == rank
+    assert linalg.rref(Matrix.from_rows(rows, m.ncols), f) == linalg.rref(m, f)
+    assert linalg.rref_last(linalg._rows_of(m), m.ncols, f,
+                            reduced=False) == (None, pivots)
 
 
 def test_large_prime_takes_the_exact_sparse_path():
@@ -420,7 +443,9 @@ def test_kernel_of_matches_a_hand_indexed_matrix(char, rnd, ncols):
     for img in images.values():
         cols.append({idx.setdefault(k, len(idx)): v for k, v in img.items()})
     by_hand = Matrix.from_columns(cols, len(idx))
-    assert linalg.keyed_matrix(images.values()) == by_hand
+    keyed = linalg.keyed_matrix(images.values())
+    assert (keyed.nrows, keyed.ncols, keyed.entries) == (
+        by_hand.nrows, by_hand.ncols, by_hand.entries)
     labels = list(images)
     want = [{labels[j]: v for j, v in vec.items()}
             for vec in linalg.kernel_basis(by_hand, f)]
@@ -493,7 +518,8 @@ def test_homology_reps_match_reducing_every_cycle(char, params, rnd):
     # im d_in, so d_out d_in = 0
     f = FieldSpec(char)
     d_in = draw_matrix(params, f)
-    annihilators = linalg.kernel_basis(d_in.transpose(), f)
+    annihilators = linalg.kernel_basis(
+        Matrix.from_rows(d_in.columns(), d_in.nrows), f)
     rows = []
     for _ in range(rnd.randint(0, 4)):
         row: dict = {}
