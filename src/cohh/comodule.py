@@ -535,9 +535,9 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
                     raise ValueError(
                         f"the product of the degree-{t} pair {pair!r} has "
                         f"the label {l!r} of degree {E.degree_of[l]}")
-        pivots = linalg.rref_last(
+        pivots = linalg.rref(Matrix.from_rows(
             [{E.index_of[l]: v for l, v in p.items()} for p in products],
-            len(labels), f, reduced=False)[1]
+            len(labels)), f, reduced=False, last=True)[1]
         reps = linalg.homology_reps(
             linalg.keyed_matrix([counit[l] for l in labels]), set(pivots), f)
         if reps:

@@ -31,16 +31,17 @@ Every homology in the package is a HomologyTable: coHH, Cotor over the
 cobar complex, and the cotensor total complex behind the product in
 structure.  A table reads dims off ranks and keeps no RREF.  Walking s
 up, block (s, t) row-reduces its columns of d_s, less those cleared at
-the pivots of block (s - 1, t), in one linalg.rref_last call whose
-pivots count rank d_s; a bidegree with classes keeps its cleared set.
-linalg.homology_reps builds its representatives on first use, and the
-first class_coords the rref_last rows of its boundaries, whose pivots
-must be the cleared set (linalg says why both hold).  The class
-coordinates of a vector are its entries, reduced modulo those rows, at
-the greatest index of each representative, with no solve.  That map is
-linear, kills every boundary and fixes every representative, so it is
-a chain retraction onto the homology with zero differential; two such
-retractions differ by h o d, so they agree on every cocycle.
+the greatest-index pivots of block (s - 1, t), in one linalg.rref call
+whose pivots count rank d_s; a bidegree with classes keeps its cleared
+set.  linalg.homology_reps builds its representatives on first use,
+and the first class_coords the greatest-index RREF rows of its
+boundaries, whose pivots must be the cleared set (linalg says why both
+hold).  The class coordinates of a vector are its entries, reduced
+modulo those rows, at the greatest index of each representative, with
+no solve.  That map is linear, kills every boundary and fixes every
+representative, so it is a chain retraction onto the homology with zero
+differential; two such retractions differ by h o d, so they agree on
+every cocycle.
 """
 
 from dataclasses import dataclass
@@ -366,12 +367,12 @@ def unnormalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
 @dataclass
 class Bidegree:
     dim: int
-    # the rref_last pivots of im d_in, cleared here; kept if dim > 0
+    # the greatest-index pivots of im d_in, cleared here; kept if dim > 0
     cleared: set = None
     # the kernel_basis vectors of d_out at uncleared greatest indices,
     # one per class, in term coordinates; None until built
     rep_vectors: list = None
-    # (rref_last rows of im d_in, their pivots), by the first class_coords
+    # rref(im d_in, last=True): (rows, pivots), by the first class_coords
     boundary: tuple = None
 
 
@@ -403,9 +404,10 @@ class HomologyTable:
                 d_in, cleared = prev.get(t, ((), set()))
                 linalg.check_composite_zero(cols, d_in, self.field)
                 # d_s^T, the cleared rows left out
-                pivots = linalg.rref_last(
+                pivots = linalg.rref(Matrix.from_rows(
                     [col for j, col in enumerate(cols) if j not in cleared],
-                    cc.terms[s + 1].dim(t), self.field, reduced=False)[1]
+                    cc.terms[s + 1].dim(t)), self.field, reduced=False,
+                    last=True)[1]
                 cur[t] = (cols, set(pivots))
                 dim = len(cols) - len(pivots) - len(cleared)
                 self.data[(s, t)] = Bidegree(dim, cleared if dim else None)
@@ -464,9 +466,9 @@ class HomologyTable:
         bd = self._built(s, t)
         if bd.boundary is None:
             cc = self.complex
-            bd.boundary = linalg.rref_last(
-                cc.diff[s - 1].get(t, []) if s else [], cc.terms[s].dim(t),
-                self.field)
+            bd.boundary = linalg.rref(Matrix.from_rows(
+                cc.diff[s - 1].get(t, []) if s else [], cc.terms[s].dim(t)),
+                self.field, last=True)
             if set(bd.boundary[1]) != bd.cleared:
                 raise AssertionError(
                     f"bidegree ({s}, {t}): the boundary pivots are not "

@@ -1,27 +1,28 @@
 """Exact linear algebra over Q and F_p.
 
-Vectors are sparse dicts {index: scalar}; matrices are sparse dicts
-{(row, col): scalar} wrapped in Matrix.  All reductions go through
-reduced row echelon form, which is unique, so kernel bases, solved
-coordinates and homology representatives are deterministic.
+Vectors are sparse dicts {index: scalar}.  A Matrix is its rows, a list
+of such vectors with an explicit shape; its entries {(row, col): scalar}
+are a view.  All reductions go through reduced row echelon form, which
+is unique, so kernel bases, solved coordinates and homology
+representatives are deterministic.
 
 One elimination routine, _rref_sparse, serves every field and size.  It
 keeps the reduced rows in a dict keyed by pivot column, reduces each
 incoming row only against the pivots its leading entries hit, and
 back-substitutes once at the end unless only pivots are wanted (rank,
 via rref(reduced=False)), so every elimination is an rref call (perfbench
-traces rref, not rank).
+traces rref, not rank).  The pivot of a row is its least index, or with
+last=True its greatest.
 
 Homology reads a vector at its greatest index, the pivot convention of
-persistent homology with clearing, and rref_last is rref in that order.
-The kernel_basis vector of a free column f of rref(m) is 1 at f and 0
-at the other free columns, so these are the rref_last rows of ker(m).
-A homology table clears from d_s the columns at the rref_last pivots
-of im d_{s-1}: each is the greatest index of a y with d_s y = 0, so a
-combination of earlier columns, and the rank is kept.  They are free
-columns of d_s, and homology_reps keeps the kernel vectors at the
-other free columns: zero at every boundary pivot, they need no
-reduction.
+persistent homology with clearing.  The kernel_basis vector of a free
+column f of rref(m) is 1 at f and 0 at the other free columns, so these
+are the last=True RREF rows of ker(m).  A homology table clears from d_s
+the columns at the last=True pivots of im d_{s-1}: each is the greatest
+index of a y with d_s y = 0, so a combination of earlier columns, and
+the rank is kept.  They are free columns of d_s, and homology_reps
+keeps the kernel vectors at the other free columns: zero at every
+boundary pivot, they need no reduction.
 
 The differentials this package reduces are about 1% dense, which is
 why there is no dense path.  The dense routines _rref_fraction_dense
@@ -43,60 +44,50 @@ from .fields import FieldSpec
 
 
 class Matrix:
-    """Sparse matrix with explicit shape over a FieldSpec, its entries
-    {(row, col): scalar}.  One built by from_rows keeps the rows it is
-    given, any sized iterable, which rref reads as they are, and makes
-    its entries from them the first time they are asked for."""
+    """Sparse matrix with explicit shape: its rows, a list of sparse dicts
+    {col: scalar}.  from_rows keeps the list it is given; the other
+    constructors drop zeros, and so do the views entries and columns()."""
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
         self.ncols = ncols
-        self._entries = dict(entries or {})
-        self.rows = None
+        self.rows = [dict() for _ in range(nrows)]
+        for (i, j), v in (entries or {}).items():
+            if v:
+                self.rows[i][j] = v
 
     @classmethod
     def from_columns(cls, columns, nrows: int) -> "Matrix":
-        return cls(nrows, len(columns), {
-            (i, j): v for j, col in enumerate(columns)
-            for i, v in col.items() if v})
+        m = cls(nrows, len(columns))
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                if v:
+                    m.rows[i][j] = v
+        return m
 
     @classmethod
     def from_rows(cls, rows, ncols: int) -> "Matrix":
-        m = cls(len(rows), ncols)
-        m._entries, m.rows = None, rows
+        m = cls(0, ncols)
+        m.nrows, m.rows = len(rows), rows
         return m
 
     @property
     def entries(self) -> dict:
-        if self._entries is None:
-            self._entries = {(i, j): v for i, row in enumerate(self.rows)
-                             for j, v in row.items() if v}
-            self.rows = None
-        return self._entries
+        return {(i, j): v for i, row in enumerate(self.rows)
+                for j, v in row.items() if v}
 
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                if v:
+                    cols[j][i] = v
         return cols
 
     def apply(self, vec: dict, field: FieldSpec) -> dict:
-        out: dict = {}
-        for (i, j), v in self.entries.items():
-            c = vec.get(j)
-            if c:
-                out[i] = out.get(i, 0) + v * c
-        return field.canonical(out)
-
-
-def _rows_of(m: Matrix):
-    if m.rows is not None:
-        return m.rows
-    rows = [dict() for _ in range(m.nrows)]
-    for (i, j), v in m.entries.items():
-        if v:
-            rows[i][j] = v
-    return rows
+        return field.canonical({
+            i: sum(v * vec.get(j, 0) for j, v in row.items())
+            for i, row in enumerate(self.rows)})
 
 
 def _sub_multiple(row: dict, c, other: dict, p: int):
@@ -111,9 +102,9 @@ def _sub_multiple(row: dict, c, other: dict, p: int):
             del row[j]
 
 
-def _echelon(rows, field: FieldSpec) -> dict:
+def _echelon(rows, field: FieldSpec, last=False) -> dict:
     """Forward elimination: {pivot column: row}, each row 1 at its pivot,
-    which is its least column.
+    which is its least column, or its greatest when last is set.
 
     An incoming row is reduced only by the pivot rows its leading entry
     hits.  When it is shorter than the pivot row it hits, it takes that
@@ -121,11 +112,12 @@ def _echelon(rows, field: FieldSpec) -> dict:
     to limit fill-in; the final RREF is canonical regardless.
     """
     p = field.characteristic
+    lead = max if last else min
     pivots: dict = {}
     for r in rows:
         row = {j: v for j, v in r.items() if v}
         while row:
-            c = min(row)
+            c = lead(row)
             prow = pivots.get(c)
             if prow is None or len(row) < len(prow):
                 a = row[c]
@@ -148,21 +140,22 @@ def _echelon(rows, field: FieldSpec) -> dict:
     return pivots
 
 
-def _rref_sparse(rows, field: FieldSpec, reduced=True):
+def _rref_sparse(rows, field: FieldSpec, reduced=True, last=False):
     """Sparse RREF over any FieldSpec; rows is a list of dict rows.
 
-    Returns (rref_rows, pivot_cols), pivots increasing.  Forward
-    elimination, then one back-substitution from the last pivot up; with
-    reduced=False there is none, and the rows are an echelon form.
+    Returns (rref_rows, pivot_cols), pivots increasing, or decreasing
+    when last is set.  Forward elimination, then one back-substitution
+    from the last pivot up; with reduced=False there is none, and the
+    rows are an echelon form.
     """
     p = field.characteristic
-    pivots = _echelon(rows, field)
-    cols = sorted(pivots)
+    pivots = _echelon(rows, field, last)
+    cols = sorted(pivots, reverse=last)
     if reduced:
         for c in reversed(cols):
             row = pivots[c]
-            # pivot rows right of c are already reduced, so eliminating
-            # one hit adds no entry in another pivot column
+            # the pivot rows on the far side of c are already reduced, so
+            # eliminating one hit adds no entry in another pivot column
             for j in [j for j in row if j != c and j in pivots]:
                 _sub_multiple(row, row[j], pivots[j], p)
     return [pivots[c] for c in cols], cols
@@ -217,35 +210,11 @@ def _rref_modp_dense(rows, ncols, p):
     return out, pivots
 
 
-def rref(m: Matrix, field: FieldSpec, reduced=True):
+def rref(m: Matrix, field: FieldSpec, reduced=True, last=False):
     """Reduced row echelon form: returns (rows as sparse dicts, pivot cols).
-    reduced=False skips the back-substitution; the pivots are the same."""
-    return _rref_sparse(_rows_of(m), field, reduced)
-
-
-class _Reversed:
-    """Sparse rows on ncols columns, read with the columns numbered in
-    reverse: each row is reversed as it is read, and no copy is kept."""
-
-    def __init__(self, rows, ncols: int):
-        self.rows, self.top = rows, ncols - 1
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        top = self.top
-        return ({top - j: v for j, v in r.items()} for r in self.rows)
-
-
-def rref_last(rows, ncols: int, field: FieldSpec, reduced=True):
-    """rref of the sparse rows with the columns numbered in reverse: each
-    row is 1 at its greatest index, its pivot, and 0 at the other pivots;
-    pivots decrease.  reduced=False returns (None, pivots)."""
-    out, pivots = rref(Matrix.from_rows(_Reversed(rows, ncols), ncols),
-                       field, reduced)
-    return (list(_Reversed(out, ncols)) if reduced else None), [
-        ncols - 1 - c for c in pivots]
+    reduced=False skips the back-substitution; the pivots are the same.
+    last=True pivots each row at its greatest index."""
+    return _rref_sparse(m.rows, field, reduced, last)
 
 
 def rank(m: Matrix, field: FieldSpec) -> int:
@@ -355,7 +324,7 @@ def check_composite_zero(out_cols, in_cols, field: FieldSpec):
 
 def homology_reps(d_out: Matrix, boundary_pivots, field: FieldSpec):
     """The canonical representatives of ker(d_out) / B, for a subspace B
-    of ker(d_out) (the caller checks it) with rref_last pivots
+    of ker(d_out) (the caller checks it) with greatest-index pivots
     boundary_pivots: the kernel_basis vectors at the other greatest
     indices (see the module docstring), with no further elimination."""
     return [v for v in kernel_basis(d_out, field)

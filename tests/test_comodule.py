@@ -62,11 +62,9 @@ def brute_cotensor_dim(M, N, degree):
 
         r = rref_mod_p(a % f.characteristic, f.characteristic)
     else:
-        m = linalg.Matrix(len(triples), len(pairs))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    m.entries[(i, j)] = v
+        m = linalg.Matrix.from_rows(
+            [{j: v for j, v in enumerate(row) if v} for row in rows],
+            len(pairs))
         r = linalg.rank(m, f)
     return len(pairs) - r
 

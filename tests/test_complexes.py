@@ -182,12 +182,9 @@ def test_normalized_words_are_the_codegeneracy_kernels(shape, coalgebra,
         sigmas = [cm.codegeneracy(s - 1, i) for i in range(s)]
         for t in cm.space(s).degrees():
             # the stacked-kernel construction the direct one replaces
-            stacked = Matrix(0, cm.space(s).dim(t))
-            for sg in sigmas:
-                m = sg.matrix(t)
-                for (i, j), v in m.entries.items():
-                    stacked.entries[(stacked.nrows + i, j)] = v
-                stacked.nrows += m.nrows
+            stacked = Matrix.from_rows(
+                [row for sg in sigmas for row in sg.matrix(t).rows],
+                cm.space(s).dim(t))
             kernel = linalg.kernel_basis(stacked, field)
             assert cc.terms[s].dim(t) == len(kernel), (s, t)
         for word in cc.terms[s].degree_of:

@@ -2,8 +2,9 @@
 the package imports at module level is used in that module, every
 private top-level name of the package is referenced somewhere, every
 dataclass field and every attribute a method sets on self is read
-somewhere, no module but linalg reads a private linalg name, and no
-module sums term by term with add_term or sub_sums."""
+somewhere, no module but linalg reads a private linalg name or the
+rows and entries of a Matrix, and no module sums term by term with
+add_term or sub_sums."""
 
 import ast
 import re
@@ -253,12 +254,61 @@ def test_no_module_but_linalg_reads_a_private_linalg_name():
 def test_checker_flags_a_private_linalg_read(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("from . import linalg\n"
-                    "from .linalg import _rows_of, rank\n"
+                    "from .linalg import _echelon, rank\n"
                     "def f(m):\n"
                     "    return linalg._rref_sparse(m), linalg.rank(m), "
                     "linalg.__doc__\n")
-    assert private_linalg_reads(path) == [("mod", "_rows_of", 2),
+    assert private_linalg_reads(path) == [("mod", "_echelon", 2),
                                           ("mod", "_rref_sparse", 4)]
+
+
+# a Matrix is its rows and rref(..., last=True) pivots at the greatest
+# index; both decisions stay inside linalg
+MATRIX_STORAGE = {"rows", "entries"}
+RETIRED_PIVOT_ADAPTERS = {"rref_last", "_Reversed"}
+
+
+def matrix_internals(path: Path):
+    """(module, name, line) for each .rows or .entries that path reads,
+    and each rref_last or _Reversed it names, defines or imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        flagged = RETIRED_PIVOT_ADAPTERS
+        if isinstance(node, ast.Attribute):
+            names, flagged = [node.attr], flagged | MATRIX_STORAGE
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        hits += [(path.stem, name, node.lineno) for name in names
+                 if name in flagged]
+    return sorted(hits, key=lambda hit: hit[2])
+
+
+def test_only_linalg_knows_how_a_matrix_is_stored_and_pivoted():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             if path.stem != "linalg" for hit in matrix_internals(path)]
+    assert found == [], ("Matrix storage or retired pivot adapters read "
+                         "(module, name, line): " + repr(found))
+
+
+def test_checker_flags_a_matrix_internal(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .linalg import rref_last, rref\n"
+                    "def f(m, table_rows):\n"
+                    "    return m.rows, m.entries, table_rows, m.ncols\n"
+                    "class _Reversed:\n"
+                    "    pass\n"
+                    "def g(m):\n"
+                    "    return linalg.rref_last(m), rref(m, last=True)\n")
+    assert matrix_internals(path) == [
+        ("mod", "rref_last", 1), ("mod", "rows", 3), ("mod", "entries", 3),
+        ("mod", "_Reversed", 4), ("mod", "rref_last", 7)]
 
 
 # formal sums accumulate with plain + and * and are reduced once by

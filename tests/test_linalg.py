@@ -357,7 +357,7 @@ def draw_matrix(params, f):
 def test_rref_matches_the_dense_oracles(char, params):
     f = FieldSpec(char)
     m = draw_matrix(params, f)
-    rows = linalg._rows_of(m)
+    rows = m.rows
     if char:
         want = linalg._rref_modp_dense(rows, m.ncols, char)
     else:
@@ -379,16 +379,52 @@ def test_rank_is_the_length_of_the_rref(char, params):
     m = draw_matrix(params, f)
     rank = linalg.rank(m, f)
     assert rank == len(linalg.rref(m, f)[0])
-    # rref_last: each row 1 at its greatest index, its pivot, and 0 at
+    # last=True: each row 1 at its greatest index, its pivot, and 0 at
     # every other pivot, spanning the row space of m
-    rows, pivots = linalg.rref_last(linalg._rows_of(m), m.ncols, f)
+    rows, pivots = linalg.rref(m, f, last=True)
     assert [(max(r), r[max(r)]) for r in rows] == [(c, 1) for c in pivots]
     assert all(c == pc or c not in row for row, pc in zip(rows, pivots)
                for c in pivots)
     assert len(rows) == rank
     assert linalg.rref(Matrix.from_rows(rows, m.ncols), f) == linalg.rref(m, f)
-    assert linalg.rref_last(linalg._rows_of(m), m.ncols, f,
-                            reduced=False) == (None, pivots)
+    # the oracle: least-index rref with the columns numbered in reverse,
+    # its rows and pivots numbered back
+    n = m.ncols
+    want_rows, want_pivots = linalg.rref(
+        Matrix.from_rows(reversed_indices(m.rows, n), n), f)
+    want_pivots = [n - 1 - c for c in want_pivots]
+    assert (rows, pivots) == (reversed_indices(want_rows, n), want_pivots)
+    assert linalg.rref(m, f, reduced=False, last=True)[1] == want_pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(char=st.sampled_from([0, 2, 3]), rnd=st.randoms(use_true_random=False),
+       nrows=st.integers(0, 6), ncols=st.integers(0, 6))
+def test_a_matrix_is_its_rows_however_it_is_built(char, rnd, nrows, ncols):
+    f = FieldSpec(char)
+    # random sparse entries, zero values included
+    entries = {(i, j): f.coerce(rnd.randint(-2, 2))
+               for i in range(nrows) for j in range(ncols)
+               if rnd.random() < 0.4}
+    nonzero = {ij: v for ij, v in entries.items() if v}
+    rows = [{j: v for (k, j), v in nonzero.items() if k == i}
+            for i in range(nrows)]
+    cols = [{i: v for (i, k), v in nonzero.items() if k == j}
+            for j in range(ncols)]
+    x = {j: f.coerce(rnd.randint(-2, 2)) for j in range(ncols)}
+    image: dict = {}
+    for (i, j), v in nonzero.items():
+        image[i] = image.get(i, 0) + v * x[j]
+    with_zeros = [{i: v for (i, k), v in entries.items() if k == j}
+                  for j in range(ncols)]
+    for m in (Matrix(nrows, ncols, entries),
+              Matrix.from_columns(with_zeros, nrows),
+              Matrix.from_rows(rows, ncols)):
+        assert (m.nrows, m.ncols) == (nrows, ncols)
+        assert m.rows == rows
+        assert m.entries == nonzero
+        assert m.columns() == cols
+        assert m.apply(x, f) == f.canonical(image)
 
 
 def test_large_prime_takes_the_exact_sparse_path():
