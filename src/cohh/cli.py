@@ -23,7 +23,7 @@ not a refusal; a missing one is).
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -56,16 +56,19 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class JobSpec:
+    """A parsed job.  parse_spec sets every field; DEFAULTS holds the
+    field, s_max, t_max and format of a job that leaves them out."""
+
     command: str
-    coalgebra: dict = dc_field(default_factory=dict)
-    field: FieldSpec = GF(2)
-    s_max: int = 6
-    t_max: int = 40
-    max_degree: int = None
-    prime: int = None
-    degrees: list = None
-    format: str = "text"
-    output: str = None
+    coalgebra: dict
+    field: FieldSpec
+    s_max: int
+    t_max: int
+    max_degree: int
+    prime: int
+    degrees: list
+    format: str
+    output: str
 
 
 def parse_field(value) -> FieldSpec:
@@ -194,7 +197,7 @@ def build_coalgebra(spec: dict, field: FieldSpec,
         c = GradedCoalgebra(field, basis, comult, counit,
                             coaug=coaug,
                             truncation=trunc)
-        failed = validate_coalgebra(c).failures()
+        failed = validate_coalgebra(c).failures
         if failed:
             ch = failed[0]
             raise ParseError(f"table coalgebra fails {ch.name!r}"
@@ -203,13 +206,21 @@ def build_coalgebra(spec: dict, field: FieldSpec,
     raise ParseError(f"unknown coalgebra kind {kind!r}")
 
 
-def parse_spec(text: str) -> JobSpec:
-    """Parse a JSON job file into a fully-defaulted JobSpec."""
+def _load_json(text: str):
+    """The JSON value of a job file; text that json cannot read, too
+    deeply nested included, is a ParseError."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"job file is not valid JSON: line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("job file nests too deeply") from exc
+
+
+def parse_spec(text: str) -> JobSpec:
+    """Parse a JSON job file into a fully-defaulted JobSpec."""
+    raw = _load_json(text)
     if not isinstance(raw, dict) or "command" not in raw:
         raise ParseError("job file must be an object with a 'command'")
     command = raw["command"]
@@ -222,8 +233,11 @@ def parse_spec(text: str) -> JobSpec:
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ParseError(f"output must be a file name, got {output!r}")
+    coalg_keys = ("kind", "degrees", "trunc", "factors", "basis",
+                  "comult", "counit", "coaug")
     job = JobSpec(
         command=command,
+        coalgebra={k: raw[k] for k in coalg_keys if k in raw},
         field=parse_field(raw.get("field", DEFAULTS["field"])),
         s_max=_json_int(raw, "s_max", DEFAULTS["s_max"]),
         t_max=_json_int(raw, "t_max", DEFAULTS["t_max"]),
@@ -235,9 +249,6 @@ def parse_spec(text: str) -> JobSpec:
     )
     if min(job.s_max, job.t_max, job.max_degree or 0) < 0:
         raise ParseError("bounds must be nonnegative")
-    coalg_keys = ("kind", "degrees", "trunc", "factors", "basis",
-                  "comult", "counit", "coaug")
-    job.coalgebra = {k: raw[k] for k in coalg_keys if k in raw}
     if command in ("collapse", "loops"):
         if not job.degrees:
             raise ParseError(f"{command} needs degrees")
@@ -419,7 +430,7 @@ def _job_from_args(args) -> JobSpec:
                 text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {args.spec}: {exc}") from exc
-        raw = json.loads(text) if text.strip() else {}
+        raw = _load_json(text) if text.strip() else {}
         if not isinstance(raw, dict):
             raise ParseError("job file must be a JSON object")
     raw["command"] = args.command
@@ -454,8 +465,7 @@ def main(argv=None) -> int:
     try:
         job = _job_from_args(parser.parse_args(argv))
         status, text = run(job)
-    except (ParseError, DegreeEven, NotPrime, ValueError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, DegreeEven, NotPrime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CollapseNotEstablished as exc:

@@ -102,23 +102,53 @@ class AxiomCheck:
     witness: str = ""
 
 
+def check(name: str, bad) -> AxiomCheck:
+    """The check name, passed when bad, its failing items in order, is
+    empty; otherwise its witness names the first three.  Every axiom and
+    diagram check in the package is made here."""
+    return AxiomCheck(name, not bad, f"fails at {bad[:3]}" if bad else "")
+
+
 @dataclass
 class ValidationReport:
+    """The checks of one axiom or diagram family, in the order made."""
+
+    name: str = ""
     checks: list = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
     def __str__(self):
-        lines = []
+        lines = ([f"{self.name}: {'ok' if self.ok else 'FAILED'}"]
+                 if self.name else [])
         for c in self.checks:
             mark = "ok  " if c.passed else "FAIL"
             lines.append(f"{mark} {c.name}" + (f": {c.witness}" if c.witness else ""))
         return "\n".join(lines)
+
+
+def coassociativity_failures(labels, comult_of, field: FieldSpec) -> list:
+    """The labels x, in order, with (Delta (x) id) Delta x !=
+    (id (x) Delta) Delta x, Delta given by comult_of (label -> formal sum
+    on pairs)."""
+    bad = []
+    for k in labels:
+        lhs: dict = {}
+        rhs: dict = {}
+        for (a, b), v in comult_of(k).items():
+            for (a1, a2), w in comult_of(a).items():
+                lhs[a1, a2, b] = lhs.get((a1, a2, b), 0) + v * w
+            for (b1, b2), w in comult_of(b).items():
+                rhs[a, b1, b2] = rhs.get((a, b1, b2), 0) + v * w
+        if field.canonical(lhs) != field.canonical(rhs):
+            bad.append(k)
+    return bad
 
 
 def validate(c: GradedCoalgebra, max_degree=None) -> ValidationReport:
@@ -130,35 +160,13 @@ def validate(c: GradedCoalgebra, max_degree=None) -> ValidationReport:
     incomplete by construction).
     """
     f = c.field
-    report = ValidationReport()
     bound = c.complete_through() if max_degree is None else min(
-        max_degree, c.complete_through()
-    )
-
-    def within(label):
-        return c.degree(label) <= bound
-
-    # counit concentrated in degree 0
-    bad = [k for k, v in c.counit.items() if v and c.degree(k) != 0]
-    report.checks.append(AxiomCheck(
-        "counit concentrated in degree 0", not bad,
-        f"counit nonzero on {bad[:3]}" if bad else ""))
-
-    # degree additivity of the comultiplication
-    bad = []
-    for k, terms in c.comult.items():
-        for (a, b) in terms:
-            if c.degree(a) + c.degree(b) != c.degree(k):
-                bad.append((k, a, b))
-    report.checks.append(AxiomCheck(
-        "comultiplication preserves degree", not bad,
-        f"degree mismatch at {bad[:3]}" if bad else ""))
+        max_degree, c.complete_through())
+    labels = [k for k, d in c.space.degree_of.items() if d <= bound]
 
     # counit law: (eps (x) id) Delta = id = (id (x) eps) Delta
-    bad = []
-    for k in c.space.degree_of:
-        if not within(k):
-            continue
+    counit_bad = []
+    for k in labels:
         left: dict = {}
         right: dict = {}
         for (a, b), v in c.comult_of(k).items():
@@ -166,41 +174,26 @@ def validate(c: GradedCoalgebra, max_degree=None) -> ValidationReport:
             right[a] = right.get(a, 0) + v * c.counit_of(b)
         want = {k: f.one}
         if f.canonical(left) != want or f.canonical(right) != want:
-            bad.append(k)
-    report.checks.append(AxiomCheck(
-        "counit law", not bad, f"fails at {bad[:3]}" if bad else ""))
-
-    # coassociativity
-    bad = []
-    for k in c.space.degree_of:
-        if not within(k):
-            continue
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b), v in c.comult_of(k).items():
-            for (a1, a2), w in c.comult_of(a).items():
-                lhs[a1, a2, b] = lhs.get((a1, a2, b), 0) + v * w
-            for (b1, b2), w in c.comult_of(b).items():
-                rhs[a, b1, b2] = rhs.get((a, b1, b2), 0) + v * w
-        if f.canonical(lhs) != f.canonical(rhs):
-            bad.append(k)
-    report.checks.append(AxiomCheck(
-        "coassociativity", not bad, f"fails at {bad[:3]}" if bad else ""))
+            counit_bad.append(k)
 
     # coaugmentation: a grouplike spanning degree 0
     g = c.coaug
-    ok = (
-        g in c.space.degree_of
-        and c.degree(g) == 0
-        and c.space.dim(0) == 1
-        and c.comult_of(g) == {(g, g): f.one}
-        and c.counit_of(g) == f.one
-    )
-    report.checks.append(AxiomCheck(
-        "coaugmentation is a degree-0 grouplike", ok,
-        "" if ok else f"coaugmentation {g!r} is not a spanning grouplike"))
-
-    return report
+    grouplike = (g in c.space.degree_of and c.degree(g) == 0
+                 and c.space.dim(0) == 1
+                 and c.comult_of(g) == {(g, g): f.one}
+                 and c.counit_of(g) == f.one)
+    return ValidationReport(checks=[
+        check("counit concentrated in degree 0",
+              [k for k, v in c.counit.items() if v and c.degree(k) != 0]),
+        check("comultiplication preserves degree",
+              [(k, a, b) for k, terms in c.comult.items() for (a, b) in terms
+               if c.degree(a) + c.degree(b) != c.degree(k)]),
+        check("counit law", counit_bad),
+        check("coassociativity",
+              coassociativity_failures(labels, c.comult_of, f)),
+        check("coaugmentation is a degree-0 grouplike",
+              [] if grouplike else [g]),
+    ])
 
 
 def is_cocommutative(c: GradedCoalgebra) -> bool:
@@ -410,47 +403,32 @@ class CoalgebraMap:
 
     def check(self, max_degree=None) -> ValidationReport:
         f = self.source.field
-        report = ValidationReport()
-        bound = self.source.complete_through() if max_degree is None else max_degree
+        S, T = self.source, self.target
+        bound = S.complete_through() if max_degree is None else max_degree
+        labels = [k for k, d in S.space.degree_of.items() if d <= bound]
 
-        bad = []
-        for k, img in self.data.items():
-            for t in img:
-                if self.source.degree(k) != self.target.degree(t):
-                    bad.append((k, t))
-        report.checks.append(AxiomCheck(
-            "map preserves degree", not bad, str(bad[:3]) if bad else ""))
-
-        bad = []
-        for k in self.source.space.degree_of:
-            if self.source.degree(k) > bound:
-                continue
-            rhs = sum(v * self.target.counit_of(t)
-                      for t, v in self.apply(k).items())
-            if self.source.counit_of(k) != f.coerce(rhs):
-                bad.append(k)
-        report.checks.append(AxiomCheck(
-            "compatible with counits", not bad, str(bad[:3]) if bad else ""))
-
-        bad = []
-        for k in self.source.space.degree_of:
-            if self.source.degree(k) > bound:
-                continue
+        bad_comult = []
+        for k in labels:
             lhs: dict = {}
-            for (a, b), v in self.source.comult_of(k).items():
+            for (a, b), v in S.comult_of(k).items():
                 for ta, va in self.apply(a).items():
                     for tb, vb in self.apply(b).items():
                         lhs[ta, tb] = lhs.get((ta, tb), 0) + v * va * vb
             rhs: dict = {}
             for t, v in self.apply(k).items():
-                for pair, w in self.target.comult_of(t).items():
+                for pair, w in T.comult_of(t).items():
                     rhs[pair] = rhs.get(pair, 0) + v * w
             if f.canonical(lhs) != f.canonical(rhs):
-                bad.append(k)
-        report.checks.append(AxiomCheck(
-            "compatible with comultiplications", not bad,
-            str(bad[:3]) if bad else ""))
-        return report
+                bad_comult.append(k)
+        return ValidationReport(checks=[
+            check("map preserves degree",
+                  [(k, t) for k, img in self.data.items() for t in img
+                   if S.degree(k) != T.degree(t)]),
+            check("compatible with counits",
+                  [k for k in labels if S.counit_of(k) != f.coerce(sum(
+                      v * T.counit_of(t) for t, v in self.apply(k).items()))]),
+            check("compatible with comultiplications", bad_comult),
+        ])
 
 
 def counit_map(c: GradedCoalgebra) -> CoalgebraMap:

@@ -15,12 +15,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .coalgebra import (
-    AxiomCheck,
-    CoalgebraMap,
-    GradedCoalgebra,
-    ValidationReport,
-)
+from .coalgebra import (CoalgebraMap, GradedCoalgebra, ValidationReport,
+                        check)
 from .complexes import CochainComplex, HomologyTable
 from .fields import FieldSpec
 from .graded import GradedMap, GradedSpace
@@ -63,31 +59,13 @@ class Comodule:
     def validate(self, max_degree=None) -> ValidationReport:
         f = self.field
         D = self.base
-        report = ValidationReport()
         bound = self.complete_through() if max_degree is None else max_degree
-
-        def within(label):
-            return self.degree(label) <= bound
-
+        labels = [m for m, d in self.space.degree_of.items() if d <= bound]
+        report = ValidationReport()
         for side, table in (("left", self.left), ("right", self.right)):
-            bad = []
-            for m in self.space.degree_of:
-                if not within(m):
-                    continue
+            counit_bad, coassoc_bad = [], []
+            for m in labels:
                 out: dict = {}
-                for key, v in table.get(m, {}).items():
-                    d, mm = key if side == "left" else (key[1], key[0])
-                    out[mm] = out.get(mm, 0) + D.counit_of(d) * v
-                if f.canonical(out) != {m: f.one}:
-                    bad.append(m)
-            report.checks.append(AxiomCheck(
-                f"{side} coaction counit law", not bad,
-                f"fails at {bad[:3]}" if bad else ""))
-
-            bad = []
-            for m in self.space.degree_of:
-                if not within(m):
-                    continue
                 lhs: dict = {}
                 rhs: dict = {}
                 for key, v in table.get(m, {}).items():
@@ -103,16 +81,17 @@ class Comodule:
                             lhs[mm, d1, d2] = lhs.get((mm, d1, d2), 0) + v * w
                         for (mmm, d1), w in table.get(mm, {}).items():
                             rhs[mmm, d1, d] = rhs.get((mmm, d1, d), 0) + v * w
+                    out[mm] = out.get(mm, 0) + D.counit_of(d) * v
+                if f.canonical(out) != {m: f.one}:
+                    counit_bad.append(m)
                 if f.canonical(lhs) != f.canonical(rhs):
-                    bad.append(m)
-            report.checks.append(AxiomCheck(
-                f"{side} coaction coassociativity", not bad,
-                f"fails at {bad[:3]}" if bad else ""))
+                    coassoc_bad.append(m)
+            report.checks += [
+                check(f"{side} coaction counit law", counit_bad),
+                check(f"{side} coaction coassociativity", coassoc_bad)]
 
         bad = []
-        for m in self.space.degree_of:
-            if not within(m):
-                continue
+        for m in labels:
             lhs: dict = {}
             rhs: dict = {}
             for (d, mm), v in self.left_of(m).items():
@@ -123,9 +102,7 @@ class Comodule:
                     rhs[d, mmm, d2] = rhs.get((d, mmm, d2), 0) + v * w
             if f.canonical(lhs) != f.canonical(rhs):
                 bad.append(m)
-        report.checks.append(AxiomCheck(
-            "bicomodule compatibility", not bad,
-            f"fails at {bad[:3]}" if bad else ""))
+        report.checks.append(check("bicomodule compatibility", bad))
         return report
 
     def __repr__(self):
@@ -309,17 +286,16 @@ def cobar_cotor(M: Comodule, N: Comodule, s_max: int,
                 t_max: int) -> HomologyTable:
     """Cotor_D^{s,t}(M, N) for 0 <= s <= s_max, t <= t_max: the homology
     table of the reduced cobar complex, its dims read off ranks.  Its
-    t_max is the internal degree through which the values hold.  Levels
-    past the first empty one are empty (drop a word's last Dbar label),
-    with empty blocks, and are not generated."""
+    t_max is the internal degree through which the values hold.  The
+    complex ends at its first empty level, since every later level is
+    empty too (drop a word's last Dbar label)."""
     bound = min(M.complete_through(), N.complete_through(), t_max)
     spaces, diffs = [GradedSpace(cobar_level_space(M, N, 0, bound))], []
     for s in range(s_max + 1):
-        live = bool(spaces[s].degree_of)
-        spaces.append(GradedSpace(
-            cobar_level_space(M, N, s + 1, bound) if live else ()))
-        diffs.append(cobar_differential(M, N, s, spaces[s], spaces[s + 1])
-                     if live else {})
+        if not spaces[s].degree_of:
+            break
+        spaces.append(GradedSpace(cobar_level_space(M, N, s + 1, bound)))
+        diffs.append(cobar_differential(M, N, s, spaces[s], spaces[s + 1]))
     return HomologyTable(CochainComplex(M.field, spaces, diffs), s_max, bound)
 
 

@@ -30,7 +30,8 @@ comultiplication.
 Every homology in the package is a HomologyTable: coHH, Cotor over the
 cobar complex, and the cotensor total complex behind the product in
 structure.  A table reads dims off ranks and keeps no RREF.  Walking s
-up, block (s, t) row-reduces its columns of d_s, less those cleared at
+up, to s_max or the last block of a complex that ends sooner, block
+(s, t) row-reduces its columns of d_s, less those cleared at
 the greatest-index pivots of block (s - 1, t), in one linalg.rref call
 whose pivots count rank d_s; a bidegree with classes keeps its cleared
 set.  linalg.homology_reps builds its representatives on first use,
@@ -297,6 +298,9 @@ class CochainComplex:
 
     diff[s] is d_s: terms[s] -> terms[s+1] in block form, a dict
     t -> list of columns, with a list for every degree t of terms[s].
+    There is one term more than blocks.  A complex whose terms vanish
+    from some s on ends at its first empty term, and a reader takes
+    every term past the last to be zero.
     Column j is the image of terms[s].labels(t)[j], stored as
     {i: scalar} over terms[s+1].labels(t), with no zero.
     CosimplicialModule.coface_sum, comodule.cobar_differential and
@@ -331,11 +335,11 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
     alone (every slot but the first, on the circle) is reached only
     through the reduced comultiplication.
 
-    The terms are generated up to the first empty one, and every later
-    term is empty, with empty blocks: on a graph simplicial set sigma_i
-    deletes the slots (e, i + 1), so dropping the slots (e, s + 1) of a
-    level-(s + 1) normalized word leaves a level-s normalized word of no
-    larger degree, and an empty level s leaves none at level s + 1.
+    The complex ends at its first empty term, since every later term is
+    empty: on a graph simplicial set sigma_i deletes the slots (e, i + 1),
+    so dropping the slots (e, s + 1) of a level-(s + 1) normalized word
+    leaves a level-s normalized word of no larger degree, and an empty
+    level s leaves none at level s + 1.
     """
     D = cm.D
     if set(D.counit) != {D.coaug}:
@@ -346,9 +350,7 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
     diffs = []
     for s in range(s_max + 1):
         if not terms[s].degree_of:
-            terms.append(GradedSpace())
-            diffs.append({})
-            continue
+            break
         missing = cm.missing_slots(s)
         terms.append(GradedSpace(
             _words(D, len(cm.level(s + 1)), cm.t_max, missing)))
@@ -395,7 +397,7 @@ class HomologyTable:
         self.data: dict = {}
         self.classes = GradedSpace()
         prev: dict = {}  # t -> (d_in columns, pivots of their reduction)
-        for s in range(s_max + 1):
+        for s in range(min(s_max, len(cc.diff) - 1) + 1):
             cur = {}
             for t in cc.terms[s].degrees():
                 if t > t_max:

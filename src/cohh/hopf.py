@@ -2,41 +2,19 @@
 
 Every check evaluates both sides of a structure diagram on explicit
 basis elements (or on a basis of the relevant cotensor subspace, where
-a multiplication is only well defined on equalized vectors) and
-reports the first discrepancy found.  Twists between bigraded factors
+a multiplication is only well defined on equalized vectors) and is one
+coalgebra.check: it lists the labels, or the internal degrees, at which
+the sides differ, and its witness names the first three.  A checker
+returns a coalgebra.ValidationReport.  Twists between bigraded factors
 use the sign (-1)^{ss' + tt'}: a separate Koszul sign for the
 filtration grading and for the internal grading.  The filtration s of
 a carrier label is read from the label: s for a circle homology class
 ("h", s, t, k), 0 for any other label.
 """
 
-from dataclasses import dataclass, field as dc_field
-
 from . import linalg
-from .coalgebra import AxiomCheck
+from .coalgebra import ValidationReport, check, coassociativity_failures
 from .comodule import BoxStructure, cotensor, pair_defect
-
-
-@dataclass
-class StructureReport:
-    name: str
-    checks: list = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    def __str__(self):
-        lines = [f"{self.name}: {'ok' if self.ok else 'FAILED'}"]
-        for c in self.checks:
-            mark = "ok" if c.passed else "XX"
-            lines.append(f"  {mark} {c.name}"
-                         + (f": {c.witness}" if c.witness else ""))
-        return "\n".join(lines)
 
 
 def _s_of(label):
@@ -104,120 +82,100 @@ def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None):
     return linalg.kernel_of(images, box.field)
 
 
+def _failing_degrees(bases: dict, holds) -> list:
+    """The degrees t of bases, {t: [vectors]}, in order, at which
+    holds(t, vec) is false for some vector vec."""
+    return [t for t, vecs in bases.items()
+            if not all(holds(t, vec) for vec in vecs)]
+
+
+def _counit_after_unit_failures(box: BoxStructure, bound: int) -> list:
+    """The base labels d through bound with counit(unit(d)) != d."""
+    f = box.field
+    D = box.base
+    return [d for d in D.space.degree_of if D.degree(d) <= bound
+            and box.counit.apply(box.unit.column(d), f) != {d: f.one}]
+
+
 def check_box_coalgebra(box: BoxStructure,
-                        max_degree=None) -> StructureReport:
+                        max_degree=None) -> ValidationReport:
     """Coassociativity, counit laws against the coactions, and the
     cotensor condition on the comultiplication."""
     f = box.field
     E = box.carrier
-    bound = _bound(box, max_degree)
-    labels = _labels_within(box, bound)
-    report = StructureReport(f"box coalgebra on {box.name or E.name}")
+    labels = _labels_within(box, _bound(box, max_degree))
+    comult = box.comult.column
 
-    bad = [l for l in labels
-           if pair_defect(box.comult.column(l), E.right_of, E.left_of, f)]
-    report.checks.append(AxiomCheck(
-        "comultiplication lands in the cotensor", not bad,
-        f"first failure at {bad[0]!r}" if bad else ""))
+    def counit_law_failures(left):
+        bad = []
+        for l in labels:
+            lhs: dict = {}
+            for (a, b), c in comult(l).items():
+                for d, v in box.counit.column(a if left else b).items():
+                    key = (d, b) if left else (a, d)
+                    lhs[key] = lhs.get(key, 0) + c * v
+            coaction = E.left_of(l) if left else E.right_of(l)
+            if f.canonical(lhs) != f.canonical(coaction):
+                bad.append(l)
+        return bad
 
-    bad = []
-    for l in labels:
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b), c in box.comult.column(l).items():
-            for (a1, a2), v in box.comult.column(a).items():
-                lhs[a1, a2, b] = lhs.get((a1, a2, b), 0) + c * v
-            for (b1, b2), v in box.comult.column(b).items():
-                rhs[a, b1, b2] = rhs.get((a, b1, b2), 0) + c * v
-        if f.canonical(lhs) != f.canonical(rhs):
-            bad.append(l)
-    report.checks.append(AxiomCheck(
-        "coassociativity", not bad,
-        f"first failure at {bad[0]!r}" if bad else ""))
-
-    bad = []
-    for l in labels:
-        lhs: dict = {}
-        for (a, b), c in box.comult.column(l).items():
-            for d, v in box.counit.column(a).items():
-                lhs[d, b] = lhs.get((d, b), 0) + c * v
-        if f.canonical(lhs) != f.canonical(E.left_of(l)):
-            bad.append(l)
-    report.checks.append(AxiomCheck(
-        "left counit law matches the left coaction", not bad,
-        f"first failure at {bad[0]!r}" if bad else ""))
-
-    bad = []
-    for l in labels:
-        lhs: dict = {}
-        for (a, b), c in box.comult.column(l).items():
-            for d, v in box.counit.column(b).items():
-                lhs[a, d] = lhs.get((a, d), 0) + c * v
-        if f.canonical(lhs) != f.canonical(E.right_of(l)):
-            bad.append(l)
-    report.checks.append(AxiomCheck(
-        "right counit law matches the right coaction", not bad,
-        f"first failure at {bad[0]!r}" if bad else ""))
-    return report
+    return ValidationReport(f"box coalgebra on {box.name or E.name}", [
+        check("comultiplication lands in the cotensor",
+              [l for l in labels
+               if pair_defect(comult(l), E.right_of, E.left_of, f)]),
+        check("coassociativity", coassociativity_failures(labels, comult, f)),
+        check("left counit law matches the left coaction",
+              counit_law_failures(True)),
+        check("right counit law matches the right coaction",
+              counit_law_failures(False)),
+    ])
 
 
 def check_box_algebra(box: BoxStructure, max_degree=None,
-                      s_max=None) -> StructureReport:
+                      s_max=None) -> ValidationReport:
     """Associativity on the triple cotensor and unitality through the
     coactions."""
     f = box.field
     E = box.carrier
-    D = box.base
     bound = _bound(box, max_degree)
-    report = StructureReport(f"box algebra on {box.name or E.name}")
+    labels = _labels_within(box, bound)
+    mult = box.mult.column
 
-    bad = []
-    for t in range(bound + 1):
-        for vec in _triple_cotensor_basis(box, t, s_max):
-            first: dict = {}
-            second: dict = {}
-            for (a, b, c), v in vec.items():
-                for m, w in box.mult.column((a, b)).items():
-                    first[m, c] = first.get((m, c), 0) + v * w
-                for m, w in box.mult.column((b, c)).items():
-                    second[a, m] = second.get((a, m), 0) + v * w
-            if box.mult.apply(first, f) != box.mult.apply(second, f):
-                bad.append(t)
-                break
-    report.checks.append(AxiomCheck(
-        "associativity on the triple cotensor", not bad,
-        f"first failure in degree {bad[0]}" if bad else ""))
+    def associative(t, vec):
+        first: dict = {}
+        second: dict = {}
+        for (a, b, c), v in vec.items():
+            for m, w in mult((a, b)).items():
+                first[m, c] = first.get((m, c), 0) + v * w
+            for m, w in mult((b, c)).items():
+                second[a, m] = second.get((a, m), 0) + v * w
+        return box.mult.apply(first, f) == box.mult.apply(second, f)
 
-    bad_l = []
-    bad_r = []
-    for l in _labels_within(box, bound):
-        lhs: dict = {}
-        for (d, h), v in E.left_of(l).items():
-            for u, w in box.unit.column(d).items():
-                for m, ww in box.mult.column((u, h)).items():
-                    lhs[m] = lhs.get(m, 0) + v * w * ww
-        if f.canonical(lhs) != {l: f.one}:
-            bad_l.append(l)
-        rhs: dict = {}
-        for (h, d), v in E.right_of(l).items():
-            for u, w in box.unit.column(d).items():
-                for m, ww in box.mult.column((h, u)).items():
-                    rhs[m] = rhs.get(m, 0) + v * w * ww
-        if f.canonical(rhs) != {l: f.one}:
-            bad_r.append(l)
-    report.checks.append(AxiomCheck(
-        "left unit law through the left coaction", not bad_l,
-        f"first failure at {bad_l[0]!r}" if bad_l else ""))
-    report.checks.append(AxiomCheck(
-        "right unit law through the right coaction", not bad_r,
-        f"first failure at {bad_r[0]!r}" if bad_r else ""))
+    def unit_law_failures(left):
+        bad = []
+        for l in labels:
+            out: dict = {}
+            for pair, v in (E.left_of(l) if left else E.right_of(l)).items():
+                d, h = pair if left else pair[::-1]
+                for u, w in box.unit.column(d).items():
+                    for m, ww in mult((u, h) if left else (h, u)).items():
+                        out[m] = out.get(m, 0) + v * w * ww
+            if f.canonical(out) != {l: f.one}:
+                bad.append(l)
+        return bad
 
-    bad = [d for d in D.space.degree_of if D.degree(d) <= bound
-           and box.counit.apply(box.unit.column(d), f) != {d: f.one}]
-    report.checks.append(AxiomCheck(
-        "counit of the unit is the identity of the base", not bad,
-        f"first failure at {bad[0]!r}" if bad else ""))
-    return report
+    triples = {t: _triple_cotensor_basis(box, t, s_max)
+               for t in range(bound + 1)}
+    return ValidationReport(f"box algebra on {box.name or E.name}", [
+        check("associativity on the triple cotensor",
+              _failing_degrees(triples, associative)),
+        check("left unit law through the left coaction",
+              unit_law_failures(True)),
+        check("right unit law through the right coaction",
+              unit_law_failures(False)),
+        check("counit of the unit is the identity of the base",
+              _counit_after_unit_failures(box, bound)),
+    ])
 
 
 def _diagonal_coords(D, vec: dict, degree: int) -> dict:
@@ -240,161 +198,127 @@ def _diagonal_coords(D, vec: dict, degree: int) -> dict:
 
 
 def check_box_bialgebra(box: BoxStructure, max_degree=None,
-                        s_max=None) -> StructureReport:
+                        s_max=None) -> ValidationReport:
     """The four compatibility diagrams between the algebra and the
     coalgebra halves."""
     f = box.field
     D = box.base
+    E = box.carrier
     bound = _bound(box, max_degree)
-    report = StructureReport(f"box bialgebra on {box.name or box.carrier.name}")
     pairs = _pair_cotensor(box, bound, s_max)
 
-    # 1: comultiplication is multiplicative (with the bigraded twist)
-    bad = []
-    for t, vecs in pairs.items():
-        for vec in vecs:
-            lhs = box.comult.apply(box.mult.apply(vec, f), f)
-            rhs: dict = {}
-            for (a, b), c in vec.items():
-                for (a1, a2), va in box.comult.column(a).items():
-                    for (b1, b2), vb in box.comult.column(b).items():
-                        sgn = (-1) ** (
-                            _s_of(a2) * _s_of(b1)
-                            + box.carrier.degree(a2)
-                            * box.carrier.degree(b1))
-                        coeff = c * sgn * va * vb
-                        for m1, w1 in box.mult.column((a1, b1)).items():
-                            for m2, w2 in box.mult.column((a2, b2)).items():
-                                rhs[m1, m2] = (rhs.get((m1, m2), 0)
-                                               + coeff * w1 * w2)
-            if lhs != f.canonical(rhs):
-                bad.append(t)
-                break
-    report.checks.append(AxiomCheck(
-        "comultiplication of a product is the twisted product of "
-        "comultiplications", not bad,
-        f"first failure in degree {bad[0]}" if bad else ""))
+    def comult_multiplicative(t, vec):
+        # with the bigraded twist
+        rhs: dict = {}
+        for (a, b), c in vec.items():
+            for (a1, a2), va in box.comult.column(a).items():
+                for (b1, b2), vb in box.comult.column(b).items():
+                    sgn = (-1) ** (_s_of(a2) * _s_of(b1)
+                                   + E.degree(a2) * E.degree(b1))
+                    coeff = c * sgn * va * vb
+                    for m1, w1 in box.mult.column((a1, b1)).items():
+                        for m2, w2 in box.mult.column((a2, b2)).items():
+                            rhs[m1, m2] = (rhs.get((m1, m2), 0)
+                                           + coeff * w1 * w2)
+        lhs = box.comult.apply(box.mult.apply(vec, f), f)
+        return lhs == f.canonical(rhs)
 
-    # 2: counit is multiplicative through the diagonal of the base
-    bad = []
-    for t, vecs in pairs.items():
-        for vec in vecs:
-            lhs = box.counit.apply(box.mult.apply(vec, f), f)
-            dd: dict = {}
-            for (a, b), c in vec.items():
-                for d1, v1 in box.counit.column(a).items():
-                    for d2, v2 in box.counit.column(b).items():
-                        dd[d1, d2] = dd.get((d1, d2), 0) + c * v1 * v2
-            try:
-                rhs = _diagonal_coords(D, f.canonical(dd), t)
-            except linalg.NoSolution:
-                bad.append(t)
-                break
-            if lhs != rhs:
-                bad.append(t)
-                break
-    report.checks.append(AxiomCheck(
-        "counit of a product is diagonal in the base", not bad,
-        f"first failure in degree {bad[0]}" if bad else ""))
+    def counit_diagonal(t, vec):
+        # through the diagonal of the base
+        dd: dict = {}
+        for (a, b), c in vec.items():
+            for d1, v1 in box.counit.column(a).items():
+                for d2, v2 in box.counit.column(b).items():
+                    dd[d1, d2] = dd.get((d1, d2), 0) + c * v1 * v2
+        try:
+            rhs = _diagonal_coords(D, f.canonical(dd), t)
+        except linalg.NoSolution:
+            return False
+        return box.counit.apply(box.mult.apply(vec, f), f) == rhs
 
-    # 3: unit is comultiplicative
-    bad = []
+    unit_bad = []
     for d in D.space.degree_of:
         if D.degree(d) > bound:
             continue
-        lhs = box.comult.apply(box.unit.column(d), f)
         rhs: dict = {}
         for (d1, d2), v in D.comult_of(d).items():
             for u1, w1 in box.unit.column(d1).items():
                 for u2, w2 in box.unit.column(d2).items():
                     rhs[u1, u2] = rhs.get((u1, u2), 0) + v * w1 * w2
-        if lhs != f.canonical(rhs):
-            bad.append(d)
-    report.checks.append(AxiomCheck(
-        "comultiplication of the unit is the unit of the diagonal",
-        not bad, f"first failure at {bad[0]!r}" if bad else ""))
+        if box.comult.apply(box.unit.column(d), f) != f.canonical(rhs):
+            unit_bad.append(d)
+    return ValidationReport(f"box bialgebra on {box.name or E.name}", [
+        check("comultiplication of a product is the twisted product of "
+              "comultiplications",
+              _failing_degrees(pairs, comult_multiplicative)),
+        check("counit of a product is diagonal in the base",
+              _failing_degrees(pairs, counit_diagonal)),
+        check("comultiplication of the unit is the unit of the diagonal",
+              unit_bad),
+        check("counit after unit is the identity",
+              _counit_after_unit_failures(box, bound)),
+    ])
 
-    # 4: counit splits the unit
-    bad = [d for d in D.space.degree_of if D.degree(d) <= bound
-           and box.counit.apply(box.unit.column(d), f) != {d: f.one}]
-    report.checks.append(AxiomCheck(
-        "counit after unit is the identity", not bad,
-        f"first failure at {bad[0]!r}" if bad else ""))
-    return report
 
-
-def check_antipode(box: BoxStructure, max_degree=None) -> StructureReport:
+def check_antipode(box: BoxStructure, max_degree=None) -> ValidationReport:
     """mu(chi (x) id)Delta = unit . counit = mu(id (x) chi)Delta."""
     f = box.field
-    bound = _bound(box, max_degree)
-    report = StructureReport(f"antipode on {box.name or box.carrier.name}")
-    bad_l = []
-    bad_r = []
-    for l in _labels_within(box, bound):
-        target = box.unit.apply(box.counit.column(l), f)
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b), c in box.comult.column(l).items():
-            for a2, v in box.antipode.column(a).items():
-                for m, w in box.mult.column((a2, b)).items():
-                    lhs[m] = lhs.get(m, 0) + c * v * w
-            for b2, v in box.antipode.column(b).items():
-                for m, w in box.mult.column((a, b2)).items():
-                    rhs[m] = rhs.get(m, 0) + c * v * w
-        if f.canonical(lhs) != target:
-            bad_l.append(l)
-        if f.canonical(rhs) != target:
-            bad_r.append(l)
-    report.checks.append(AxiomCheck(
-        "antipode on the left leg", not bad_l,
-        f"first failure at {bad_l[0]!r}" if bad_l else ""))
-    report.checks.append(AxiomCheck(
-        "antipode on the right leg", not bad_r,
-        f"first failure at {bad_r[0]!r}" if bad_r else ""))
-    return report
+    labels = _labels_within(box, _bound(box, max_degree))
+
+    def leg_failures(left):
+        bad = []
+        for l in labels:
+            out: dict = {}
+            for (a, b), c in box.comult.column(l).items():
+                for x, v in box.antipode.column(a if left else b).items():
+                    for m, w in box.mult.column(
+                            (x, b) if left else (a, x)).items():
+                        out[m] = out.get(m, 0) + c * v * w
+            if f.canonical(out) != box.unit.apply(box.counit.column(l), f):
+                bad.append(l)
+        return bad
+
+    return ValidationReport(
+        f"antipode on {box.name or box.carrier.name}",
+        [check("antipode on the left leg", leg_failures(True)),
+         check("antipode on the right leg", leg_failures(False))])
 
 
 def check_leibniz(box: BoxStructure, diff, max_degree=None,
-                  s_max=None) -> StructureReport:
+                  s_max=None) -> ValidationReport:
     """diff is a map on carrier labels (label -> formal sum); checks
     d(ab) = d(a)b + (-1)^{s+t} a d(b) on the pair cotensor basis."""
     f = box.field
-    bound = _bound(box, max_degree)
-    report = StructureReport("Leibniz rule")
-    bad = []
-    for t, vecs in _pair_cotensor(box, bound, s_max).items():
-        for vec in vecs:
-            lhs: dict = {}
-            for h, c in box.mult.apply(vec, f).items():
-                for h2, v in diff(h).items():
-                    lhs[h2] = lhs.get(h2, 0) + c * v
-            rhs: dict = {}
-            for (a, b), c in vec.items():
-                for a2, v in diff(a).items():
-                    for m, w in box.mult.column((a2, b)).items():
-                        rhs[m] = rhs.get(m, 0) + c * v * w
-                sgn = (-1) ** (_s_of(a) + box.carrier.degree(a))
-                for b2, v in diff(b).items():
-                    for m, w in box.mult.column((a, b2)).items():
-                        rhs[m] = rhs.get(m, 0) + c * sgn * v * w
-            if f.canonical(lhs) != f.canonical(rhs):
-                bad.append(t)
-                break
-    report.checks.append(AxiomCheck(
-        "Leibniz rule for the differential", not bad,
-        f"first failure in degree {bad[0]}" if bad else ""))
-    return report
+
+    def derivation(t, vec):
+        lhs: dict = {}
+        for h, c in box.mult.apply(vec, f).items():
+            for h2, v in diff(h).items():
+                lhs[h2] = lhs.get(h2, 0) + c * v
+        rhs: dict = {}
+        for (a, b), c in vec.items():
+            for a2, v in diff(a).items():
+                for m, w in box.mult.column((a2, b)).items():
+                    rhs[m] = rhs.get(m, 0) + c * v * w
+            sgn = (-1) ** (_s_of(a) + box.carrier.degree(a))
+            for b2, v in diff(b).items():
+                for m, w in box.mult.column((a, b2)).items():
+                    rhs[m] = rhs.get(m, 0) + c * sgn * v * w
+        return f.canonical(lhs) == f.canonical(rhs)
+
+    pairs = _pair_cotensor(box, _bound(box, max_degree), s_max)
+    return ValidationReport("Leibniz rule", [
+        check("Leibniz rule for the differential",
+              _failing_degrees(pairs, derivation))])
 
 
 def check_co_leibniz(box: BoxStructure, diff,
-                     max_degree=None) -> StructureReport:
+                     max_degree=None) -> ValidationReport:
     """Delta . d = (d (x) id + (-1)^{s+t} id (x) d) . Delta on carrier
     labels."""
     f = box.field
-    bound = _bound(box, max_degree)
-    report = StructureReport("coLeibniz rule")
     bad = []
-    for l in _labels_within(box, bound):
+    for l in _labels_within(box, _bound(box, max_degree)):
         lhs: dict = {}
         for h, c in diff(l).items():
             for pr, v in box.comult.column(h).items():
@@ -408,27 +332,24 @@ def check_co_leibniz(box: BoxStructure, diff,
                 rhs[a, b2] = rhs.get((a, b2), 0) + c * sgn * v
         if f.canonical(lhs) != f.canonical(rhs):
             bad.append(l)
-    report.checks.append(AxiomCheck(
-        "coLeibniz rule for the differential", not bad,
-        f"first failure at {bad[0]!r}" if bad else ""))
-    return report
+    return ValidationReport("coLeibniz rule", [
+        check("coLeibniz rule for the differential", bad)])
 
 
 def full_hopf_report(box: BoxStructure, max_degree=None,
-                     s_max=None) -> StructureReport:
-    """All applicable checks concatenated into one report."""
-    report = StructureReport(f"box structure on "
-                             f"{box.name or box.carrier.name}")
-    if box.comult is not None and box.counit is not None:
-        report.checks.extend(
-            check_box_coalgebra(box, max_degree).checks)
-    if box.mult is not None and box.unit is not None:
-        report.checks.extend(
-            check_box_algebra(box, max_degree, s_max).checks)
-    if all(m is not None for m in
-           (box.comult, box.counit, box.mult, box.unit)):
-        report.checks.extend(
-            check_box_bialgebra(box, max_degree, s_max).checks)
-    if box.antipode is not None and box.mult is not None:
-        report.checks.extend(check_antipode(box, max_degree).checks)
+                     s_max=None) -> ValidationReport:
+    """The checks of every checker whose maps box carries, concatenated
+    into one report."""
+    report = ValidationReport(f"box structure on "
+                              f"{box.name or box.carrier.name}")
+    has = {m for m in ("comult", "counit", "unit", "mult", "antipode")
+           if getattr(box, m) is not None}
+    if has >= {"comult", "counit"}:
+        report.checks += check_box_coalgebra(box, max_degree).checks
+    if has >= {"mult", "unit", "counit"}:
+        report.checks += check_box_algebra(box, max_degree, s_max).checks
+    if has >= {"comult", "counit", "mult", "unit"}:
+        report.checks += check_box_bialgebra(box, max_degree, s_max).checks
+    if has >= {"antipode", "comult", "counit", "mult", "unit"}:
+        report.checks += check_antipode(box, max_degree).checks
     return report

@@ -367,17 +367,19 @@ class CotensorComplex:
         tails = [{t: [w[1:] for w in term.labels(t) if w[0] == coaug]
                   for t in term.degrees()} for term in words]
         degrees = [term.degrees() for term in words]
-        # the nonempty circle levels, a prefix (normalized_complex)
-        live = range(sum(1 for term in words if term.degree_of))
+        # a coordinate at (u, n - u) needs both circle levels: when the
+        # circle complex ends early, at its empty term words[-1], term
+        # 2 (len(words) - 1) - 1 is empty and this complex ends there
+        levels = range(len(words))
         terms = [GradedSpace(((wa, tail), t) for t in range(H.t_max + 1)
-                             for u in live if n - u in live
+                             for u in levels if n - u in levels
                              for ta in degrees[u]
                              for tail in tails[n - u].get(t - ta, ())
                              for wa in words[u].labels(ta))
-                 for n in range(H.s_max + 2)]
+                 for n in range(min(H.s_max + 2, 2 * (len(words) - 1)))]
         self.complex = CochainComplex(
             cs.field, terms, [self._diff_blocks(terms[n], terms[n + 1])
-                              for n in range(H.s_max + 1)])
+                              for n in range(len(terms) - 1)])
         self.H = HomologyTable(self.complex, H.s_max, H.t_max)
 
     def pair_vec(self, vec: dict) -> dict:

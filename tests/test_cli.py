@@ -31,6 +31,8 @@ def test_parse_spec_rejects_bad_input():
         cli.parse_spec('{"kind": "exterior"}')
     with pytest.raises(cli.ParseError):
         cli.parse_spec('not json')
+    with pytest.raises(cli.ParseError, match="nests too deeply"):
+        cli.parse_spec("[" * 100000 + "]" * 100000)
     with pytest.raises(DegreeEven):
         cli.parse_spec('{"command": "e2", "kind": "exterior", '
                        '"degrees": [3, 4]}')
@@ -237,10 +239,14 @@ EXTERIOR_TABLE = {"kind": "table", "basis": [["1", 0], ["x", 3]],
     dict(EXTERIOR_TABLE, field=[2]),
     dict(EXTERIOR_TABLE, output=7),
     dict(EXTERIOR_TABLE, output=7.5),
+    # JSON text too deeply nested for json to read
+    pytest.param('{"command": "cohh", "kind": "exterior", "degrees": [3], '
+                 '"x": ' + "[" * 100000 + "]" * 100000 + "}",
+                 id="nested-100000-deep"),
 ])
 def test_bad_table_specs_are_input_errors(spec, tmp_path, capsys):
     path = tmp_path / "job.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     status, out, err = run_cli(
         ["cohh", "--spec", str(path), "--max-s", "2", "--max-t", "6"],
         capsys)

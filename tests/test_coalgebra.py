@@ -98,7 +98,7 @@ def test_validate_catches_broken_counit():
     )
     report = validate(c)
     assert not report.ok
-    assert any("counit law" in c.name for c in report.failures())
+    assert any("counit law" in c.name for c in report.failures)
 
 
 def test_validate_catches_noncoassociative_table():

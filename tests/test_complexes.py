@@ -196,6 +196,24 @@ def test_normalized_words_are_the_codegeneracy_kernels(shape, coalgebra,
             assert set(image) <= set(cc.terms[s + 1].degree_of), word
 
 
+def normalized_words(cm, s):
+    """The (word, degree) of ambient level s, in order, with a
+    non-coaugmentation label in some slot that each codegeneracy into
+    level s - 1 deletes."""
+    missing = cm.missing_slots(s - 1) if s else []
+    return [(word, t) for word, t in cm.space(s).degree_of.items()
+            if all(any(word[k] != cm.D.coaug for k in slots)
+                   for slots in missing)]
+
+
+def assert_ends_at_its_first_empty_term(cc, s_max):
+    """cc has a term for each s <= s_max + 1, or ends at its first empty
+    one, with a block for each term but the last."""
+    assert all(term.degree_of for term in cc.terms[:-1])
+    assert len(cc.terms) == s_max + 2 or not cc.terms[-1].degree_of
+    assert len(cc.diff) == len(cc.terms) - 1
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
 @pytest.mark.parametrize("coalgebra", sorted(COALGEBRAS))
 @pytest.mark.parametrize("shape", [circle, subdivided_circle,
@@ -204,22 +222,24 @@ def test_normalized_words_are_the_codegeneracy_kernels(shape, coalgebra,
 def test_generated_terms_and_cut_off_cofaces_match_the_ambient_ones(
         shape, coalgebra, field):
     # the terms are the ambient words filtered by the codegeneracy
-    # kernels, in the same order, and each differential column is the
-    # ambient one restricted to them
+    # kernels, in the same order, up to the first empty one, every
+    # ambient level past it filters to no word, and each differential
+    # column is the ambient one restricted to the terms
     D = COALGEBRAS[coalgebra](field)
     s_max, t_max = 2, 8
     cm = CosimplicialModule(D, shape(), t_max)
     cc = normalized_complex(cm, s_max)
+    assert_ends_at_its_first_empty_term(cc, s_max)
     for s in range(s_max + 2):
-        missing = cm.missing_slots(s - 1) if s else []
-        want = [(word, t) for word, t in cm.space(s).degree_of.items()
-                if all(any(word[k] != D.coaug for k in slots)
-                       for slots in missing)]
+        want = normalized_words(cm, s)
+        if s >= len(cc.terms):
+            assert want == [], s
+            continue
         assert list(cc.terms[s].degree_of.items()) == want, s
         for t in cm.space(s).degrees():
             assert cc.terms[s].labels(t) == [w for w, d in want if d == t]
     ambient = unnormalized_complex(cm, s_max)
-    for s in range(s_max + 1):
+    for s in range(len(cc.diff)):
         for word in cc.terms[s].degree_of:
             want = {w: v for w, v in ambient.column(s, word).items()
                     if w in cc.terms[s + 1]}
@@ -514,14 +534,18 @@ def test_normalized_and_unnormalized_agree():
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
 def test_normalized_walk_stops_at_the_first_empty_term(shape, field):
     # a level-s normalized word of Lambda(3) holds x3 in s slots, so
-    # term 3 is the first empty one at t 7 and the terms after it are
-    # padded, not generated; the ambient complex still has every level
+    # term 3 is the first empty one at t 7 and the complex ends there,
+    # d_2 with it; every ambient level past it filters to no word
     D = exterior_coalgebra([3], field)
-    cc = normalized_complex(
-        CosimplicialModule(D, shape(), 7), 6)
+    cm = CosimplicialModule(D, shape(), 7)
+    cc = normalized_complex(cm, 6)
     assert [term.total_dim() > 0 for term in cc.terms] == [True] * 3 + [
-        False] * 5
-    assert cc.diff[3:] == [{}] * 4
+        False]
+    assert_ends_at_its_first_empty_term(cc, 6)
+    assert sorted(cc.diff[2]) == cc.terms[2].degrees()
+    assert not any(col for cols in cc.diff[2].values() for col in cols)
+    for s in range(3, 8):
+        assert normalized_words(cm, s) == [], s
     X = shape()
     assert (cohh(D, 6, 7, shape=X).dims()
             == cohh(D, 6, 7, shape=X, normalized=False).dims())

@@ -76,6 +76,21 @@ def test_cofree_tensor_box_structure_passes(box_tensor_f3):
     assert report.ok, str(report)
 
 
+@pytest.mark.parametrize("missing", ["counit", "unit"])
+def test_a_partial_box_runs_only_the_checkers_whose_maps_it_has(missing):
+    # the algebra checker reads the counit, the antipode checker the
+    # unit, counit and comultiplication too
+    C = exterior_coalgebra([3], GF(3))
+    D2 = polynomial_coalgebra([2], GF(3), truncation=8)
+    box = tensor_box_structure(C, D2, polynomial_multiplication(D2))
+    box.antipode = GradedMap.identity(box.carrier.space, GF(3))
+    setattr(box, missing, None)
+    report = hopf.full_hopf_report(box, max_degree=8)
+    want = [] if missing == "counit" else hopf.check_box_coalgebra(
+        box, max_degree=8).checks
+    assert report.checks == want
+
+
 def pair_cotensor_basis(box: BoxStructure, degree: int, s_max):
     """Oracle: E box E in one internal degree, eliminated on the pairs
     of total filtration <= s_max alone."""
@@ -123,6 +138,9 @@ def test_fault_broken_counit_is_caught(box_f2):
     report = hopf.check_box_coalgebra(bad, max_degree=12)
     names = [c.name for c in report.failures]
     assert any("counit law" in n for n in names)
+    (left,) = [c for c in report.failures
+               if c.name == "left counit law matches the left coaction"]
+    assert left.witness.startswith("fails at [('h', 0, 3, 0)")
 
 
 def test_fault_broken_multiplication_is_caught(box_f2):

@@ -3,8 +3,9 @@ the package imports at module level is used in that module, every
 private top-level name of the package is referenced somewhere, every
 dataclass field and every attribute a method sets on self is read
 somewhere, no module but linalg reads a private linalg name or the
-rows and entries of a Matrix, and no module sums term by term with
-add_term or sub_sums."""
+rows and entries of a Matrix, no module sums term by term with
+add_term or sub_sums, and every axiom check is made by coalgebra.check
+into the one report type."""
 
 import ast
 import re
@@ -356,6 +357,91 @@ def test_checker_flags_a_term_by_term_sum_helper(tmp_path):
     assert retired_sum_helpers(path) == [("mod", "add_term", 1),
                                          ("mod", "sub_sums", 2),
                                          ("mod", "add_term", 4)]
+
+
+# every axiom and diagram check is one coalgebra.check call, and
+# coalgebra.ValidationReport is the one class holding checks
+CHECK_MAKER = ("coalgebra", "check")
+REPORT = ("coalgebra", "ValidationReport")
+
+
+def _holds_checks(cls: ast.ClassDef) -> bool:
+    """cls declares a checks field in its body or sets self.checks."""
+    for node in ast.walk(cls):
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            continue
+        for t in targets:
+            if (isinstance(t, ast.Name) and t.id == "checks"
+                    and node in cls.body):
+                return True
+            if (isinstance(t, ast.Attribute) and t.attr == "checks"
+                    and isinstance(t.value, ast.Name)
+                    and t.value.id == "self"):
+                return True
+    return False
+
+
+def second_check_idioms(path: Path):
+    """(module, name, line) for each AxiomCheck call outside
+    coalgebra.check and each class but coalgebra.ValidationReport that
+    holds checks."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exempt = {id(n) for top in tree.body
+              if isinstance(top, ast.FunctionDef)
+              and (path.stem, top.name) == CHECK_MAKER
+              for n in ast.walk(top)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in exempt:
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "AxiomCheck":
+                hits.append((path.stem, name, node.lineno))
+        elif (isinstance(node, ast.ClassDef)
+              and (path.stem, node.name) != REPORT and _holds_checks(node)):
+            hits.append((path.stem, node.name, node.lineno))
+    return sorted(hits, key=lambda hit: hit[2])
+
+
+def test_every_check_is_made_by_coalgebra_check_into_one_report_type():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in second_check_idioms(path)]
+    assert found == [], ("checks made outside coalgebra.check, or a second "
+                         "report class (module, name, line): " + repr(found))
+
+
+def test_checker_flags_a_second_check_idiom(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import coalgebra\n"
+                    "from .coalgebra import AxiomCheck\n"
+                    "class StructureReport:\n"
+                    "    checks: list\n"
+                    "class Listing:\n"
+                    "    def __init__(self):\n"
+                    "        self.checks = []\n"
+                    "class Fine:\n"
+                    "    def f(self):\n"
+                    "        checks = []\n"
+                    "        return checks\n"
+                    "def check(name, bad):\n"
+                    "    return AxiomCheck(name, not bad)\n"
+                    "def f():\n"
+                    "    return coalgebra.AxiomCheck('x', True)\n")
+    assert second_check_idioms(path) == [
+        ("mod", "StructureReport", 3), ("mod", "Listing", 5),
+        ("mod", "AxiomCheck", 13), ("mod", "AxiomCheck", 15)]
+    path = tmp_path / "coalgebra.py"
+    path.write_text("class ValidationReport:\n"
+                    "    checks: list\n"
+                    "def check(name, bad):\n"
+                    "    return AxiomCheck(name, not bad)\n"
+                    "def validate(c):\n"
+                    "    return [AxiomCheck('x', True)]\n")
+    assert second_check_idioms(path) == [("coalgebra", "AxiomCheck", 6)]
 
 
 def test_importing_the_cli_does_not_load_numpy():
