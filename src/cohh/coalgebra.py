@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
-from .graded import GradedSpace
+from .graded import GradedSpace, as_tuples, tensor_apply
 
 
 class GradedCoalgebra:
@@ -72,12 +72,8 @@ class GradedCoalgebra:
         elif k == 1:
             out = {(label,): f.one}
         else:
-            out = {}
-            for prefix, c in self.iterated_comult(label, k - 1).items():
-                for (a, b), d in self.comult_of(prefix[-1]).items():
-                    tup = prefix[:-1] + (a, b)
-                    out[tup] = out.get(tup, 0) + c * d
-            out = f.canonical(out)
+            out = tensor_apply(self.iterated_comult(label, k - 1),
+                               [None] * (k - 2) + [self.comult_of], f)
         self._iterated[key] = out
         return out
 
@@ -118,7 +114,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     @property
     def failures(self):
@@ -137,18 +133,9 @@ def coassociativity_failures(labels, comult_of, field: FieldSpec) -> list:
     """The labels x, in order, with (Delta (x) id) Delta x !=
     (id (x) Delta) Delta x, Delta given by comult_of (label -> formal sum
     on pairs)."""
-    bad = []
-    for k in labels:
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b), v in comult_of(k).items():
-            for (a1, a2), w in comult_of(a).items():
-                lhs[a1, a2, b] = lhs.get((a1, a2, b), 0) + v * w
-            for (b1, b2), w in comult_of(b).items():
-                rhs[a, b1, b2] = rhs.get((a, b1, b2), 0) + v * w
-        if field.canonical(lhs) != field.canonical(rhs):
-            bad.append(k)
-    return bad
+    return [x for x in labels
+            if tensor_apply(comult_of(x), [comult_of, None], field)
+            != tensor_apply(comult_of(x), [None, comult_of], field)]
 
 
 def validate(c: GradedCoalgebra, max_degree=None) -> ValidationReport:
@@ -165,16 +152,12 @@ def validate(c: GradedCoalgebra, max_degree=None) -> ValidationReport:
     labels = [k for k, d in c.space.degree_of.items() if d <= bound]
 
     # counit law: (eps (x) id) Delta = id = (id (x) eps) Delta
-    counit_bad = []
-    for k in labels:
-        left: dict = {}
-        right: dict = {}
-        for (a, b), v in c.comult_of(k).items():
-            left[b] = left.get(b, 0) + c.counit_of(a) * v
-            right[a] = right.get(a, 0) + v * c.counit_of(b)
-        want = {k: f.one}
-        if f.canonical(left) != want or f.canonical(right) != want:
-            counit_bad.append(k)
+    def counit(x):
+        return c.iterated_comult(x, 0)
+
+    counit_bad = [k for k in labels if any(
+        tensor_apply(c.comult_of(k), legs, f) != {(k,): f.one}
+        for legs in ([counit, None], [None, counit]))]
 
     # coaugmentation: a grouplike spanning degree 0
     g = c.coaug
@@ -406,20 +389,7 @@ class CoalgebraMap:
         S, T = self.source, self.target
         bound = S.complete_through() if max_degree is None else max_degree
         labels = [k for k, d in S.space.degree_of.items() if d <= bound]
-
-        bad_comult = []
-        for k in labels:
-            lhs: dict = {}
-            for (a, b), v in S.comult_of(k).items():
-                for ta, va in self.apply(a).items():
-                    for tb, vb in self.apply(b).items():
-                        lhs[ta, tb] = lhs.get((ta, tb), 0) + v * va * vb
-            rhs: dict = {}
-            for t, v in self.apply(k).items():
-                for pair, w in T.comult_of(t).items():
-                    rhs[pair] = rhs.get(pair, 0) + v * w
-            if f.canonical(lhs) != f.canonical(rhs):
-                bad_comult.append(k)
+        phi = as_tuples(self.apply)
         return ValidationReport(checks=[
             check("map preserves degree",
                   [(k, t) for k, img in self.data.items() for t in img
@@ -427,7 +397,10 @@ class CoalgebraMap:
             check("compatible with counits",
                   [k for k in labels if S.counit_of(k) != f.coerce(sum(
                       v * T.counit_of(t) for t, v in self.apply(k).items()))]),
-            check("compatible with comultiplications", bad_comult),
+            check("compatible with comultiplications",
+                  [k for k in labels
+                   if tensor_apply(S.comult_of(k), [phi, phi], f)
+                   != tensor_apply(phi(k), [T.comult_of], f)]),
         ])
 
 

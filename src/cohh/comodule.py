@@ -19,7 +19,7 @@ from .coalgebra import (CoalgebraMap, GradedCoalgebra, ValidationReport,
                         check)
 from .complexes import CochainComplex, HomologyTable
 from .fields import FieldSpec
-from .graded import GradedMap, GradedSpace
+from .graded import GradedMap, GradedSpace, as_tuples, tensor_apply
 from .linalg import Matrix
 
 
@@ -61,48 +61,29 @@ class Comodule:
         D = self.base
         bound = self.complete_through() if max_degree is None else max_degree
         labels = [m for m, d in self.space.degree_of.items() if d <= bound]
-        report = ValidationReport()
-        for side, table in (("left", self.left), ("right", self.right)):
-            counit_bad, coassoc_bad = [], []
-            for m in labels:
-                out: dict = {}
-                lhs: dict = {}
-                rhs: dict = {}
-                for key, v in table.get(m, {}).items():
-                    if side == "left":
-                        d, mm = key
-                        for (d1, d2), w in D.comult_of(d).items():
-                            lhs[d1, d2, mm] = lhs.get((d1, d2, mm), 0) + v * w
-                        for (d2, mmm), w in table.get(mm, {}).items():
-                            rhs[d, d2, mmm] = rhs.get((d, d2, mmm), 0) + v * w
-                    else:
-                        mm, d = key
-                        for (d1, d2), w in D.comult_of(d).items():
-                            lhs[mm, d1, d2] = lhs.get((mm, d1, d2), 0) + v * w
-                        for (mmm, d1), w in table.get(mm, {}).items():
-                            rhs[mmm, d1, d] = rhs.get((mmm, d1, d), 0) + v * w
-                    out[mm] = out.get(mm, 0) + D.counit_of(d) * v
-                if f.canonical(out) != {m: f.one}:
-                    counit_bad.append(m)
-                if f.canonical(lhs) != f.canonical(rhs):
-                    coassoc_bad.append(m)
-            report.checks += [
-                check(f"{side} coaction counit law", counit_bad),
-                check(f"{side} coaction coassociativity", coassoc_bad)]
 
-        bad = []
-        for m in labels:
-            lhs: dict = {}
-            rhs: dict = {}
-            for (d, mm), v in self.left_of(m).items():
-                for (mmm, d2), w in self.right_of(mm).items():
-                    lhs[d, mmm, d2] = lhs.get((d, mmm, d2), 0) + v * w
-            for (mm, d2), v in self.right_of(m).items():
-                for (d, mmm), w in self.left_of(mm).items():
-                    rhs[d, mmm, d2] = rhs.get((d, mmm, d2), 0) + v * w
-            if f.canonical(lhs) != f.canonical(rhs):
-                bad.append(m)
-        report.checks.append(check("bicomodule compatibility", bad))
+        def counit(x):
+            return D.iterated_comult(x, 0)
+
+        # a leg list is written for the left coaction, whose base leg is
+        # first, and reversed for the right one
+        report = ValidationReport()
+        for side, coact, order in (("left", self.left_of, 1),
+                                   ("right", self.right_of, -1)):
+            report.checks += [
+                check(f"{side} coaction counit law",
+                      [m for m in labels if tensor_apply(
+                          coact(m), [counit, None][::order], f)
+                       != {(m,): f.one}]),
+                check(f"{side} coaction coassociativity",
+                      [m for m in labels if tensor_apply(
+                          coact(m), [D.comult_of, None][::order], f)
+                       != tensor_apply(coact(m), [None, coact][::order], f)])]
+        report.checks.append(check(
+            "bicomodule compatibility",
+            [m for m in labels
+             if tensor_apply(self.left_of(m), [None, self.right_of], f)
+             != tensor_apply(self.right_of(m), [self.left_of, None], f)]))
         return report
 
     def __repr__(self):
@@ -113,18 +94,11 @@ def comodule_from_map(f: CoalgebraMap, name="") -> Comodule:
     """A coalgebra map E -> D makes E a D-bicomodule via (id (x) f) Delta
     and (f (x) id) Delta."""
     E, fld = f.source, f.source.field
-    left = {}
-    right = {}
-    for m in E.space.degree_of:
-        l: dict = {}
-        r: dict = {}
-        for (a, b), v in E.comult_of(m).items():
-            for t, w in f.apply(a).items():
-                l[t, b] = l.get((t, b), 0) + v * w
-            for t, w in f.apply(b).items():
-                r[a, t] = r.get((a, t), 0) + v * w
-        left[m] = fld.canonical(l)
-        right[m] = fld.canonical(r)
+    phi = as_tuples(f.apply)
+    left = {m: tensor_apply(E.comult_of(m), [phi, None], fld)
+            for m in E.space.degree_of}
+    right = {m: tensor_apply(E.comult_of(m), [None, phi], fld)
+             for m in E.space.degree_of}
     return Comodule(f.target, list(E.space.degree_of.items()), left, right,
                     truncation=E.truncation, name=name or E.name)
 
@@ -341,23 +315,19 @@ def tensor_box_structure(C: GradedCoalgebra, D2: GradedCoalgebra,
 
     f = C.field
     E = tensor_coalgebra(C, D2)
-    carrier = comodule_from_map(tensor_projection(E, 0), name=E.name)
+    proj = tensor_projection(E, 0)
+    carrier = comodule_from_map(proj, name=E.name)
     space = carrier.space
     bound = E.complete_through()
     pair_space = tensor_space(space, space, bound)
 
-    comult = GradedMap(space, pair_space)
-    for label in space.degree_of:
-        comult.set_column(label, {p: v for p, v in E.comult_of(label).items()
-                                  if p in pair_space})
-    counit = GradedMap(space, C.space)
-    proj = tensor_projection(E, 0)
-    for label in space.degree_of:
-        counit.set_column(label, proj.apply(label))
-
-    unit = GradedMap(C.space, space)
-    for c in C.space.degree_of:
-        unit.set_column(c, {f"{c}*1": f.one})
+    comult = GradedMap(space, pair_space, {
+        label: {p: v for p, v in E.comult_of(label).items() if p in pair_space}
+        for label in space.degree_of})
+    counit = GradedMap(space, C.space, {label: proj.apply(label)
+                                        for label in space.degree_of})
+    unit = GradedMap(C.space, space, {c: {f"{c}*1": f.one}
+                                      for c in C.space.degree_of})
 
     mult = None
     if mult2 is not None:
@@ -413,6 +383,9 @@ def box_primitives(box: BoxStructure, max_degree: int) -> dict:
             unit_images[deg] = _unit_image_rows(box, deg)
         return unit_images[deg]
 
+    q = as_tuples(lambda label: _q_reduce(
+        label, unit_image_at(E.degree_of[label]), box, f))
+
     for t in range(1, max_degree + 1):
         labels = E.labels(t)
         if not labels:
@@ -421,18 +394,8 @@ def box_primitives(box: BoxStructure, max_degree: int) -> dict:
         if not ie:
             continue
         # (q (x) q) Delta on each IE basis vector
-        images = {}
-        for j, vec in enumerate(ie):
-            img: dict = {}
-            for lbl, c in vec.items():
-                for (a, b), v in box.comult.column(lbl).items():
-                    qa = _q_reduce(a, unit_image_at(E.degree_of[a]), box, f)
-                    qb = _q_reduce(b, unit_image_at(E.degree_of[b]), box, f)
-                    for la, va in qa.items():
-                        for lb, vb in qb.items():
-                            img[la, lb] = (img.get((la, lb), 0)
-                                           + c * v * va * vb)
-            images[j] = f.canonical(img)
+        images = {j: tensor_apply(box.comult.apply(vec, f), [q, q], f)
+                  for j, vec in enumerate(ie)}
         prims = []
         for k in linalg.kernel_of(images, f):
             vec: dict = {}

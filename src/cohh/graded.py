@@ -11,10 +11,44 @@ plain + and *, out[k] = out.get(k, 0) + c * v, and is reduced once by
 FieldSpec.canonical (scalars mod p, zeros dropped) before it is
 returned, tested for emptiness or compared; two sums are equal when
 their canonical forms are.
+
+There is one way to apply maps to the legs of a tensor: tensor_apply
+sends a formal sum on k-tuples of labels through k maps, one a leg, each
+the identity (None) or a label -> formal sum on tuples, with no Koszul
+sign.  A comultiplication comult_of is such a map, and so is a counit
+iterated_comult(x, 0), keyed by (); a map whose values are single
+labels, such as a GradedMap column, goes through as_tuples.
 """
 
 from .fields import FieldSpec
 from .linalg import Matrix
+
+
+def tensor_apply(vec: dict, maps, field: FieldSpec) -> dict:
+    """(maps[0] (x) ... (x) maps[k-1])(vec) for a formal sum vec on
+    k-tuples of labels: a term's image joins the tuples its legs map to,
+    in order, and the sum is reduced once."""
+    # identity legs are copied as slices of the key, not mapped
+    legs = [(i, g) for i, g in enumerate(maps) if g is not None]
+    out: dict = {}
+    for key, c in vec.items():
+        terms = [((), c)]
+        start = 0
+        for i, g in legs:
+            head = key[start:i]
+            terms = [(t + head + u, v * w) for t, v in terms
+                     for u, w in g(key[i]).items()]
+            start = i + 1
+        tail = key[start:]
+        for t, v in terms:
+            out[t + tail] = out.get(t + tail, 0) + v
+    return field.canonical(out)
+
+
+def as_tuples(column):
+    """The map label -> formal sum on 1-tuples of the map column, whose
+    values are formal sums on labels."""
+    return lambda x: {(y,): v for y, v in column(x).items()}
 
 
 class GradedSpace:

@@ -343,15 +343,11 @@ def e2_structure_audit(page: E2Page, max_degree: int = None) -> AuditReport:
     f = h.field
     bound = page.t_max if max_degree is None else min(max_degree,
                                                      page.t_max)
-    box, cs, kuenneth_ok = st.cohh_box_structure(
+    box, _, kuenneth_ok = st.cohh_box_structure(
         h, page.s_max, page.t_max, H=page.table)
 
     # indecomposables of the positive-filtration part modulo products
-    computed_ind: dict = {}
-    for t in range(1, bound + 1):
-        for (s2, t2), dim in _quotient_by_products(box, cs, t).items():
-            if dim:
-                computed_ind[(s2, t2)] = dim
+    computed_ind = _quotient_by_products(box, bound)
     expected_ind = {}
     if page.s_max >= 1:
         for (s2, t2), names in exterior_monomials(degrees, 1,
@@ -359,7 +355,7 @@ def e2_structure_audit(page: E2Page, max_degree: int = None) -> AuditReport:
             if s2 == 1:
                 expected_ind[(s2, t2)] = len(names)
 
-    computed_prim = _primitive_dims(box, cs, bound)
+    computed_prim = _primitive_dims(box, bound)
     p = f.characteristic
     expected_prim = {}
     for d in degrees:
@@ -380,39 +376,35 @@ def e2_structure_audit(page: E2Page, max_degree: int = None) -> AuditReport:
                        computed_prim, expected_prim)
 
 
-def _quotient_by_products(box, cs, t: int) -> dict:
+def _quotient_by_products(box, bound: int) -> dict:
     """Dims of (positive-filtration part) / (products of
-    positive-filtration parts) in internal degree t, split by
-    filtration."""
+    positive-filtration parts) per bidegree (s, t), 1 <= t <= bound, in
+    order of t and then s.  The product columns are read once, grouped
+    by the bidegree of their pair: mult is zero off its free pairs."""
     from . import linalg
     from .linalg import Matrix
 
-    f = box.field
     E = box.carrier.space
+    products: dict = {}
+    for (a, b), col in box.mult.columns.items():
+        if a[1] >= 1 and b[1] >= 1:
+            bidegree = (a[1] + b[1], E.degree_of[a] + E.degree_of[b])
+            products.setdefault(bidegree, []).append(col)
     out: dict = {}
-    for s in sorted({lbl[1] for lbl in E.labels(t) if lbl[1] >= 1}):
-        labels = [l for l in E.labels(t) if l[1] == s]
-        idx = {l: i for i, l in enumerate(labels)}
-        cols = []
-        for t1 in range(1, t):
-            for a in E.labels(t1):
-                for b in E.labels(t - t1):
-                    if a[1] < 1 or b[1] < 1 or a[1] + b[1] != s:
-                        continue
-                    col = {}
-                    for m, v in box.mult.column((a, b)).items():
-                        if m in idx:
-                            col[idx[m]] = v
-                    if col:
-                        cols.append(col)
-        rank = linalg.rank(Matrix.from_columns(cols, len(labels)), f)
-        dim = len(labels) - rank
-        if dim:
-            out[(s, t)] = dim
+    for t in range(1, bound + 1):
+        for s in sorted({lbl[1] for lbl in E.labels(t) if lbl[1] >= 1}):
+            labels = [l for l in E.labels(t) if l[1] == s]
+            idx = {l: i for i, l in enumerate(labels)}
+            cols = [{idx[m]: v for m, v in col.items() if m in idx}
+                    for col in products.get((s, t), [])]
+            dim = len(labels) - linalg.rank(
+                Matrix.from_columns(cols, len(labels)), box.field)
+            if dim:
+                out[(s, t)] = dim
     return out
 
 
-def _primitive_dims(box, cs, bound: int) -> dict:
+def _primitive_dims(box, bound: int) -> dict:
     """Kernel dims of the reduced coproduct, per bidegree."""
     from . import linalg
 

@@ -89,6 +89,7 @@ def test_a_partial_box_runs_only_the_checkers_whose_maps_it_has(missing):
     want = [] if missing == "counit" else hopf.check_box_coalgebra(
         box, max_degree=8).checks
     assert report.checks == want
+    assert report.ok == bool(want)
 
 
 def pair_cotensor_basis(box: BoxStructure, degree: int, s_max):

@@ -4,8 +4,9 @@ private top-level name of the package is referenced somewhere, every
 dataclass field and every attribute a method sets on self is read
 somewhere, no module but linalg reads a private linalg name or the
 rows and entries of a Matrix, no module sums term by term with
-add_term or sub_sums, and every axiom check is made by coalgebra.check
-into the one report type."""
+add_term or sub_sums, every axiom check is made by coalgebra.check
+into the one report type, and no function but the two signed tensor
+products loops over the images of maps on tensor legs by hand."""
 
 import ast
 import re
@@ -442,6 +443,98 @@ def test_checker_flags_a_second_check_idiom(tmp_path):
                     "def validate(c):\n"
                     "    return [AxiomCheck('x', True)]\n")
     assert second_check_idioms(path) == [("coalgebra", "AxiomCheck", 6)]
+
+
+# an unsigned tensor of maps is one graded.tensor_apply call; these two
+# keep their leg loops for the interchange sign of a product coalgebra
+MAP_ACCESSORS = {"comult_of", "iterated_comult", "left_of", "right_of",
+                 "column", "apply"}
+SIGNED_LEG_LOOPS = {("coalgebra", "tensor_coalgebra"),
+                    ("hopf", "comult_multiplicative")}
+
+
+def _loops_over_a_map(iterable) -> bool:
+    """iterable is X.items() with X a call of a map accessor."""
+    if not (isinstance(iterable, ast.Call)
+            and isinstance(iterable.func, ast.Attribute)
+            and iterable.func.attr == "items"
+            and isinstance(iterable.func.value, ast.Call)):
+        return False
+    func = iterable.func.value.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    return name in MAP_ACCESSORS
+
+
+def nested_map_loops(path: Path):
+    """(module, function, line) for each for statement or comprehension
+    clause over a map accessor's .items() nested inside another one, in
+    the innermost function defining it."""
+    hits = []
+
+    def visit(node, function, depth):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function, depth = node.name, 0
+        if isinstance(node, ast.For) and _loops_over_a_map(node.iter):
+            if depth:
+                hits.append((path.stem, function, node.lineno))
+            visit(node.iter, function, depth)
+            for child in node.body:
+                visit(child, function, depth + 1)
+            for child in node.orelse:
+                visit(child, function, depth)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            inner = depth
+            for gen in node.generators:
+                visit(gen.iter, function, inner)
+                if _loops_over_a_map(gen.iter):
+                    if inner:
+                        hits.append((path.stem, function, gen.iter.lineno))
+                    inner += 1
+                for cond in gen.ifs:
+                    visit(cond, function, inner)
+            for part in ("elt", "key", "value"):
+                if hasattr(node, part):
+                    visit(getattr(node, part), function, inner)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, function, depth)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None, 0)
+    return sorted(hits, key=lambda hit: hit[2])
+
+
+def test_only_the_signed_tensors_loop_over_map_legs_by_hand():
+    found = {(module, function) for path in sorted(SRC.glob("*.py"))
+             for module, function, _ in nested_map_loops(path)}
+    assert found == SIGNED_LEG_LOOPS, (
+        "nested loops over map images (module, function): " + repr(found))
+
+
+def test_checker_flags_a_nested_map_loop(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def lhs(c, vec):\n"
+                    "    for (a, b), v in c.comult_of(1).items():\n"
+                    "        for x, w in m.column(a).items():\n"
+                    "            pass\n"
+                    "def signed(c, vec):\n"
+                    "    for key, v in vec.items():\n"
+                    "        for x, w in c.left_of(key).items():\n"
+                    "            def g():\n"
+                    "                for y in c.apply(x).items():\n"
+                    "                    pass\n"
+                    "    return {t: w for x, v in right_of(1).items()\n"
+                    "            for t, w in c.iterated_comult(x, 2)"
+                    ".items()}\n"
+                    "def fine(c, d):\n"
+                    "    for x, v in d(1).items():\n"
+                    "        for y, w in c.column(x).items():\n"
+                    "            pass\n"
+                    "    for x, v in c.column(1).items():\n"
+                    "        for y, w in d(x).items():\n"
+                    "            pass\n")
+    assert nested_map_loops(path) == [("mod", "lhs", 3),
+                                      ("mod", "signed", 12)]
 
 
 def test_importing_the_cli_does_not_load_numpy():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cohh import linalg
 from cohh.fields import GF, QQ, FieldSpec, _is_prime
+from cohh.graded import tensor_apply
 from cohh.linalg import Matrix, NoSolution
 
 
@@ -135,6 +136,66 @@ def test_plain_accumulation_reduced_once_matches_term_by_term(char, terms):
     if char:
         assert all(type(v) is int and 0 < v < char
                    for v in f.canonical(got).values())
+
+
+LEG_LABELS = ["a", "b", ("c", 1)]
+leg_scalars = st.builds(Fraction, st.integers(-4, 4),
+                        st.sampled_from([1, 5, 7]))
+
+
+def leg_tables(length):
+    """label -> formal sum on tuples of labels; length is the tuple length,
+    or None for any length up to 2."""
+    words = (st.lists(st.sampled_from(LEG_LABELS), max_size=2)
+             if length is None else
+             st.lists(st.sampled_from(LEG_LABELS), min_size=length,
+                      max_size=length))
+    return st.dictionaries(
+        st.sampled_from(LEG_LABELS),
+        st.dictionaries(words.map(tuple), leg_scalars, max_size=3))
+
+
+def leg_map(table, field: FieldSpec):
+    return lambda x: {u: field.coerce(w) for u, w in table.get(x, {}).items()}
+
+
+def tensor_apply_reference(vec, maps, field: FieldSpec) -> dict:
+    """Term by term: each choice of one term per leg, its tuples joined
+    in order and its scalars multiplied, added to a reduced sum."""
+    out: dict = {}
+    for key, c in vec.items():
+        images = [{(x,): 1} if g is None else g(x) for x, g in zip(key, maps)]
+        for parts in itertools.product(*(img.items() for img in images)):
+            add_term_reference(out, sum((u for u, _ in parts), ()),
+                               c * math.prod(w for _, w in parts), field)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(char=st.sampled_from([2, 3, 2**61 - 1, 0]), data=st.data())
+def test_tensor_apply_matches_term_by_term(char, data):
+    f = FieldSpec(char)
+    k = data.draw(st.integers(1, 3))
+    vec = {key: f.coerce(c) for key, c in data.draw(st.dictionaries(
+        st.lists(st.sampled_from(LEG_LABELS), min_size=k,
+                 max_size=k).map(tuple), leg_scalars, max_size=5)).items()}
+    maps = [None if table is None else leg_map(table, f) for table in
+            data.draw(st.lists(st.one_of(st.none(), leg_tables(None)),
+                               min_size=k, max_size=k))]
+    assert tensor_apply(vec, maps, f) == tensor_apply_reference(vec, maps, f)
+    assert tensor_apply(vec, [None] * k, f) == f.canonical(vec)
+    # (f (x) g) after (h (x) k) is (f h (x) g k), for inner maps h, k
+    # with single labels as values
+    inner = [leg_map(table, f) for table in data.draw(
+        st.lists(leg_tables(1), min_size=k, max_size=k))]
+
+    def composite(g, h):
+        if g is None:
+            return h
+        return lambda x: tensor_apply_reference(h(x), [g], f)
+
+    assert (tensor_apply(tensor_apply(vec, inner, f), maps, f)
+            == tensor_apply(vec, list(map(composite, maps, inner)), f))
 
 
 def test_rank_examples_over_q():
