@@ -364,8 +364,7 @@ def run(job: JobSpec):
     elif job.command == "collapse":
         report = collapse_analysis(job.degrees, job.prime)
         payload["meta"]["field"] = str(GF(job.prime))
-        payload["meta"]["bounds"] = {"r_max": report.r_max,
-                                     "t_max": report.t_max}
+        payload["meta"]["bounds"] = {}
         payload["verdict"] = report.verdict
         payload["bound"] = _frac(report.bound_value)
         payload["bound_holds"] = report.bound_holds
@@ -467,6 +466,10 @@ def main(argv=None) -> int:
         status, text = run(job)
     except (ParseError, DegreeEven, NotPrime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, OverflowError):
+        print("error: the bounds are too large to compute here; lower them",
+              file=sys.stderr)
         return 1
     except CollapseNotEstablished as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -384,10 +384,10 @@ class CoalgebraMap:
     def apply(self, label) -> dict:
         return self.data.get(label, {})
 
-    def check(self, max_degree=None) -> ValidationReport:
+    def check(self) -> ValidationReport:
         f = self.source.field
         S, T = self.source, self.target
-        bound = S.complete_through() if max_degree is None else max_degree
+        bound = S.complete_through()
         labels = [k for k, d in S.space.degree_of.items() if d <= bound]
         phi = as_tuples(self.apply)
         return ValidationReport(checks=[

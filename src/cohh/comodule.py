@@ -56,10 +56,10 @@ class Comodule:
     def right_of(self, label) -> dict:
         return self.right.get(label, {})
 
-    def validate(self, max_degree=None) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         f = self.field
         D = self.base
-        bound = self.complete_through() if max_degree is None else max_degree
+        bound = self.complete_through()
         labels = [m for m, d in self.space.degree_of.items() if d <= bound]
 
         def counit(x):
@@ -285,6 +285,9 @@ class BoxStructure:
     counit: E -> D, unit: D -> E, mult: a linear extension to E (x) E of
     the multiplication defined on E box_D E (checks only ever evaluate
     extensions on equalized vectors, where all extensions agree).
+    s_max is the total filtration through which mult is known, None for
+    an unfiltered carrier; the hopf checkers read it, and the degrees
+    through which the carrier is complete, from the box.
     """
 
     base: GradedCoalgebra
@@ -294,6 +297,7 @@ class BoxStructure:
     unit: GradedMap = None
     mult: GradedMap = None
     antipode: GradedMap = None
+    s_max: int = None
     name: str = ""
 
     @property

@@ -5,10 +5,12 @@ basis elements (or on a basis of the relevant cotensor subspace, where
 a multiplication is only well defined on equalized vectors) and is one
 coalgebra.check: it lists the labels, or the internal degrees, at which
 the sides differ, and its witness names the first three.  A checker
-returns a coalgebra.ValidationReport.  Twists between bigraded factors
-use the sign (-1)^{ss' + tt'}: a separate Koszul sign for the
-filtration grading and for the internal grading.  The filtration s of
-a carrier label is read from the label: s for a circle homology class
+takes only the box (and a differential, for the Leibniz rules), reads
+its bounds from it, _bound(box) and box.s_max, and returns a
+coalgebra.ValidationReport.  Twists between bigraded factors use the
+sign (-1)^{ss' + tt'}: a separate Koszul sign for the filtration
+grading and for the internal grading.  The filtration s of a carrier
+label is read from the label: s for a circle homology class
 ("h", s, t, k), 0 for any other label.
 """
 
@@ -24,22 +26,20 @@ def _s_of(label):
     return 0
 
 
-def _bound(box: BoxStructure, max_degree):
-    own = box.carrier.complete_through()
+def _bound(box: BoxStructure) -> int:
+    """The internal degree through which the checks run: the carrier's
+    complete_through(), capped by its largest label degree."""
     ambient = max(box.carrier.space.degree_of.values(), default=0)
-    bound = min(own, ambient)
-    if max_degree is not None:
-        bound = min(bound, max_degree)
-    return int(bound)
+    return int(min(box.carrier.complete_through(), ambient))
 
 
 def _labels_within(box: BoxStructure, bound):
     return [l for l, t in box.carrier.space.degree_of.items() if t <= bound]
 
 
-def _pair_cotensor(box: BoxStructure, bound: int, s_max) -> dict:
-    """E box E through internal degree bound, {degree: basis}, with the
-    basis vectors of total filtration > s_max (where the multiplication
+def _pair_cotensor(box: BoxStructure) -> dict:
+    """E box E through _bound(box), {degree: basis}, with the basis
+    vectors of total filtration > box.s_max (where the multiplication
     is unknown) left out.
 
     The coactions preserve filtration, so the equalizer is block
@@ -47,17 +47,18 @@ def _pair_cotensor(box: BoxStructure, bound: int, s_max) -> dict:
     vector lies in one block: keeping the blocks <= s_max gives the
     basis the pairs <= s_max alone would, in the same order.  So one
     cotensor serves every check of a report."""
-    basis = cotensor(box.carrier, box.carrier, bound).basis
-    if s_max is None:
+    basis = cotensor(box.carrier, box.carrier, _bound(box)).basis
+    if box.s_max is None:
         return basis
     return {t: [vec for vec in vecs
-                if all(_s_of(a) + _s_of(b) <= s_max for a, b in vec)]
+                if all(_s_of(a) + _s_of(b) <= box.s_max for a, b in vec)]
             for t, vecs in basis.items()}
 
 
-def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None):
-    """Basis of E box E box E in one internal degree: the kernel of the
-    pair defects of the first two and of the last two factors."""
+def _triple_cotensor_basis(box: BoxStructure, degree: int):
+    """Basis of E box E box E in one internal degree, through total
+    filtration box.s_max: the kernel of the pair defects of the first
+    two and of the last two factors."""
     one = box.field.one
     E = box.carrier
     triples = []
@@ -68,8 +69,8 @@ def _triple_cotensor_basis(box: BoxStructure, degree: int, s_max=None):
             for c, dcg in E.space.degree_of.items():
                 if da + db + dcg != degree:
                     continue
-                if (s_max is not None
-                        and _s_of(a) + _s_of(b) + _s_of(c) > s_max):
+                if (box.s_max is not None
+                        and _s_of(a) + _s_of(b) + _s_of(c) > box.s_max):
                     continue
                 triples.append((a, b, c))
     triples.sort(key=repr)
@@ -98,13 +99,12 @@ def _counit_after_unit_failures(box: BoxStructure, bound: int) -> list:
             and box.counit.apply(box.unit.column(d), f) != {d: f.one}]
 
 
-def check_box_coalgebra(box: BoxStructure,
-                        max_degree=None) -> ValidationReport:
+def check_box_coalgebra(box: BoxStructure) -> ValidationReport:
     """Coassociativity, counit laws against the coactions, and the
     cotensor condition on the comultiplication."""
     f = box.field
     E = box.carrier
-    labels = _labels_within(box, _bound(box, max_degree))
+    labels = _labels_within(box, _bound(box))
     comult = box.comult.column
     counit = as_tuples(box.counit.column)
 
@@ -124,13 +124,12 @@ def check_box_coalgebra(box: BoxStructure,
     ])
 
 
-def check_box_algebra(box: BoxStructure, max_degree=None,
-                      s_max=None) -> ValidationReport:
+def check_box_algebra(box: BoxStructure) -> ValidationReport:
     """Associativity on the triple cotensor and unitality through the
     coactions."""
     f = box.field
     E = box.carrier
-    bound = _bound(box, max_degree)
+    bound = _bound(box)
     labels = _labels_within(box, bound)
     mult = as_tuples(box.mult.column)
     unit = as_tuples(box.unit.column)
@@ -143,7 +142,7 @@ def check_box_algebra(box: BoxStructure, max_degree=None,
                               [None, mult], f)
         return box.mult.apply(first, f) == box.mult.apply(second, f)
 
-    triples = {t: _triple_cotensor_basis(box, t, s_max)
+    triples = {t: _triple_cotensor_basis(box, t)
                for t in range(bound + 1)}
     return ValidationReport(f"box algebra on {box.name or E.name}", [
         check("associativity on the triple cotensor",
@@ -174,15 +173,14 @@ def _diagonal_coords(D, vec: dict, degree: int) -> dict:
     return x
 
 
-def check_box_bialgebra(box: BoxStructure, max_degree=None,
-                        s_max=None) -> ValidationReport:
+def check_box_bialgebra(box: BoxStructure) -> ValidationReport:
     """The four compatibility diagrams between the algebra and the
     coalgebra halves."""
     f = box.field
     D = box.base
     E = box.carrier
-    bound = _bound(box, max_degree)
-    pairs = _pair_cotensor(box, bound, s_max)
+    bound = _bound(box)
+    pairs = _pair_cotensor(box)
 
     def comult_multiplicative(t, vec):
         # with the bigraded twist
@@ -227,10 +225,10 @@ def check_box_bialgebra(box: BoxStructure, max_degree=None,
     ])
 
 
-def check_antipode(box: BoxStructure, max_degree=None) -> ValidationReport:
+def check_antipode(box: BoxStructure) -> ValidationReport:
     """mu(chi (x) id)Delta = unit . counit = mu(id (x) chi)Delta."""
     f = box.field
-    labels = _labels_within(box, _bound(box, max_degree))
+    labels = _labels_within(box, _bound(box))
     chi = as_tuples(box.antipode.column)
 
     def leg_failures(legs):
@@ -244,8 +242,7 @@ def check_antipode(box: BoxStructure, max_degree=None) -> ValidationReport:
          check("antipode on the right leg", leg_failures([None, chi]))])
 
 
-def check_leibniz(box: BoxStructure, diff, max_degree=None,
-                  s_max=None) -> ValidationReport:
+def check_leibniz(box: BoxStructure, diff) -> ValidationReport:
     """diff is a map on carrier labels (label -> formal sum); checks
     d(ab) = d(a)b + (-1)^{s+t} a d(b) on the pair cotensor basis."""
     f = box.field
@@ -266,19 +263,18 @@ def check_leibniz(box: BoxStructure, diff, max_degree=None,
                     rhs[m] = rhs.get(m, 0) + c * sgn * v * w
         return f.canonical(lhs) == f.canonical(rhs)
 
-    pairs = _pair_cotensor(box, _bound(box, max_degree), s_max)
+    pairs = _pair_cotensor(box)
     return ValidationReport("Leibniz rule", [
         check("Leibniz rule for the differential",
               _failing_degrees(pairs, derivation))])
 
 
-def check_co_leibniz(box: BoxStructure, diff,
-                     max_degree=None) -> ValidationReport:
+def check_co_leibniz(box: BoxStructure, diff) -> ValidationReport:
     """Delta . d = (d (x) id + (-1)^{s+t} id (x) d) . Delta on carrier
     labels."""
     f = box.field
     bad = []
-    for l in _labels_within(box, _bound(box, max_degree)):
+    for l in _labels_within(box, _bound(box)):
         lhs: dict = {}
         for h, c in diff(l).items():
             for pr, v in box.comult.column(h).items():
@@ -296,8 +292,7 @@ def check_co_leibniz(box: BoxStructure, diff,
         check("coLeibniz rule for the differential", bad)])
 
 
-def full_hopf_report(box: BoxStructure, max_degree=None,
-                     s_max=None) -> ValidationReport:
+def full_hopf_report(box: BoxStructure) -> ValidationReport:
     """The checks of every checker whose maps box carries, concatenated
     into one report."""
     report = ValidationReport(f"box structure on "
@@ -305,11 +300,11 @@ def full_hopf_report(box: BoxStructure, max_degree=None,
     has = {m for m in ("comult", "counit", "unit", "mult", "antipode")
            if getattr(box, m) is not None}
     if has >= {"comult", "counit"}:
-        report.checks += check_box_coalgebra(box, max_degree).checks
+        report.checks += check_box_coalgebra(box).checks
     if has >= {"mult", "unit", "counit"}:
-        report.checks += check_box_algebra(box, max_degree, s_max).checks
+        report.checks += check_box_algebra(box).checks
     if has >= {"comult", "counit", "mult", "unit"}:
-        report.checks += check_box_bialgebra(box, max_degree, s_max).checks
+        report.checks += check_box_bialgebra(box).checks
     if has >= {"antipode", "comult", "counit", "mult", "unit"}:
-        report.checks += check_antipode(box, max_degree).checks
+        report.checks += check_antipode(box).checks
     return report

@@ -18,15 +18,15 @@ class GraphSimplicialSet:
 
     edges is a list of (name, source_vertex, target_vertex).  Level n
     simplices are ordered: vertices first (listed order), then edge
-    simplices by (edge order, j ascending).
+    simplices by (edge order, j ascending).  The first vertex is the
+    basepoint, so slot 0 of every level is the basepoint slot.
     """
 
-    def __init__(self, name, vertices, edges, basepoint=None):
+    def __init__(self, name, vertices, edges):
         self.name = name
         self.vertices = list(vertices)
         self.edges = [(e, s, t) for (e, s, t) in edges]
         self.edge_ends = {e: (s, t) for (e, s, t) in self.edges}
-        self.basepoint = basepoint if basepoint is not None else self.vertices[0]
 
     def level(self, n: int):
         simplices = [("v", v) for v in self.vertices]
@@ -154,25 +154,17 @@ def subdivided_circle() -> GraphSimplicialSet:
     """Two segments glued end to end: vertices * and m, with edges
     e1: * -> m and e2: m -> *."""
     return GraphSimplicialSet("d'S1", ["*", "m"],
-                              [("e1", "*", "m"), ("e2", "m", "*")],
-                              basepoint="*")
+                              [("e1", "*", "m"), ("e2", "m", "*")])
 
 
 def double_edge_circle() -> GraphSimplicialSet:
     """Two parallel edges a -> b (the unreduced double model)."""
     return GraphSimplicialSet("dS1", ["a", "b"],
-                              [("e1", "a", "b"), ("e2", "a", "b")],
-                              basepoint="a")
+                              [("e1", "a", "b"), ("e2", "a", "b")])
 
 
 def point() -> GraphSimplicialSet:
     return GraphSimplicialSet("pt", ["*"], [])
-
-
-def fold_map() -> SimplicialMap:
-    """S1 v S1 -> S1 folding both loops onto the loop."""
-    return SimplicialMap(wedge_of_circles(), circle(), {"*": "*"},
-                         {"e1": ("e", "e"), "e2": ("e", "e")}, name="fold")
 
 
 def pinch_subdivided() -> SimplicialMap:
@@ -217,11 +209,3 @@ def wedge_projection(which: int) -> SimplicialMap:
     return SimplicialMap(wedge_of_circles(), circle(), {"*": "*"}, emap,
                          name=f"proj{which}")
 
-
-def basepoint_inclusion(X: GraphSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(point(), X, {"*": X.basepoint}, {}, name="incl")
-
-
-def constant_map(X: GraphSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, point(), {v: "*" for v in X.vertices},
-                         {e: ("v", "*") for e in X.edge_ends}, name="const")

@@ -96,10 +96,10 @@ def exterior_e2_dims(degrees, s_max: int, t_max: int) -> dict:
 
 @dataclass
 class E2Page:
-    coalgebra: GradedCoalgebra
+    """A circle homology table as an E2 page, through the table's s_max
+    and t_max, with the closed form's data for exterior inputs."""
+
     table: HomologyTable
-    s_max: int
-    t_max: int
     generators: dict = dc_field(default_factory=dict)   # name -> (s, t)
     generator_degrees: list = None        # set for exterior inputs
     closed_form_ok: bool = None
@@ -112,9 +112,10 @@ class E2Page:
         every contributing bidegree is within bounds: n <= 2 s_max and
         n <= 2 t_max / 3 (each w factor adds at least 2 to t - s, so
         s <= n/2 and t <= 3n/2).  Larger n would be partial sums."""
-        n_complete = min(2 * self.s_max, (2 * self.t_max) // 3)
+        table = self.table
+        n_complete = min(2 * table.s_max, (2 * table.t_max) // 3)
         out: dict = {}
-        for (s, t), d in self.table.dims().items():
+        for (s, t), d in table.dims().items():
             if t - s <= n_complete:
                 out[t - s] = out.get(t - s, 0) + d
         return out
@@ -125,17 +126,15 @@ def build_e2(h: GradedCoalgebra, s_max: int, t_max: int) -> E2Page:
     the named generators of the closed form are attached and the
     computed dimensions are compared against it."""
     table = cohh(h, s_max, t_max)
-    page = E2Page(h, table, s_max, t_max)
+    page = E2Page(table)
     degrees = h.metadata.get("degrees")
     if h.metadata.get("kind") == "exterior" and degrees:
         page.generator_degrees = list(degrees)
         for d in degrees:
             page.generators[f"y{d}"] = (0, d)
             page.generators[f"w{d}"] = (1, d)
-        bound = int(min(t_max, h.complete_through()))
-        expected = {bd: dim
-                    for bd, dim in exterior_e2_dims(degrees, s_max,
-                                                    bound).items() if dim}
+        expected = {bd: dim for bd, dim in exterior_e2_dims(
+            degrees, s_max, table.t_max).items() if dim}
         page.closed_form_ok = expected == table.dims()
     return page
 
@@ -166,8 +165,6 @@ class CollapseReport:
     bound_holds: bool              # strict: bound_value < p
     weak_bound_value: Fraction     # (i_n + sum i_j) / (i_1 - 1)
     weak_bound_holds: bool         # weak_bound_value <= p
-    r_max: int
-    t_max: int
 
     def __str__(self):
         lines = [f"exterior degrees {self.degrees}, p = {self.prime}: "
@@ -177,26 +174,32 @@ class CollapseReport:
                  f"({'<' if self.bound_holds else '>='} {self.prime})",
                  f"  weak bound (i_n + sum i_j)/(i_1 - 1) = "
                  f"{self.weak_bound_value} "
-                 f"({'<=' if self.weak_bound_holds else '>'} {self.prime})",
-                 f"  search exhaustive for r <= {self.r_max}, "
-                 f"source degree <= {self.t_max}"]
+                 f"({'<=' if self.weak_bound_holds else '>'} {self.prime})"]
         for c in self.candidates:
             lines.append("  candidate " + str(c))
         return "\n".join(lines)
 
 
-def collapse_analysis(degrees, p: int, s_search: int = 10,
-                      t_search: int = 40) -> CollapseReport:
+def _exponent(q: int, p: int) -> int:
+    """The b >= 1 with q = p^b, or 0 when q is no such power."""
+    b = 0
+    while q > 1 and q % p == 0:
+        q, b = q // p, b + 1
+    return b if q == 1 else 0
+
+
+def collapse_analysis(degrees, p: int) -> CollapseReport:
     """Enumerate every possible differential from an indecomposable
     monomial (one w factor) to a primitive 1 (x) w^{p^b}.
 
     A d_r source has bidegree (1, i_{j_1} + ... + i_{j_m} + i_j) and a
     target has (p^b, i_a p^b); the shift by (r, r - 1) forces
     1 + r = p^b and i_{j_1} + ... + i_{j_m} + i_j - 2 = (i_a - 1) p^b.
-    Candidates are aggregated per (r, source bidegree, target
-    bidegree).  The search covers r <= s_search and source internal
-    degree <= t_search, which is exhaustive within those bounds since
-    both sides of each equation are monotone in the data."""
+    For each source monomial and target generator the second equation
+    fixes p^b, so the enumeration is exact, with no search bound: a
+    candidate exists where (t_src - 2) / (i_a - 1) is a power p^b with
+    r = p^b - 1 >= 2.  Candidates are aggregated per (r, source
+    bidegree, target bidegree)."""
     _check_degrees(degrees)
     _check_prime(p)
     total = sum(degrees)
@@ -210,29 +213,23 @@ def collapse_analysis(degrees, p: int, s_search: int = 10,
             base = sum(degrees[j] for j in subset)
             for j in range(n):
                 t_src = base + degrees[j]
-                if t_src > t_search:
-                    continue
                 name = monomial_name(
                     degrees,
                     tuple(1 if k in subset else 0 for k in range(n)),
                     tuple(1 if k == j else 0 for k in range(n)))
-                for a in range(n):
-                    ia = degrees[a]
-                    b = 1
-                    while p ** b - 1 <= s_search:
-                        pb = p ** b
-                        r = pb - 1
-                        if r >= 2 and t_src - 2 == (ia - 1) * pb:
-                            key = (r, (1, t_src), (pb, ia * pb))
-                            if key not in found:
-                                found[key] = CandidateDifferential(
-                                    r, (1, t_src), (pb, ia * pb), [],
-                                    f"w{ia}^{pb}",
-                                    f"1+r = {p}^{b}, "
-                                    f"{t_src}-2 = ({ia}-1)*{pb}")
-                            if name not in found[key].source_monomials:
-                                found[key].source_monomials.append(name)
-                        b += 1
+                for ia in degrees:
+                    pb, rem = divmod(t_src - 2, ia - 1)
+                    b = _exponent(pb, p)
+                    if rem or not b or pb < 3:
+                        continue
+                    key = (pb - 1, (1, t_src), (pb, ia * pb))
+                    if key not in found:
+                        found[key] = CandidateDifferential(
+                            pb - 1, (1, t_src), (pb, ia * pb), [],
+                            f"w{ia}^{pb}",
+                            f"1+r = {p}^{b}, {t_src}-2 = ({ia}-1)*{pb}")
+                    if name not in found[key].source_monomials:
+                        found[key].source_monomials.append(name)
     candidates = [found[k] for k in sorted(found)]
     for c in candidates:
         c.source_monomials.sort()
@@ -241,8 +238,7 @@ def collapse_analysis(degrees, p: int, s_search: int = 10,
         verdict="Collapses" if not candidates else "CandidatesExist",
         candidates=candidates,
         bound_value=bound_value, bound_holds=bound_value < p,
-        weak_bound_value=weak_value, weak_bound_holds=weak_value <= p,
-        r_max=s_search, t_max=t_search)
+        weak_bound_value=weak_value, weak_bound_holds=weak_value <= p)
 
 
 @dataclass
@@ -284,8 +280,8 @@ def loop_homology(degrees, p: int,
                   max_total_degree: int) -> LoopHomologyTable:
     """Free-loop-space homology dims for a space with exterior
     cohomology, available only once the collapse is established
-    (always, for a single generator): by collapse_analysis at its
-    defaults, which search r <= 10 and source degree t <= 40."""
+    (always, for a single generator): by collapse_analysis, which is
+    exact, so a table is refused whenever a candidate exists."""
     _check_degrees(degrees)
     _check_prime(p)
     if len(degrees) > 1:
@@ -339,34 +335,31 @@ def e2_structure_audit(page: E2Page, max_degree: int = None) -> AuditReport:
     if page.generator_degrees is None:
         raise ValueError("structure audit needs an exterior page")
     degrees = page.generator_degrees
-    h = page.coalgebra
-    f = h.field
-    bound = page.t_max if max_degree is None else min(max_degree,
-                                                     page.t_max)
-    box, _, kuenneth_ok = st.cohh_box_structure(
-        h, page.s_max, page.t_max, H=page.table)
+    s_max, t_max = page.table.s_max, page.table.t_max
+    bound = t_max if max_degree is None else min(max_degree, t_max)
+    box, _, kuenneth_ok = st.cohh_box_structure(page.table)
 
     # indecomposables of the positive-filtration part modulo products
     computed_ind = _quotient_by_products(box, bound)
     expected_ind = {}
-    if page.s_max >= 1:
+    if s_max >= 1:
         for (s2, t2), names in exterior_monomials(degrees, 1,
                                                   bound).items():
             if s2 == 1:
                 expected_ind[(s2, t2)] = len(names)
 
     computed_prim = _primitive_dims(box, bound)
-    p = f.characteristic
+    p = box.field.characteristic
     expected_prim = {}
     for d in degrees:
         for bd in ((0, d), (1, d)):
-            if bd[1] <= bound and bd[0] <= page.s_max:
+            if bd[1] <= bound and bd[0] <= s_max:
                 expected_prim[bd] = expected_prim.get(bd, 0) + 1
     if p:
         for d in degrees:
             pb = p
             while d * pb <= bound:
-                if pb <= page.s_max:
+                if pb <= s_max:
                     bd = (pb, d * pb)
                     expected_prim[bd] = expected_prim.get(bd, 0) + 1
                 pb *= p

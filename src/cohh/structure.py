@@ -12,8 +12,9 @@ by functions between slot lists, so their composite is the one induced
 map of the composite function (CircleStructure.class_coproduct says
 why); the coproduct applies that one map per shuffle, its plan made
 once per level, and sh_map and levelwise_comult stay as the separate
-factors.  A CircleStructure reads the circle homology table it is
-given (an audit hands it the E2 page's) or builds one.
+factors.  A CircleStructure is built on a circle homology table alone
+(an audit hands it the E2 page's) and reads its coalgebra and bounds
+from it.
 
 Conventions.  For cochains over a shape whose level lists start with
 the basepoint vertex, the D-coactions use that tensor slot: the left
@@ -215,18 +216,15 @@ def levelwise_comult(mx: MixedBicosimplicial, n: int, vec: dict) -> dict:
 
 class CircleStructure:
     """Bundles a homology table over the circle with the machinery that
-    computes its box-bialgebra structure maps.  H, when given, is that
-    table, cohh(D, s_max, t_max) as an E2 page holds it; otherwise it is
-    built here."""
+    computes its box-bialgebra structure maps.  H is that table,
+    cohh(D, s_max, t_max) as an E2 page holds it; the coalgebra D and
+    the field are read from it, and the bounds are H.s_max and H.t_max."""
 
-    def __init__(self, D: GradedCoalgebra, s_max: int, t_max: int,
-                 H: HomologyTable = None):
-        self.D = D
-        self.field = D.field
-        self.s_max = s_max
-        self.t_max = t_max
-        self.H = cohh(D, s_max, t_max) if H is None else H
-        cm = self.H.complex.ambient
+    def __init__(self, H: HomologyTable):
+        cm = H.complex.ambient
+        self.D = cm.D
+        self.field = H.field
+        self.H = H
         self.mx = MixedBicosimplicial(cm, cm)
         self.proj = AmbientProjector(self.H)
         self._shuffle_cache: dict = {}  # (n, p) -> [(sign parity, map)]
@@ -458,13 +456,13 @@ def homology_multiplication(cs: CircleStructure):
     f = cs.field
     H = cs.H
     carrier = cohh_carrier_comodule(cs)
-    pair_space = tensor_space(H.classes, H.classes, cs.t_max)
+    pair_space = tensor_space(H.classes, H.classes, H.t_max)
     ct = CotensorComplex(cs)
     mult = GradedMap(pair_space, H.classes)
     kuenneth_ok = True
 
     # group homology-cotensor basis vectors per (n, t)
-    cot = cotensor(carrier, carrier, cs.t_max)
+    cot = cotensor(carrier, carrier, H.t_max)
     blocks: dict = {}
     for t, vecs in cot.basis.items():
         hits = Counter(pr for vec in vecs for pr in vec)
@@ -483,7 +481,7 @@ def homology_multiplication(cs: CircleStructure):
 
     handled = set()
     for (n, t), block in sorted(blocks.items(), key=repr):
-        if n > cs.s_max:
+        if n > H.s_max:
             continue
         reps = [ct.H.rep(("h", n, t, k)) for k in range(ct.H.dim(n, t))]
         if len(reps) != len(block):
@@ -548,21 +546,22 @@ def cohh_carrier_comodule(cs: CircleStructure) -> Comodule:
                 rcol[h, d] = v
         left[lbl] = lcol
         right[lbl] = rcol
-    return Comodule(D, basis, left, right, truncation=cs.t_max,
+    return Comodule(D, basis, left, right, truncation=H.t_max,
                     name=f"coHH({D.name})")
 
 
-def cohh_box_structure(D: GradedCoalgebra, s_max: int, t_max: int,
-                       with_antipode=False, H: HomologyTable = None):
-    """Assemble the box-bialgebra structure on the circle homology, read
-    from the table H when it is given (see CircleStructure).
+def cohh_box_structure(H: HomologyTable):
+    """Assemble the box-bialgebra structure on the circle homology table
+    H (see CircleStructure); its multiplication is known through H's
+    s_max, the box's s_max.  A caller that wants the antipode sets
+    box.antipode = cohh_antipode(cs).
 
     Returns (BoxStructure, CircleStructure, kuenneth_ok)."""
-    cs = CircleStructure(D, s_max, t_max, H)
+    cs = CircleStructure(H)
+    D = cs.D
     f = cs.field
-    H = cs.H
 
-    pair_space = tensor_space(H.classes, H.classes, t_max)
+    pair_space = tensor_space(H.classes, H.classes, H.t_max)
     comult = GradedMap(H.classes, pair_space)
     for lbl in H.classes.degree_of:
         col = {pr: v for pr, v in cs.class_coproduct(lbl).items()
@@ -581,15 +580,13 @@ def cohh_box_structure(D: GradedCoalgebra, s_max: int, t_max: int,
     unit = GradedMap(D.space, H.classes)
     for d in D.space.degree_of:
         t = D.degree(d)
-        if t <= t_max:
+        if t <= H.t_max:
             unit.set_column(d, cs.proj.project(0, t, {(d,): f.one}))
 
     mult, carrier, kuenneth_ok = homology_multiplication(cs)
-    antipode = cohh_antipode(cs) if with_antipode else None
 
     box = BoxStructure(D, carrier, comult=comult, counit=counit, unit=unit,
-                       mult=mult, antipode=antipode,
-                       name=f"coHH({D.name})")
+                       mult=mult, s_max=H.s_max, name=f"coHH({D.name})")
     return box, cs, kuenneth_ok
 
 
@@ -599,7 +596,7 @@ def cohh_antipode(cs: CircleStructure) -> GradedMap:
     D = cs.D
     f = cs.field
     H = cs.H
-    Hd = cohh(D, cs.s_max, cs.t_max, shape=double_edge_circle())
+    Hd = cohh(D, H.s_max, H.t_max, shape=double_edge_circle())
     pi = induced_homology_map(D, collapse_double_edge(), H, Hd)
     flip = induced_homology_map(D, flip_double_edge(), Hd, Hd)
     out = GradedMap(H.classes, H.classes)

@@ -59,9 +59,9 @@ def test_criterion_3_bialgebra_diagrams_and_fault_injection():
     import tests.test_hopf as th
 
     D = exterior_coalgebra([3], QQ)
-    box, cs, ok = st.cohh_box_structure(D, 4, 12)
+    box, cs, ok = st.cohh_box_structure(cohh(D, 4, 12))
     assert ok
-    report = hopf.check_box_bialgebra(box, max_degree=12, s_max=4)
+    report = hopf.check_box_bialgebra(box)
     assert report.ok, str(report)
 
     f = QQ
@@ -105,14 +105,14 @@ def test_criterion_3_bialgebra_diagrams_and_fault_injection():
 
     assert len(faults) >= 5
     for name, broken in faults:
-        rep = hopf.check_box_bialgebra(broken, max_degree=12, s_max=4)
+        rep = hopf.check_box_bialgebra(broken)
         assert not rep.ok, name
 
 
 @pytest.mark.parametrize("field", [GF(2), QQ])
 def test_criterion_4_suspension_power_products(field):
     D = exterior_coalgebra([3], field)
-    cs = st.CircleStructure(D, 5, 15)
+    cs = st.CircleStructure(cohh(D, 5, 15))
     mult, carrier, ok = st.homology_multiplication(cs)
     assert ok
     f = field
@@ -151,7 +151,7 @@ def test_criterion_6_collapse_verdicts():
     assert rep.verdict == "Collapses"
     assert rep.bound_value == Fraction(11, 2) and rep.bound_holds
 
-    rep = sp.collapse_analysis([3, 5], 3, s_search=10, t_search=20)
+    rep = sp.collapse_analysis([3, 5], 3)
     assert rep.verdict == "CandidatesExist"
     assert len(rep.candidates) == 1
     c = rep.candidates[0]

@@ -101,6 +101,44 @@ def test_collapse_verdict_and_bound(capsys):
     assert payload["meta"]["field"] == "F_7"
 
 
+def test_collapse_enumerates_without_bounds(capsys):
+    status, out, _ = run_cli(
+        ["collapse", "--degrees", "3,5", "--prime", "3", "--format", "json"],
+        capsys)
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["meta"]["bounds"] == {}
+    (candidate,) = payload["candidates"]
+    assert candidate["text"].startswith("d_2: (1, 8) -> (3, 9)")
+
+
+@pytest.mark.parametrize("degrees, prime", [("3,25", "13"), ("11,31", "2")])
+def test_loops_refuses_a_candidate_past_any_search_bound(degrees, prime,
+                                                         capsys):
+    status, out, err = run_cli(
+        ["loops", "--degrees", degrees, "--prime", prime], capsys)
+    assert status == 2
+    assert err.startswith("refused: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("max_degree", [10 ** 18, 10 ** 19])
+def test_loops_with_an_impossible_bound_is_an_input_error(
+        max_degree, tmp_path, capsys):
+    # 10**18 entries exceed the address space and 10**19 a Py_ssize_t:
+    # both are refused before anything is allocated
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps({"command": "loops", "degrees": [3],
+                                "prime": 5, "max_degree": max_degree}))
+    for argv in (["loops", "--degrees", "3", "--prime", "5",
+                  "--max-degree", str(max_degree)],
+                 ["loops", "--spec", str(spec)]):
+        status, out, err = run_cli(argv, capsys)
+        assert status == 1, argv
+        assert err.startswith("error: ") and "lower" in err, argv
+        assert "Traceback" not in err and out == "", argv
+
+
 def test_loops_table(capsys):
     status, out, _ = run_cli(
         ["loops", "--degrees", "3", "--prime", "5",

@@ -3,38 +3,43 @@ circle homology of exterior coalgebras and on the cofree tensor
 example, plus fault injections confirming that each family of checks
 actually catches a broken structure map."""
 
+import dataclasses
+
 import pytest
 
 from cohh import hopf, linalg, structure as st
 from cohh.coalgebra import exterior_coalgebra, polynomial_coalgebra
+from cohh.complexes import cohh
 from cohh.comodule import BoxStructure, degree_pairs, pair_defect, \
     polynomial_multiplication, tensor_box_structure
 from cohh.fields import GF, QQ
 from cohh.graded import GradedMap
 
 
+def with_antipode(D, s_max, t_max) -> BoxStructure:
+    """The box structure on cohh(D, s_max, t_max), with its antipode."""
+    box, cs, ok = st.cohh_box_structure(cohh(D, s_max, t_max))
+    assert ok
+    box.antipode = st.cohh_antipode(cs)
+    return box
+
+
 @pytest.fixture(scope="module")
 def box_q():
     D = exterior_coalgebra([3], QQ)
-    box, cs, ok = st.cohh_box_structure(D, 3, 12, with_antipode=True)
-    assert ok
-    return box
+    return with_antipode(D, 3, 12)
 
 
 @pytest.fixture(scope="module")
 def box_f2():
     D = exterior_coalgebra([3], GF(2))
-    box, cs, ok = st.cohh_box_structure(D, 3, 12, with_antipode=True)
-    assert ok
-    return box
+    return with_antipode(D, 3, 12)
 
 
 @pytest.fixture(scope="module")
 def box_35_f2():
     D = exterior_coalgebra([3, 5], GF(2))
-    box, cs, ok = st.cohh_box_structure(D, 2, 10, with_antipode=True)
-    assert ok
-    return box
+    return with_antipode(D, 2, 10)
 
 
 @pytest.fixture(scope="module")
@@ -52,27 +57,27 @@ def clone_map(m: GradedMap) -> GradedMap:
 
 
 def clone_box(box: BoxStructure) -> BoxStructure:
-    return BoxStructure(
-        base=box.base, carrier=box.carrier,
-        comult=clone_map(box.comult), counit=clone_map(box.counit),
+    """A copy whose maps can be broken without touching box; s_max and
+    the other fields are kept."""
+    return dataclasses.replace(
+        box, comult=clone_map(box.comult), counit=clone_map(box.counit),
         unit=clone_map(box.unit), mult=clone_map(box.mult),
-        antipode=clone_map(box.antipode) if box.antipode else None,
-        name=box.name)
+        antipode=clone_map(box.antipode) if box.antipode else None)
 
 
 def test_circle_homology_is_a_box_hopf_algebra(box_q, box_f2):
     for box in (box_q, box_f2):
-        report = hopf.full_hopf_report(box, max_degree=12, s_max=3)
+        report = hopf.full_hopf_report(box)
         assert report.ok, str(report)
 
 
 def test_two_generator_circle_homology_passes_mod_2(box_35_f2):
-    report = hopf.full_hopf_report(box_35_f2, max_degree=10, s_max=2)
+    report = hopf.full_hopf_report(box_35_f2)
     assert report.ok, str(report)
 
 
 def test_cofree_tensor_box_structure_passes(box_tensor_f3):
-    report = hopf.full_hopf_report(box_tensor_f3, max_degree=6)
+    report = hopf.full_hopf_report(box_tensor_f3)
     assert report.ok, str(report)
 
 
@@ -85,9 +90,8 @@ def test_a_partial_box_runs_only_the_checkers_whose_maps_it_has(missing):
     box = tensor_box_structure(C, D2, polynomial_multiplication(D2))
     box.antipode = GradedMap.identity(box.carrier.space, GF(3))
     setattr(box, missing, None)
-    report = hopf.full_hopf_report(box, max_degree=8)
-    want = [] if missing == "counit" else hopf.check_box_coalgebra(
-        box, max_degree=8).checks
+    report = hopf.full_hopf_report(box)
+    want = [] if missing == "counit" else hopf.check_box_coalgebra(box).checks
     assert report.checks == want
     assert report.ok == bool(want)
 
@@ -115,9 +119,10 @@ def test_shared_pair_cotensor_is_the_per_degree_basis(box, max_degree, s_max,
     # coactions preserve filtration, so the blocks of total filtration
     # <= s_max of one cotensor are the bases of the pairs <= s_max alone
     box = request.getfixturevalue(box)
-    bound = hopf._bound(box, max_degree)
-    pairs = hopf._pair_cotensor(box, bound, s_max)
-    for t in range(bound + 1):
+    # the bounds the box holds are those every caller used to pass
+    assert (hopf._bound(box), box.s_max) == (max_degree, s_max)
+    pairs = hopf._pair_cotensor(box)
+    for t in range(max_degree + 1):
         assert pairs.get(t, []) == pair_cotensor_basis(box, t, s_max), t
 
 
@@ -129,14 +134,14 @@ def test_fault_broken_comultiplication_is_caught(box_f2):
     # spurious non-primitive term of the right degree
     col[(("h", 0, 3, 0), one)] = GF(2).one
     bad.comult.set_column(sx, col)
-    report = hopf.check_box_coalgebra(bad, max_degree=12)
+    report = hopf.check_box_coalgebra(bad)
     assert not report.ok
 
 
 def test_fault_broken_counit_is_caught(box_f2):
     bad = clone_box(box_f2)
     bad.counit.set_column(("h", 0, 3, 0), {})
-    report = hopf.check_box_coalgebra(bad, max_degree=12)
+    report = hopf.check_box_coalgebra(bad)
     names = [c.name for c in report.failures]
     assert any("counit law" in n for n in names)
     (left,) = [c for c in report.failures
@@ -148,15 +153,40 @@ def test_fault_broken_multiplication_is_caught(box_f2):
     bad = clone_box(box_f2)
     sx = ("h", 1, 3, 0)
     bad.mult.set_column((sx, sx), {})
-    report = hopf.check_box_bialgebra(bad, max_degree=12, s_max=3)
+    report = hopf.check_box_bialgebra(bad)
     assert not report.ok
+
+
+@pytest.mark.parametrize("box", ["box_q", "box_f2", "box_35_f2",
+                                 "box_tensor_f3"])
+def test_a_clone_keeps_the_filtration_bound_and_passes(box, request):
+    box = request.getfixturevalue(box)
+    assert clone_box(box).s_max == box.s_max
+    assert hopf.full_hopf_report(clone_box(box)).ok
+
+
+@pytest.mark.parametrize("box", ["box_q", "box_f2"])
+def test_the_checks_read_the_filtration_bound_of_the_box(box, request):
+    # a product known at total filtration exactly s_max, zeroed, is
+    # caught; once the box claims one filtration less, it is not: the
+    # checks read the box's own bound
+    box = request.getfixturevalue(box)
+    pairs = [pr for pr, col in box.mult.columns.items()
+             if col and pr[0][1] + pr[1][1] == box.s_max]
+    assert (("h", 1, 3, 0), ("h", 2, 6, 0)) in pairs
+    for pair in pairs:
+        bad = clone_box(box)
+        bad.mult.set_column(pair, {})
+        assert not hopf.check_box_bialgebra(bad).ok, pair
+        lower = dataclasses.replace(bad, s_max=box.s_max - 1)
+        assert hopf.check_box_bialgebra(lower).ok, pair
 
 
 def test_fault_broken_unit_is_caught(box_q):
     bad = clone_box(box_q)
     bad.unit.set_column("x3", {("h", 0, 3, 0): QQ.coerce(2)})
-    algebra = hopf.check_box_algebra(bad, max_degree=12, s_max=3)
-    bialgebra = hopf.check_box_bialgebra(bad, max_degree=12, s_max=3)
+    algebra = hopf.check_box_algebra(bad)
+    bialgebra = hopf.check_box_bialgebra(bad)
     assert not algebra.ok or not bialgebra.ok
 
 
@@ -164,7 +194,7 @@ def test_fault_broken_antipode_is_caught(box_q):
     bad = clone_box(box_q)
     # the identity is not the antipode in characteristic zero
     bad.antipode = GradedMap.identity(bad.carrier.space, QQ)
-    report = hopf.check_antipode(bad, max_degree=12)
+    report = hopf.check_antipode(bad)
     assert not report.ok
 
 
@@ -174,12 +204,12 @@ def test_fault_sign_error_in_antipode_is_caught(box_q):
     sx = ("h", 1, 3, 0)
     # flip the sign on one suspension class only
     bad.antipode.set_column(sx, {sx: f.one})
-    report = hopf.check_antipode(bad, max_degree=12)
+    report = hopf.check_antipode(bad)
     assert not report.ok
 
 
 def test_leibniz_holds_for_the_zero_differential(box_f2):
-    report = hopf.check_leibniz(box_f2, lambda h: {}, max_degree=12, s_max=3)
+    report = hopf.check_leibniz(box_f2, lambda h: {})
     assert report.ok
 
 
@@ -210,7 +240,7 @@ def test_regular_structure_on_the_base_itself_passes():
 
 
 def test_co_leibniz_holds_for_the_zero_differential(box_f2):
-    report = hopf.check_co_leibniz(box_f2, lambda h: {}, max_degree=12)
+    report = hopf.check_co_leibniz(box_f2, lambda h: {})
     assert report.ok
 
 
@@ -223,7 +253,7 @@ def test_co_leibniz_rejects_a_broken_differential(box_f2):
             return {("h", 1, 3, 0): f.one}
         return {}
 
-    report = hopf.check_co_leibniz(box_f2, fake_diff, max_degree=12)
+    report = hopf.check_co_leibniz(box_f2, fake_diff)
     assert not report.ok
 
 
@@ -238,7 +268,7 @@ def test_leibniz_rejects_a_non_derivation(box_f2):
             return {("h", 0, 3, 0): f.one}
         return {}
 
-    report = hopf.check_leibniz(box_f2, fake_diff, max_degree=12, s_max=3)
+    report = hopf.check_leibniz(box_f2, fake_diff)
     assert not report.ok
 
 

@@ -6,7 +6,8 @@ somewhere, no module but linalg reads a private linalg name or the
 rows and entries of a Matrix, no module sums term by term with
 add_term or sub_sums, every axiom check is made by coalgebra.check
 into the one report type, and no function but the two signed tensor
-products loops over the images of maps on tensor legs by hand."""
+products loops over the images of maps on tensor legs by hand, and no
+function offers an option that no call in the package sets."""
 
 import ast
 import re
@@ -535,6 +536,123 @@ def test_checker_flags_a_nested_map_loop(tmp_path):
                     "            pass\n")
     assert nested_map_loops(path) == [("mod", "lhs", 3),
                                       ("mod", "signed", 12)]
+
+
+# options kept although no call in the package sets them, as (module,
+# function, parameter): the console entry point, the API of the
+# acceptance criteria, the unnormalized oracle and the test constructor
+UNSET_OPTIONS_KEPT = {("cli", "main", "argv"),
+                      ("comodule", "tensor_box_structure", "mult2"),
+                      ("complexes", "cohh", "normalized"),
+                      ("linalg", "Matrix.__init__", "entries")}
+
+
+def _defaulted_parameters(tree):
+    """(function, call name, position, parameter, line) for each
+    parameter with a default of a top-level function or of a method of
+    a top-level class.  A call names the function, the method or, for
+    __init__, the class; position is the parameter's index among the
+    arguments such a call passes by position, None for a keyword-only
+    one."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            defs = [(top.name, top.name, top, 0)]
+        elif isinstance(top, ast.ClassDef):
+            defs = [(f"{top.name}.{fn.name}",
+                     top.name if fn.name == "__init__" else fn.name, fn,
+                     0 if any(getattr(d, "id", None) == "staticmethod"
+                              for d in fn.decorator_list) else 1)
+                    for fn in top.body if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        for function, called, fn, skip in defs:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            for i in range(len(positional) - len(args.defaults),
+                           len(positional)):
+                yield (function, called, i - skip, positional[i].arg,
+                       positional[i].lineno)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield function, called, None, arg.arg, arg.lineno
+
+
+def _calls(tree):
+    """(name, positional count, keywords) for each call in tree whose
+    function is a name or an attribute; a from-import alias is resolved
+    to the imported name, a *args counts as any number of positional
+    arguments and a **kwargs as any keyword (None)."""
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.asname}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            name = aliases.get(node.func.id, node.func.id)
+        elif isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+        else:
+            continue
+        count = (float("inf") if any(isinstance(a, ast.Starred)
+                                     for a in node.args) else len(node.args))
+        yield name, count, {kw.arg for kw in node.keywords}
+
+
+def never_set_options(paths):
+    """(module, function, parameter, line) for each parameter with a
+    default of a top-level function or method in paths (nested
+    functions are left out) that no call in paths passes, by position
+    or by keyword.  Calls are matched by name."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in paths}
+    calls: dict = {}
+    for tree in trees.values():
+        for name, count, keywords in _calls(tree):
+            calls.setdefault(name, []).append((count, keywords))
+    return [(path.stem, function, param, line)
+            for path, tree in trees.items()
+            for function, called, position, param, line
+            in _defaulted_parameters(tree)
+            if not any(position is not None and position < count
+                       or param in keywords or None in keywords
+                       for count, keywords in calls.get(called, ()))]
+
+
+def test_no_option_is_left_that_no_call_sets():
+    found = never_set_options(sorted(SRC.glob("*.py")))
+    assert {hit[:3] for hit in found} == UNSET_OPTIONS_KEPT, (
+        "options no call sets (module, function, parameter, line): "
+        + repr(found))
+
+
+def test_checker_flags_an_option_no_call_sets(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from .other import helper as h\n"
+                   "def f(a, b=1, *, c=None):\n"
+                   "    return a\n"
+                   "def g(x, y=2):\n"
+                   "    return f(x, 2)\n"
+                   "class Box:\n"
+                   "    def __init__(self, n, size=0):\n"
+                   "        self.n = n\n"
+                   "    def grow(self, k=1, step=None):\n"
+                   "        def inner(z=3):\n"
+                   "            return z\n"
+                   "        return Box(1, size=k)\n"
+                   "    @staticmethod\n"
+                   "    def make(w=0, v=0):\n"
+                   "        return w\n"
+                   "def run(*rest, **opts):\n"
+                   "    h(1, 2)\n"
+                   "    Box(0).grow(4)\n"
+                   "    return g(1), Box.make(*rest), f(1, **opts)\n")
+    other = tmp_path / "other.py"
+    other.write_text("def helper(u, v=0, w=0):\n"
+                     "    return u\n")
+    assert never_set_options([mod, other]) == [
+        ("mod", "g", "y", 4), ("mod", "Box.grow", "step", 9),
+        ("other", "helper", "w", 1)]
 
 
 def test_importing_the_cli_does_not_load_numpy():

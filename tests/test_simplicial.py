@@ -1,14 +1,11 @@
 import pytest
 
 from cohh.simplicial import (
-    basepoint_inclusion,
     circle,
     collapse_double_edge,
     collapse_subdivided,
-    constant_map,
     double_edge_circle,
     flip_double_edge,
-    fold_map,
     pinch_double_edge,
     pinch_subdivided,
     point,
@@ -18,7 +15,7 @@ from cohh.simplicial import (
 )
 
 MODELS = [circle, wedge_of_circles, subdivided_circle, double_edge_circle, point]
-MAPS = [fold_map, pinch_subdivided, pinch_double_edge, collapse_subdivided,
+MAPS = [pinch_subdivided, pinch_double_edge, collapse_subdivided,
         collapse_double_edge, flip_double_edge]
 
 
@@ -60,12 +57,6 @@ def test_simplicial_identities(model):
 @pytest.mark.parametrize("mk", MAPS)
 def test_maps_are_simplicial(mk):
     assert mk().check(4)
-
-
-def test_point_maps_are_simplicial():
-    for X in (circle(), subdivided_circle(), double_edge_circle()):
-        assert basepoint_inclusion(X).check(4)
-        assert constant_map(X).check(4)
 
 
 def test_flip_is_an_involution():

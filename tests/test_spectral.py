@@ -5,7 +5,10 @@ Oracles: monomial counting in Lambda(y) (x) k[w] for page dimensions,
 explicit series expansion for loop tables, and hand-solved bidegree
 equations for the collapse candidates."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cohh import spectral as sp
 from cohh.coalgebra import exterior_coalgebra, polynomial_coalgebra
@@ -61,7 +64,7 @@ def test_collapse_for_3_5_at_7_with_the_sharp_bound():
 
 
 def test_candidate_for_3_5_at_3_is_unique():
-    report = sp.collapse_analysis([3, 5], 3, s_search=10, t_search=20)
+    report = sp.collapse_analysis([3, 5], 3)
     assert report.verdict == "CandidatesExist"
     assert len(report.candidates) == 1
     c = report.candidates[0]
@@ -71,6 +74,61 @@ def test_candidate_for_3_5_at_3_is_unique():
     assert c.target_monomial == "w3^3"
     # two monomials share the source bidegree
     assert c.source_monomials == ["y3*w5", "y5*w3"]
+
+
+def brute_force_candidates(degrees, p):
+    """Oracle: for each source monomial y_S w_j and target generator
+    w_a, try every b >= 1 with p^b <= t_src; as (r, source, target,
+    source monomials, equation) tuples in order."""
+    found: dict = {}
+    n = len(degrees)
+    for m in range(n + 1):
+        for subset in itertools.combinations(range(n), m):
+            for j in range(n):
+                t_src = sum(degrees[k] for k in subset) + degrees[j]
+                name = sp.monomial_name(
+                    degrees, tuple(int(k in subset) for k in range(n)),
+                    tuple(int(k == j) for k in range(n)))
+                for ia in degrees:
+                    b = 1
+                    while p ** b <= t_src:
+                        pb = p ** b
+                        if pb - 1 >= 2 and t_src - 2 == (ia - 1) * pb:
+                            eq = f"1+r = {p}^{b}, {t_src}-2 = ({ia}-1)*{pb}"
+                            key = (pb - 1, (1, t_src), (pb, ia * pb))
+                            found.setdefault(key, (eq, set()))[1].add(name)
+                        b += 1
+    return [(r, source, target, sorted(names), eq)
+            for (r, source, target), (eq, names) in sorted(found.items())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(degrees=st.lists(st.sampled_from(range(3, 42, 2)), min_size=1,
+                        max_size=3).map(sorted),
+       p=st.sampled_from([q for q in PRIMES if q <= 31]))
+@example(degrees=[3, 25], p=13)
+@example(degrees=[11, 31], p=2)
+@example(degrees=[3, 17], p=2)
+def test_collapse_analysis_is_the_exhaustive_enumeration(degrees, p):
+    report = sp.collapse_analysis(degrees, p)
+    got = [(c.r, c.source_bidegree, c.target_bidegree, c.source_monomials,
+            c.equations) for c in report.candidates]
+    assert got == brute_force_candidates(degrees, p)
+    assert report.verdict == ("CandidatesExist" if got else "Collapses")
+
+
+@pytest.mark.parametrize("degrees, p, candidate", [
+    # each lies beyond r = 10 or source degree 40, where a bounded
+    # search would miss it
+    ([3, 25], 13, "d_12: (1, 28) -> (13, 39), sources y25*w3, y3*w25"),
+    ([11, 31], 2, "d_3: (1, 42) -> (4, 44), sources y11*w31, y31*w11"),
+    ([3, 17], 2, "d_15: (1, 34) -> (16, 48), sources y17*w17"),
+])
+def test_candidates_past_any_search_bound_are_found(degrees, p, candidate):
+    report = sp.collapse_analysis(degrees, p)
+    assert report.verdict == "CandidatesExist"
+    assert any(str(c).startswith(candidate + ",") for c in report.candidates)
+    assert not report.bound_holds
 
 
 def test_single_generator_always_collapses():

@@ -19,6 +19,7 @@ from cohh.complexes import (
     CosimplicialModule,
     HomologyTable,
     _words,
+    cohh,
     induced_map,
     normalized_complex,
 )
@@ -180,7 +181,7 @@ def test_sh_is_a_chain_map_to_the_total_complex():
 @pytest.mark.parametrize("field", [GF(2), QQ])
 def test_suspension_powers_multiply_freely(field):
     D = exterior_coalgebra([3], field)
-    cs = st.CircleStructure(D, 3, 12)
+    cs = st.CircleStructure(cohh(D, 3, 12))
     mult, carrier, ok = st.homology_multiplication(cs)
     assert ok
     f = field
@@ -207,7 +208,7 @@ def test_suspension_powers_multiply_freely(field):
 def test_coproduct_of_suspension_powers_is_binomial(field):
     import math
     D = exterior_coalgebra([3], field)
-    cs = st.CircleStructure(D, 3, 12)
+    cs = st.CircleStructure(cohh(D, 3, 12))
     mult, _, _ = st.homology_multiplication(cs)
     f = field
     sx = ("h", 1, 3, 0)
@@ -259,7 +260,7 @@ def test_class_coproduct_equals_sh_after_levelwise_comult(
     D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
         exterior_coalgebra([3], field),
         polynomial_coalgebra([4], field, truncation=12)))
-    cs = st.CircleStructure(D, s_max, t_max)
+    cs = st.CircleStructure(cohh(D, s_max, t_max))
     labels = sorted(cs.H.classes.degree_of, key=lambda l: (l[1], l[2], l[3]))
     expected = {label: composite_coproduct(cs, label) for label in labels}
 
@@ -283,7 +284,7 @@ def test_class_coproduct_equals_sh_after_levelwise_comult(
 
 def test_coproduct_of_exterior_class_is_primitive():
     D = exterior_coalgebra([3], GF(2))
-    cs = st.CircleStructure(D, 3, 12)
+    cs = st.CircleStructure(cohh(D, 3, 12))
     one = ("h", 0, 0, 0)
     x = ("h", 0, 3, 0)
     assert cs.class_coproduct(x) == {(one, x): 1, (x, one): 1}
@@ -292,7 +293,7 @@ def test_coproduct_of_exterior_class_is_primitive():
 
 def test_product_on_cotensor_matches_the_assembled_multiplication():
     D = exterior_coalgebra([3], GF(2))
-    cs = st.CircleStructure(D, 3, 12)
+    cs = st.CircleStructure(cohh(D, 3, 12))
     H = cs.H
     z1 = H.rep(("h", 1, 3, 0))
     z2 = H.rep(("h", 2, 6, 0))
@@ -306,7 +307,7 @@ def test_product_on_cotensor_matches_the_assembled_multiplication():
 
 def test_product_refuses_non_equalized_input():
     D = exterior_coalgebra([3], GF(2))
-    cs = st.CircleStructure(D, 2, 9)
+    cs = st.CircleStructure(cohh(D, 2, 9))
     bad = {(("x3",), ("x3",)): cs.field.one}
     assert not cs.is_equalized(bad)
     with pytest.raises(st.NotEqualized):
@@ -371,7 +372,7 @@ def test_multiplication_is_the_complete_basis_extension(degrees, field,
     D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
         exterior_coalgebra([3], field),
         polynomial_coalgebra([4], field, truncation=12)))
-    cs = st.CircleStructure(D, s_max, t_max)
+    cs = st.CircleStructure(cohh(D, s_max, t_max))
     mult, carrier, ok = st.homology_multiplication(cs)
     assert ok
     f = field
@@ -396,7 +397,7 @@ def test_cotensor_coordinates_span_the_equalizer(degrees, field, s_max,
     D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
         exterior_coalgebra([3], field),
         polynomial_coalgebra([4], field, truncation=12)))
-    cs = st.CircleStructure(D, s_max, t_max)
+    cs = st.CircleStructure(cohh(D, s_max, t_max))
     ct = st.CotensorComplex(cs)
     terms = cs.H.complex.terms
     blocks = 0
@@ -509,7 +510,7 @@ def test_cotensor_homology_matches_the_per_block_loop_on_more_coalgebras(
 
 
 def assert_cotensor_homology_matches_the_per_block_loop(D, s_max, t_max):
-    cs = st.CircleStructure(D, s_max, t_max)
+    cs = st.CircleStructure(cohh(D, s_max, t_max))
     ct = st.CotensorComplex(cs)
     oracle = per_block_cotensor_homology(cs)
     assert ct.H.dims() == {nt: dim for nt, (_, dim, _) in oracle.items()
@@ -530,7 +531,7 @@ def test_every_cotensor_column_stays_in_the_cotensor(degrees, field, s_max,
     D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
         exterior_coalgebra([3], field),
         polynomial_coalgebra([4], field, truncation=12)))
-    cs = st.CircleStructure(D, s_max, t_max)
+    cs = st.CircleStructure(cohh(D, s_max, t_max))
     ct = st.CotensorComplex(cs)
     cc = ct.complex
     unguarded = 0
@@ -552,8 +553,8 @@ def test_the_cotensor_walk_opens_only_nonempty_circle_levels(monkeypatch):
     # degree list about 6 * 203 * 202 / 2 times; one over the nonempty
     # levels, some 24 times, besides the one reading per term
     D = exterior_coalgebra([3], GF(2))
-    want = st.CotensorComplex(st.CircleStructure(D, 2, 5)).H.dims()
-    cs = st.CircleStructure(D, 200, 5)
+    want = st.CotensorComplex(st.CircleStructure(cohh(D, 2, 5))).H.dims()
+    cs = st.CircleStructure(cohh(D, 200, 5))
     opened = []
     degrees = GradedSpace.degrees
 
@@ -572,7 +573,7 @@ def test_the_cotensor_walk_opens_only_nonempty_circle_levels(monkeypatch):
 def test_cotensor_complex_refuses_a_right_coaction_off_the_cotensor(
         monkeypatch):
     D = exterior_coalgebra([3, 5], QQ)
-    cs = st.CircleStructure(D, 2, 12)
+    cs = st.CircleStructure(cohh(D, 2, 12))
     right = st.cochain_right_coaction
 
     def flipped(D, word):
@@ -588,7 +589,7 @@ def test_cotensor_complex_refuses_a_right_coaction_off_the_cotensor(
 def test_cotensor_complex_refuses_an_image_outside_the_next_block(
         monkeypatch):
     D = exterior_coalgebra([3], QQ)
-    cs = st.CircleStructure(D, 2, 9)
+    cs = st.CircleStructure(cohh(D, 2, 9))
     cc = cs.H.complex
     column = cc.column
 
@@ -607,7 +608,7 @@ def test_cotensor_homology_table_checks_every_block():
     # doubling one entry (x, y) of d^1 whose target y has d^2(y) != 0
     # makes d^2 d^1 nonzero on x
     D = exterior_coalgebra([3, 5], QQ)
-    cs = st.CircleStructure(D, 3, 12)
+    cs = st.CircleStructure(cohh(D, 3, 12))
     ct = st.CotensorComplex(cs)
     cc = ct.complex
     col, i = next((col, i) for t, cols in cc.diff[1].items() for col in cols
@@ -619,7 +620,7 @@ def test_cotensor_homology_table_checks_every_block():
 
 def test_pair_classes_refuses_a_word_outside_the_normalized_terms():
     D = exterior_coalgebra([3], GF(2))
-    cs = st.CircleStructure(D, 2, 9)
+    cs = st.CircleStructure(cohh(D, 2, 9))
     # the coaugmentation in slot 1 makes ("x3", "1") degenerate, so it is
     # no word of the normalized level-1 term, although (1, 3) has a class
     assert cs.H.dim(1, 3) == 1
@@ -629,7 +630,7 @@ def test_pair_classes_refuses_a_word_outside_the_normalized_terms():
 
 def test_projector_refuses_a_word_outside_the_normalized_terms():
     D = exterior_coalgebra([3], GF(2))
-    cs = st.CircleStructure(D, 2, 9)
+    cs = st.CircleStructure(cohh(D, 2, 9))
     assert cs.proj.project(1, 3, {("1", "x3"): 1}) == {("h", 1, 3, 0): 1}
     with pytest.raises(linalg.NoSolution):
         cs.proj.project(1, 3, {("x3", "1"): 1})
@@ -672,7 +673,7 @@ def test_both_tables_match_reducing_every_cycle(case, field, s_max, t_max):
              polynomial_coalgebra([4], field, truncation=12)),
          "k[w2]": lambda: polynomial_coalgebra([2], field, truncation=10),
          }[case]()
-    cs = st.CircleStructure(D, s_max, t_max)
+    cs = st.CircleStructure(cohh(D, s_max, t_max))
     ct = st.CotensorComplex(cs)
     assert assert_blocks_match_reducing_every_cycle(cs.H) > 5
     assert assert_blocks_match_reducing_every_cycle(ct.H) > 5
@@ -687,7 +688,7 @@ def test_the_cotensor_table_builds_no_boundary_rows(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(st, "CotensorComplex", Recorded)
-    st.cohh_box_structure(exterior_coalgebra([3, 5], GF(2)), 4, 20)
+    st.cohh_box_structure(cohh(exterior_coalgebra([3, 5], GF(2)), 4, 20))
     (ct,) = built
     assert any(bd.rep_vectors for bd in ct.H.data.values())
     assert all(bd.boundary is None for bd in ct.H.data.values())
@@ -696,15 +697,15 @@ def test_the_cotensor_table_builds_no_boundary_rows(monkeypatch):
 def test_carrier_comodule_satisfies_the_comodule_axioms():
     for field in (GF(2), QQ):
         D = exterior_coalgebra([3], field)
-        cs = st.CircleStructure(D, 3, 12)
+        cs = st.CircleStructure(cohh(D, 3, 12))
         carrier = st.cohh_carrier_comodule(cs)
-        report = carrier.validate(max_degree=12)
+        report = carrier.validate()
         assert report.ok, str(report)
 
 
 def test_carrier_coactions_follow_the_comultiplication_of_the_base():
     D = exterior_coalgebra([3], GF(2))
-    cs = st.CircleStructure(D, 2, 9)
+    cs = st.CircleStructure(cohh(D, 2, 9))
     carrier = st.cohh_carrier_comodule(cs)
     one = ("h", 0, 0, 0)
     x = ("h", 0, 3, 0)
@@ -717,7 +718,7 @@ def test_antipode_is_loop_reversal():
     # reversal fixes constant-loop classes and negates each suspension
     # factor, so it acts by (-1)^s on the closed-form basis
     D = exterior_coalgebra([3], QQ)
-    cs = st.CircleStructure(D, 3, 12)
+    cs = st.CircleStructure(cohh(D, 3, 12))
     chi = st.cohh_antipode(cs)
     f = QQ
     for lbl in cs.H.classes.degree_of:
@@ -727,7 +728,7 @@ def test_antipode_is_loop_reversal():
 
 def test_antipode_is_an_involution_mod_2():
     D = exterior_coalgebra([3, 5], GF(2))
-    cs = st.CircleStructure(D, 2, 10)
+    cs = st.CircleStructure(cohh(D, 2, 10))
     chi = st.cohh_antipode(cs)
     f = GF(2)
     square = chi.compose(chi, f)
@@ -736,8 +737,9 @@ def test_antipode_is_an_involution_mod_2():
 
 def test_box_structure_assembles_with_unit_and_counit():
     D = exterior_coalgebra([3], GF(2))
-    box, cs, ok = st.cohh_box_structure(D, 3, 12, with_antipode=True)
+    box, cs, ok = st.cohh_box_structure(cohh(D, 3, 12))
     assert ok
+    box.antipode = st.cohh_antipode(cs)
     f = GF(2)
     one = ("h", 0, 0, 0)
     x = ("h", 0, 3, 0)
