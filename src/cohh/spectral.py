@@ -157,27 +157,12 @@ class CandidateDifferential:
 
 @dataclass
 class CollapseReport:
-    degrees: list
-    prime: int
     verdict: str                   # "Collapses" or "CandidatesExist"
     candidates: list
     bound_value: Fraction          # (i_n - 2 + sum i_j) / (i_1 - 1)
     bound_holds: bool              # strict: bound_value < p
     weak_bound_value: Fraction     # (i_n + sum i_j) / (i_1 - 1)
     weak_bound_holds: bool         # weak_bound_value <= p
-
-    def __str__(self):
-        lines = [f"exterior degrees {self.degrees}, p = {self.prime}: "
-                 f"{self.verdict}",
-                 f"  sharp bound (i_n - 2 + sum i_j)/(i_1 - 1) = "
-                 f"{self.bound_value} "
-                 f"({'<' if self.bound_holds else '>='} {self.prime})",
-                 f"  weak bound (i_n + sum i_j)/(i_1 - 1) = "
-                 f"{self.weak_bound_value} "
-                 f"({'<=' if self.weak_bound_holds else '>'} {self.prime})"]
-        for c in self.candidates:
-            lines.append("  candidate " + str(c))
-        return "\n".join(lines)
 
 
 def _exponent(q: int, p: int) -> int:
@@ -234,7 +219,6 @@ def collapse_analysis(degrees, p: int) -> CollapseReport:
     for c in candidates:
         c.source_monomials.sort()
     return CollapseReport(
-        degrees=list(degrees), prime=p,
         verdict="Collapses" if not candidates else "CandidatesExist",
         candidates=candidates,
         bound_value=bound_value, bound_holds=bound_value < p,
@@ -243,21 +227,9 @@ def collapse_analysis(degrees, p: int) -> CollapseReport:
 
 @dataclass
 class LoopHomologyTable:
-    degrees: list
-    prime: int
     dims: dict                     # total degree -> dim
-    max_total_degree: int
-    generators: dict               # name -> degree
     note: str = ("complete convergence assumed; coalgebra structure "
                  "expected but unverified")
-
-    def __str__(self):
-        lines = [f"free loop space homology for exterior degrees "
-                 f"{self.degrees} (p = {self.prime}):"]
-        for nd in range(self.max_total_degree + 1):
-            lines.append(f"  degree {nd}: {self.dims.get(nd, 0)}")
-        lines.append(f"  [{self.note}]")
-        return "\n".join(lines)
 
 
 def loop_series_dims(degrees, max_total_degree: int) -> dict:
@@ -291,14 +263,7 @@ def loop_homology(degrees, p: int,
                 f"candidate differentials remain for degrees "
                 f"{list(degrees)} at p = {p}: "
                 + "; ".join(str(c) for c in report.candidates))
-    generators = {}
-    for d in degrees:
-        generators[f"y{d}"] = d
-        generators[f"w{d}"] = d - 1
-    return LoopHomologyTable(
-        degrees=list(degrees), prime=p,
-        dims=loop_series_dims(degrees, max_total_degree),
-        max_total_degree=max_total_degree, generators=generators)
+    return LoopHomologyTable(dims=loop_series_dims(degrees, max_total_degree))
 
 
 @dataclass

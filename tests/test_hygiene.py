@@ -548,18 +548,20 @@ UNSET_OPTIONS_KEPT = {("cli", "main", "argv"),
 
 
 def _defaulted_parameters(tree):
-    """(function, call name, position, parameter, line) for each
+    """(function, call key, position, parameter, line) for each
     parameter with a default of a top-level function or of a method of
-    a top-level class.  A call names the function, the method or, for
-    __init__, the class; position is the parameter's index among the
-    arguments such a call passes by position, None for a keyword-only
-    one."""
+    a top-level class.  The call key is (kind, name), as _calls gives
+    it: a function, or the class for __init__, is called as a
+    "function", any other method as a "method"; position is the
+    parameter's index among the arguments such a call passes by
+    position, None for a keyword-only one."""
     for top in tree.body:
         if isinstance(top, ast.FunctionDef):
-            defs = [(top.name, top.name, top, 0)]
+            defs = [(top.name, ("function", top.name), top, 0)]
         elif isinstance(top, ast.ClassDef):
             defs = [(f"{top.name}.{fn.name}",
-                     top.name if fn.name == "__init__" else fn.name, fn,
+                     ("function", top.name) if fn.name == "__init__"
+                     else ("method", fn.name), fn,
                      0 if any(getattr(d, "id", None) == "staticmethod"
                               for d in fn.decorator_list) else 1)
                     for fn in top.body if isinstance(fn, ast.FunctionDef)]
@@ -578,38 +580,49 @@ def _defaulted_parameters(tree):
 
 
 def _calls(tree):
-    """(name, positional count, keywords) for each call in tree whose
-    function is a name or an attribute; a from-import alias is resolved
-    to the imported name, a *args counts as any number of positional
-    arguments and a **kwargs as any keyword (None)."""
+    """((kind, name), positional count, keywords) for each call in tree
+    whose function is a name or an attribute.  A bare name, with a
+    from-import alias resolved to the imported name, and module.f, with
+    module a name that an import or a from . import binds, are
+    "function" calls; every other attribute call is a "method" call.  A
+    *args counts as any number of positional arguments and a **kwargs
+    as any keyword (None)."""
     aliases = {alias.asname: alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.asname}
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               or isinstance(node, ast.ImportFrom) and node.module is None
+               for alias in node.names}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        if isinstance(node.func, ast.Name):
-            name = aliases.get(node.func.id, node.func.id)
-        elif isinstance(node.func, ast.Attribute):
-            name = node.func.attr
+        func = node.func
+        if isinstance(func, ast.Name):
+            key = ("function", aliases.get(func.id, func.id))
+        elif isinstance(func, ast.Attribute):
+            key = ("function" if getattr(func.value, "id", None) in modules
+                   else "method", func.attr)
         else:
             continue
         count = (float("inf") if any(isinstance(a, ast.Starred)
                                      for a in node.args) else len(node.args))
-        yield name, count, {kw.arg for kw in node.keywords}
+        yield key, count, {kw.arg for kw in node.keywords}
 
 
 def never_set_options(paths):
     """(module, function, parameter, line) for each parameter with a
     default of a top-level function or method in paths (nested
     functions are left out) that no call in paths passes, by position
-    or by keyword.  Calls are matched by name."""
+    or by keyword.  Calls are matched by name and kind (see _calls), so
+    a method shares no call with a function of its name."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in paths}
     calls: dict = {}
     for tree in trees.values():
-        for name, count, keywords in _calls(tree):
-            calls.setdefault(name, []).append((count, keywords))
+        for key, count, keywords in _calls(tree):
+            calls.setdefault(key, []).append((count, keywords))
     return [(path.stem, function, param, line)
             for path, tree in trees.items()
             for function, called, position, param, line
@@ -653,6 +666,28 @@ def test_checker_flags_an_option_no_call_sets(tmp_path):
     assert never_set_options([mod, other]) == [
         ("mod", "g", "y", 4), ("mod", "Box.grow", "step", 9),
         ("other", "helper", "w", 1)]
+
+
+def test_checker_tells_methods_and_functions_apart(tmp_path):
+    # Box.check is set only by a call of a function named check, and
+    # solo only by a method call named solo: both are flagged; extra is
+    # set through its module, other
+    mod = tmp_path / "mod.py"
+    mod.write_text("from . import other\n"
+                   "class Box:\n"
+                   "    def check(self, k=0):\n"
+                   "        return k\n"
+                   "def solo(a, q=0):\n"
+                   "    return a\n"
+                   "def run(x):\n"
+                   "    check(x, k=1)\n"
+                   "    x.solo(1, 2)\n"
+                   "    return Box().check(), other.extra(1, z=5)\n")
+    other = tmp_path / "other.py"
+    other.write_text("def extra(u, z=0):\n"
+                     "    return u\n")
+    assert never_set_options([mod, other]) == [
+        ("mod", "Box.check", "k", 3), ("mod", "solo", "q", 5)]
 
 
 def test_importing_the_cli_does_not_load_numpy():

@@ -8,13 +8,14 @@ coproduct is binomial because sigma x is primitive.
 """
 
 import itertools
+from functools import partial
 
 import pytest
 
 from cohh import linalg, structure as st
 from cohh.coalgebra import (exterior_coalgebra, polynomial_coalgebra,
                             tensor_coalgebra)
-from cohh.comodule import cotensor
+from cohh.comodule import cotensor, pair_defect
 from cohh.complexes import (
     CosimplicialModule,
     HomologyTable,
@@ -291,6 +292,48 @@ def test_coproduct_of_exterior_class_is_primitive():
     assert cs.class_coproduct(one) == {(one, one): 1}
 
 
+class NotEqualized(Exception):
+    """Raised when a tensor is not in the cotensor subspace."""
+
+
+def defect(cs, terms):
+    """rho_r (x) id - id (x) rho_l on a formal sum of word pairs."""
+    return pair_defect(terms, partial(st.cochain_right_coaction, cs.D),
+                       partial(st.cochain_left_coaction, cs.D), cs.field)
+
+
+def is_equalized(cs, terms):
+    return not defect(cs, terms)
+
+
+def product_on_cotensor(cs, terms):
+    """The product of an equalized element of the total cotensor of the
+    circle cochains with itself, by the counit on the second word's
+    first slot, projected to classes.
+
+    terms: {(wordA, wordB): coeff} with len(wordA) + len(wordB)
+    constant.  Returns a formal sum of homology classes.  Raises
+    NotEqualized if the element fails the equalizer condition.
+    """
+    f = cs.field
+    if not terms:
+        return {}
+    if not is_equalized(cs, terms):
+        raise NotEqualized("input is not in the cotensor subspace")
+    total = {}
+    for (wa, wb), c in terms.items():
+        n = len(wa) + len(wb) - 2
+        t = st.word_degree(cs.D, wa) + st.word_degree(cs.D, wb)
+        e = cs.D.counit_of(wb[0])
+        if e:
+            w = wa + wb[1:]
+            total[w] = total.get(w, 0) + c * e
+    total = f.canonical(total)
+    if not total:
+        return {}
+    return cs.proj.project(n, t, total)
+
+
 def test_product_on_cotensor_matches_the_assembled_multiplication():
     D = exterior_coalgebra([3], GF(2))
     cs = st.CircleStructure(cohh(D, 3, 12))
@@ -301,17 +344,17 @@ def test_product_on_cotensor_matches_the_assembled_multiplication():
     for wa, va in z1.items():
         for wb, vb in z2.items():
             terms[(wa, wb)] = cs.field.mul(va, vb)
-    assert cs.is_equalized(terms)
-    assert cs.product_on_cotensor(terms) == {("h", 3, 9, 0): 1}
+    assert is_equalized(cs, terms)
+    assert product_on_cotensor(cs, terms) == {("h", 3, 9, 0): 1}
 
 
 def test_product_refuses_non_equalized_input():
     D = exterior_coalgebra([3], GF(2))
     cs = st.CircleStructure(cohh(D, 2, 9))
     bad = {(("x3",), ("x3",)): cs.field.one}
-    assert not cs.is_equalized(bad)
-    with pytest.raises(st.NotEqualized):
-        cs.product_on_cotensor(bad)
+    assert not is_equalized(cs, bad)
+    with pytest.raises(NotEqualized):
+        product_on_cotensor(cs, bad)
 
 
 def complete_basis(vecs, n, f):
@@ -382,7 +425,7 @@ def test_multiplication_is_the_complete_basis_extension(degrees, field,
     assert ct.H.dims()
     for label in ct.H.classes.degree_of:
         z = ct.pair_vec(ct.H.rep(label))
-        assert mult.apply(cs.pair_classes(z), f) == cs.product_on_cotensor(z)
+        assert mult.apply(cs.pair_classes(z), f) == product_on_cotensor(cs, z)
     extension = complete_basis_extension(
         mult, cotensor(carrier, carrier, t_max), s_max, f)
     assert columns_agree(extension, mult, f)
@@ -409,7 +452,7 @@ def test_cotensor_coordinates_span_the_equalizer(degrees, field, s_max,
                      for wa, ta in terms[u].degree_of.items()
                      for wb in terms[n - u].labels(t - ta)]
             kernel = linalg.kernel_of(
-                {p: cs.defect({p: field.one}) for p in pairs}, field)
+                {p: defect(cs, {p: field.one}) for p in pairs}, field)
             images = [ct.pair_vec({x: field.one})
                       for x in ct.complex.terms[n].labels(t)]
             assert len(images) == len(kernel), (n, t)
@@ -634,6 +677,140 @@ def test_projector_refuses_a_word_outside_the_normalized_terms():
     assert cs.proj.project(1, 3, {("1", "x3"): 1}) == {("h", 1, 3, 0): 1}
     with pytest.raises(linalg.NoSolution):
         cs.proj.project(1, 3, {("x3", "1"): 1})
+
+
+def grouped_pair_classes(cs, vec):
+    """(pi (x) pi) by its own loop: group the pairs by (level and degree
+    of wa, wb) and tensor the class coordinates of the two words."""
+    f, H = cs.field, cs.H
+    deg = cs.D.space.degree_of
+    groups = {}
+    for (wa, wb), c in vec.items():
+        key = (len(wa) - 1, sum(deg[x] for x in wa), wb)
+        groups.setdefault(key, {})[wa] = c
+    out = {}
+    for (u, ta, wb), avec in groups.items():
+        ca = H.class_coords(u, ta, avec)
+        if not ca:
+            continue
+        cb = H.class_coords(len(wb) - 1, sum(deg[x] for x in wb),
+                            {wb: f.one})
+        for hA, va in ca.items():
+            for hB, vb in cb.items():
+                out[hA, hB] = out.get((hA, hB), 0) + va * vb
+    return f.canonical(out)
+
+
+def grouped_carrier_coactions(cs):
+    """The carrier's (left, right) coaction tables by their own loop: for
+    each class, the basepoint coactions of its representative grouped by
+    the base label d, each group projected to classes."""
+    f, H, D = cs.field, cs.H, cs.D
+    left, right = {}, {}
+    for lbl in H.classes.degree_of:
+        _, s, t, _ = lbl
+        lgroups, rgroups = {}, {}
+        for word, c in H.rep(lbl).items():
+            for (d, w2), v in st.cochain_left_coaction(D, word).items():
+                group = lgroups.setdefault(d, {})
+                group[w2] = group.get(w2, 0) + c * v
+            for (w2, d), v in st.cochain_right_coaction(D, word).items():
+                group = rgroups.setdefault(d, {})
+                group[w2] = group.get(w2, 0) + c * v
+        left[lbl] = {(d, h): v for d, wvec in lgroups.items()
+                     for h, v in H.class_coords(
+                         s, t - D.degree(d), f.canonical(wvec)).items()}
+        right[lbl] = {(h, d): v for d, wvec in rgroups.items()
+                      for h, v in H.class_coords(
+                          s, t - D.degree(d), f.canonical(wvec)).items()}
+    return left, right
+
+
+PROJECTION_CASES = [
+    ([3], GF(2), 4, 16), ([3], GF(3), 4, 16), ([3], QQ, 4, 16),
+    ([3, 5], GF(2), 3, 16), (None, GF(3), 3, 12)]
+
+
+def projection_case(degrees, field, s_max, t_max):
+    # None stands for Lambda(x_3) (x) k[w_4] truncated at 12
+    D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
+        exterior_coalgebra([3], field),
+        polynomial_coalgebra([4], field, truncation=12)))
+    return cohh(D, s_max, t_max)
+
+
+@pytest.mark.parametrize("degrees, field, s_max, t_max", PROJECTION_CASES,
+                         ids=str)
+def test_pair_classes_matches_the_grouped_loop(degrees, field, s_max, t_max,
+                                               monkeypatch):
+    cs = st.CircleStructure(projection_case(degrees, field, s_max, t_max))
+    seen = []
+    pair_classes = cs.pair_classes
+
+    def recorded(vec):
+        seen.append(vec)
+        return pair_classes(vec)
+
+    monkeypatch.setattr(cs, "pair_classes", recorded)
+    for label in cs.H.classes.degree_of:
+        cs.class_coproduct(label)
+    ct = st.CotensorComplex(cs)
+    seen += [ct.pair_vec(ct.H.rep(label)) for label in ct.H.classes.degree_of]
+    assert sum(map(bool, seen)) > 10
+    for vec in seen:
+        assert pair_classes(vec) == grouped_pair_classes(cs, vec), vec
+
+
+@pytest.mark.parametrize("degrees, field, s_max, t_max", PROJECTION_CASES,
+                         ids=str)
+def test_carrier_coactions_match_the_grouped_loop(degrees, field, s_max,
+                                                  t_max):
+    cs = st.CircleStructure(projection_case(degrees, field, s_max, t_max))
+    carrier = st.cohh_carrier_comodule(cs)
+    left, right = grouped_carrier_coactions(cs)
+    assert carrier.left == left
+    assert carrier.right == right
+
+
+def test_classes_of_projects_once_per_group(monkeypatch):
+    cs = st.CircleStructure(cohh(exterior_coalgebra([3, 5], GF(3)), 3, 16))
+    ct = st.CotensorComplex(cs)
+    calls = []
+    project = st.AmbientProjector.project
+
+    def counted(self, s, t, vec):
+        calls.append((s, t))
+        return project(self, s, t, vec)
+
+    monkeypatch.setattr(st.AmbientProjector, "project", counted)
+    deg = cs.D.space.degree_of
+    checked = 0
+    for label in ct.H.classes.degree_of:
+        pairs = ct.pair_vec(ct.H.rep(label))
+        # a third leg, the base label of the first word's slot 0, so the
+        # middle leg has legs on both sides
+        triples = {(wa[0], wa, wb): c for (wa, wb), c in pairs.items()}
+        for vec, leg in ((pairs, 0), (pairs, 1), (triples, 1)):
+            groups = {(key[:leg], key[leg + 1:], len(key[leg]),
+                       sum(deg[x] for x in key[leg])) for key in vec}
+            calls.clear()
+            cs.classes_of(vec, leg)
+            assert len(calls) == len(groups), (label, leg)
+            checked += len(groups) > 1
+    assert checked > 10, checked
+
+
+@pytest.mark.parametrize("degrees, field, s_max, t_max", PROJECTION_CASES,
+                         ids=str)
+def test_box_comultiplication_lands_in_the_multiplication_source(
+        degrees, field, s_max, t_max):
+    box, _, ok = st.cohh_box_structure(
+        projection_case(degrees, field, s_max, t_max))
+    assert ok
+    assert box.comult.target is box.mult.source
+    pairs = [pr for col in box.comult.columns.values() for pr in col]
+    assert len(pairs) > 10
+    assert all(pr in box.comult.target for pr in pairs)
 
 
 def assert_blocks_match_reducing_every_cycle(H):
