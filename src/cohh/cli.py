@@ -358,7 +358,7 @@ def run(job: JobSpec):
         grid = page.dims()
         payload["table"] = _table_rows(grid)
         if page.generator_degrees is not None:
-            payload["closed_form_ok"] = page.closed_form_ok
+            payload["closed_form_ok"] = page.closed_form.passed
             payload["generators"] = {
                 name: list(bd) for name, bd in page.generators.items()}
     elif job.command == "collapse":
@@ -388,10 +388,10 @@ def run(job: JobSpec):
     elif job.command == "audit":
         c = build_coalgebra(job.coalgebra, job.field, job.t_max)
         page = build_e2(c, job.s_max, job.t_max)
-        report = e2_structure_audit(page, max_degree=job.max_degree)
+        report, tables = e2_structure_audit(page, max_degree=job.max_degree)
         payload["ok"] = report.ok
         for kind in AUDIT_TABLES:
-            payload[kind] = _table_rows(getattr(report, kind))
+            payload[kind] = _table_rows(tables[kind])
         status = 0 if report.ok else 2
     elif job.command == "cotor":
         c = build_coalgebra(job.coalgebra, job.field, job.t_max)

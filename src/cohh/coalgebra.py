@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
+from . import linalg
 from .fields import FieldSpec
 from .graded import GradedSpace, as_tuples, tensor_apply
 
@@ -438,8 +439,6 @@ def primitives_of_coalgebra(c: GradedCoalgebra, max_degree: int):
     comultiplication: x with Delta(x) = 1 (x) x + x (x) 1.  Returns
     {degree: [formal sums]}.
     """
-    from . import linalg
-
     g = c.coaug
     out = {}
     for d in range(1, max_degree + 1):

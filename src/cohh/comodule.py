@@ -16,10 +16,11 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .coalgebra import (CoalgebraMap, GradedCoalgebra, ValidationReport,
-                        check)
+                        check, tensor_coalgebra, tensor_projection)
 from .complexes import CochainComplex, HomologyTable
 from .fields import FieldSpec
-from .graded import GradedMap, GradedSpace, as_tuples, tensor_apply
+from .graded import (GradedMap, GradedSpace, as_tuples, tensor_apply,
+                     tensor_space)
 from .linalg import Matrix
 
 
@@ -314,9 +315,6 @@ def tensor_box_structure(C: GradedCoalgebra, D2: GradedCoalgebra,
     multiplication (when D2 carries one, e.g. exponent addition for a
     polynomial factor) mult2 maps a pair of D2 labels to a formal sum.
     """
-    from .coalgebra import tensor_coalgebra, tensor_projection
-    from .graded import tensor_space
-
     f = C.field
     E = tensor_coalgebra(C, D2)
     proj = tensor_projection(E, 0)
@@ -489,39 +487,31 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
     return out
 
 
-@dataclass
-class CoflatnessReport:
-    vanishing_ok: bool
-    cofree_dims_ok: bool
-    cogenerator_dims: dict
-    s_max: int
-    t_max: int
-
-    @property
-    def coflat_up_to_bounds(self) -> bool:
-        return self.vanishing_ok
-
-
-def coflatness_report(M: Comodule, s_max: int, t_max: int) -> CoflatnessReport:
-    """Evidence for coflatness within bounds: Cotor^s(M, k) = 0 for
-    1 <= s <= s_max and t <= t_max, plus a dimension-series check that
-    dim M_t matches a cofree D (x) V."""
+def coflatness_report(M: Comodule, s_max: int, t_max: int):
+    """Evidence for coflatness within bounds.  Returns (report,
+    cogenerator dims).  The ValidationReport checks that Cotor^s(M, k)
+    = 0 for 1 <= s <= s_max and t <= t_max, naming each (s, t) where it
+    is not, and that dim M_t matches a cofree D (x) V through
+    min(t_max, M.complete_through()), naming the first t where it does
+    not; the dims {t: dim V_t} are the nonzero ones read through that t."""
     table = cobar_cotor(M, trivial_comodule(M.base), s_max, t_max)
-    vanishing = all(s == 0 for s, _ in table.dims())
     D = M.base
-    bound = min(t_max, M.complete_through())
     v: dict = {}
-    ok = True
-    for t in range(bound + 1):
+    mismatch = []
+    for t in range(min(t_max, M.complete_through()) + 1):
         have = M.space.dim(t)
         acc = sum(D.space.dim(j) * v.get(t - j, 0) for j in range(1, t + 1))
         rem = have - acc
         if rem < 0 or D.space.dim(0) == 0:
-            ok = False
+            mismatch.append(t)
             break
-        v[t] = rem // D.space.dim(0)
-        if rem % D.space.dim(0):
-            ok = False
+        v[t], r = divmod(rem, D.space.dim(0))
+        if r:
+            mismatch.append(t)
             break
-    return CoflatnessReport(vanishing, ok,
-                            {t: d for t, d in v.items() if d}, s_max, bound)
+    report = ValidationReport("coflatness within bounds", [
+        check("Cotor^s(M, k) vanishes for s >= 1",
+              [bd for bd in table.dims() if bd[0] != 0]),
+        check("dims match a cofree D (x) V", mismatch),
+    ])
+    return report, {t: d for t, d in v.items() if d}

@@ -192,7 +192,8 @@ def _rref_fraction_dense(rows, ncols):
 def _rref_modp_dense(rows, ncols, p):
     if p >= 2**31:
         raise ValueError(f"the dense mod-p kernel needs p < 2**31, got {p}")
-    # numpy is imported here, so that importing the package never loads it
+    # numpy, and _kernels, which imports it, are imported here, so that
+    # importing the package never loads numpy
     import numpy as np
 
     from . import _kernels

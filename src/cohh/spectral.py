@@ -15,9 +15,11 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .coalgebra import GradedCoalgebra
+from . import linalg
+from .coalgebra import AxiomCheck, GradedCoalgebra, ValidationReport, check
 from .complexes import HomologyTable, cohh
 from .fields import FieldSpec
+from .linalg import Matrix
 
 
 class DegreeEven(ValueError):
@@ -58,25 +60,17 @@ def exterior_monomials(degrees, s_max: int, t_max: int):
     """All monomials y^eps w^a of the free bigraded algebra, by
     bidegree: {(s, t): [name, ...]}."""
     out: dict = {}
-    n = len(degrees)
-    for eps in itertools.product((0, 1), repeat=n):
+    for eps in itertools.product((0, 1), repeat=len(degrees)):
         t0 = sum(e * d for e, d in zip(eps, degrees))
         if t0 > t_max:
             continue
-
-        def rec(j, s, t, exps):
-            if t > t_max or s > s_max:
-                return
-            if j == n:
+        for exps in itertools.product(*(
+                range(min(s_max, (t_max - t0) // d) + 1) for d in degrees)):
+            s = sum(exps)
+            t = t0 + sum(a * d for a, d in zip(exps, degrees))
+            if s <= s_max and t <= t_max:
                 out.setdefault((s, t), []).append(
-                    monomial_name(degrees, eps, tuple(exps)))
-                return
-            a = 0
-            while t + a * degrees[j] <= t_max and s + a <= s_max:
-                rec(j + 1, s + a, t + a * degrees[j], exps + [a])
-                a += 1
-
-        rec(0, 0, t0, [])
+                    monomial_name(degrees, eps, exps))
     for names in out.values():
         names.sort()
     return out
@@ -94,15 +88,22 @@ def exterior_e2_dims(degrees, s_max: int, t_max: int) -> dict:
             for bd, names in exterior_monomials(degrees, s_max, t_max).items()}
 
 
+def _differing(dims: dict, expected: dict) -> list:
+    """The bidegrees, in order, at which two dims tables differ."""
+    return sorted(bd for bd in dims.keys() | expected.keys()
+                  if dims.get(bd) != expected.get(bd))
+
+
 @dataclass
 class E2Page:
     """A circle homology table as an E2 page, through the table's s_max
-    and t_max, with the closed form's data for exterior inputs."""
+    and t_max, with the closed form's data for exterior inputs: its
+    generators and the check of the bidegrees whose dims differ from it."""
 
     table: HomologyTable
     generators: dict = dc_field(default_factory=dict)   # name -> (s, t)
     generator_degrees: list = None        # set for exterior inputs
-    closed_form_ok: bool = None
+    closed_form: AxiomCheck = None        # set for exterior inputs
 
     def dims(self) -> dict:
         return self.table.dims()
@@ -123,8 +124,9 @@ class E2Page:
 
 def build_e2(h: GradedCoalgebra, s_max: int, t_max: int) -> E2Page:
     """Wrap the circle homology of h as an E2 page; for exterior inputs
-    the named generators of the closed form are attached and the
-    computed dimensions are compared against it."""
+    the named generators of the closed form are attached, and
+    page.closed_form checks the computed dims against it, naming the
+    bidegrees where they differ."""
     table = cohh(h, s_max, t_max)
     page = E2Page(table)
     degrees = h.metadata.get("degrees")
@@ -135,7 +137,8 @@ def build_e2(h: GradedCoalgebra, s_max: int, t_max: int) -> E2Page:
             page.generators[f"w{d}"] = (1, d)
         expected = {bd: dim for bd, dim in exterior_e2_dims(
             degrees, s_max, table.t_max).items() if dim}
-        page.closed_form_ok = expected == table.dims()
+        page.closed_form = check("dims match the closed form",
+                                 _differing(table.dims(), expected))
     return page
 
 
@@ -266,35 +269,26 @@ def loop_homology(degrees, p: int,
     return LoopHomologyTable(dims=loop_series_dims(degrees, max_total_degree))
 
 
-@dataclass
-class AuditReport:
-    ok: bool
-    indecomposables: dict          # (s, t) -> dim computed
-    expected_indecomposables: dict
-    primitives: dict
-    expected_primitives: dict
-
-    def __str__(self):
-        status = "ok" if self.ok else "MISMATCH"
-        return (f"structure audit: {status}\n"
-                f"  indecomposables {self.indecomposables} "
-                f"(expected {self.expected_indecomposables})\n"
-                f"  primitives {self.primitives} "
-                f"(expected {self.expected_primitives})")
-
-
-def e2_structure_audit(page: E2Page, max_degree: int = None) -> AuditReport:
+def e2_structure_audit(page: E2Page, max_degree: int = None):
     """Recompute algebra indecomposables and coalgebra primitives from
     the computed product and coproduct on the page, and compare with
-    the closed forms that collapse_analysis relies on.  A disagreement
-    is a report with ok False, not an exception; the CLI's audit command
-    exits 2 on it.
+    the closed forms that collapse_analysis relies on.
+
+    Returns (report, tables).  The ValidationReport has three checks,
+    each naming what fails: the (n, t) blocks where the Kuenneth
+    comparison behind the product fails, and the bidegrees where the
+    indecomposables, and then the primitives, differ from their closed
+    forms.  tables maps "indecomposables", "expected_indecomposables",
+    "primitives" and "expected_primitives" to dims {(s, t): dim}.  A
+    disagreement is a failed report, not an exception; the CLI's audit
+    command exits 2 on it.
 
     Indecomposables are taken relative to the filtration-0 row (the
     base copy of the coalgebra): the augmentation ideal is everything
     of filtration >= 1, and the closed form says its indecomposables
     are exactly the classes x (x) w_i filling the filtration-1 row.
     Primitives are y_i, w_i, and 1 (x) w_i^{p^b} within bounds."""
+    # imported here, so that the cohh and cotor jobs never load structure
     from . import structure as st
 
     if page.generator_degrees is None:
@@ -302,7 +296,7 @@ def e2_structure_audit(page: E2Page, max_degree: int = None) -> AuditReport:
     degrees = page.generator_degrees
     s_max, t_max = page.table.s_max, page.table.t_max
     bound = t_max if max_degree is None else min(max_degree, t_max)
-    box, _, kuenneth_ok = st.cohh_box_structure(page.table)
+    box, _, kuenneth_failed = st.cohh_box_structure(page.table)
 
     # indecomposables of the positive-filtration part modulo products
     computed_ind = _quotient_by_products(box, bound)
@@ -328,10 +322,17 @@ def e2_structure_audit(page: E2Page, max_degree: int = None) -> AuditReport:
                     bd = (pb, d * pb)
                     expected_prim[bd] = expected_prim.get(bd, 0) + 1
                 pb *= p
-    ok = (kuenneth_ok and computed_ind == expected_ind
-          and computed_prim == expected_prim)
-    return AuditReport(ok, computed_ind, expected_ind,
-                       computed_prim, expected_prim)
+    report = ValidationReport("structure audit", [
+        check("Kuenneth comparison H(N box N) = H box H", kuenneth_failed),
+        check("indecomposables match the closed form",
+              _differing(computed_ind, expected_ind)),
+        check("primitives match the closed form",
+              _differing(computed_prim, expected_prim)),
+    ])
+    return report, {"indecomposables": computed_ind,
+                    "expected_indecomposables": expected_ind,
+                    "primitives": computed_prim,
+                    "expected_primitives": expected_prim}
 
 
 def _quotient_by_products(box, bound: int) -> dict:
@@ -339,9 +340,6 @@ def _quotient_by_products(box, bound: int) -> dict:
     positive-filtration parts) per bidegree (s, t), 1 <= t <= bound, in
     order of t and then s.  The product columns are read once, grouped
     by the bidegree of their pair: mult is zero off its free pairs."""
-    from . import linalg
-    from .linalg import Matrix
-
     E = box.carrier.space
     products: dict = {}
     for (a, b), col in box.mult.columns.items():
@@ -364,8 +362,6 @@ def _quotient_by_products(box, bound: int) -> dict:
 
 def _primitive_dims(box, bound: int) -> dict:
     """Kernel dims of the reduced coproduct, per bidegree."""
-    from . import linalg
-
     one = ("h", 0, 0, 0)
     E = box.carrier.space
     out: dict = {}

@@ -418,14 +418,16 @@ def homology_multiplication(cs: CircleStructure):
     the greatest index at which linalg reads every kernel_basis vector:
     vec is 1 there, and no other basis vector touches it.
 
-    Returns (mult, carrier_comodule, kuenneth_ok)."""
+    Returns (mult, carrier_comodule, failed): failed lists, in order,
+    the (n, t) blocks at which the Kuenneth comparison of the cotensor
+    complex's homology with H box H fails, and is empty when it holds."""
     f = cs.field
     H = cs.H
     carrier = cohh_carrier_comodule(cs)
     pair_space = tensor_space(H.classes, H.classes, H.t_max)
     ct = CotensorComplex(cs)
     mult = GradedMap(pair_space, H.classes)
-    kuenneth_ok = True
+    failed = set()
 
     # group homology-cotensor basis vectors per (n, t)
     cot = cotensor(carrier, carrier, H.t_max)
@@ -440,18 +442,17 @@ def homology_multiplication(cs: CircleStructure):
             ns = {la[1] + lb[1] for (la, lb) in vec}
             if len(ns) != 1:
                 # mixed filtration blocks cannot occur: coactions preserve s
-                kuenneth_ok = False
+                failed |= {(n, t) for n in ns}
                 continue
             n = ns.pop()
             blocks.setdefault((n, t), []).append((vec, free))
 
-    handled = set()
     for (n, t), block in sorted(blocks.items(), key=repr):
         if n > H.s_max:
             continue
         reps = [ct.H.rep(("h", n, t, k)) for k in range(ct.H.dim(n, t))]
         if len(reps) != len(block):
-            kuenneth_ok = False
+            failed.add((n, t))
         # write each cotensor basis vector in the Kuenneth classes of the
         # cotensor complex's representatives
         try:
@@ -459,7 +460,7 @@ def homology_multiplication(cs: CircleStructure):
                 [cs.pair_classes(ct.pair_vec(z)) for z in reps],
                 [vec for vec, _ in block], f)
         except linalg.NoSolution:
-            kuenneth_ok = False
+            failed.add((n, t))
             continue
         # the product of phi (wa, tail) is wa + tail, by the counit law
         for (_, free), sol in zip(block, sols):
@@ -469,11 +470,10 @@ def homology_multiplication(cs: CircleStructure):
                     w = wa + tail
                     words[w] = words.get(w, 0) + c * v
             mult.set_column(free, cs.proj.project(n, t, f.canonical(words)))
-        handled.add((n, t))
 
-    if set(ct.H.dims()) - handled:
-        kuenneth_ok = False
-    return mult, carrier, kuenneth_ok
+    # classes of the cotensor complex where H box H has no block
+    failed |= set(ct.H.dims()) - set(blocks)
+    return mult, carrier, sorted(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +503,11 @@ def cohh_box_structure(H: HomologyTable):
     s_max, the box's s_max.  A caller that wants the antipode sets
     box.antipode = cohh_antipode(cs).
 
-    Returns (BoxStructure, CircleStructure, kuenneth_ok)."""
+    Returns (BoxStructure, CircleStructure, failed), failed the (n, t)
+    blocks at which homology_multiplication's Kuenneth comparison fails."""
     cs = CircleStructure(H)
     D = cs.D
-    mult, carrier, kuenneth_ok = homology_multiplication(cs)
+    mult, carrier, failed = homology_multiplication(cs)
     comult = GradedMap(H.classes, mult.source, {
         lbl: cs.class_coproduct(lbl) for lbl in H.classes.degree_of})
     # a level-0 word is one label, so no two words of a representative
@@ -520,7 +521,7 @@ def cohh_box_structure(H: HomologyTable):
 
     box = BoxStructure(D, carrier, comult=comult, counit=counit, unit=unit,
                        mult=mult, s_max=H.s_max, name=f"coHH({D.name})")
-    return box, cs, kuenneth_ok
+    return box, cs, failed
 
 
 def cohh_antipode(cs: CircleStructure) -> GradedMap:

@@ -1,8 +1,10 @@
 """Tests for the command line front end: parsing and defaults, exit
 codes, output formats, and byte-level determinism."""
 
+import gc
 import hashlib
 import json
+import types
 
 import pytest
 
@@ -428,6 +430,45 @@ def test_audit_mismatch_exits_2_with_ok_false(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert {"s": 1, "t": 1, "dim": 1} in payload["expected_indecomposables"]
+
+
+def test_audit_exits_2_when_kuenneth_fails(monkeypatch, capsys):
+    from test_structure import fail_kuenneth_at
+    argv = ["audit", "--degrees", "3", "--field", "3", "--max-s", "3",
+            "--max-t", "9", "--format", "json"]
+    _, clean, _ = run_cli(argv, capsys)
+    fail_kuenneth_at(monkeypatch, (1, 6))
+    status, out, err = run_cli(argv, capsys)
+    assert status == 2
+    assert err == ""
+    payload, want = json.loads(out), json.loads(clean)
+    assert payload["ok"] is False and want["ok"] is True
+    assert all(payload[k] == want[k] for k in cli.AUDIT_TABLES)
+
+
+def test_jobs_leave_no_cohh_function_in_a_reference_cycle():
+    # a function that refers to itself, directly or through a closure,
+    # is freed only by the cyclic collector, with all it captured
+    jobs = [{"command": command, "kind": "exterior", "degrees": [3, 5],
+             "field": field, "s_max": 3, "t_max": 16}
+            for command, field in (("cohh", 2), ("e2", 3), ("audit", 3),
+                                   ("cotor", 0))]
+    flags = gc.get_debug()
+    gc.collect()
+    try:
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        for spec in jobs:
+            gc.collect()
+            gc.garbage.clear()
+            cli.run(cli.parse_spec(json.dumps(spec)))
+            gc.collect()
+            leaked = [obj.__qualname__ for obj in gc.garbage
+                      if isinstance(obj, types.FunctionType)
+                      and obj.__module__.startswith("cohh")]
+            assert leaked == [], (spec["command"], leaked)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 def test_cotor_command(capsys):

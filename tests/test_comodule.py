@@ -459,11 +459,18 @@ def test_coflatness_report_for_cofree_comodule():
     C = exterior_coalgebra([3], GF(2))
     P = polynomial_coalgebra([2], GF(2), truncation=10)
     E = cofree_comodule(C, P)
-    rep = coflatness_report(E, 3, 10)
-    assert rep.coflat_up_to_bounds
-    assert rep.cofree_dims_ok
-    assert rep.cogenerator_dims == {t: P.space.dim(t) for t in range(11)
+    rep, cogenerator_dims = coflatness_report(E, 3, 10)
+    assert rep.ok, str(rep)
+    assert cogenerator_dims == {t: P.space.dim(t) for t in range(11)
                                     if P.space.dim(t) and t > 0} | {0: 1}
+
+
+def test_coflatness_report_names_what_fails_for_the_trivial_comodule():
+    C = exterior_coalgebra([3], GF(2))
+    rep, cogenerator_dims = coflatness_report(trivial_comodule(C), 3, 10)
+    assert [c.witness for c in rep.failures] == [
+        "fails at [(1, 3), (2, 6), (3, 9)]", "fails at [3]"]
+    assert cogenerator_dims == {0: 1}
 
 
 def test_degree_pairs_keeps_the_order_of_the_full_scan():

@@ -35,6 +35,7 @@ from cohh.graded import GradedMap, GradedSpace
 from cohh.linalg import Matrix
 from cohh.simplicial import (
     GraphSimplicialSet,
+    SimplicialMap,
     circle,
     collapse_subdivided,
     double_edge_circle,
@@ -869,7 +870,18 @@ def test_class_coords_refuses_a_word_outside_the_term():
 def test_collapse_induces_iso_small():
     D = exterior_coalgebra([3], GF(2))
     rep = compare_by_induced_map(D, collapse_subdivided(), 2, 9)
-    assert rep.iso, str(rep)
+    assert rep.ok, str(rep)
+
+
+def test_a_constant_map_names_the_bidegrees_it_does_not_hit():
+    # d'S1 -> point -> S1 kills every class of positive level
+    D = exterior_coalgebra([3], GF(2))
+    f = SimplicialMap(subdivided_circle(), circle(), {"*": "*", "m": "*"},
+                      {"e1": ("v", "*"), "e2": ("v", "*")}, name="constant")
+    rep = compare_by_induced_map(D, f, 2, 9)
+    assert not rep.ok
+    assert rep.checks[0].witness == (
+        "fails at [(1, 3, 1, 1, 0), (1, 6, 1, 1, 0), (2, 6, 1, 1, 0)]")
 
 
 def test_induced_homology_map_plans_each_level_once(monkeypatch):

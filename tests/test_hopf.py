@@ -18,8 +18,8 @@ from cohh.graded import GradedMap
 
 def with_antipode(D, s_max, t_max) -> BoxStructure:
     """The box structure on cohh(D, s_max, t_max), with its antipode."""
-    box, cs, ok = st.cohh_box_structure(cohh(D, s_max, t_max))
-    assert ok
+    box, cs, failed = st.cohh_box_structure(cohh(D, s_max, t_max))
+    assert failed == []
     box.antipode = st.cohh_antipode(cs)
     return box
 

@@ -6,8 +6,10 @@ somewhere, no module but linalg reads a private linalg name or the
 rows and entries of a Matrix, no module sums term by term with
 add_term or sub_sums, every axiom check is made by coalgebra.check
 into the one report type, and no function but the two signed tensor
-products loops over the images of maps on tensor legs by hand, and no
-function offers an option that no call in the package sets."""
+products loops over the images of maps on tensor legs by hand, no
+function offers an option that no call in the package sets, a function
+imports a module of the package only where that keeps it from loading,
+and no class but the one report type carries a pass/fail field."""
 
 import ast
 import re
@@ -688,6 +690,136 @@ def test_checker_tells_methods_and_functions_apart(tmp_path):
                      "    return u\n")
     assert never_set_options([mod, other]) == [
         ("mod", "Box.check", "k", 3), ("mod", "solo", "q", 5)]
+
+
+# function-local imports of package modules kept on purpose, as
+# (module, function, imported module): each keeps a module from
+# loading where it is not read (see the comment at each)
+LOCAL_IMPORTS_KEPT = {("spectral", "e2_structure_audit", "structure"),
+                      ("linalg", "_rref_modp_dense", "_kernels")}
+
+
+def local_package_imports(path: Path):
+    """(module, function, imported module, line) for each import of a
+    module of the package, relative or through cohh, inside a function
+    of path; function is the innermost one holding the import."""
+    hits = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif function and isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level or parts[0] == "cohh":
+                parts = parts[0 if node.level else 1:]
+                modules = ([parts[0]] if parts and parts[0] else
+                           [alias.name for alias in node.names])
+                hits.extend((path.stem, function, m, node.lineno)
+                            for m in modules)
+        elif function and isinstance(node, ast.Import):
+            hits.extend((path.stem, function, alias.name.split(".")[1],
+                         node.lineno) for alias in node.names
+                        if alias.name.startswith("cohh."))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return hits
+
+
+def test_package_modules_are_imported_at_the_top_but_where_kept():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in local_package_imports(path)]
+    assert {hit[:3] for hit in found} == LOCAL_IMPORTS_KEPT, (
+        "function-local package imports (module, function, imported "
+        "module, line): " + repr(found))
+
+
+def test_checker_flags_a_local_package_import(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import linalg\n"
+                    "import json\n"
+                    "def f():\n"
+                    "    import numpy as np\n"
+                    "    from . import structure as st, graded\n"
+                    "    def g():\n"
+                    "        from .linalg import Matrix\n"
+                    "    return st, np\n"
+                    "class Table:\n"
+                    "    def rows(self):\n"
+                    "        from cohh.fields import GF\n"
+                    "        import cohh.comodule\n"
+                    "        from fractions import Fraction\n"
+                    "        return GF\n")
+    assert local_package_imports(path) == [
+        ("mod", "f", "structure", 5), ("mod", "f", "graded", 5),
+        ("mod", "g", "linalg", 7), ("mod", "rows", "fields", 11),
+        ("mod", "rows", "comodule", 12)]
+
+
+# coalgebra.ValidationReport is the one verdict type: a pass/fail flag
+# is its ok, or the passed of one of its checks
+VERDICT_NAMES = re.compile(r"ok|iso|.*_ok")
+
+
+def verdict_fields(path: Path):
+    """(module, class.name, line) for each field (an annotated name in
+    the class body) or property named ok or iso, or ending in _ok, of a
+    class of path other than coalgebra.ValidationReport."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or (path.stem,
+                                                 cls.name) == REPORT:
+            continue
+        for item in cls.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                name = item.target.id
+            elif isinstance(item, ast.FunctionDef) and any(
+                    getattr(d, "id", None) == "property"
+                    for d in item.decorator_list):
+                name = item.name
+            else:
+                continue
+            if VERDICT_NAMES.fullmatch(name):
+                hits.append((path.stem, f"{cls.name}.{name}", item.lineno))
+    return hits
+
+
+def test_no_class_but_the_report_type_carries_a_verdict():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in verdict_fields(path)]
+    assert found == [], ("pass/fail fields outside ValidationReport "
+                         "(module, field, line): " + repr(found))
+
+
+def test_checker_flags_a_verdict_field(tmp_path):
+    text = ("class Audit:\n"
+            "    ok: bool\n"
+            "    dims_ok: bool = None\n"
+            "    token: str = ''\n"
+            "    bound_holds: bool = True\n"
+            "class Comparison:\n"
+            "    @property\n"
+            "    def iso(self):\n"
+            "        return True\n"
+            "    def is_ok(self):\n"
+            "        return True\n"
+            "class ValidationReport:\n"
+            "    @property\n"
+            "    def ok(self):\n"
+            "        return True\n")
+    path = tmp_path / "mod.py"
+    path.write_text(text)
+    assert verdict_fields(path) == [
+        ("mod", "Audit.ok", 2), ("mod", "Audit.dims_ok", 3),
+        ("mod", "Comparison.iso", 8), ("mod", "ValidationReport.ok", 14)]
+    # the one report type may carry ok
+    path = tmp_path / "coalgebra.py"
+    path.write_text(text)
+    assert [hit[1] for hit in verdict_fields(path)] == [
+        "Audit.ok", "Audit.dims_ok", "Comparison.iso"]
 
 
 def test_importing_the_cli_does_not_load_numpy():

@@ -41,10 +41,10 @@ def test_monomial_names_and_low_bidegrees_for_two_generators():
 def test_build_e2_matches_closed_form():
     for fld in (GF(2), GF(7), QQ):
         page = sp.build_e2(exterior_coalgebra([3], fld), 4, 15)
-        assert page.closed_form_ok
+        assert page.closed_form.passed
         assert page.generators == {"y3": (0, 3), "w3": (1, 3)}
     page = sp.build_e2(exterior_coalgebra([3, 5], GF(2)), 3, 12)
-    assert page.closed_form_ok
+    assert page.closed_form.passed
 
 
 def test_build_e2_of_the_trivial_coalgebra():
@@ -192,22 +192,22 @@ def test_structure_audit_single_generator():
         (QQ, 3, 9, {}),
     ]:
         page = sp.build_e2(exterior_coalgebra([3], fld), smax, tmax)
-        rep = sp.e2_structure_audit(page)
+        rep, tables = sp.e2_structure_audit(page)
         assert rep.ok
-        assert rep.indecomposables == {(1, 3): 1, (1, 6): 1}
-        assert rep.primitives == {(0, 3): 1, (1, 3): 1, **extra}
+        assert tables["indecomposables"] == {(1, 3): 1, (1, 6): 1}
+        assert tables["primitives"] == {(0, 3): 1, (1, 3): 1, **extra}
 
 
 def test_structure_audit_finds_the_cube_primitive_mod_3():
     page = sp.build_e2(exterior_coalgebra([3, 5], GF(3)), 3, 9)
-    rep = sp.e2_structure_audit(page)
+    rep, tables = sp.e2_structure_audit(page)
     assert rep.ok
-    assert rep.primitives.get((3, 9)) == 1
+    assert tables["primitives"].get((3, 9)) == 1
 
 
 def test_structure_audit_of_two_generators_mod_2():
     page = sp.build_e2(exterior_coalgebra([3, 5], GF(2)), 3, 16)
-    assert sp.e2_structure_audit(page).ok
+    assert sp.e2_structure_audit(page)[0].ok
 
 
 def test_structure_audit_reports_a_mismatch_without_raising(monkeypatch):
@@ -219,11 +219,35 @@ def test_structure_audit_reports_a_mismatch_without_raising(monkeypatch):
         return out
     page = sp.build_e2(exterior_coalgebra([3], GF(3)), 2, 6)
     monkeypatch.setattr(sp, "exterior_monomials", with_a_ghost)
-    rep = sp.e2_structure_audit(page)
+    rep, tables = sp.e2_structure_audit(page)
     assert not rep.ok
-    assert rep.indecomposables == {(1, 3): 1, (1, 6): 1}
-    assert rep.expected_indecomposables == {(1, 1): 1, (1, 3): 1, (1, 6): 1}
-    assert "MISMATCH" in str(rep)
+    assert tables["indecomposables"] == {(1, 3): 1, (1, 6): 1}
+    assert tables["expected_indecomposables"] == {(1, 1): 1, (1, 3): 1,
+                                                  (1, 6): 1}
+    assert "FAILED" in str(rep)
+    # only the indecomposables differ, and the check names the ghost
+    assert [c.name for c in rep.failures] == [
+        "indecomposables match the closed form"]
+    assert rep.failures[0].witness == "fails at [(1, 1)]"
+    # so does the closed-form check of a page built with the ghost
+    ghosted = sp.build_e2(exterior_coalgebra([3], GF(3)), 2, 6)
+    assert not ghosted.closed_form.passed
+    assert ghosted.closed_form.witness == "fails at [(1, 1)]"
+
+
+def test_structure_audit_fails_only_kuenneth_at_the_faulted_block(
+        monkeypatch):
+    from test_structure import fail_kuenneth_at
+    page = sp.build_e2(exterior_coalgebra([3], GF(3)), 3, 9)
+    _, tables = sp.e2_structure_audit(page)
+    fail_kuenneth_at(monkeypatch, (1, 6))
+    rep, faulted = sp.e2_structure_audit(page)
+    assert not rep.ok
+    assert rep.failures == [rep.checks[0]]
+    assert rep.checks[0].witness == "fails at [(1, 6)]"
+    # the faulted block holds products with a filtration-0 class, which
+    # neither closed form reads: the tables are those of a clean run
+    assert faulted == tables
 
 
 def test_structure_audit_builds_one_circle_table(monkeypatch):
@@ -236,7 +260,7 @@ def test_structure_audit_builds_one_circle_table(monkeypatch):
         init(self, cc, s_max, t_max)
     monkeypatch.setattr(complexes.HomologyTable, "__init__", recording)
     page = sp.build_e2(exterior_coalgebra([3], GF(3)), 3, 9)
-    assert sp.e2_structure_audit(page).ok
+    assert sp.e2_structure_audit(page)[0].ok
     # the E2 page's table over the circle cochains, then the cotensor
     # total complex's, which has no cosimplicial ambient
     assert [cc.ambient is not None for cc in tables] == [True, False]
