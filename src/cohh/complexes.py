@@ -34,7 +34,15 @@ up, to s_max or the last block of a complex that ends sooner, block
 (s, t) row-reduces its columns of d_s, less those cleared at
 the greatest-index pivots of block (s - 1, t), in one linalg.rref call
 whose pivots count rank d_s; a bidegree with classes keeps its cleared
-set.  linalg.homology_reps builds its representatives on first use,
+set.  The d o d check of block (s, t) reads only the columns of d_{s-1}
+that block (s - 1, t) kept, the same list its rref call reduced.  Once
+the check one block down has passed, each cleared column is a
+combination of earlier columns, so by induction on s the kept columns
+span im d_{s-1}, and d_s vanishes on that image when it vanishes on
+them.  A fault in a cleared column is still caught: either d_{s-1}
+fails on a boundary one block down, or the cleared column is still a
+combination of kept ones.  linalg.homology_reps builds its
+representatives on first use,
 and the first class_coords the greatest-index RREF rows of its
 boundaries, whose pivots must be the cleared set (linalg says why both
 hold).  The class coordinates of a vector are its entries, reduced
@@ -388,7 +396,8 @@ class HomologyTable:
 
     dim = n - rank d_out - rank d_in, one cleared column reduction per
     block of cc.diff, read as written, after checking d_out d_in = 0
-    there (see the module docstring).
+    there on the columns of d_in that the block below kept (see the
+    module docstring).
     """
 
     def __init__(self, cc: CochainComplex, s_max: int, t_max: int):
@@ -398,7 +407,7 @@ class HomologyTable:
         self.t_max = t_max
         self.data: dict = {}
         self.classes = GradedSpace()
-        prev: dict = {}  # t -> (d_in columns, pivots of their reduction)
+        prev: dict = {}  # t -> (kept columns of d_in, their pivots)
         for s in range(min(s_max, len(cc.diff) - 1) + 1):
             cur = {}
             for t in cc.terms[s].degrees():
@@ -408,11 +417,11 @@ class HomologyTable:
                 d_in, cleared = prev.get(t, ((), set()))
                 linalg.check_composite_zero(cols, d_in, self.field)
                 # d_s^T, the cleared rows left out
+                kept = [col for j, col in enumerate(cols) if j not in cleared]
                 pivots = linalg.rref(Matrix.from_rows(
-                    [col for j, col in enumerate(cols) if j not in cleared],
-                    cc.terms[s + 1].dim(t)), self.field, reduced=False,
+                    kept, cc.terms[s + 1].dim(t)), self.field, reduced=False,
                     last=True)[1]
-                cur[t] = (cols, set(pivots))
+                cur[t] = (kept, set(pivots))
                 dim = len(cols) - len(pivots) - len(cleared)
                 self.data[(s, t)] = Bidegree(dim, cleared if dim else None)
                 for k in range(dim):

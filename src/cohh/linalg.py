@@ -14,6 +14,14 @@ via rref(reduced=False)), so every elimination is an rref call (perfbench
 traces rref, not rank).  The pivot of a row is its least index, or with
 last=True its greatest.
 
+The eliminator borrows its rows: it copies a row only just before it
+changes it, and never changes a dict it is given, so a returned row may
+be one of the caller's dicts and is read-only.  A rank-only pass
+scales no row it does not reduce by: with reduced=False a pivot row is
+scaled to 1 only once another row is reduced by it, so a returned row
+is nonzero at its pivot, not necessarily 1.  With reduced=True every
+pivot row is scaled when it is stored.
+
 Homology reads a vector at its greatest index, the pivot convention of
 persistent homology with clearing.  The kernel_basis vector of a free
 column f of rref(m) is 1 at f and 0 at the other free columns, so these
@@ -102,9 +110,38 @@ def _sub_multiple(row: dict, c, other: dict, p: int):
             del row[j]
 
 
-def _echelon(rows, field: FieldSpec, last=False) -> dict:
-    """Forward elimination: {pivot column: row}, each row 1 at its pivot,
-    which is its least column, or its greatest when last is set.
+def _scaled(row: dict, c, field: FieldSpec) -> dict:
+    """row divided by its entry at c: row itself if that entry is 1, else
+    a new dict.  Refuses an inv that is not an inverse, since reducing by
+    a row that is not 1 at its pivot would never clear that column."""
+    a = row[c]
+    if a == 1:
+        return row
+    inv = field.inv(a)
+    p = field.characteristic
+    if p:
+        row = {j: v * inv % p for j, v in row.items()}
+    elif inv == -1:
+        row = {j: -v for j, v in row.items()}
+    else:
+        # a non-unit pivot over Q: integral entries stay ints
+        coerce = field.coerce
+        row = {j: coerce(v * inv) for j, v in row.items()}
+    if row[c] != 1:
+        raise AssertionError(f"{field}.inv({a!r}) is not an inverse")
+    return row
+
+
+def _echelon(rows, field: FieldSpec, last=False, scale=True) -> dict:
+    """Forward elimination: {pivot column: row}.  The pivot of a row is
+    its least column, or its greatest when last is set.
+
+    Rows are borrowed: a row is copied only just before it is changed,
+    by a subtraction or a scaling, and one holding a zero is copied
+    without its zeros, so a stored row may be the caller's dict.  With
+    scale set a pivot row is scaled to 1 at its pivot when it is stored;
+    without, only once another row is reduced by it, so a stored row is
+    only known to be nonzero at its pivot.
 
     An incoming row is reduced only by the pivot rows its leading entry
     hits.  When it is shorter than the pivot row it hits, it takes that
@@ -114,50 +151,53 @@ def _echelon(rows, field: FieldSpec, last=False) -> dict:
     p = field.characteristic
     lead = max if last else min
     pivots: dict = {}
-    for r in rows:
-        row = {j: v for j, v in r.items() if v}
+    for row in rows:
+        if not all(row.values()):
+            row = {j: v for j, v in row.items() if v}
+        owned = False
         while row:
             c = lead(row)
             prow = pivots.get(c)
             if prow is None or len(row) < len(prow):
-                a = row[c]
-                inv = field.inv(a)
-                if inv != 1:
-                    row = {j: field.mul(inv, v) for j, v in row.items()}
-                if type(inv) is Fraction:
-                    # a non-unit pivot over Q: integral entries stay ints
-                    row = {j: field.coerce(v) for j, v in row.items()}
-                if row[c] != 1:
-                    # reducing by this row would never clear column c
-                    raise AssertionError(
-                        f"{field}.inv({a!r}) is not an inverse")
-                pivots[c] = row
+                # a displaced pivot row is reduced by row next, so row is
+                # scaled then even without scale
+                pivots[c] = (_scaled(row, c, field)
+                             if scale or prow is not None else row)
                 if prow is None:
                     break
-                row = prow
+                row, owned = prow, False
             else:
+                if prow[c] != 1:
+                    prow = pivots[c] = _scaled(prow, c, field)
+                if not owned:
+                    row, owned = dict(row), True
                 _sub_multiple(row, row[c], prow, p)
     return pivots
 
 
 def _rref_sparse(rows, field: FieldSpec, reduced=True, last=False):
-    """Sparse RREF over any FieldSpec; rows is a list of dict rows.
+    """Sparse RREF over any FieldSpec; rows is a list of dict rows, which
+    are borrowed and never changed.
 
     Returns (rref_rows, pivot_cols), pivots increasing, or decreasing
     when last is set.  Forward elimination, then one back-substitution
-    from the last pivot up; with reduced=False there is none, and the
-    rows are an echelon form.
+    from the last pivot up, which copies a pivot row only if it has an
+    entry to clear.  With reduced=False there is none, and the rows are
+    an echelon form, each nonzero but not necessarily 1 at its pivot.
+    A returned row may be one of the given dicts, and is read-only.
     """
     p = field.characteristic
-    pivots = _echelon(rows, field, last)
+    pivots = _echelon(rows, field, last, reduced)
     cols = sorted(pivots, reverse=last)
     if reduced:
         for c in reversed(cols):
-            row = pivots[c]
             # the pivot rows on the far side of c are already reduced, so
             # eliminating one hit adds no entry in another pivot column
-            for j in [j for j in row if j != c and j in pivots]:
-                _sub_multiple(row, row[j], pivots[j], p)
+            hits = [j for j in pivots[c] if j != c and j in pivots]
+            if hits:
+                row = pivots[c] = dict(pivots[c])
+                for j in hits:
+                    _sub_multiple(row, row[j], pivots[j], p)
     return [pivots[c] for c in cols], cols
 
 
@@ -213,8 +253,11 @@ def _rref_modp_dense(rows, ncols, p):
 
 def rref(m: Matrix, field: FieldSpec, reduced=True, last=False):
     """Reduced row echelon form: returns (rows as sparse dicts, pivot cols).
-    reduced=False skips the back-substitution; the pivots are the same.
-    last=True pivots each row at its greatest index."""
+    reduced=False skips the back-substitution and the scaling of rows
+    nothing is reduced by: the pivots are the same, and each row is
+    nonzero at its pivot.  last=True pivots each row at its greatest
+    index.  The rows of m are borrowed and left unchanged; a returned
+    row may be one of them, and is read-only."""
     return _rref_sparse(m.rows, field, reduced, last)
 
 
@@ -308,17 +351,17 @@ def check_composite_zero(out_cols, in_cols, field: FieldSpec):
     in_cols are the columns of d_in as sparse vectors on the middle
     term, and out_cols[i] is the column of d_out at its basis key i.
     Each column of the composite is one formal sum, accumulated with
-    plain + and * and reduced once by FieldSpec.canonical.  Not a
-    ValueError: a complex whose square is nonzero is a fault in the
-    program, not bad input.
+    plain + and * and only tested for a nonzero scalar, mod p over F_p;
+    no reduced sum is built.  Not a ValueError: a complex whose square
+    is nonzero is a fault in the program, not bad input.
     """
-    canonical = field.canonical
+    p = field.characteristic
     for j, col in enumerate(in_cols):
         acc: dict = {}
         for i, v in col.items():
             for k, w in out_cols[i].items():
                 acc[k] = acc.get(k, 0) + v * w
-        if canonical(acc):
+        if any(v % p for v in acc.values()) if p else any(acc.values()):
             raise AssertionError(
                 f"d_out @ d_in is nonzero on column {j} of d_in")
 

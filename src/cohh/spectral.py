@@ -58,19 +58,22 @@ def _check_prime(p: int):
 
 def exterior_monomials(degrees, s_max: int, t_max: int):
     """All monomials y^eps w^a of the free bigraded algebra, by
-    bidegree: {(s, t): [name, ...]}."""
+    bidegree: {(s, t): [name, ...]}.  The exponents of w are grown one
+    generator at a time, each bounded by the s and t left over, so no
+    monomial out of range is ever made."""
     out: dict = {}
     for eps in itertools.product((0, 1), repeat=len(degrees)):
         t0 = sum(e * d for e, d in zip(eps, degrees))
         if t0 > t_max:
             continue
-        for exps in itertools.product(*(
-                range(min(s_max, (t_max - t0) // d) + 1) for d in degrees)):
-            s = sum(exps)
-            t = t0 + sum(a * d for a, d in zip(exps, degrees))
-            if s <= s_max and t <= t_max:
-                out.setdefault((s, t), []).append(
-                    monomial_name(degrees, eps, exps))
+        layer = [((), 0, t0)]
+        for d in degrees:
+            layer = [(exps + (a,), s + a, t + a * d)
+                     for exps, s, t in layer
+                     for a in range(min(s_max - s, (t_max - t) // d) + 1)]
+        for exps, s, t in layer:
+            out.setdefault((s, t), []).append(
+                monomial_name(degrees, eps, exps))
     for names in out.values():
         names.sort()
     return out

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -691,6 +692,70 @@ def test_homology_table_checks_every_block_without_building_reps():
         HomologyTable(cc, 3, 12)
 
 
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_homology_table_catches_a_fault_in_a_cleared_column(field):
+    # the d o d check reads only the kept columns of d_in.  Doubling one
+    # entry (x, y) of a cleared column x of d_s, whose target y has
+    # d_{s+1}(y) != 0, makes d_{s+1} d_s nonzero on x all the same, and
+    # the table must still refuse the complex
+    s_max = 4
+    H = cohh(COALGEBRAS["k[w2]"](field), s_max, 14)
+    cc, t_max = H.complex, H.t_max
+    faults = []
+    for s in range(1, s_max):
+        for t, cols in cc.diff[s].items():
+            if t > t_max:
+                continue
+            cleared = linalg.rref(Matrix.from_rows(
+                cc.diff[s - 1].get(t, []), cc.terms[s].dim(t)), field,
+                reduced=False, last=True)[1]
+            faults += [(s, t, j, i) for j in cleared for i in cols[j]
+                       if cc.diff[s + 1][t][i]]
+    assert faults
+    for s, t, j, i in faults:
+        col = cc.diff[s][t][j]
+        v = col[i]
+        col[i] = field.coerce(2 * v)
+        assert block_square(cc, s)
+        with pytest.raises(AssertionError, match="nonzero"):
+            HomologyTable(cc, s_max, t_max)
+        col[i] = v
+    HomologyTable(cc, s_max, t_max)
+
+
+def perturb_one_entry(rnd, cc):
+    """Add 1, 2 or -1 to one entry of one column of cc.diff, in place."""
+    f = cc.field
+    blocks = [(s, t) for s, diff in enumerate(cc.diff)
+              for t, cols in diff.items() if cols and cc.terms[s + 1].dim(t)]
+    if not blocks:
+        return
+    s, t = rnd.choice(blocks)
+    col = rnd.choice(cc.diff[s][t])
+    i = rnd.randrange(cc.terms[s + 1].dim(t))
+    v = f.coerce(col.get(i, 0) + rnd.choice([1, 2, -1]))
+    if v:
+        col[i] = v
+    else:
+        col.pop(i, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(char=st.sampled_from([2, 3, 0]), rnd=st.randoms(use_true_random=False),
+       s_max=st.integers(1, 4), perturbed=st.booleans())
+def test_table_refuses_exactly_the_complexes_whose_square_is_nonzero(
+        char, rnd, s_max, perturbed):
+    # the kept-column check against the full d_out d_in on every block
+    cc = random_complex(rnd, FieldSpec(char), s_max)
+    if perturbed:
+        perturb_one_entry(rnd, cc)
+    if any(block_square(cc, s) for s in range(s_max)):
+        with pytest.raises(AssertionError, match="nonzero"):
+            HomologyTable(cc, s_max, 2)
+    else:
+        HomologyTable(cc, s_max, 2)
+
+
 def rank_loop_dims(cc, s_max, t_max):
     """The table's dims from rank(d_s.matrix(t)) on every block, the rank
     loop before clearing: the oracle for the cleared column reduction."""
@@ -810,6 +875,23 @@ def test_block_scalars_are_reduced_on_the_benchmark_complexes():
                         assert (0 < v < p) if p else v != 0, v
                         seen.add(p)
     assert seen == {0, 2, 3}
+
+
+def test_tables_leave_the_differential_as_they_found_it():
+    # the rank pass, the boundary rows of class_coords and the kernel
+    # vectors behind rep all borrow the blocks of cc.diff, and change none
+    boundary_rows = 0
+    for cc in benchmark_complexes():
+        before = copy.deepcopy(cc.diff)
+        H = HomologyTable(cc, len(cc.diff), 99)
+        for (s, t), bd in H.data.items():
+            for k in range(bd.dim):
+                z = H.rep(("h", s, t, k))
+                assert H.class_coords(s, t, z) == {("h", s, t, k): 1}
+            if bd.boundary:
+                boundary_rows += len(bd.boundary[0])
+        assert cc.diff == before
+    assert boundary_rows > 10
 
 
 def test_each_filtered_table_is_made_once(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import time
@@ -367,16 +368,20 @@ def test_homology_with_zero_differentials():
 @pytest.mark.parametrize("reduced", [True, False])
 def test_rational_rref_keeps_integral_entries_ints(reduced):
     # pivots 2 and 4 scale their rows by 1/2 and 1/4: every entry is
-    # integral all the same, and must come back as an int, not a Fraction
+    # integral all the same, and must come back as an int, not a Fraction.
+    # Without back-substitution a row is scaled only once another row is
+    # reduced by it, so the last row keeps its pivot entry 4
     rows, pivots = linalg._rref_sparse(
         [{0: 2, 1: 4, 2: 6}, {0: 1, 1: 3, 2: 5}, {1: 2, 2: 8}], QQ, reduced)
     assert pivots == [0, 1, 2]
     assert rows == ([{0: 1}, {1: 1}, {2: 1}] if reduced else
-                    [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 2}, {2: 1}])
+                    [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 2}, {2: 4}])
     assert all(type(v) is int for row in rows for v in row.values())
-    # a non-integral entry stays a Fraction
-    rows, _ = linalg._rref_sparse([{0: 2, 1: 3}], QQ, reduced)
-    assert rows == [{0: 1, 1: Fraction(3, 2)}]
+    # a non-integral entry stays a Fraction; the second row is reduced by
+    # the first, so the first is scaled either way
+    rows, _ = linalg._rref_sparse([{0: 2, 1: 3}, {0: 2, 1: 3, 2: 1}], QQ,
+                                  reduced)
+    assert rows == [{0: 1, 1: Fraction(3, 2)}, {2: 1}]
     assert type(rows[0][0]) is int and type(rows[0][1]) is Fraction
 
 
@@ -425,10 +430,11 @@ def test_rref_matches_the_dense_oracles(char, params):
         want = linalg._rref_fraction_dense(rows, m.ncols)
     assert linalg.rref(m, f) == want
     # without back-substitution: an echelon form of the same row space,
-    # 1 at the same pivots
+    # each row led by a nonzero entry at its pivot
     echelon, pivots = linalg.rref(m, f, reduced=False)
     assert pivots == want[1]
-    assert [(min(r), r[min(r)]) for r in echelon] == [(c, 1) for c in pivots]
+    assert [min(r) for r in echelon] == pivots
+    assert all(r[c] for r, c in zip(echelon, pivots))
     assert linalg._rref_sparse(echelon, f) == want
 
 
@@ -523,6 +529,30 @@ def test_elimination_refuses_a_wrong_inverse():
 
     with pytest.raises(AssertionError, match="not an inverse"):
         linalg.rref(mat([[2, 1], [4, 3]], QQ), WrongInverse(0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(char=st.sampled_from([2, 3, 2**61 - 1, 0]), params=sparse_matrices,
+       reduced=st.booleans(), last=st.booleans(),
+       rnd=st.randoms(use_true_random=False))
+def test_rref_never_changes_the_rows_it_borrows(char, params, reduced, last,
+                                                rnd):
+    # rref copies a row only to change it: whatever it scales, reduces or
+    # back-substitutes, the caller's rows are left as they were, also when
+    # one row object stands at several places or a row holds a zero
+    f = FieldSpec(char)
+    m = draw_matrix(params, f)
+    rows = [rnd.choice(m.rows) if rnd.random() < 0.3 else row
+            for row in m.rows]
+    rows = [{**row, rnd.randrange(m.ncols): 0}
+            if m.ncols and rnd.random() < 0.2 else row for row in rows]
+    borrowed = Matrix.from_rows(rows, m.ncols)
+    before = copy.deepcopy(rows)
+    got = linalg.rref(borrowed, f, reduced=reduced, last=last)
+    assert borrowed.rows == before
+    assert got == linalg.rref(
+        Matrix.from_rows([f.canonical(row) for row in before], m.ncols), f,
+        reduced=reduced, last=last)
 
 
 @settings(max_examples=60, deadline=None)

@@ -38,6 +38,35 @@ def test_monomial_names_and_low_bidegrees_for_two_generators():
     assert mons[(2, 10)] == ["w5^2"]
 
 
+def box_walk_monomials(degrees, s_max, t_max):
+    """The oracle: every exponent vector in the box of ranges each
+    generator allows alone, kept if its s and t are in range."""
+    out = {}
+    for eps in itertools.product((0, 1), repeat=len(degrees)):
+        t0 = sum(e * d for e, d in zip(eps, degrees))
+        if t0 > t_max:
+            continue
+        for exps in itertools.product(*(
+                range(min(s_max, (t_max - t0) // d) + 1) for d in degrees)):
+            s = sum(exps)
+            t = t0 + sum(a * d for a, d in zip(exps, degrees))
+            if s <= s_max and t <= t_max:
+                out.setdefault((s, t), []).append(
+                    sp.monomial_name(degrees, eps, exps))
+    for names in out.values():
+        names.sort()
+    return out
+
+
+@pytest.mark.parametrize("degrees,s_max,t_max", [
+    ([3, 5, 7], 6, 40), ([3, 5, 7, 9, 11], 5, 36), ([3], 0, 2)])
+def test_pruned_monomials_match_the_box_walk(degrees, s_max, t_max):
+    mons = sp.exterior_monomials(degrees, s_max, t_max)
+    want = box_walk_monomials(degrees, s_max, t_max)
+    assert mons == want
+    assert list(mons) == list(want)
+
+
 def test_build_e2_matches_closed_form():
     for fld in (GF(2), GF(7), QQ):
         page = sp.build_e2(exterior_coalgebra([3], fld), 4, 15)
