@@ -186,16 +186,11 @@ def is_cocommutative(c: GradedCoalgebra) -> bool:
     truncation, where its table rows are incomplete)."""
     f = c.field
     bound = c.complete_through()
-    for k in c.space.degree_of:
-        if c.degree(k) > bound:
-            continue
-        twisted: dict = {}
-        for (a, b), v in c.comult_of(k).items():
-            s = (-1) ** (c.degree(a) * c.degree(b))
-            twisted[b, a] = twisted.get((b, a), 0) + s * v
-        if f.canonical(twisted) != f.canonical(c.comult_of(k)):
-            return False
-    return True
+    return all(
+        f.canonical({(b, a): (-1) ** (c.degree(a) * c.degree(b)) * v
+                     for (a, b), v in c.comult_of(k).items()})
+        == f.canonical(c.comult_of(k))
+        for k, t in c.space.degree_of.items() if t <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +335,14 @@ def tensor_coalgebra(c1: GradedCoalgebra,
             factors[mid] = (a, b)
             basis.append((mid, da + db))
             counit[mid] = f.mul(c1.counit_of(a), c2.counit_of(b))
-            terms: dict = {}
-            for (a1, a2), v in c1.comult_of(a).items():
-                for (b1, b2), w in c2.comult_of(b).items():
-                    sign = (-1) ** (c2.degree(b1) * c1.degree(a2))
-                    pair = (tid(a1, b1), tid(a2, b2))
-                    terms[pair] = terms.get(pair, 0) + v * w * sign
-            comult[mid] = f.canonical(terms)
+            # tid is injective on pairs (the basis labels are distinct),
+            # so the regrouping needs no accumulation
+            split = tensor_apply({(a, b): f.one},
+                                 [c1.comult_of, c2.comult_of], f)
+            comult[mid] = f.canonical({
+                (tid(a1, b1), tid(a2, b2)):
+                (-1) ** (c2.degree(b1) * c1.degree(a2)) * v
+                for (a1, a2, b1, b2), v in split.items()})
     truncs = [t for t in (c1.truncation, c2.truncation) if t is not None]
     return GradedCoalgebra(
         f, basis, comult, counit, coaug=tid(c1.coaug, c2.coaug),

@@ -12,7 +12,7 @@ cobar complex M (x) Dbar^s (x) N.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import linalg
 from .coalgebra import (CoalgebraMap, GradedCoalgebra, ValidationReport,
@@ -139,31 +139,20 @@ def degree_pairs(M: GradedSpace, N: GradedSpace, degree: int) -> list:
                    for n in N.labels(degree - dm)), key=repr)
 
 
-@dataclass
-class CotensorSpace:
-    """Degreewise basis of M box_D N, as formal sums over pair labels."""
-
-    basis: dict = dc_field(default_factory=dict)  # degree -> [formal sums]
-
-    def dim(self, degree: int) -> int:
-        return len(self.basis.get(degree, []))
-
-    def dims(self) -> dict:
-        return {d: len(b) for d, b in sorted(self.basis.items()) if b}
-
-
-def cotensor(M: Comodule, N: Comodule, max_degree=None) -> CotensorSpace:
+def cotensor(M: Comodule, N: Comodule, max_degree=None) -> dict:
+    """The degreewise basis of M box_D N, {degree: [formal sums on pair
+    labels]}, through the degree both factors are complete."""
     f = M.field
     ambient = (max(M.space.degree_of.values(), default=0)
                + max(N.space.degree_of.values(), default=0))
     bound = min(M.complete_through(), N.complete_through(), ambient)
     if max_degree is not None:
         bound = min(bound, max_degree)
-    out = CotensorSpace()
+    out = {}
     for t in range(int(bound) + 1):
         pairs = degree_pairs(M.space, N.space, t)
         if pairs:
-            out.basis[t] = linalg.kernel_of(
+            out[t] = linalg.kernel_of(
                 {p: pair_defect({p: f.one}, M.right_of, N.left_of, f)
                  for p in pairs}, f)
     return out
@@ -373,7 +362,9 @@ def box_primitives(box: BoxStructure, max_degree: int) -> dict:
     """Primitives of a coaugmented box-coalgebra, per internal degree.
 
     P = ker((q (x) q) Delta) on IE, with IE = ker(counit: E -> D) and
-    q: E -> E / im(unit).  Returns {degree: [formal sums on E labels]}.
+    q: E -> E / im(unit): one kernel per degree, of the counit and of
+    (q (x) q) Delta, each on its own tagged keys.  Returns {degree:
+    [formal sums on E labels]}.
     """
     f = box.field
     E = box.carrier.space
@@ -389,31 +380,16 @@ def box_primitives(box: BoxStructure, max_degree: int) -> dict:
         label, unit_image_at(E.degree_of[label]), box, f))
 
     for t in range(1, max_degree + 1):
-        labels = E.labels(t)
-        if not labels:
-            continue
-        ie = _counit_kernel(box, t)
-        if not ie:
-            continue
-        # (q (x) q) Delta on each IE basis vector
-        images = {j: tensor_apply(box.comult.apply(vec, f), [q, q], f)
-                  for j, vec in enumerate(ie)}
-        prims = []
-        for k in linalg.kernel_of(images, f):
-            vec: dict = {}
-            for j, c in k.items():
-                for lbl, v in ie[j].items():
-                    vec[lbl] = vec.get(lbl, 0) + c * v
-            prims.append(f.canonical(vec))
+        images = {}
+        for label in E.labels(t):
+            img = {("e", d): v for d, v in box.counit.column(label).items()}
+            img.update({("q",) + k: v for k, v in tensor_apply(
+                box.comult.column(label), [q, q], f).items()})
+            images[label] = img
+        prims = linalg.kernel_of(images, f)
         if prims:
             out[t] = prims
     return out
-
-
-def _counit_kernel(box: BoxStructure, t: int):
-    return linalg.kernel_of({lbl: box.counit.column(lbl)
-                             for lbl in box.carrier.space.labels(t)},
-                            box.field)
 
 
 def _unit_image_rows(box: BoxStructure, t: int):
@@ -469,7 +445,10 @@ def box_indecomposables(box: BoxStructure, max_degree: int):
         pair_sums = linalg.kernel_of(images, f)
         products = [box.mult.apply(pair_sum, f) for pair_sum in pair_sums]
         # the quotient is a homology only if the products lie in IE
-        linalg.check_composite_zero(counit, products, f)
+        j = linalg.first_nonzero_composite(counit, products, f)
+        if j is not None:
+            raise AssertionError(f"the counit is nonzero on product {j} "
+                                 f"of the degree-{t} pair cotensor")
         for pair in dict.fromkeys(pr for vec in pair_sums for pr in vec):
             for l in box.mult.column(pair):
                 if E.degree_of[l] != t:

@@ -407,21 +407,32 @@ class HomologyTable:
         self.t_max = t_max
         self.data: dict = {}
         self.classes = GradedSpace()
-        prev: dict = {}  # t -> (kept columns of d_in, their pivots)
+        # t -> (kept columns of d_in, their pivots, the columns of d_in
+        # left out)
+        prev: dict = {}
         for s in range(min(s_max, len(cc.diff) - 1) + 1):
             cur = {}
             for t in cc.terms[s].degrees():
                 if t > t_max:
                     continue
                 cols = cc.diff[s][t]
-                d_in, cleared = prev.get(t, ((), set()))
-                linalg.check_composite_zero(cols, d_in, self.field)
+                d_in, cleared, left_out = prev.get(t, ((), set(), set()))
+                bad = linalg.first_nonzero_composite(cols, d_in, self.field)
+                if bad is not None:
+                    # the kept column bad, numbered in its block, and the
+                    # columns of d_s it meets
+                    block = [i for i in range(len(cc.diff[s - 1][t]))
+                             if i not in left_out][bad]
+                    raise AssertionError(
+                        f"d_{s} @ d_{s - 1} is nonzero at t = {t} on column "
+                        f"{block} of d_{s - 1}, which meets columns "
+                        f"{sorted(d_in[bad])} of d_{s}")
                 # d_s^T, the cleared rows left out
                 kept = [col for j, col in enumerate(cols) if j not in cleared]
                 pivots = linalg.rref(Matrix.from_rows(
                     kept, cc.terms[s + 1].dim(t)), self.field, reduced=False,
                     last=True)[1]
-                cur[t] = (kept, set(pivots))
+                cur[t] = (kept, set(pivots), cleared)
                 dim = len(cols) - len(pivots) - len(cleared)
                 self.data[(s, t)] = Bidegree(dim, cleared if dim else None)
                 for k in range(dim):

@@ -345,15 +345,17 @@ def reduce_mod_span(vec: dict, echelon_rows, pivots, field: FieldSpec) -> dict:
     return out
 
 
-def check_composite_zero(out_cols, in_cols, field: FieldSpec):
-    """Raise AssertionError unless d_out @ d_in = 0, column by column.
+def first_nonzero_composite(out_cols, in_cols, field: FieldSpec):
+    """The index of the first column of d_in on which d_out @ d_in is
+    nonzero, None if the composite is zero.
 
     in_cols are the columns of d_in as sparse vectors on the middle
     term, and out_cols[i] is the column of d_out at its basis key i.
     Each column of the composite is one formal sum, accumulated with
     plain + and * and only tested for a nonzero scalar, mod p over F_p;
-    no reduced sum is built.  Not a ValueError: a complex whose square
-    is nonzero is a fault in the program, not bad input.
+    no reduced sum is built.  A caller raises AssertionError, not
+    ValueError, on a nonzero composite: a complex whose square is
+    nonzero is a fault in the program, not bad input.
     """
     p = field.characteristic
     for j, col in enumerate(in_cols):
@@ -362,8 +364,8 @@ def check_composite_zero(out_cols, in_cols, field: FieldSpec):
             for k, w in out_cols[i].items():
                 acc[k] = acc.get(k, 0) + v * w
         if any(v % p for v in acc.values()) if p else any(acc.values()):
-            raise AssertionError(
-                f"d_out @ d_in is nonzero on column {j} of d_in")
+            return j
+    return None
 
 
 def homology_reps(d_out: Matrix, boundary_pivots, field: FieldSpec):

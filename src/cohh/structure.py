@@ -430,9 +430,8 @@ def homology_multiplication(cs: CircleStructure):
     failed = set()
 
     # group homology-cotensor basis vectors per (n, t)
-    cot = cotensor(carrier, carrier, H.t_max)
     blocks: dict = {}
-    for t, vecs in cot.basis.items():
+    for t, vecs in cotensor(carrier, carrier, H.t_max).items():
         hits = Counter(pr for vec in vecs for pr in vec)
         for vec in vecs:
             free = max(vec, key=repr)

@@ -278,4 +278,5 @@ def test_criterion_9_oracle_equivalence():
     fixtures.append((regular_comodule(D2), regular_comodule(D2)))
     for M, N in fixtures:
         want = brute_force_equalizer_dims(M, N, 8)
-        assert cotensor(M, N, 8).dims() == want
+        assert {t: len(vecs) for t, vecs in cotensor(M, N, 8).items()
+                if vecs} == want

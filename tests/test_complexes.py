@@ -723,6 +723,24 @@ def test_homology_table_catches_a_fault_in_a_cleared_column(field):
     HomologyTable(cc, s_max, t_max)
 
 
+@pytest.mark.parametrize("s, j, message", [
+    # column 5 of d_2 is cleared at t = 8, so d_2 d_1 finds its fault, on
+    # the column 2 of d_1 that meets it
+    (2, 5, "d_2 @ d_1 is nonzero at t = 8 on column 2 of d_1, which meets "
+           "columns [1, 3, 4, 5] of d_2"),
+    # d_2 keeps its columns 0, 1 and 3 at t = 8: its kept column 2 is
+    # column 3 of the block
+    (3, 3, "d_3 @ d_2 is nonzero at t = 8 on column 3 of d_2, which meets "
+           "columns [0, 1, 3] of d_3")])
+def test_a_square_fault_names_its_bidegree_and_block_column(s, j, message):
+    H = cohh(COALGEBRAS["k[w2]"](QQ), 4, 8)
+    col = H.complex.diff[s][8][j]
+    col[min(col)] *= 2
+    with pytest.raises(AssertionError) as err:
+        HomologyTable(H.complex, 4, 8)
+    assert str(err.value) == message
+
+
 def perturb_one_entry(rnd, cc):
     """Add 1, 2 or -1 to one entry of one column of cc.diff, in place."""
     f = cc.field

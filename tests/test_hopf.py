@@ -272,6 +272,23 @@ def test_leibniz_rejects_a_non_derivation(box_f2):
     assert not report.ok
 
 
+@pytest.mark.parametrize("a, sign", [
+    (("h", 0, 0, 0), 1), (("h", 0, 3, 0), -1), (("h", 1, 3, 0), 1),
+    (("h", 1, 6, 0), -1), (("h", 3, 12, 0), -1)])
+def test_the_pair_differential_signs_the_right_leg_by_the_left_one(
+        box_q, a, sign):
+    # over Q the sign (-1)^{s+t} that both Leibniz rules share shows: d
+    # moves b alone, unsigned on the left leg and signed by a on the right
+    b, db = ("h", 2, 6, 0), ("h", 3, 9, 0)
+
+    def diff(h):
+        return {db: QQ.one} if h == b else {}
+
+    vec = {(a, b): QQ.one, (b, a): QQ.one}
+    assert hopf._pair_differential(box_q, diff, vec) == {(a, db): sign,
+                                                         (db, a): 1}
+
+
 @pytest.mark.parametrize("field", [GF(3), QQ])
 def test_diagonal_coords_reads_the_diagonal_and_refuses_the_rest(field):
     D = polynomial_coalgebra([2], field, truncation=8)

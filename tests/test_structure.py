@@ -380,7 +380,7 @@ def complete_basis_extension(mult, cot, s_max, f):
     filtration block's cotensor basis with unit vectors and sends those
     to zero, solved for every pair of the block."""
     out = GradedMap(mult.source, mult.target)
-    for vecs in cot.basis.values():
+    for vecs in cot.values():
         blocks: dict = {}
         for vec in vecs:
             (n,) = {la[1] + lb[1] for la, lb in vec}
