@@ -282,7 +282,7 @@ def _render_grid(dims: dict, s_max: int, t_max: int) -> str:
     return "\n".join(lines)
 
 
-def _render(payload: dict, job: JobSpec, grid_dims=None) -> str:
+def _render(payload: dict, job: JobSpec, grid=None) -> str:
     if job.format == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if job.format == "csv":
@@ -311,8 +311,8 @@ def _render(payload: dict, job: JobSpec, grid_dims=None) -> str:
     # text
     lines = [f"{job.command} over {payload['meta']['field']}, bounds "
              f"{payload['meta']['bounds']}"]
-    if grid_dims is not None:
-        lines.append(_render_grid(grid_dims, job.s_max, job.t_max))
+    if grid is not None:
+        lines.append(_render_grid(grid.dims(), grid.s_max, grid.t_max))
     if "dims_by_degree" in payload:
         lines.append("n:   " + " ".join(
             str(n) for n in range(len(payload["dims_by_degree"]))))
@@ -349,14 +349,11 @@ def run(job: JobSpec):
         status = 0 if report.ok else 1
     elif job.command == "cohh":
         c = build_coalgebra(job.coalgebra, job.field, job.t_max)
-        table = cohh_table(c, job.s_max, job.t_max)
-        grid = table.dims()
-        payload["table"] = _table_rows(grid)
+        grid = cohh_table(c, job.s_max, job.t_max)
     elif job.command == "e2":
         c = build_coalgebra(job.coalgebra, job.field, job.t_max)
         page = build_e2(c, job.s_max, job.t_max)
-        grid = page.dims()
-        payload["table"] = _table_rows(grid)
+        grid = page.table
         if page.generator_degrees is not None:
             payload["closed_form_ok"] = page.closed_form.passed
             payload["generators"] = {
@@ -396,13 +393,15 @@ def run(job: JobSpec):
     elif job.command == "cotor":
         c = build_coalgebra(job.coalgebra, job.field, job.t_max)
         k = trivial_comodule(c)
-        table = cobar_cotor(k, k, job.s_max, job.t_max)
-        grid = table.dims()
-        payload["table"] = _table_rows(grid)
+        grid = cobar_cotor(k, k, job.s_max, job.t_max)
     else:
         raise ParseError(f"unknown command {job.command!r}")
+    if grid is not None:
+        # a truncated input's table holds only through its own t_max
+        payload["meta"]["bounds"]["t_max"] = grid.t_max
+        payload["table"] = _table_rows(grid.dims())
 
-    return status, _render(payload, job, grid_dims=grid)
+    return status, _render(payload, job, grid)
 
 
 def _add_common(sub):

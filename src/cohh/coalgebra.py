@@ -4,12 +4,16 @@ A GradedCoalgebra carries a labelled graded basis, a comultiplication
 table {id: {(id, id): coeff}}, a counit table {id: coeff}, and the label
 of the coaugmentation grouplike (written "1" by the constructors).
 Constructors are provided for exterior coalgebras on odd generators,
-truncated divided-style polynomial coalgebras on even generators (the
-binomial comultiplication), tensor products, and raw tables.
+truncated divided-style polynomial coalgebras on even generators,
+tensor products, and raw tables.
 
-Sign conventions are Koszul throughout: splitting an exterior monomial
-x_S into x_A (x) x_B contributes (-1) for every pair (a, b), a in A and
-b in B, with b preceding a in S, weighted by the product of degrees.
+The exterior and polynomial coalgebras are one monomial constructor,
+the dual of a free graded-commutative algebra: the monomials x^e, an
+odd generator's exponent at most 1, with the binomial comultiplication
+and the Koszul sign, which for an exterior monomial x_S split into
+x_A (x) x_B is (-1) for every pair (a, b), a in A and b in B, with b
+preceding a in S, weighted by the product of degrees.  Its basis is
+listed by (degree, exponents).
 """
 
 import itertools
@@ -207,6 +211,46 @@ def _dedupe_names(prefix: str, degrees):
     return names
 
 
+def _monomial_coalgebra(kind: str, prefix: str, degrees, field: FieldSpec,
+                        truncation, name: str) -> GradedCoalgebra:
+    """The monomials x^e on generators of the given sorted degrees, an
+    odd generator's exponent at most 1 and the degree at most truncation
+    (None: no bound, for odd generators only), with the binomial
+    comultiplication Delta(x^e) = sum_{a+b=e} prod_i C(e_i, a_i)
+    (-1)^(sum_{i<j} |x_i| b_i |x_j| a_j) x^a (x) x^b.  Binomials are
+    computed in Z and reduced into the field.  The exponent vectors are
+    grown one generator at a time within the bound, and the basis is
+    listed by (degree, exponents)."""
+    gens = _dedupe_names(prefix, degrees)
+    bound = math.inf if truncation is None else truncation
+    monomials = [((), 0)]
+    for d in degrees:
+        monomials = [(exps + (e,), t + e * d) for exps, t in monomials
+                     for e in range(min(1 if d % 2 else bound,
+                                        (bound - t) // d) + 1)]
+    monomials.sort(key=lambda m: (m[1], m[0]))
+
+    def mono_id(exps):
+        return "".join(g if e == 1 else f"{g}^{e}"
+                       for g, e in zip(gens, exps) if e) or "1"
+
+    pairs = list(itertools.combinations(range(len(degrees)), 2))
+    comult = {}
+    for exps, _ in monomials:
+        terms = {}
+        for a in itertools.product(*(range(e + 1) for e in exps)):
+            b = [e - x for e, x in zip(exps, a)]
+            sign = sum(degrees[i] * b[i] * degrees[j] * a[j] for i, j in pairs)
+            terms[mono_id(a), mono_id(b)] = (
+                (-1) ** sign * math.prod(map(math.comb, exps, a)))
+        comult[mono_id(exps)] = field.canonical(terms)
+    return GradedCoalgebra(
+        field, [(mono_id(exps), t) for exps, t in monomials], comult,
+        {"1": field.one}, coaug="1", truncation=truncation, name=name,
+        metadata={"kind": kind, "degrees": list(degrees),
+                  "exponents": {mono_id(exps): exps for exps, _ in monomials}})
+
+
 def exterior_coalgebra(degrees, field: FieldSpec) -> GradedCoalgebra:
     """Exterior coalgebra on primitive generators in odd degrees.
 
@@ -216,99 +260,27 @@ def exterior_coalgebra(degrees, field: FieldSpec) -> GradedCoalgebra:
     degrees = sorted(degrees)
     if any(d <= 0 or d % 2 == 0 for d in degrees):
         raise ValueError("exterior generators must have odd positive degree")
-    gens = _dedupe_names("x", degrees)
-    n = len(gens)
-
-    def mono_id(subset):
-        return "".join(gens[i] for i in subset) or "1"
-
-    basis = []
-    comult = {}
-    counit = {}
-    for r in range(n + 1):
-        for subset in itertools.combinations(range(n), r):
-            mid = mono_id(subset)
-            basis.append((mid, sum(degrees[i] for i in subset)))
-            counit[mid] = field.one if not subset else field.zero
-            terms: dict = {}
-            for k in range(r + 1):
-                for a_pos in itertools.combinations(range(r), k):
-                    a_set = set(a_pos)
-                    sign = 0
-                    # pairs (b, a) with b in the complement appearing
-                    # before a in the monomial contribute |a||b|
-                    for i in range(r):
-                        if i in a_set:
-                            continue
-                        for j in a_pos:
-                            if i < j:
-                                sign += degrees[subset[i]] * degrees[subset[j]]
-                    pair = (mono_id(tuple(subset[i] for i in a_pos)),
-                            mono_id(tuple(subset[i] for i in range(r)
-                                          if i not in a_set)))
-                    terms[pair] = terms.get(pair, 0) + (-1) ** sign
-            comult[mid] = field.canonical(terms)
-    return GradedCoalgebra(
-        field, basis, comult, counit, coaug="1", truncation=None,
-        name="Lambda(" + ",".join(str(d) for d in degrees) + ")",
-        metadata={"kind": "exterior", "degrees": list(degrees),
-                  "generators": gens})
+    return _monomial_coalgebra(
+        "exterior", "x", degrees, field, None,
+        "Lambda(" + ",".join(str(d) for d in degrees) + ")")
 
 
 def polynomial_coalgebra(degrees, field: FieldSpec,
                          truncation: int) -> GradedCoalgebra:
     """Polynomial coalgebra on even-degree generators, truncated.
 
-    Delta(w^j) = sum_k C(j, k) w^k (x) w^(j-k); binomials are computed in
-    Z and reduced into the field.  The basis holds every monomial of
-    total degree <= truncation, so the table is complete through it.
+    Delta(w^j) = sum_k C(j, k) w^k (x) w^(j-k).  The basis holds every
+    monomial of total degree <= truncation, so the table is complete
+    through it.
     """
     degrees = sorted(degrees)
     if any(d <= 0 or d % 2 for d in degrees):
         raise ValueError("polynomial generators must have even positive degree")
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    gens = _dedupe_names("w", degrees)
-
-    def mono_id(exps):
-        parts = []
-        for g, e in zip(gens, exps):
-            if e == 1:
-                parts.append(g)
-            elif e > 1:
-                parts.append(f"{g}^{e}")
-        return "".join(parts) or "1"
-
-    monomials = [()]
-    for d in degrees:
-        monomials = [m + (e,) for m in monomials
-                     for e in range(0, truncation + 1)]
-    monomials = [m for m in monomials
-                 if sum(e * d for e, d in zip(m, degrees)) <= truncation]
-    monomials.sort(key=lambda m: (sum(e * d for e, d in zip(m, degrees)), m))
-
-    basis = []
-    comult = {}
-    counit = {}
-    for m in monomials:
-        mid = mono_id(m)
-        basis.append((mid, sum(e * d for e, d in zip(m, degrees))))
-        counit[mid] = field.one if not any(m) else field.zero
-        terms: dict = {}
-        for split in itertools.product(*(range(e + 1) for e in m)):
-            coeff = 1
-            for e, k in zip(m, split):
-                coeff *= math.comb(e, k)
-            rest = tuple(e - k for e, k in zip(m, split))
-            pair = (mono_id(split), mono_id(rest))
-            terms[pair] = terms.get(pair, 0) + coeff
-        comult[mid] = field.canonical(terms)
-    return GradedCoalgebra(
-        field, basis, comult, counit, coaug="1", truncation=truncation,
-        name="k[" + ",".join(str(d) for d in degrees) + f"]<= {truncation}",
-        metadata={"kind": "polynomial", "degrees": list(degrees),
-                  "truncation": truncation,
-                  "exponents": {mono_id(m): m for m in monomials}})
+    return _monomial_coalgebra(
+        "polynomial", "w", degrees, field, truncation,
+        "k[" + ",".join(str(d) for d in degrees) + f"]<= {truncation}")
 
 
 def tensor_coalgebra(c1: GradedCoalgebra,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .coalgebra import (CoalgebraMap, GradedCoalgebra, ValidationReport,
                         check, tensor_coalgebra, tensor_projection)
-from .complexes import CochainComplex, HomologyTable
+from .complexes import CochainComplex, HomologyTable, tensor_words
 from .fields import FieldSpec
 from .graded import (GradedMap, GradedSpace, as_tuples, tensor_apply,
                      tensor_space)
@@ -163,34 +163,16 @@ def cotensor(M: Comodule, N: Comodule, max_degree=None) -> dict:
 
 
 def cobar_level_space(M: Comodule, N: Comodule, s: int, t_max: int):
-    """Basis labels of M (x) Dbar^s (x) N up to internal degree t_max.
-
-    The middle words are enumerated once, in lexicographic order of
-    their labels' positions in D.  Every Dbar degree is positive, so the
-    words within the budget a label of M leaves are a subsequence of
-    them in the same order.
-    """
-    D = M.base
-    dbar = [(lbl, dg) for lbl, dg in D.space.degree_of.items() if dg > 0]
-    m_labels = [(m, dm) for m, dm in M.space.degree_of.items()
-                if dm <= t_max]
-    budget = t_max - min((dm for _, dm in m_labels), default=t_max)
-    lowest = min((dg for _, dg in dbar), default=0)
-    mids = [((), 0)]
-    for k in range(s, 0, -1):
-        # a prefix stays only if k - 1 more labels can still follow it
-        room = budget - (k - 1) * lowest
-        mids = [(word + (lbl,), deg + dg) for word, deg in mids
-                for lbl, dg in dbar if deg + dg <= room]
-    labels = []
-    for m, dm in m_labels:
-        for mid_word, mid in mids:
-            if dm + mid > t_max:
-                continue
-            for n, dn in N.space.degree_of.items():
-                if dm + mid + dn <= t_max:
-                    labels.append(((m,) + mid_word + (n,), dm + mid + dn))
-    return labels
+    """Basis labels of M (x) Dbar^s (x) N up to internal degree t_max:
+    for each label of M in order, the middle words in the walk order of
+    complexes.tensor_words with every slot reduced, and for each of
+    them the labels of N in order.  D is connected, so the labels other
+    than the coaugmentation are exactly the Dbar labels."""
+    mids = tensor_words(M.base, s, t_max, [[k] for k in range(s)])
+    return [((m,) + word + (n,), dm + dw + dn)
+            for m, dm in M.space.degree_of.items()
+            for word, dw in mids if dm + dw <= t_max
+            for n, dn in N.space.degree_of.items() if dm + dw + dn <= t_max]
 
 
 def cobar_differential(M: Comodule, N: Comodule, s: int,
@@ -344,14 +326,13 @@ def polynomial_multiplication(D2: GradedCoalgebra):
     if D2.metadata.get("kind") != "polynomial":
         raise ValueError("needs a polynomial coalgebra")
     degrees = D2.metadata["degrees"]
-    trunc = D2.metadata["truncation"]
     exps = D2.metadata["exponents"]
     ids = {v: k for k, v in exps.items()}
     f = D2.field
 
     def mult(a, b):
         total = tuple(x + y for x, y in zip(exps[a], exps[b]))
-        if sum(e * d for e, d in zip(total, degrees)) > trunc:
+        if sum(e * d for e, d in zip(total, degrees)) > D2.truncation:
             return {}
         return {ids[total]: f.one}
 

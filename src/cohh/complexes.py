@@ -190,7 +190,7 @@ def induced_map(D: GradedCoalgebra, a_list, b_list, fmap):
     return apply
 
 
-def _words(D: GradedCoalgebra, slots: int, t_max: int, missing=()):
+def tensor_words(D: GradedCoalgebra, slots: int, t_max: int, missing=()):
     """All (word, degree) over the D basis with total degree <= t_max
     and, for each list of slots in missing, a non-coaugmentation label in
     at least one of them.
@@ -200,6 +200,9 @@ def _words(D: GradedCoalgebra, slots: int, t_max: int, missing=()):
     the last slot of a list in missing once every slot of that list holds
     the coaugmentation, so the order is that of the unrestricted walk
     with the other words left out; an empty list leaves no word at all.
+    A prefix is also dropped once the slots still to come that are a
+    list of their own cannot each take the lowest non-coaugmentation
+    degree within t_max, which leaves out only words that never end.
     """
     if not all(missing):
         return []
@@ -211,15 +214,17 @@ def _words(D: GradedCoalgebra, slots: int, t_max: int, missing=()):
     for group in missing:
         last = max(group)
         closing[last].append([j for j in group if j != last])
+    always = [[] in rests for rests in closing]
+    lowest = choices[1][0][0] if choices[1] else 0
     layer = [((), 0)]
-    for rests in closing:
+    for k, rests in enumerate(closing):
         grown = []
-        always = [] in rests
+        budget = t_max - lowest * sum(always[k + 1:])
         for prefix, deg in layer:
-            reduced = always or any(all(prefix[j] == coaug for j in rest)
-                                    for rest in rests)
+            reduced = always[k] or any(all(prefix[j] == coaug for j in rest)
+                                       for rest in rests)
             for d, lbl in choices[reduced]:
-                if deg + d > t_max:
+                if deg + d > budget:
                     break
                 grown.append((prefix + (lbl,), deg + d))
         layer = grown
@@ -250,7 +255,7 @@ class CosimplicialModule:
     def space(self, n: int) -> GradedSpace:
         if n not in self._spaces:
             self._spaces[n] = GradedSpace(
-                _words(self.D, len(self.level(n)), self.t_max))
+                tensor_words(self.D, len(self.level(n)), self.t_max))
         return self._spaces[n]
 
     def coface(self, n: int, i: int) -> GradedMap:
@@ -356,14 +361,14 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
         raise ValueError(
             f"normalized complex needs the counit supported on the "
             f"coaugmentation {D.coaug!r} alone, got {sorted(D.counit)}")
-    terms = [GradedSpace(_words(D, len(cm.level(0)), cm.t_max))]
+    terms = [GradedSpace(tensor_words(D, len(cm.level(0)), cm.t_max))]
     diffs = []
     for s in range(s_max + 1):
         if not terms[s].degree_of:
             break
         missing = cm.missing_slots(s)
         terms.append(GradedSpace(
-            _words(D, len(cm.level(s + 1)), cm.t_max, missing)))
+            tensor_words(D, len(cm.level(s + 1)), cm.t_max, missing)))
         diffs.append(cm.coface_sum(s, terms[s], terms[s + 1],
                                    {g[0] for g in missing if len(g) == 1}))
     return CochainComplex(cm.field, terms, diffs, cm)

@@ -16,8 +16,8 @@ label is read from the label: s for a circle homology class
 
 from . import linalg
 from .coalgebra import ValidationReport, check, coassociativity_failures
-from .comodule import BoxStructure, cotensor, pair_defect
-from .graded import as_tuples, tensor_apply
+from .comodule import BoxStructure, cotensor, degree_pairs, pair_defect
+from .graded import as_tuples, tensor_apply, tensor_space
 
 
 def _s_of(label):
@@ -60,22 +60,13 @@ def _pair_cotensor(box: BoxStructure) -> dict:
 def _triple_cotensor_basis(box: BoxStructure, degree: int):
     """Basis of E box E box E in one internal degree, through total
     filtration box.s_max: the kernel of the pair defects of the first
-    two and of the last two factors."""
+    two and of the last two factors, over the triples in repr order."""
     one = box.field.one
     E = box.carrier
-    triples = []
-    for a, da in E.space.degree_of.items():
-        for b, db in E.space.degree_of.items():
-            if da + db > degree:
-                continue
-            for c, dcg in E.space.degree_of.items():
-                if da + db + dcg != degree:
-                    continue
-                if (box.s_max is not None
-                        and _s_of(a) + _s_of(b) + _s_of(c) > box.s_max):
-                    continue
-                triples.append((a, b, c))
-    triples.sort(key=repr)
+    pairs = tensor_space(E.space, E.space, degree)
+    triples = [(a, b, c) for (a, b), c in degree_pairs(pairs, E.space, degree)
+               if box.s_max is None
+               or _s_of(a) + _s_of(b) + _s_of(c) <= box.s_max]
     images = {}
     for (a, b, c) in triples:
         img = {("m",) + k + (c,): v for k, v in pair_defect(

@@ -19,7 +19,6 @@ from . import linalg
 from .coalgebra import AxiomCheck, GradedCoalgebra, ValidationReport, check
 from .complexes import HomologyTable, cohh
 from .fields import FieldSpec
-from .linalg import Matrix
 
 
 class DegreeEven(ValueError):
@@ -342,22 +341,25 @@ def _quotient_by_products(box, bound: int) -> dict:
     """Dims of (positive-filtration part) / (products of
     positive-filtration parts) per bidegree (s, t), 1 <= t <= bound, in
     order of t and then s.  The product columns are read once, grouped
-    by the bidegree of their pair: mult is zero off its free pairs."""
+    by the bidegree of their pair: mult is zero off its free pairs.
+    Raises AssertionError on a product label outside its pair's
+    bidegree."""
     E = box.carrier.space
     products: dict = {}
     for (a, b), col in box.mult.columns.items():
         if a[1] >= 1 and b[1] >= 1:
             bidegree = (a[1] + b[1], E.degree_of[a] + E.degree_of[b])
+            stray = [m for m in col if (m[1], E.degree_of[m]) != bidegree]
+            if stray:
+                raise AssertionError(
+                    f"the product of {(a, b)!r} has the label {stray[0]!r} "
+                    f"outside its bidegree {bidegree}")
             products.setdefault(bidegree, []).append(col)
     out: dict = {}
     for t in range(1, bound + 1):
         for s in sorted({lbl[1] for lbl in E.labels(t) if lbl[1] >= 1}):
-            labels = [l for l in E.labels(t) if l[1] == s]
-            idx = {l: i for i, l in enumerate(labels)}
-            cols = [{idx[m]: v for m, v in col.items() if m in idx}
-                    for col in products.get((s, t), [])]
-            dim = len(labels) - linalg.rank(
-                Matrix.from_columns(cols, len(labels)), box.field)
+            dim = sum(lbl[1] == s for lbl in E.labels(t)) - linalg.rank(
+                linalg.keyed_matrix(products.get((s, t), [])), box.field)
             if dim:
                 out[(s, t)] = dim
     return out

@@ -532,3 +532,39 @@ def test_modular_json_output_is_pinned(argv, digest, capsys):
     status, out, _ = run_cli(argv.split() + ["--format", "json"], capsys)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _tensor_spec(trunc):
+    return {"kind": "tensor", "factors": [
+        {"kind": "exterior", "degrees": [3]},
+        {"kind": "polynomial", "degrees": [4], "trunc": trunc}]}
+
+
+@pytest.mark.parametrize("command, s_max, t_max, spec, full, through", [
+    ("cohh", 2, 12, _tensor_spec(8), _tensor_spec(12), 8),
+    ("cotor", 6, 10, {"kind": "polynomial", "degrees": [2], "trunc": 5},
+     {"kind": "polynomial", "degrees": [2], "trunc": 10}, 5),
+], ids=["cohh-tensor", "cotor-polynomial"])
+def test_a_truncated_input_reports_the_bound_its_table_holds_through(
+        command, s_max, t_max, spec, full, through, tmp_path, capsys):
+    def run_job(coalgebra, fmt):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(dict(coalgebra, command=command,
+                                       s_max=s_max, t_max=t_max,
+                                       format=fmt)))
+        status, out, _ = run_cli([command, "--spec", str(job)], capsys)
+        assert status == 0
+        return out
+
+    payload = json.loads(run_job(spec, "json"))
+    assert payload["meta"]["bounds"] == {"s_max": s_max, "t_max": through}
+    assert max(r["t"] for r in payload["table"]) <= through
+    # below the truncation the rows are those of an untruncated input
+    untruncated = json.loads(run_job(full, "json"))
+    assert untruncated["meta"]["bounds"]["t_max"] == t_max
+    assert payload["table"] == [r for r in untruncated["table"]
+                                if r["t"] <= through]
+    text = run_job(spec, "text").splitlines()
+    assert f"'t_max': {through}}}" in text[0]
+    assert text[1].split()[1:] == [str(t) for t in range(through + 1)]
+    assert all(len(row.split()) == through + 2 for row in text[2:])

@@ -1,9 +1,13 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohh.coalgebra import (
+    GradedCoalgebra,
+    _dedupe_names,
     counit_map,
     exterior_coalgebra,
     is_cocommutative,
@@ -191,3 +195,131 @@ def test_exterior_always_validates_and_is_cocommutative(degs, char):
     c = exterior_coalgebra(degs, FieldSpec(char))
     assert validate(c).ok
     assert is_cocommutative(c)
+
+
+# The two hand-written constructors the monomial constructor replaced,
+# kept as oracles: the exterior Koszul sign loop over combinations, and
+# the polynomial product over range(truncation + 1) then filtered.
+
+
+def oracle_exterior_coalgebra(degrees, field):
+    degrees = sorted(degrees)
+    gens = _dedupe_names("x", degrees)
+    n = len(gens)
+
+    def mono_id(subset):
+        return "".join(gens[i] for i in subset) or "1"
+
+    basis = []
+    comult = {}
+    counit = {}
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
+            mid = mono_id(subset)
+            basis.append((mid, sum(degrees[i] for i in subset)))
+            counit[mid] = field.one if not subset else field.zero
+            terms = {}
+            for k in range(r + 1):
+                for a_pos in itertools.combinations(range(r), k):
+                    a_set = set(a_pos)
+                    sign = 0
+                    # pairs (b, a) with b in the complement appearing
+                    # before a in the monomial contribute |a||b|
+                    for i in range(r):
+                        if i in a_set:
+                            continue
+                        for j in a_pos:
+                            if i < j:
+                                sign += degrees[subset[i]] * degrees[subset[j]]
+                    pair = (mono_id(tuple(subset[i] for i in a_pos)),
+                            mono_id(tuple(subset[i] for i in range(r)
+                                          if i not in a_set)))
+                    terms[pair] = terms.get(pair, 0) + (-1) ** sign
+            comult[mid] = field.canonical(terms)
+    return GradedCoalgebra(field, basis, comult, counit)
+
+
+def oracle_polynomial_coalgebra(degrees, field, truncation):
+    degrees = sorted(degrees)
+    gens = _dedupe_names("w", degrees)
+
+    def mono_id(exps):
+        parts = []
+        for g, e in zip(gens, exps):
+            if e == 1:
+                parts.append(g)
+            elif e > 1:
+                parts.append(f"{g}^{e}")
+        return "".join(parts) or "1"
+
+    monomials = [()]
+    for d in degrees:
+        monomials = [m + (e,) for m in monomials
+                     for e in range(0, truncation + 1)]
+    monomials = [m for m in monomials
+                 if sum(e * d for e, d in zip(m, degrees)) <= truncation]
+    monomials.sort(key=lambda m: (sum(e * d for e, d in zip(m, degrees)), m))
+
+    basis = []
+    comult = {}
+    counit = {}
+    for m in monomials:
+        mid = mono_id(m)
+        basis.append((mid, sum(e * d for e, d in zip(m, degrees))))
+        counit[mid] = field.one if not any(m) else field.zero
+        terms = {}
+        for split in itertools.product(*(range(e + 1) for e in m)):
+            coeff = 1
+            for e, k in zip(m, split):
+                coeff *= math.comb(e, k)
+            rest = tuple(e - k for e, k in zip(m, split))
+            pair = (mono_id(split), mono_id(rest))
+            terms[pair] = terms.get(pair, 0) + coeff
+        comult[mid] = field.canonical(terms)
+    return GradedCoalgebra(field, basis, comult, counit,
+                           truncation=truncation)
+
+
+ORACLE_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
+
+
+def assert_same_tables(new, old, same_order):
+    assert new.comult == old.comult
+    assert new.counit == old.counit
+    assert new.truncation == old.truncation
+    basis = list(new.space.degree_of.items())
+    assert set(basis) == set(old.space.degree_of.items())
+    if same_order:
+        assert basis == list(old.space.degree_of.items())
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_exterior_tables_match_the_sign_loop_oracle(field):
+    # the basis order is (degree, exponents): it differs from the
+    # oracle's (size, subset) order only where a product of generators
+    # is of lower degree than a later generator, or two degrees tie
+    for degrees, same_order in (
+            ([3], True), ([3, 5], True), ([3, 5, 7], True),
+            ([3, 5, 9], False), ([3, 3], False), ([3, 5, 7, 11], False),
+            ([3, 5, 7, 9, 11], False)):
+        assert_same_tables(exterior_coalgebra(degrees, field),
+                           oracle_exterior_coalgebra(degrees, field),
+                           same_order)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_polynomial_tables_match_the_product_filter_oracle(field):
+    for degrees, truncation in (([2], 20), ([2, 4], 16), ([2, 2], 9),
+                                ([2, 4, 6], 18), ([2], 0)):
+        assert_same_tables(
+            polynomial_coalgebra(degrees, field, truncation),
+            oracle_polynomial_coalgebra(degrees, field, truncation), True)
+
+
+def test_exterior_basis_is_listed_by_degree_then_exponents():
+    c = exterior_coalgebra([3, 5, 9], GF(2))
+    assert list(c.space.degree_of.items()) == [
+        ("1", 0), ("x3", 3), ("x5", 5), ("x3x5", 8), ("x9", 9),
+        ("x3x9", 12), ("x5x9", 14), ("x3x5x9", 17)]
+    assert list(exterior_coalgebra([3, 3], GF(2)).space.degree_of) == [
+        "1", "x3_2", "x3", "x3x3_2"]

@@ -149,6 +149,49 @@ def test_cobar_level_space_is_the_lexicographic_walk(s):
     assert cobar_level_space(M, N, s, t_max) == want
 
 
+def oracle_cobar_level_space(M, N, s, t_max):
+    """The walk cobar_level_space replaced: middle words grown in the
+    D basis order, each prefix kept only if the labels still to follow
+    fit the budget the lowest label of M leaves."""
+    D = M.base
+    dbar = [(lbl, dg) for lbl, dg in D.space.degree_of.items() if dg > 0]
+    m_labels = [(m, dm) for m, dm in M.space.degree_of.items()
+                if dm <= t_max]
+    budget = t_max - min((dm for _, dm in m_labels), default=t_max)
+    lowest = min((dg for _, dg in dbar), default=0)
+    mids = [((), 0)]
+    for k in range(s, 0, -1):
+        room = budget - (k - 1) * lowest
+        mids = [(word + (lbl,), deg + dg) for word, deg in mids
+                for lbl, dg in dbar if deg + dg <= room]
+    labels = []
+    for m, dm in m_labels:
+        for mid_word, mid in mids:
+            if dm + mid > t_max:
+                continue
+            for n, dn in N.space.degree_of.items():
+                if dm + mid + dn <= t_max:
+                    labels.append(((m,) + mid_word + (n,), dm + mid + dn))
+    return labels
+
+
+def test_cobar_levels_match_the_old_walk():
+    # the same list where the D basis is in (degree, label) order, as on
+    # Lambda(3,5,7); the same set on the regular comodules, where k[w2,w4]
+    # lists w4 before w2^2
+    k = trivial_comodule(exterior_coalgebra([3, 5, 7], QQ))
+    for s in range(7):
+        assert (cobar_level_space(k, k, s, 40)
+                == oracle_cobar_level_space(k, k, s, 40)), s
+    for D, t_max in ((exterior_coalgebra([3, 5], GF(3)), 19),
+                     (polynomial_coalgebra([2, 4], GF(3), 16), 16)):
+        R = regular_comodule(D)
+        for s in range(5):
+            got = cobar_level_space(R, R, s, t_max)
+            assert len(got) == len(set(got))
+            assert set(got) == set(oracle_cobar_level_space(R, R, s, t_max))
+
+
 def cobar_complex(M, N, s_max, t_max):
     spaces = [GradedSpace(cobar_level_space(M, N, s, t_max))
               for s in range(s_max + 2)]

@@ -8,8 +8,9 @@ add_term or sub_sums, every axiom check is made by coalgebra.check
 into the one report type, no function loops over the images of maps
 on tensor legs by hand, no function offers an option that no call in
 the package sets, a function imports a module of the package only
-where that keeps it from loading, and no class but the one report
-type carries a pass/fail field."""
+where that keeps it from loading, no class but the one report type
+carries a pass/fail field, and every key of a metadata={...} literal
+is read somewhere."""
 
 import ast
 import re
@@ -826,3 +827,53 @@ def test_importing_the_cli_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=SRC.parent)
     assert out.stdout.strip() == "False"
+
+
+def _is_metadata(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "metadata"
+            or isinstance(node, ast.Name) and node.id == "metadata")
+
+
+def unread_metadata_keys(paths):
+    """(module, key, line) for each string key of a metadata={...}
+    literal in paths that no file of paths reads as metadata["key"] or
+    metadata.get("key")."""
+    written, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.keyword) and node.arg == "metadata"
+                    and isinstance(node.value, ast.Dict)):
+                written += [(path.stem, k.value, k.lineno)
+                            for k in node.value.keys
+                            if isinstance(k, ast.Constant)]
+            elif isinstance(node, ast.Subscript) and _is_metadata(node.value):
+                key = node.slice
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get" and node.args
+                  and _is_metadata(node.func.value)):
+                key = node.args[0]
+            else:
+                continue
+            if isinstance(key, ast.Constant):
+                read.add(key.value)
+    return [hit for hit in written if hit[1] not in read]
+
+
+def test_every_metadata_key_is_read():
+    found = unread_metadata_keys(sorted(SRC.glob("*.py")))
+    assert found == [], ("metadata keys nothing reads (module, key, "
+                         "line): " + repr(found))
+
+
+def test_checker_flags_a_metadata_key_nothing_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def make(c):\n"
+                    "    return C(metadata={'kind': 1, 'dead': 2,\n"
+                    "                       'looked_up': 3})\n"
+                    "def read(c, metadata):\n"
+                    "    c.metadata['other']\n"
+                    "    return (c.metadata['kind'],\n"
+                    "            metadata.get('looked_up'))\n")
+    assert unread_metadata_keys([path]) == [("mod", "dead", 2)]

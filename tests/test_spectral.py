@@ -301,3 +301,23 @@ def test_structure_audit_rejects_non_exterior_pages():
                        2, 8)
     with pytest.raises(ValueError):
         sp.e2_structure_audit(page)
+
+
+def test_quotient_by_products_refuses_a_product_outside_its_bidegree():
+    from cohh import structure as st
+    page = sp.build_e2(exterior_coalgebra([3], GF(3)), 3, 9)
+    box = st.cohh_box_structure(page.table)[0]
+    E = box.carrier.space
+    assert (sp._quotient_by_products(box, 9)
+            == sp.e2_structure_audit(page)[1]["indecomposables"])
+    # move one entry of a product of positive-filtration classes to a
+    # class of the same internal degree and another filtration
+    pair, label, moved = next(
+        (pr, m, other) for pr, col in box.mult.columns.items()
+        if pr[0][1] >= 1 and pr[1][1] >= 1 for m in col
+        for other in E.labels(m[2]) if other[1] != m[1])
+    col = dict(box.mult.columns[pair])
+    col[moved] = col.pop(label)
+    box.mult.set_column(pair, col)
+    with pytest.raises(AssertionError, match="outside its bidegree"):
+        sp._quotient_by_products(box, 9)

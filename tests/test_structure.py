@@ -19,7 +19,7 @@ from cohh.comodule import cotensor, pair_defect
 from cohh.complexes import (
     CosimplicialModule,
     HomologyTable,
-    _words,
+    tensor_words,
     cohh,
     induced_map,
     normalized_complex,
@@ -34,7 +34,7 @@ from test_linalg import reduce_and_reeliminate
 
 def mixed_words(mx, p, q, t_max):
     """Every word of the mixed (p, q) level of total degree <= t_max."""
-    return [w for w, _ in _words(mx.D, len(mx.level(p, q)), t_max)]
+    return [w for w, _ in tensor_words(mx.D, len(mx.level(p, q)), t_max)]
 
 
 def alternating_sum(op, count, vec, f):
