@@ -17,7 +17,7 @@ blocks; induced_map per formal sum, with one plan for every vector.
 
 A differential is stored in one form, the blocks of CochainComplex.diff:
 per internal degree, its columns as index dicts over the target words.
-coface_sum, comodule.cobar_differential and structure.CotensorComplex
+coface_sum, comodule.cobar_differential and structure.coefficient_table
 write them, and HomologyTable reduces them as written.
 
 The normalized complex is C (x) Cbar^(x)s on the circle, and in general
@@ -28,8 +28,8 @@ that one codegeneracy deletes alone only through the reduced
 comultiplication.
 
 Every homology in the package is a HomologyTable: coHH, Cotor over the
-cobar complex, and the cotensor total complex behind the product in
-structure.  A table reads dims off ranks and keeps no RREF.  Walking s
+cobar complex, and the coHochschild complex with coefficients in the
+carrier behind the product in structure.  A table reads dims off ranks and keeps no RREF.  Walking s
 up, to s_max or the last block of a complex that ends sooner, block
 (s, t) row-reduces its columns of d_s, less those cleared at
 the greatest-index pivots of block (s - 1, t), in one linalg.rref call
@@ -308,8 +308,8 @@ class CosimplicialModule:
 @dataclass
 class CochainComplex:
     """Terms with labelled bases (the words of a cosimplicial module's
-    levels, cobar words, or cotensor coordinates), and the differential
-    between them.
+    levels, cobar words, or the coefficient table's (class, tail)
+    coordinates), and the differential between them.
 
     diff[s] is d_s: terms[s] -> terms[s+1] in block form, a dict
     t -> list of columns, with a list for every degree t of terms[s].
@@ -319,7 +319,7 @@ class CochainComplex:
     Column j is the image of terms[s].labels(t)[j], stored as
     {i: scalar} over terms[s+1].labels(t), with no zero.
     CosimplicialModule.coface_sum, comodule.cobar_differential and
-    structure.CotensorComplex write the blocks; HomologyTable reduces
+    structure.coefficient_table write the blocks; HomologyTable reduces
     them as written, and column reads one back as a formal sum on labels.
     """
 

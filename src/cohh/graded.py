@@ -21,12 +21,11 @@ labels, such as a GradedMap column, goes through as_tuples.  A signed
 map on a tensor is tensor_apply plus one regrouping of its result: the
 interchange of a tensor coalgebra or of the bialgebra twist is one
 comprehension over (a1, a2, b1, b2) that swaps the middle legs with
-their Koszul sign.  Three loops on the path of an audit keep their own
-sums, comodule.pair_defect, structure.CotensorComplex.pair_vec and the
-cotensor guard in CotensorComplex._diff_blocks: a generic
-sum-of-tensors helper in their place slowed the warm in-process audit
-of Lambda(3) over F_3 (s4, t18) from 2.72 to 2.96 ms, median over five
-alternating pairs of 150 runs each, with the same output.
+their Koszul sign.  One loop on the path of an audit, comodule.pair_defect,
+keeps its own sum: a generic sum-of-tensors helper in it and in two like
+loops slowed the warm in-process audit of Lambda(3) over F_3 (s4, t18)
+from 2.72 to 2.96 ms, median over five alternating pairs of 150 runs
+each, with the same output.
 """
 
 from .fields import FieldSpec

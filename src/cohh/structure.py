@@ -2,9 +2,10 @@
 the dual Eilenberg-Zilber maps, the coproduct and product at cochain
 level, and the assembled box-(bi)algebra structure on the homology
 table, including the antipode transported from the double-edge model.
-The product is read off the homology of the cotensor total complex,
-which, like every homology in the package, is a HomologyTable over a
-CochainComplex.
+The product is read off the homology of the cotensor total complex
+Tot(N box_D N), which coefficient_table reads as the coHochschild
+complex of D with coefficients in the carrier bicomodule H: like every
+homology in the package, a HomologyTable over a CochainComplex.
 
 The coproduct of a class is the dual shuffle map after the levelwise
 comultiplication, applied to its representative.  Both are maps induced
@@ -299,114 +300,79 @@ class CircleStructure:
 
 
 # ---------------------------------------------------------------------------
-# the cotensor total complex and the multiplication on homology
+# the product's cotensor homology and the multiplication on homology
 
 
-class CotensorComplex:
-    """The total cotensor subcomplex Tot(N box_D N) of the normalized
-    circle cochains in closed form, as a CochainComplex read by a
-    HomologyTable.
+def coefficient_table(cs: CircleStructure, carrier: Comodule) -> HomologyTable:
+    """The homology of Tot(N box_D N), the total cotensor of the
+    normalized circle cochains with themselves, read off the
+    coHochschild complex C(D; H) of D with coefficients in the carrier.
 
-    The left coaction of a circle cochain is Delta on slot 0, so
-    N^v = D (x) Dbar^(x)v is a cofree left comodule and
-    N^u box_D N^v = N^u (x) Dbar^(x)v (Doi, "Homological coalgebra",
-    1981; Hess-Parent-Scott, JPAA 2009).  Term n holds the coordinates
-    (wa, tail): wa a word of N^u, tail a word of N^(n-u) whose slot 0
-    holds the coaugmentation, with that slot dropped; each degree lists
-    them in (u, deg wa, tail, wa) order.  No kernel is eliminated.  A
-    coordinate is the word wa + tail on the wedge of two circles, and
-    _diff_blocks reads its differential off the circle blocks.  phi
-    sends (wa, tail) to (rho_r (x) id)(wa (x) tail), equalized as rho_r
-    is coassociative, and pair_vec takes a class representative of H,
-    a HomologyTable, back to word pairs through phi.
+    N^v = D (x) Dbar^(x)v is a cofree left comodule, so N^u box_D N^v =
+    N^u (x) Dbar^(x)v (Doi, "Homological coalgebra", 1981;
+    Hess-Parent-Scott, JPAA 2009), and Tot is a double complex whose
+    columns are copies of N.  Contracting each onto H by the basic
+    perturbation lemma (Crainic, arXiv:math/0403266) leaves the
+    coordinates (x, tail), x a class of H and tail a word of Dbar^(x)v,
+    per degree in (level of x, |x|, tail, x) order, with the series'
+    first term (pi (x) 1) delta (iota (x) 1) as differential: iota =
+    H.rep, pi = H.class_coords, and delta, Tot's differential less
+    d (x) 1, the circle's cofaces on slot 0 of x and the tail.  These are
+    the tail's inner cofaces and the two coactions, their reduced base
+    leg put in front of the tail or at its end (there with the legs of
+    Delta swapped, as cohh admits only cocommutative coalgebras, and the
+    Koszul sign).  Every later term starts with h delta iota, zero as the
+    representatives span a sub-bicomodule (cohh_carrier_comodule checks
+    it), so a class lifts to the Tot cocycle sum c iota(x) (x) tail.
+    Tot's column sign (-1)^u is dropped, as the differential keeps the
+    level of x.  Nothing of level s_max + 1 is listed: that part of
+    the top term has an empty tail, and no differential reaches it.
     """
+    H = cs.H
+    cc = H.complex
+    coaug = cs.D.coaug
+    # tails[v][t]: words of cc.terms[v] in degree t with the
+    # coaugmentation in slot 0, that slot dropped
+    tails = [{t: [w[1:] for w in term.labels(t) if w[0] == coaug]
+              for t in term.degrees()} for term in cc.terms]
+    # a coordinate at (u, n - u) needs both circle levels: when the
+    # circle complex ends early, at its empty term cc.terms[-1], term
+    # 2 (len(cc.terms) - 1) - 1 is empty and this complex ends there
+    terms = [GradedSpace(((("h", u, tx, k), tail), t)
+                         for t in range(H.t_max + 1)
+                         for (u, tx), bd in H.data.items()
+                         if 0 <= n - u < len(tails)
+                         for tail in tails[n - u].get(t - tx, ())
+                         for k in range(bd.dim))
+             for n in range(min(H.s_max + 2, 2 * (len(cc.terms) - 1)))]
 
-    def __init__(self, cs: CircleStructure):
-        self.cs = cs
-        H = cs.H
-        words = H.complex.terms
-        coaug = cs.D.coaug
-        # tails[v][t]: words of words[v] in degree t with the
-        # coaugmentation in slot 0, that slot dropped
-        tails = [{t: [w[1:] for w in term.labels(t) if w[0] == coaug]
-                  for t in term.degrees()} for term in words]
-        degrees = [term.degrees() for term in words]
-        # a coordinate at (u, n - u) needs both circle levels: when the
-        # circle complex ends early, at its empty term words[-1], term
-        # 2 (len(words) - 1) - 1 is empty and this complex ends there
-        levels = range(len(words))
-        terms = [GradedSpace(((wa, tail), t) for t in range(H.t_max + 1)
-                             for u in levels if n - u in levels
-                             for ta in degrees[u]
-                             for tail in tails[n - u].get(t - ta, ())
-                             for wa in words[u].labels(ta))
-                 for n in range(min(H.s_max + 2, 2 * (len(words) - 1)))]
-        self.complex = CochainComplex(
-            cs.field, terms, [self._diff_blocks(terms[n], terms[n + 1])
-                              for n in range(len(terms) - 1)])
-        self.H = HomologyTable(self.complex, H.s_max, H.t_max)
-
-    def pair_vec(self, vec: dict) -> dict:
-        """phi of a formal sum on coordinates: a formal sum on word pairs."""
-        out: dict = {}
-        for (wa, tail), c in vec.items():
-            for (wa2, d), v in cochain_right_coaction(self.cs.D, wa).items():
-                pr = (wa2, (d,) + tail)
-                out[pr] = out.get(pr, 0) + c * v
-        return self.cs.field.canonical(out)
-
-    def _diff_blocks(self, source, target) -> dict:
-        """The differential on the coordinates of source, in the block
-        form of CochainComplex.diff, is the sum of the two circles'
-        cofaces on the wedge word wa + tail: c (la, tail) over c la in
-        d(wa), and (-1)^(u + (|wa[0]| - |w[0]|) |wa[1:]|) c (w[:1] +
-        wa[1:], w[1:]) over c w in d(wa[:1] + tail).  It is psi D phi,
-        psi (wa, wb) = counit(wb[0]) (wa, wb[1:]): the first sum by the
-        counit law, the second as d is a map of left comodules, with the
-        legs of Delta(wa[0]) swapped (cohh admits only cocommutative
-        coalgebras) and the one of degree |wa[0]| - |w[0]| moved past
-        wa[1:].  The guard phi(column) = D phi(coordinate) runs where
-        u = 0 or tail = () and covers all: the defect's d (x) 1 and
-        1 (x) d parts have disjoint supports, and at (wa, tail) they are
-        those at (wa, ()) with tail appended and at ((wa[0],), tail)
-        with wa[1:] put after each first word's first label x, signed
-        (-1)^((|wa[0]| - |x|) |wa[1:]|): both maps are injective."""
-        f = self.cs.field
-        cc = self.cs.H.complex
-        deg = self.cs.D.space.degree_of
+    diffs = []
+    for source, target in zip(terms, terms[1:]):
         blocks = {}
         for t, coords in source.by_degree.items():
             cols = blocks[t] = []
-            labels = target.labels(t)
-            for wa, tail in coords:
-                u, rest = word_level(wa), wa[1:]
-                r = sum(deg[a] for a in rest)
-                img = [((la, tail), v) for la, v in cc.column(u, wa).items()]
-                img += [((w[:1] + rest, w[1:]), -v if (
-                    u + (deg[wa[0]] - deg[w[0]]) * r) & 1 else v)
-                    for w, v in cc.column(len(tail), wa[:1] + tail).items()]
+            for x, tail in coords:
+                v = len(tail)
+                img = [((x, w[1:]), c) for w, c
+                       in cc.column(v, (coaug,) + tail).items()]
+                img += [((y, (d,) + tail), c)
+                        for (y, d), c in carrier.right[x].items()
+                        if d != coaug]
+                # |x| + |tail| = t
+                img += [((y, tail + (d,)), -c if (
+                    v + 1 + cs.D.degree(d) * (t + 1)) & 1 else c)
+                    for (d, y), c in carrier.left[x].items() if d != coaug]
                 col: dict = {}
-                for y, v in img:
+                for y, c in img:
                     if target.degree_of.get(y) != t:
                         raise AssertionError(
                             "differential left the next coordinate block")
                     i = target.index_of[y]
-                    col[i] = col.get(i, 0) + v
-                col = f.canonical(col)
-                if u == 0 or not tail:
-                    d_phi: dict = {}
-                    phi = self.pair_vec({(wa, tail): f.one})
-                    for (la, lb), c in phi.items():
-                        for la2, v in cc.column(u, la).items():
-                            d_phi[la2, lb] = d_phi.get((la2, lb), 0) + c * v
-                        for lb2, v in cc.column(len(tail), lb).items():
-                            d_phi[la, lb2] = (d_phi.get((la, lb2), 0)
-                                              + (-c * v if u & 1 else c * v))
-                    back = {labels[i]: c for i, c in col.items()}
-                    if self.pair_vec(back) != f.canonical(d_phi):
-                        raise AssertionError("differential left the cotensor")
-                cols.append(col)
-        return blocks
+                    col[i] = col.get(i, 0) + c
+                cols.append(cs.field.canonical(col))
+        diffs.append(blocks)
+    return HomologyTable(CochainComplex(cs.field, terms, diffs),
+                         H.s_max, H.t_max)
 
 
 def homology_multiplication(cs: CircleStructure):
@@ -425,7 +391,7 @@ def homology_multiplication(cs: CircleStructure):
     H = cs.H
     carrier = cohh_carrier_comodule(cs)
     pair_space = tensor_space(H.classes, H.classes, H.t_max)
-    ct = CotensorComplex(cs)
+    table = coefficient_table(cs, carrier)
     mult = GradedMap(pair_space, H.classes)
     failed = set()
 
@@ -449,29 +415,35 @@ def homology_multiplication(cs: CircleStructure):
     for (n, t), block in sorted(blocks.items(), key=repr):
         if n > H.s_max:
             continue
-        reps = [ct.H.rep(("h", n, t, k)) for k in range(ct.H.dim(n, t))]
+        reps = [table.rep(("h", n, t, k)) for k in range(table.dim(n, t))]
         if len(reps) != len(block):
             failed.add((n, t))
         # write each cotensor basis vector in the Kuenneth classes of the
-        # cotensor complex's representatives
+        # lifted representatives: pi on the second leg of carrier.right
+        # (x) 1, its base leg put in front of the tail
         try:
             sols = linalg.keyed_solve(
-                [cs.pair_classes(ct.pair_vec(z)) for z in reps],
+                [cs.classes_of({(y, (d,) + tail): v for (y, d, tail), v
+                                in tensor_apply(z, [carrier.right_of, None],
+                                                f).items()}, 1)
+                 for z in reps],
                 [vec for vec, _ in block], f)
         except linalg.NoSolution:
             failed.add((n, t))
             continue
-        # the product of phi (wa, tail) is wa + tail, by the counit law
+        # the product of iota(x) (x) tail is the words iota(x) + tail, by
+        # the counit law
         for (_, free), sol in zip(block, sols):
             words: dict = {}
             for j, c in sol.items():
-                for (wa, tail), v in reps[j].items():
-                    w = wa + tail
-                    words[w] = words.get(w, 0) + c * v
+                for (x, tail), v in reps[j].items():
+                    for wa, r in H.rep(x).items():
+                        w = wa + tail
+                        words[w] = words.get(w, 0) + c * v * r
             mult.set_column(free, cs.proj.project(n, t, f.canonical(words)))
 
-    # classes of the cotensor complex where H box H has no block
-    failed |= set(ct.H.dims()) - set(blocks)
+    # classes of the coefficient table where H box H has no block
+    failed |= set(table.dims()) - set(blocks)
     return mult, carrier, sorted(failed)
 
 
@@ -481,14 +453,28 @@ def homology_multiplication(cs: CircleStructure):
 
 def cohh_carrier_comodule(cs: CircleStructure) -> Comodule:
     """The homology classes as a D-bicomodule via the basepoint slot:
-    (id (x) pi) rho_l and (pi (x) id) rho_r on each representative."""
+    (id (x) pi) rho_l and (pi (x) id) rho_r on each representative.
+
+    Raises AssertionError at the first class whose representative's
+    coaction is not iota of its projection: the representatives must
+    span a sub-bicomodule (coefficient_table says why)."""
     H = cs.H
     D = cs.D
+    reps = {lbl: {(w,): c for w, c in H.rep(lbl).items()}
+            for lbl in H.classes.degree_of}
 
     def coaction(rho, leg):
-        return {lbl: cs.classes_of(tensor_apply(
-            {(w,): c for w, c in H.rep(lbl).items()}, [partial(rho, D)],
-            cs.field), leg) for lbl in H.classes.degree_of}
+        iota = [None, None]
+        iota[leg] = reps.__getitem__
+        table = {}
+        for lbl, rep in reps.items():
+            raw = tensor_apply(rep, [partial(rho, D)], cs.field)
+            table[lbl] = cs.classes_of(raw, leg)
+            if tensor_apply(table[lbl], iota, cs.field) != raw:
+                raise AssertionError(
+                    f"the coaction of the representative of {lbl!r} "
+                    f"leaves the span of the representatives")
+        return table
 
     return Comodule(D, list(H.classes.degree_of.items()),
                     coaction(cochain_left_coaction, 1),

@@ -465,6 +465,47 @@ def test_cohh_of_mixed_tensor_is_the_kuenneth_convolution(field):
     assert got == want
 
 
+def polynomial_closed_form_dims(d, p, s_max, t_max):
+    """coHH of k[w_d] in characteristic p, by duality with HH of the
+    divided-power algebra on x, |x| = d.  Over Q it is k[x] (x)
+    Lambda(dx): a class at (0, jd) and one at (1, (j+1)d) for each j.
+    Over F_p it is the Kuenneth product over i of HH(k[y]/(y^p)), |y| =
+    d p^i, which has a class at (2k, j|y| + kp|y|) and one at
+    (2k + 1, (j+1)|y| + kp|y|) for each j < p and k (Buenos Aires Cyclic
+    Homology Group, "Cyclic homology of algebras with one generator",
+    K-Theory 5, 1991)."""
+    unit = {(0, 0): 1}
+    if not p:
+        return convolve(unit, {(s, (j + s) * d): 1 for j in range(t_max + 1)
+                               for s in (0, 1)}, s_max, t_max)
+    dims, y = unit, d
+    while y <= t_max:
+        dims = convolve(dims, {
+            (2 * k + e, (j + e) * y + k * p * y): 1 for k in range(s_max + 1)
+            for j in range(p) for e in (0, 1)}, s_max, t_max)
+        y *= p
+    return dims
+
+
+@pytest.mark.parametrize("d, field, s_max, t_max", [
+    (2, GF(3), 4, 16), (2, GF(3), 6, 30), (2, GF(2), 4, 16), (2, QQ, 4, 16),
+    (2, GF(5), 5, 30), (4, GF(2), 6, 40), (4, GF(5), 6, 40)], ids=str)
+def test_cohh_polynomial_matches_the_divided_power_closed_form(d, field,
+                                                               s_max, t_max):
+    D = polynomial_coalgebra([d], field, truncation=t_max)
+    assert cohh(D, s_max, t_max).dims() == polynomial_closed_form_dims(
+        d, field.characteristic, s_max, t_max)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_cohh_of_exterior_times_polynomial_matches_both_closed_forms(field):
+    D = tensor_coalgebra(exterior_coalgebra([3], field),
+                         polynomial_coalgebra([4], field, truncation=16))
+    assert cohh(D, 4, 16).dims() == convolve(
+        closed_form_exterior_dims([3], 4, 16),
+        polynomial_closed_form_dims(4, field.characteristic, 4, 16), 4, 16)
+
+
 def test_cohh_of_trivial_coalgebra():
     H = cohh(trivial_coalgebra(GF(5)), 3, 6)
     assert H.dims() == {(0, 0): 1}

@@ -306,6 +306,44 @@ def is_equalized(cs, terms):
     return not defect(cs, terms)
 
 
+def pair_vec(cs, vec):
+    """phi on Tot's coordinates (wa, tail): (rho_r (x) id)(wa (x) tail),
+    the base leg of rho_r put in front of the tail, a formal sum on word
+    pairs."""
+    out = {}
+    for (wa, tail), c in vec.items():
+        for (wa2, d), v in st.cochain_right_coaction(cs.D, wa).items():
+            pr = (wa2, (d,) + tail)
+            out[pr] = out.get(pr, 0) + c * v
+    return cs.field.canonical(out)
+
+
+def lift(cs, vec):
+    """iota (x) 1 from the coefficient table's coordinates (x, tail) to
+    Tot's coordinates (wa, tail): sum c iota(x) (x) tail."""
+    out = {}
+    for (x, tail), c in vec.items():
+        for wa, v in cs.H.rep(x).items():
+            out[wa, tail] = out.get((wa, tail), 0) + c * v
+    return cs.field.canonical(out)
+
+
+def tot_delta(cs, vec):
+    """Tot's differential less d (x) 1 on coordinates (wa, tail), without
+    Tot's column sign (-1)^u: the circle's coface sum on wa[:1] + tail,
+    each image word's first label put back in front of wa[1:], signed
+    (-1)^((|wa[0]| - |w[0]|) |wa[1:]|)."""
+    deg, cc = cs.D.space.degree_of, cs.H.complex
+    out = {}
+    for (wa, tail), c in vec.items():
+        rest = sum(deg[a] for a in wa[1:])
+        for w, v in cc.column(len(tail), wa[:1] + tail).items():
+            sign = -1 if (deg[wa[0]] - deg[w[0]]) * rest & 1 else 1
+            key = (w[:1] + wa[1:], w[1:])
+            out[key] = out.get(key, 0) + sign * c * v
+    return cs.field.canonical(out)
+
+
 def product_on_cotensor(cs, terms):
     """The product of an equalized element of the total cotensor of the
     circle cochains with itself, by the counit on the second word's
@@ -419,12 +457,13 @@ def test_multiplication_is_the_complete_basis_extension(degrees, field,
     mult, carrier, failed = st.homology_multiplication(cs)
     assert failed == []
     f = field
-    # on the Kuenneth class of a cotensor cocycle, mult is the cochain
-    # product
-    ct = st.CotensorComplex(cs)
-    assert ct.H.dims()
-    for label in ct.H.classes.degree_of:
-        z = ct.pair_vec(ct.H.rep(label))
+    # each class of the coefficient table lifts to a cotensor cocycle, on
+    # whose Kuenneth class mult is the cochain product
+    table = st.coefficient_table(cs, carrier)
+    assert table.dims()
+    for label in table.classes.degree_of:
+        z = pair_vec(cs, lift(cs, table.rep(label)))
+        assert z and not pair_differential(cs, z) and not defect(cs, z)
         assert mult.apply(cs.pair_classes(z), f) == product_on_cotensor(cs, z)
     extension = complete_basis_extension(
         mult, cotensor(carrier, carrier, t_max), s_max, f)
@@ -441,7 +480,7 @@ def test_cotensor_coordinates_span_the_equalizer(degrees, field, s_max,
         exterior_coalgebra([3], field),
         polynomial_coalgebra([4], field, truncation=12)))
     cs = st.CircleStructure(cohh(D, s_max, t_max))
-    ct = st.CotensorComplex(cs)
+    coordinates = tot_coordinates(cs)
     terms = cs.H.complex.terms
     blocks = 0
     for n in range(s_max + 2):
@@ -453,8 +492,8 @@ def test_cotensor_coordinates_span_the_equalizer(degrees, field, s_max,
                      for wb in terms[n - u].labels(t - ta)]
             kernel = linalg.kernel_of(
                 {p: defect(cs, {p: field.one}) for p in pairs}, field)
-            images = [ct.pair_vec({x: field.one})
-                      for x in ct.complex.terms[n].labels(t)]
+            images = [pair_vec(cs, {x: field.one})
+                      for x in coordinates(n, t)]
             assert len(images) == len(kernel), (n, t)
             if images:
                 # independent, and together with the kernel of rank no
@@ -483,22 +522,30 @@ def pair_differential(cs, vec):
     return f.canonical(out)
 
 
-def per_block_cotensor_homology(cs):
-    """The cotensor complex's homology by its own per-block loop: the
-    (n, t) coordinates in (u, deg wa, tail, wa) order, psi D phi as a
-    Matrix from block (n, t) to block (n + 1, t), and
-    the reduce-every-cycle oracle on every nonempty block.  Returns
-    {(n, t): (coordinates, dim, representatives on the coordinates)}."""
-    D, f, H = cs.D, cs.field, cs.H
-    cc = H.complex
-    words = cc.terms
-    tails = [{t: [w[1:] for w in term.labels(t) if w[0] == D.coaug]
+def tot_coordinates(cs):
+    """Tot(N box_D N)'s coordinates (wa, tail) at (n, t), in (u, deg wa,
+    tail, wa) order, as a function block(n, t): wa a word of N^u, tail a
+    word of N^(n - u) whose slot 0 holds the coaugmentation, with that
+    slot dropped (N^u box_D N^v = N^u (x) Dbar^(x)v)."""
+    words = cs.H.complex.terms
+    tails = [{t: [w[1:] for w in term.labels(t) if w[0] == cs.D.coaug]
               for t in term.degrees()} for term in words]
 
     def block(n, t):
         return [(wa, tail) for u in range(n + 1) for ta in words[u].degrees()
                 for tail in tails[n - u].get(t - ta, ())
                 for wa in words[u].labels(ta)]
+    return block
+
+
+def per_block_cotensor_homology(cs):
+    """The cotensor complex's homology by its own per-block loop: the
+    tot_coordinates blocks, psi D phi as a Matrix from block (n, t) to
+    block (n + 1, t), and the reduce-every-cycle oracle on every nonempty
+    block.  Returns {(n, t): (coordinates, dim, representatives on the
+    coordinates)}."""
+    D, f, H = cs.D, cs.field, cs.H
+    block = tot_coordinates(cs)
 
     def diff_matrix(cur, nxt):
         index = {x: i for i, x in enumerate(nxt)}
@@ -554,40 +601,37 @@ def test_cotensor_homology_matches_the_per_block_loop_on_more_coalgebras(
 
 def assert_cotensor_homology_matches_the_per_block_loop(D, s_max, t_max):
     cs = st.CircleStructure(cohh(D, s_max, t_max))
-    ct = st.CotensorComplex(cs)
+    table = st.coefficient_table(cs, st.cohh_carrier_comodule(cs))
     oracle = per_block_cotensor_homology(cs)
-    assert ct.H.dims() == {nt: dim for nt, (_, dim, _) in oracle.items()
-                           if dim}
+    assert table.dims() == {nt: dim for nt, (_, dim, _) in oracle.items()
+                            if dim}
     assert max(dim for _, dim, _ in oracle.values()) > 1
-    for (n, t), (coords, dim, reps) in oracle.items():
-        assert ct.complex.terms[n].labels(t) == coords, (n, t)
-        assert [ct.H.rep(("h", n, t, k)) for k in range(dim)] == reps, (n, t)
 
 
 @pytest.mark.parametrize("degrees, field, s_max, t_max", [
     ([3, 5], GF(3), 4, 20), ([3, 5], QQ, 4, 20), (None, GF(3), 3, 12)])
-def test_every_cotensor_column_stays_in_the_cotensor(degrees, field, s_max,
-                                                     t_max):
-    # the build checks phi(column) = D phi(coordinate) only where u = 0
-    # or tail = (); here it is checked on every coordinate
+def test_every_coefficient_column_is_the_transferred_cotensor_column(
+        degrees, field, s_max, t_max):
+    # each column is (pi (x) 1) delta (iota (x) 1), with delta Tot's
+    # differential less d (x) 1 read off the circle's coface sum, and
+    # delta (iota (x) 1) is iota (x) 1 of it: h delta iota = 0
     # None stands for Lambda(x_3) (x) k[w_4] truncated at 12
     D = (exterior_coalgebra(degrees, field) if degrees else tensor_coalgebra(
         exterior_coalgebra([3], field),
         polynomial_coalgebra([4], field, truncation=12)))
     cs = st.CircleStructure(cohh(D, s_max, t_max))
-    ct = st.CotensorComplex(cs)
-    cc = ct.complex
-    unguarded = 0
+    cc = st.coefficient_table(cs, st.cohh_carrier_comodule(cs)).complex
+    inner = 0
     for n in range(s_max + 1):
         for t, cols in cc.diff[n].items():
             labels = cc.terms[n + 1].labels(t)
-            for (wa, tail), col in zip(cc.terms[n].labels(t), cols):
-                image = ct.pair_vec({labels[i]: v for i, v in col.items()})
-                want = pair_differential(
-                    cs, ct.pair_vec({(wa, tail): field.one}))
-                assert image == want, (wa, tail)
-                unguarded += len(wa) > 1 and bool(tail)
-    assert unguarded > 30, unguarded
+            for (x, tail), col in zip(cc.terms[n].labels(t), cols):
+                image = {labels[i]: v for i, v in col.items()}
+                delta = tot_delta(cs, lift(cs, {(x, tail): field.one}))
+                assert image == cs.classes_of(delta, 0), (x, tail)
+                assert lift(cs, image) == delta, (x, tail)
+                inner += x[1] > 0 and bool(tail)
+    assert inner > 20, inner
 
 
 def test_the_cotensor_walk_opens_only_nonempty_circle_levels(monkeypatch):
@@ -596,8 +640,10 @@ def test_the_cotensor_walk_opens_only_nonempty_circle_levels(monkeypatch):
     # degree list about 6 * 203 * 202 / 2 times; one over the nonempty
     # levels, some 24 times, besides the one reading per term
     D = exterior_coalgebra([3], GF(2))
-    want = st.CotensorComplex(st.CircleStructure(cohh(D, 2, 5))).H.dims()
+    small = st.CircleStructure(cohh(D, 2, 5))
+    want = st.coefficient_table(small, st.cohh_carrier_comodule(small)).dims()
     cs = st.CircleStructure(cohh(D, 200, 5))
+    carrier = st.cohh_carrier_comodule(cs)
     opened = []
     degrees = GradedSpace.degrees
 
@@ -608,31 +654,31 @@ def test_the_cotensor_walk_opens_only_nonempty_circle_levels(monkeypatch):
 
     monkeypatch.setattr(GradedSpace, "degrees",
                         lambda self: Counted(degrees(self)))
-    ct = st.CotensorComplex(cs)
+    table = st.coefficient_table(cs, carrier)
     assert len(opened) <= 3 * (200 + 2), len(opened)
-    assert ct.H.dims() == want
+    assert table.dims() == want
 
 
-def test_cotensor_complex_refuses_a_right_coaction_off_the_cotensor(
-        monkeypatch):
+def test_coefficient_table_refuses_a_flipped_right_coaction(monkeypatch):
     D = exterior_coalgebra([3, 5], QQ)
     cs = st.CircleStructure(cohh(D, 2, 12))
     right = st.cochain_right_coaction
 
     def flipped(D, word):
-        # one sign of rho_r(x3): phi is no longer equalized
+        # one sign of rho_r(x3): the carrier is no longer a bicomodule
         return {(w, d): (-v if d == "x3" and word == ("x3",) else v)
                 for (w, d), v in right(D, word).items()}
 
     monkeypatch.setattr(st, "cochain_right_coaction", flipped)
-    with pytest.raises(AssertionError, match="differential left the cotensor"):
-        st.CotensorComplex(cs)
+    with pytest.raises(AssertionError, match="nonzero"):
+        st.coefficient_table(cs, st.cohh_carrier_comodule(cs))
 
 
-def test_cotensor_complex_refuses_an_image_outside_the_next_block(
+def test_coefficient_table_refuses_an_image_outside_the_next_block(
         monkeypatch):
     D = exterior_coalgebra([3], QQ)
     cs = st.CircleStructure(cohh(D, 2, 9))
+    carrier = st.cohh_carrier_comodule(cs)
     cc = cs.H.complex
     column = cc.column
 
@@ -644,21 +690,44 @@ def test_cotensor_complex_refuses_an_image_outside_the_next_block(
     monkeypatch.setattr(cc, "column", leaky)
     with pytest.raises(AssertionError,
                        match="differential left the next coordinate block"):
-        st.CotensorComplex(cs)
+        st.coefficient_table(cs, carrier)
 
 
-def test_cotensor_homology_table_checks_every_block():
+def test_coefficient_table_checks_every_block():
     # doubling one entry (x, y) of d^1 whose target y has d^2(y) != 0
     # makes d^2 d^1 nonzero on x
     D = exterior_coalgebra([3, 5], QQ)
     cs = st.CircleStructure(cohh(D, 3, 12))
-    ct = st.CotensorComplex(cs)
-    cc = ct.complex
+    table = st.coefficient_table(cs, st.cohh_carrier_comodule(cs))
+    cc = table.complex
     col, i = next((col, i) for t, cols in cc.diff[1].items() for col in cols
                   for i in col if cc.diff[2][t][i])
     col[i] *= 2
     with pytest.raises(AssertionError, match="nonzero"):
-        HomologyTable(cc, ct.H.s_max, ct.H.t_max)
+        HomologyTable(cc, table.s_max, table.t_max)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_carrier_refuses_representatives_that_span_no_sub_bicomodule(
+        field, monkeypatch):
+    # each representative plus a boundary is still a representative, but
+    # the coaction of the boundary leaves the span of the new ones, so
+    # the transfer behind coefficient_table would need h delta iota
+    H = cohh(exterior_coalgebra([3, 5], field), 3, 16)
+    cc = H.complex
+    rep = H.rep
+
+    def moved(label):
+        _, s, t, _ = label
+        boundary = next((cc.column(s - 1, w) for w in
+                         cc.terms[s - 1].labels(t) if s), {})
+        return field.canonical({w: rep(label).get(w, 0) + boundary.get(w, 0)
+                                for w in {**rep(label), **boundary}})
+
+    monkeypatch.setattr(H, "rep", moved)
+    with pytest.raises(AssertionError,
+                       match="leaves the span of the representatives"):
+        st.cohh_box_structure(H)
 
 
 def test_pair_classes_refuses_a_word_outside_the_normalized_terms():
@@ -754,8 +823,9 @@ def test_pair_classes_matches_the_grouped_loop(degrees, field, s_max, t_max,
     monkeypatch.setattr(cs, "pair_classes", recorded)
     for label in cs.H.classes.degree_of:
         cs.class_coproduct(label)
-    ct = st.CotensorComplex(cs)
-    seen += [ct.pair_vec(ct.H.rep(label)) for label in ct.H.classes.degree_of]
+    table = st.coefficient_table(cs, st.cohh_carrier_comodule(cs))
+    seen += [pair_vec(cs, lift(cs, table.rep(label)))
+             for label in table.classes.degree_of]
     assert sum(map(bool, seen)) > 10
     for vec in seen:
         assert pair_classes(vec) == grouped_pair_classes(cs, vec), vec
@@ -774,7 +844,7 @@ def test_carrier_coactions_match_the_grouped_loop(degrees, field, s_max,
 
 def test_classes_of_projects_once_per_group(monkeypatch):
     cs = st.CircleStructure(cohh(exterior_coalgebra([3, 5], GF(3)), 3, 16))
-    ct = st.CotensorComplex(cs)
+    table = st.coefficient_table(cs, st.cohh_carrier_comodule(cs))
     calls = []
     project = st.AmbientProjector.project
 
@@ -785,8 +855,8 @@ def test_classes_of_projects_once_per_group(monkeypatch):
     monkeypatch.setattr(st.AmbientProjector, "project", counted)
     deg = cs.D.space.degree_of
     checked = 0
-    for label in ct.H.classes.degree_of:
-        pairs = ct.pair_vec(ct.H.rep(label))
+    for label in table.classes.degree_of:
+        pairs = pair_vec(cs, lift(cs, table.rep(label)))
         # a third leg, the base label of the first word's slot 0, so the
         # middle leg has legs on both sides
         triples = {(wa[0], wa, wb): c for (wa, wb), c in pairs.items()}
@@ -851,24 +921,25 @@ def test_both_tables_match_reducing_every_cycle(case, field, s_max, t_max):
          "k[w2]": lambda: polynomial_coalgebra([2], field, truncation=10),
          }[case]()
     cs = st.CircleStructure(cohh(D, s_max, t_max))
-    ct = st.CotensorComplex(cs)
+    # the circle table first: the carrier builds its boundary rows
     assert assert_blocks_match_reducing_every_cycle(cs.H) > 5
-    assert assert_blocks_match_reducing_every_cycle(ct.H) > 5
+    table = st.coefficient_table(cs, st.cohh_carrier_comodule(cs))
+    assert assert_blocks_match_reducing_every_cycle(table) > 5
 
 
-def test_the_cotensor_table_builds_no_boundary_rows(monkeypatch):
+def test_the_coefficient_table_builds_no_boundary_rows(monkeypatch):
     built = []
+    coefficient_table = st.coefficient_table
 
-    class Recorded(st.CotensorComplex):
-        def __init__(self, cs):
-            super().__init__(cs)
-            built.append(self)
+    def recorded(cs, carrier):
+        built.append(coefficient_table(cs, carrier))
+        return built[-1]
 
-    monkeypatch.setattr(st, "CotensorComplex", Recorded)
+    monkeypatch.setattr(st, "coefficient_table", recorded)
     st.cohh_box_structure(cohh(exterior_coalgebra([3, 5], GF(2)), 4, 20))
-    (ct,) = built
-    assert any(bd.rep_vectors for bd in ct.H.data.values())
-    assert all(bd.boundary is None for bd in ct.H.data.values())
+    (table,) = built
+    assert any(bd.rep_vectors for bd in table.data.values())
+    assert all(bd.boundary is None for bd in table.data.values())
 
 
 def test_carrier_comodule_satisfies_the_comodule_axioms():
