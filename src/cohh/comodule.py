@@ -181,23 +181,23 @@ def cobar_differential(M: Comodule, N: Comodule, s: int,
     the reduced coaction/comultiplication insertions, written straight
     into the blocks of complexes.CochainComplex.diff that HomologyTable
     reduces: each image word is looked up in target.index_of, and one
-    outside target is dropped.  Each reduced (co)action is computed once
-    per label, here, with its sign.  The kept words of a column are
+    outside target is dropped.  Each reduced coaction is computed once
+    per label, here, with its sign, and the reduced comultiplication is
+    D's cached comult_table(2, (0, 1)).  The kept words of a column are
     distinct, so each is written once: their Dbar labels have positive
     degree, so the label an insertion leaves at slot i is of lower degree
     than the one any insertion further right leaves there."""
     f = M.field
     D = M.base
     g = D.coaug
-    # the reduced coactions and comultiplication (D is connected), signed
+    # the reduced coactions (D is connected), signed
     right = {m: [(md, v) for md, v in M.right_of(m).items() if md[1] != g]
              for m in M.space.degree_of}
     last_sign = f.coerce((-1) ** (s + 1))
     left = {n: [(dn, f.mul(last_sign, v))
                 for dn, v in N.left_of(n).items() if dn[0] != g]
             for n in N.space.degree_of}
-    comult = {a: [(pair, v) for pair, v in D.comult_of(a).items()
-                  if g not in pair] for a in D.space.degree_of}
+    comult = D.comult_table(2, (0, 1))
     neg_comult = {a: [(pair, f.neg(v)) for pair, v in split]
                   for a, split in comult.items()}
     index = target.index_of

@@ -14,18 +14,23 @@ with FieldSpec.canonical, the one way every formal sum in the package
 is summed (see graded): induced_operator per image, as a word-keyed
 column of a GradedMap; coface_sum per column of a differential's
 blocks; induced_map per formal sum, with one plan for every vector.
+The circle's normalized differential is the one coface sum written
+without it: circle_coface_sum reads its two expanding slots straight
+from the coalgebra's cached comult tables.
 
 A differential is stored in one form, the blocks of CochainComplex.diff:
 per internal degree, its columns as index dicts over the target words.
-coface_sum, comodule.cobar_differential and structure.coefficient_table
-write them, and HomologyTable reduces them as written.
+coface_sum, circle_coface_sum, comodule.cobar_differential and
+structure.coefficient_table write them, and HomologyTable reduces them
+as written.
 
 The normalized complex is C (x) Cbar^(x)s on the circle, and in general
 the span of the words with a non-coaugmentation label in some slot that
 each codegeneracy deletes.  Its terms are generated as such, never
 filtered out of the ambient levels, and its differential reaches a slot
 that one codegeneracy deletes alone only through the reduced
-comultiplication.
+comultiplication.  On the circle term s + 1 is term s with one Dbar
+label appended, and no level past 0 or missing slot is read.
 
 Every homology in the package is a HomologyTable: coHH, Cotor over the
 cobar complex, and the coHochschild complex with coefficients in the
@@ -305,6 +310,50 @@ class CosimplicialModule:
         return out
 
 
+def circle_coface_sum(D: GradedCoalgebra, n: int, source: GradedSpace,
+                      target: GradedSpace) -> dict:
+    """coface_sum on the normalized words (a_0, ..., a_n) of the circle's
+    level n, read from two cached comult tables with no word plan.
+    delta_0 writes (a', a'') + rest, and delta_(n+1) writes
+    (a',) + rest + (a'',) with sign (-1)^(n + 1 + |a''| |rest|), for each
+    term a' (x) a'' of Delta(a_0) with a'' not the coaugmentation; each
+    inner delta_k writes (-1)^k head + (b', b'') + tail for each term of
+    the reduced Delta(a_k).  An image word keeps the degree of its
+    source and a Dbar label in every slot but the first, so it is a word
+    of target, the normalized words of level n + 1.  Each column is
+    reduced once."""
+    deg = D.space.degree_of
+    canonical = D.field.canonical
+    index = target.index_of
+    split = D.comult_table(2, (1,))
+    reduced = D.comult_table(2, (0, 1))
+    # signed[k & 1]: the reduced Delta with the sign of inner slot k
+    signed = (reduced, {a: [(pair, -v) for pair, v in terms]
+                        for a, terms in reduced.items()})
+    blocks = {}
+    for t, words in source.by_degree.items():
+        cols = blocks[t] = []
+        for word in words:
+            rest = word[1:]
+            rest_odd = (t - deg[word[0]]) & 1
+            col: dict = {}
+            for (x, y), v in split[word[0]]:
+                i = index[(x, y) + rest]
+                col[i] = col.get(i, 0) + v
+                i = index[(x,) + rest + (y,)]
+                col[i] = col.get(i, 0) + (
+                    -v if (n + 1 + deg[y] * rest_odd) & 1 else v)
+            for k, a in enumerate(rest, 1):
+                terms = signed[k & 1][a]
+                if terms:
+                    head, tail = word[:k], word[k + 1:]
+                    for pair, v in terms:
+                        i = index[head + pair + tail]
+                        col[i] = col.get(i, 0) + v
+            cols.append(canonical(col))
+    return blocks
+
+
 @dataclass
 class CochainComplex:
     """Terms with labelled bases (the words of a cosimplicial module's
@@ -318,9 +367,10 @@ class CochainComplex:
     every term past the last to be zero.
     Column j is the image of terms[s].labels(t)[j], stored as
     {i: scalar} over terms[s+1].labels(t), with no zero.
-    CosimplicialModule.coface_sum, comodule.cobar_differential and
-    structure.coefficient_table write the blocks; HomologyTable reduces
-    them as written, and column reads one back as a formal sum on labels.
+    CosimplicialModule.coface_sum, circle_coface_sum,
+    comodule.cobar_differential and structure.coefficient_table write the
+    blocks; HomologyTable reduces them as written, and column reads one
+    back as a formal sum on labels.
     """
 
     field: FieldSpec
@@ -350,6 +400,13 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
     alone (every slot but the first, on the circle) is reached only
     through the reduced comultiplication.
 
+    On the one-vertex, one-loop circle term s + 1 is grown from term s:
+    each word, in order, takes each Dbar label in (degree, label) order
+    while its degree stays within t_max, which is the order tensor_words
+    lists with the missing slots, and circle_coface_sum writes d_s.  On
+    every other shape each term is listed from the missing slots of its
+    level and d_s is coface_sum's.
+
     The complex ends at its first empty term, since every later term is
     empty: on a graph simplicial set sigma_i deletes the slots (e, i + 1),
     so dropping the slots (e, s + 1) of a level-(s + 1) normalized word
@@ -361,16 +418,32 @@ def normalized_complex(cm: CosimplicialModule, s_max: int) -> CochainComplex:
         raise ValueError(
             f"normalized complex needs the counit supported on the "
             f"coaugmentation {D.coaug!r} alone, got {sorted(D.counit)}")
-    terms = [GradedSpace(tensor_words(D, len(cm.level(0)), cm.t_max))]
+    X, t_max = cm.shape, cm.t_max
+    on_circle = len(X.vertices) == len(X.edges) == 1
+    bar = sorted((d, lbl) for lbl, d in D.space.degree_of.items()
+                 if lbl != D.coaug)
+
+    def grown(term):
+        for word, t in term.degree_of.items():
+            for d, lbl in bar:
+                if t + d > t_max:
+                    break
+                yield word + (lbl,), t + d
+    terms = [GradedSpace(tensor_words(D, len(cm.level(0)), t_max))]
     diffs = []
     for s in range(s_max + 1):
         if not terms[s].degree_of:
             break
-        missing = cm.missing_slots(s)
-        terms.append(GradedSpace(
-            tensor_words(D, len(cm.level(s + 1)), cm.t_max, missing)))
-        diffs.append(cm.coface_sum(s, terms[s], terms[s + 1],
-                                   {g[0] for g in missing if len(g) == 1}))
+        if on_circle:
+            terms.append(GradedSpace(grown(terms[s])))
+            diffs.append(circle_coface_sum(D, s, terms[s], terms[s + 1]))
+        else:
+            missing = cm.missing_slots(s)
+            terms.append(GradedSpace(
+                tensor_words(D, len(cm.level(s + 1)), t_max, missing)))
+            diffs.append(cm.coface_sum(
+                s, terms[s], terms[s + 1],
+                {g[0] for g in missing if len(g) == 1}))
     return CochainComplex(cm.field, terms, diffs, cm)
 
 

@@ -29,6 +29,7 @@ from cohh.complexes import (
     cohh,
     compare_by_induced_map,
     normalized_complex,
+    tensor_words,
     unnormalized_complex,
 )
 from cohh.fields import GF, QQ, FieldSpec
@@ -594,39 +595,113 @@ def test_normalized_walk_stops_at_the_first_empty_term(shape, field):
             == cohh(D, 6, 7, shape=X, normalized=False).dims())
 
 
+def generic_normalized_walk(cm, s_max):
+    """The normalized terms and blocks by the walk every shape but the
+    circle takes: each term from the missing slots of its level, each
+    block from coface_sum cut off at the slots one codegeneracy deletes
+    alone."""
+    D, t_max = cm.D, cm.t_max
+    terms = [GradedSpace(tensor_words(D, len(cm.level(0)), t_max))]
+    diffs = []
+    for s in range(s_max + 1):
+        if not terms[s].degree_of:
+            break
+        missing = cm.missing_slots(s)
+        terms.append(GradedSpace(
+            tensor_words(D, len(cm.level(s + 1)), t_max, missing)))
+        diffs.append(cm.coface_sum(s, terms[s], terms[s + 1],
+                                   {g[0] for g in missing if len(g) == 1}))
+    return terms, diffs
+
+
+def circle_oracle_inputs():
+    from test_transport import transported
+    yield exterior_coalgebra([3, 5], GF(2)), 4, 20
+    yield exterior_coalgebra([3, 5], GF(3)), 4, 20
+    yield exterior_coalgebra([3, 3, 5], QQ), 3, 16
+    yield polynomial_coalgebra([2], GF(3), truncation=20), 4, 20
+    yield polynomial_coalgebra([2, 4], QQ, truncation=16), 3, 16
+    yield tensor_coalgebra(exterior_coalgebra([3], GF(3)), polynomial_coalgebra(
+        [2], GF(3), truncation=14)), 3, 14
+    yield transported(exterior_coalgebra([3, 3, 5], GF(3)), 7), 3, 14
+    yield transported(polynomial_coalgebra([2, 4], QQ, truncation=12), 7), 3, 12
+    yield transported(tensor_coalgebra(exterior_coalgebra([3], GF(2)),
+                                       polynomial_coalgebra(
+                                           [2], GF(2), truncation=9)), 7), 3, 9
+
+
+def test_the_circle_terms_and_blocks_are_those_of_the_generic_walk():
+    # the grown terms list the same words in the same order, and
+    # circle_coface_sum writes the same columns, signs included
+    seen = 0
+    for D, s_max, t_max in circle_oracle_inputs():
+        cc = normalized_complex(CosimplicialModule(D, circle(), t_max), s_max)
+        terms, diffs = generic_normalized_walk(
+            CosimplicialModule(D, circle(), t_max), s_max)
+        assert [term.by_degree for term in cc.terms] == \
+            [term.by_degree for term in terms], D
+        assert cc.diff == diffs, D
+        seen += sum(map(bool, (col for block in diffs
+                                for cols in block.values() for col in cols)))
+    assert seen > 1000
+
+
 def test_a_large_s_max_makes_missing_slots_only_up_to_the_empty_term(
         monkeypatch):
-    want = cohh(exterior_coalgebra([3], GF(2)), 2, 5).dims()
-    levels = []
+    # Lambda(3) at t <= 5 has normalized terms 0 and 1 only on the
+    # double edge, so the walk reads levels 0 to 2 whatever s_max is,
+    # each once, and takes the missing slots of levels 0 and 1 only
+    D = exterior_coalgebra([3], GF(2))
+    want = cohh(D, 2, 5, shape=double_edge_circle()).dims()
+    levels, calls = [], []
     missing_slots = CosimplicialModule.missing_slots
+    level = GraphSimplicialSet.level
 
     def recording(self, n):
         levels.append(n)
         # fail fast rather than walk all 401 levels
         assert len(levels) <= 3, "missing_slots on every level"
         return missing_slots(self, n)
+
+    def counted(self, n):
+        calls.append(n)
+        return level(self, n)
     monkeypatch.setattr(CosimplicialModule, "missing_slots", recording)
-    H = cohh(exterior_coalgebra([3], GF(2)), 400, 5)
+    monkeypatch.setattr(GraphSimplicialSet, "level", counted)
+    H = cohh(D, 400, 5, shape=double_edge_circle())
     assert levels == [0, 1]
+    assert sorted(calls) == [0, 1, 2]
     assert H.dims() == want
 
 
 def test_circle_levels_are_read_on_demand_once(monkeypatch):
-    # Lambda(3) at t <= 5 has normalized terms 0 and 1 only, so the walk
-    # reads levels 0 to 2 whatever s_max is, each once
+    # on the circle the terms grow by one Dbar label and the blocks come
+    # from the comult tables: whatever s_max is, level 0 of the shape is
+    # read once, and no missing slots, coface_sum or word plan is made
+    from cohh import complexes
+    D = exterior_coalgebra([3], GF(2))
+    want = cohh(D, 2, 5, normalized=False).dims()
     calls = []
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called on the circle")
+        return refused
     level = GraphSimplicialSet.level
 
     def counted(self, n):
         calls.append(n)
         return level(self, n)
     monkeypatch.setattr(GraphSimplicialSet, "level", counted)
-    counts = []
+    monkeypatch.setattr(CosimplicialModule, "missing_slots",
+                        refuse("missing_slots"))
+    monkeypatch.setattr(CosimplicialModule, "coface_sum",
+                        refuse("coface_sum"))
+    monkeypatch.setattr(complexes, "_word_image", refuse("_word_image"))
     for s_max in (2, 2000):
         calls.clear()
-        cohh(exterior_coalgebra([3], GF(2)), s_max, 5)
-        counts.append(sorted(calls))
-    assert counts == [[0, 1, 2]] * 2
+        assert cohh(D, s_max, 5).dims() == want
+        assert calls == [0], s_max
 
 
 def test_class_coords_roundtrip():
